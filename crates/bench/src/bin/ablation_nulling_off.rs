@@ -3,9 +3,9 @@
 //! while nulled Wi-Vi keeps working.
 
 use wivi_bench::report;
-use wivi_bench::runner::parallel_map;
 use wivi_core::baseline::doppler_motion_energy;
 use wivi_core::{WiViConfig, WiViDevice};
+use wivi_num::par::parallel_map;
 use wivi_rf::{Material, Mover, Point, Scene, WaypointWalker};
 use wivi_sdr::{MimoFrontend, RadioConfig};
 

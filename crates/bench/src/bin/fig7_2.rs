@@ -2,10 +2,10 @@
 //! will in a closed room (3 trials per count).
 
 use wivi_bench::report;
-use wivi_bench::runner::parallel_map;
 use wivi_bench::scenarios::{counting_scene, Room};
 use wivi_bench::trials;
 use wivi_core::{WiViConfig, WiViDevice};
+use wivi_num::par::parallel_map;
 
 fn main() {
     report::header(

@@ -2,9 +2,9 @@
 //! moving humans.
 
 use wivi_bench::report;
-use wivi_bench::runner::parallel_map;
 use wivi_bench::scenarios::{run_counting_trial, Room, COUNTING_TRIAL_S};
 use wivi_bench::trials;
+use wivi_num::par::parallel_map;
 use wivi_num::stats;
 
 fn main() {

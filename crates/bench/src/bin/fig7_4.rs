@@ -2,9 +2,9 @@
 //! subject's distance from the wall.
 
 use wivi_bench::report;
-use wivi_bench::runner::parallel_map;
 use wivi_bench::scenarios::GestureTrial;
 use wivi_bench::trials;
+use wivi_num::par::parallel_map;
 use wivi_rf::Material;
 
 fn main() {

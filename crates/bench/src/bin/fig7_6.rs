@@ -2,9 +2,9 @@
 //! accuracy (a) and SNR with min/max bars (b).
 
 use wivi_bench::report;
-use wivi_bench::runner::parallel_map;
 use wivi_bench::scenarios::GestureTrial;
 use wivi_bench::trials;
+use wivi_num::par::parallel_map;
 use wivi_num::stats;
 use wivi_rf::Material;
 

@@ -2,9 +2,9 @@
 //! along static paths, over many scenes/trials.
 
 use wivi_bench::report;
-use wivi_bench::runner::parallel_map;
 use wivi_bench::scenarios::run_nulling_trial;
 use wivi_bench::trials;
+use wivi_num::par::parallel_map;
 use wivi_num::stats;
 use wivi_rf::Material;
 

@@ -10,10 +10,10 @@
 //! the raw cross-room transfer is printed afterwards for completeness.
 
 use wivi_bench::report;
-use wivi_bench::runner::parallel_map;
 use wivi_bench::scenarios::{run_counting_trial, Room, COUNTING_TRIAL_S};
 use wivi_bench::trials;
 use wivi_core::counting::{ConfusionMatrix, VarianceClassifier};
+use wivi_num::par::parallel_map;
 
 fn main() {
     report::header(

@@ -29,8 +29,8 @@ use wivi_rf::{BodyConfig, Material, Mover, Point, Scene, WaypointWalker};
 use wivi_core::counting::DC_GUARD_DEG;
 use wivi_track::{TrackTargets, TrackingReport};
 
-use crate::runner::parallel_map_threads;
 use crate::scenarios::{add_random_walkers, Room};
+use wivi_num::par::parallel_map_threads;
 
 /// How the subjects of a scenario move (the motion-model axis of the
 /// grid).

@@ -11,8 +11,6 @@
 //!   (room × material × count × motion) grids, the parallel
 //!   [`ScenarioRunner`](engine::ScenarioRunner) over the streaming device
 //!   pipeline, and `BENCH_pipeline.json` emission.
-//! * [`runner`] — the scoped-thread parallel trial executor (experiments
-//!   are embarrassingly parallel across trials).
 //! * [`serving`] — the multi-session serving soak over
 //!   [`wivi_serve::ServeEngine`] and `BENCH_serving.json` emission.
 //! * [`kernels`] — ns/op microbenchmarks of the dispatched SIMD complex
@@ -32,7 +30,6 @@ pub mod imaging;
 pub mod kernels;
 pub mod obs;
 pub mod report;
-pub mod runner;
 pub mod scenarios;
 pub mod serving;
 

@@ -79,10 +79,11 @@ impl<E: ShardEngine> EngineSlot for SlotVec<E> {
     }
 }
 
-/// Configuration-keyed engine pool, one per serving shard: any number
-/// of engine types, any number of configurations per type, each engine
-/// built on first use and shared by every session that asks for the
-/// same `(type, configuration)` pair thereafter.
+/// Configuration-keyed engine pool, one per serving shard (and one
+/// private pool per [`WiViDevice::run_session`](crate::WiViDevice::run_session)
+/// call): any number of engine types, any number of configurations per
+/// type, each engine built on first use and shared by every session that
+/// asks for the same `(type, configuration)` pair thereafter.
 #[derive(Default)]
 pub struct EngineCache {
     slots: Vec<(TypeId, Box<dyn EngineSlot>)>,

@@ -1,30 +1,35 @@
 //! The end-to-end Wi-Vi device (paper Ch. 3).
 //!
 //! [`WiViDevice`] ties the stages together in the order the real device
-//! runs them: null the static environment (Algorithm 1), then record the
-//! residual-channel trace at the channel sampling rate, and finally hand
-//! the trace to the mode-specific processor — MUSIC tracking / counting
-//! (mode 1, §3.2) or gesture decoding (mode 2).
+//! runs them: null the static environment (Algorithm 1), then observe the
+//! residual channel at the channel sampling rate, and hand the samples to
+//! the mode-specific read-out — MUSIC tracking / counting (mode 1, §3.2)
+//! or gesture decoding (mode 2).
 //!
-//! Each mode has two shapes. The `*_streaming` entry points run the real
-//! device's pipeline: observations arrive from the front-end in fixed-size
-//! batches and flow through a [`Stage`] that emits
-//! spectrogram columns as analysis windows complete, holding only one
-//! window of samples. The offline one-shot methods ([`WiViDevice::track`],
-//! [`WiViDevice::decode_gestures`]) materialize the trace first; both
-//! shapes produce bitwise-identical outputs.
+//! Every read-out is a [`Session`] (see [`crate::session`]), and every
+//! device method runs its session through one batch loop,
+//! [`WiViDevice::run_session`]: observations arrive from the front-end
+//! in `batch_len`-sample batches and the session windows them through an
+//! engine from a private [`EngineCache`]. The `*_streaming` methods pick
+//! the batch length; the offline one-shot methods
+//! ([`WiViDevice::track`], [`WiViDevice::decode_gestures`], …) are the
+//! same loop with a single batch. A serving shard runs the same session
+//! types with its shared cache.
 
 use wivi_num::Complex64;
 use wivi_rf::SceneHandle;
-use wivi_sdr::{MimoFrontend, Observation, RadioConfig};
+use wivi_sdr::{MimoFrontend, RadioConfig};
 
-use crate::counting::{mean_spatial_variance, StreamingVariance};
-use crate::gesture::{decode, GestureDecode, GestureDecoderConfig};
-use crate::isar::beamform_spectrum;
-use crate::music::{music_spectrum, MusicConfig};
+use crate::cache::EngineCache;
+use crate::gesture::{GestureDecode, GestureDecoderConfig};
+use crate::music::MusicConfig;
 use crate::nulling::{run_nulling, NullingConfig, NullingReport};
+use crate::session::{CountSession, GestureSession, Session, TrackSession};
 use crate::spectrogram::AngleSpectrogram;
-use crate::stage::{Stage, StreamingBeamform, StreamingMusic};
+
+/// Batch length that makes [`WiViDevice::run_session`] observe the whole
+/// recording in one batch — the offline one-shot shape.
+pub const ONE_BATCH: usize = usize::MAX;
 
 /// Default number of observations per batch for the streaming entry
 /// points: 16 channel samples ≈ 51 ms at the paper's 312.5 Hz rate — the
@@ -125,23 +130,20 @@ impl WiViDevice {
     }
 
     /// Number of channel samples a recording of `duration_s` seconds
-    /// produces — the one conversion both the offline and streaming paths
-    /// use, so their bitwise-equivalence contract cannot be broken by the
-    /// two rounding independently. Public so external drivers (the
-    /// tracking extension, the serving engine) share it too.
+    /// produces — the one conversion every drive uses (the device's own
+    /// batch loop and the serving engine), so no two paths can round
+    /// differently.
     pub fn trace_len(&self, duration_s: f64) -> usize {
         (duration_s * self.cfg.radio.channel_rate_hz).round() as usize
     }
 
     /// Observes `n` residual-channel samples (subcarrier-combined) into
-    /// `out` (cleared first) — the *resumable* streaming drive: unlike
-    /// the one-shot `*_streaming` entry points, which consume a whole
-    /// recording in one call, a serving engine calls this once per batch
-    /// and interleaves many sessions' batches on one worker. Repeated
-    /// calls produce exactly the sample sequence one
-    /// [`observe_stream`](wivi_sdr::MimoFrontend::observe_stream) drain
-    /// would — the front-end advances identically — so incremental
-    /// serving output stays bitwise identical to the standalone device.
+    /// `out` (cleared first) — the *resumable* drive: [`Self::run_session`]
+    /// calls it once per batch, and a serving engine interleaves many
+    /// sessions' batches on one worker. Repeated calls produce exactly
+    /// the sample sequence one [`Self::record_trace`] of the same total
+    /// would — the front-end advances identically — so output never
+    /// depends on the batch split.
     ///
     /// # Panics
     /// Panics if the device has not been calibrated.
@@ -160,118 +162,123 @@ impl WiViDevice {
     /// # Panics
     /// Panics if the device has not been calibrated.
     pub fn record_trace(&mut self, duration_s: f64) -> Vec<Complex64> {
+        let mut trace = Vec::new();
+        self.observe_batch_into(self.trace_len(duration_s), &mut trace);
+        trace
+    }
+
+    /// Runs `session` over `duration_s` seconds of observations delivered
+    /// in `batch_len`-sample batches ([`ONE_BATCH`] for the offline
+    /// shape) and drains it into its payload — the one batch loop behind
+    /// every device read-out, including the `wivi-track` and
+    /// `wivi-image` extension traits. Engines come from a private
+    /// [`EngineCache`], so the output equals a served session's bit for
+    /// bit.
+    ///
+    /// # Panics
+    /// Panics if the device has not been calibrated or `batch_len == 0`.
+    pub fn run_session<S: Session>(
+        &mut self,
+        mut session: S,
+        duration_s: f64,
+        batch_len: usize,
+    ) -> S::Output {
+        assert!(batch_len > 0, "batch length must be positive");
         assert!(
             self.report.is_some(),
             "call calibrate() before recording traces"
         );
-        let n = self.trace_len(duration_s);
-        self.fe.record_trace(n)
+        let mut engines = EngineCache::new();
+        let mut samples = Vec::new();
+        let mut remaining = self.trace_len(duration_s);
+        while remaining > 0 {
+            let n = remaining.min(batch_len);
+            self.observe_batch_into(n, &mut samples);
+            session.step(&mut engines, &samples);
+            remaining -= n;
+        }
+        session.finish()
     }
 
-    /// Mode 1 — imaging/tracking: records a trace and runs smoothed MUSIC,
-    /// producing the paper's `A′[θ, n]`. Offline one-shot shape; the
-    /// device's real cadence is [`Self::track_streaming`].
-    pub fn track(&mut self, duration_s: f64) -> AngleSpectrogram {
-        let trace = self.record_trace(duration_s);
-        music_spectrum(&trace, &self.cfg.music)
-    }
-
-    /// Mode 1, streaming shape: observations flow from the front-end in
-    /// `batch_len`-sample batches through a [`StreamingMusic`] stage that
-    /// emits spectrogram columns as windows complete. Output is bitwise
-    /// identical to [`Self::track`]; memory is bounded by one analysis
-    /// window instead of the trial length.
+    /// Mode 1 — imaging/tracking: observes `duration_s` seconds and runs
+    /// smoothed MUSIC, producing the paper's `A′[θ, n]`. Offline one-shot
+    /// shape of [`Self::track_streaming`].
     ///
     /// # Panics
-    /// Panics if the device has not been calibrated or `batch_len == 0`.
+    /// Panics if the device has not been calibrated or the duration is
+    /// shorter than one analysis window.
+    pub fn track(&mut self, duration_s: f64) -> AngleSpectrogram {
+        self.track_streaming(duration_s, ONE_BATCH)
+    }
+
+    /// Mode 1, streaming shape: a [`TrackSession`] emits spectrogram
+    /// columns as windows complete, observing `batch_len` samples at a
+    /// time.
+    ///
+    /// # Panics
+    /// Panics if the device has not been calibrated, `batch_len == 0`, or
+    /// the duration is shorter than one analysis window.
     pub fn track_streaming(&mut self, duration_s: f64, batch_len: usize) -> AngleSpectrogram {
-        let mut stage = StreamingMusic::new(self.cfg.music);
-        self.run_stage(duration_s, batch_len, &mut stage, |_, _| {});
-        stage.finish()
+        let session = TrackSession::new(&self.cfg);
+        self.run_session(session, duration_s, batch_len)
+            .expect("trace shorter than the analysis window")
     }
 
     /// Mode 1 — counting support: the trial's mean spatial variance
     /// (classify it with a trained
     /// [`VarianceClassifier`](crate::counting::VarianceClassifier)).
+    /// Offline one-shot shape of
+    /// [`Self::measure_spatial_variance_streaming`].
+    ///
+    /// # Panics
+    /// Panics if the device has not been calibrated or the duration is
+    /// shorter than one analysis window.
     pub fn measure_spatial_variance(&mut self, duration_s: f64) -> f64 {
-        let spec = self.track(duration_s);
-        mean_spatial_variance(&spec)
+        self.measure_spatial_variance_streaming(duration_s, ONE_BATCH)
     }
 
-    /// Mode 1 counting, streaming shape: the spatial-variance statistic is
-    /// folded column-by-column through a [`StreamingVariance`] sink as the
-    /// tracker emits them — the full pipeline never materializes a trace
-    /// *or* a spectrogram. Equals [`Self::measure_spatial_variance`]
-    /// exactly.
+    /// Mode 1 counting, streaming shape: a [`CountSession`] folds the
+    /// spatial-variance statistic column by column — no trace and no
+    /// spectrogram is ever materialized.
     ///
     /// # Panics
     /// Panics if the device has not been calibrated, `batch_len == 0`, or
     /// the duration is shorter than one analysis window.
     pub fn measure_spatial_variance_streaming(&mut self, duration_s: f64, batch_len: usize) -> f64 {
-        let mut stage = StreamingMusic::sink_only(self.cfg.music);
-        let mut sink = StreamingVariance::new();
-        self.run_stage(duration_s, batch_len, &mut stage, |thetas, row| {
-            sink.push_column(thetas, row);
-        });
-        sink.mean()
+        let session = CountSession::new(&self.cfg);
+        self.run_session(session, duration_s, batch_len)
+            .expect("no spectrogram columns accumulated")
     }
 
-    /// Mode 2 — gesture interface: records a trace, beamforms it
-    /// (Eq. 5.1 — the amplitude-bearing spectrum the matched filter
-    /// needs; see [`crate::gesture::signed_amplitude_track`]), and decodes
-    /// the gesture message. Offline one-shot shape.
-    pub fn decode_gestures(&mut self, duration_s: f64) -> GestureDecode {
-        let trace = self.record_trace(duration_s);
-        let spec = beamform_spectrum(&trace, &self.cfg.music.isar);
-        decode(&spec, &self.cfg.gesture)
-    }
-
-    /// Mode 2, streaming shape: the beamformer consumes observation
-    /// batches incrementally; the matched-filter decode runs once the
-    /// message window closes (the decoder needs the whole track for its
-    /// noise reference). Bitwise identical to [`Self::decode_gestures`].
+    /// Mode 2 — gesture interface: beamforms the residual (Eq. 5.1 — the
+    /// amplitude-bearing spectrum the matched filter needs; see
+    /// [`crate::gesture::signed_amplitude_track`]) and decodes the
+    /// gesture message. Offline one-shot shape of
+    /// [`Self::decode_gestures_streaming`].
     ///
     /// # Panics
-    /// Panics if the device has not been calibrated or `batch_len == 0`.
+    /// Panics if the device has not been calibrated or the duration
+    /// yields fewer than [`MIN_DECODE_WINDOWS`](crate::gesture::MIN_DECODE_WINDOWS)
+    /// windows.
+    pub fn decode_gestures(&mut self, duration_s: f64) -> GestureDecode {
+        self.decode_gestures_streaming(duration_s, ONE_BATCH)
+    }
+
+    /// Mode 2, streaming shape: a [`GestureSession`] beamforms batches as
+    /// they arrive; the decode runs once the message window closes.
+    ///
+    /// # Panics
+    /// Panics if the device has not been calibrated, `batch_len == 0`, or
+    /// the duration yields fewer than
+    /// [`MIN_DECODE_WINDOWS`](crate::gesture::MIN_DECODE_WINDOWS) windows.
     pub fn decode_gestures_streaming(
         &mut self,
         duration_s: f64,
         batch_len: usize,
     ) -> GestureDecode {
-        let mut stage = StreamingBeamform::new(self.cfg.music.isar);
-        self.run_stage(duration_s, batch_len, &mut stage, |_, _| {});
-        let spec = stage.finish();
-        decode(&spec, &self.cfg.gesture)
-    }
-
-    /// Drives one tracker stage over `duration_s` of batched observations,
-    /// invoking `on_column(thetas, row)` for every newly completed
-    /// spectrogram column — the composition point between the radio
-    /// stream, a tracker [`Stage`], and any incremental sink.
-    fn run_stage(
-        &mut self,
-        duration_s: f64,
-        batch_len: usize,
-        stage: &mut dyn Stage,
-        mut on_column: impl FnMut(&[f64], &[f64]),
-    ) {
-        assert!(
-            self.report.is_some(),
-            "call calibrate() before recording traces"
-        );
-        let total = self.trace_len(duration_s);
-        let mut stream = self.fe.observe_stream(total, batch_len);
-        let mut batch: Vec<Observation> = Vec::with_capacity(batch_len);
-        let mut samples: Vec<Complex64> = Vec::with_capacity(batch_len);
-        loop {
-            let got = stream.next_batch_into(&mut batch);
-            if got == 0 {
-                break;
-            }
-            samples.clear();
-            samples.extend(batch.iter().map(Observation::combined));
-            stage.push_with(&samples, &mut on_column);
-        }
+        let session = GestureSession::new(&self.cfg);
+        self.run_session(session, duration_s, batch_len)
+            .expect("spectrogram too short to decode")
     }
 
     /// Current scene time, seconds.

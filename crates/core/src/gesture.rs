@@ -243,19 +243,31 @@ pub fn signed_amplitude_track(spec: &AngleSpectrogram, dc_guard_deg: f64) -> Vec
         .collect()
 }
 
+/// Fewest spectrogram columns [`decode`] accepts: the shortest
+/// triangular matched-filter template spans three windows.
+pub const MIN_DECODE_WINDOWS: usize = 3;
+
 /// Decodes the gesture message carried by a *beamformed* (Bartlett,
 /// Eq. 5.1) angle–time spectrogram — see [`signed_amplitude_track`] for
 /// why the amplitude-bearing spectrum, rather than the MUSIC
 /// pseudospectrum, feeds the matched filter.
+///
+/// # Panics
+/// Panics if the spectrogram has fewer than [`MIN_DECODE_WINDOWS`]
+/// columns.
 pub fn decode(spec: &AngleSpectrogram, cfg: &GestureDecoderConfig) -> GestureDecode {
-    assert!(spec.n_times() >= 3, "spectrogram too short to decode");
+    assert!(
+        spec.n_times() >= MIN_DECODE_WINDOWS,
+        "spectrogram too short to decode"
+    );
     let track = signed_amplitude_track(spec, cfg.dc_guard_deg);
     let dt = if spec.times_s.len() >= 2 {
         spec.times_s[1] - spec.times_s[0]
     } else {
         1.0
     };
-    let len = ((cfg.template_duration_s / dt).round() as usize).clamp(3, track.len());
+    let len =
+        ((cfg.template_duration_s / dt).round() as usize).clamp(MIN_DECODE_WINDOWS, track.len());
     let matched = matched_filter(&track, &triangle(len));
     let reference = noise_reference(&matched, &spec.times_s, cfg);
     let gestures = detect_peaks(&matched, &spec.times_s, reference, cfg);

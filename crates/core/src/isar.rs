@@ -123,8 +123,8 @@ impl IsarConfig {
 
 /// The reusable per-window Bartlett beamformer (Eq. 5.1): precomputed
 /// steering vectors applied to one emulated-array window at a time. Shared
-/// by the offline [`beamform_spectrum`] and the incremental
-/// [`StreamingBeamform`] stage.
+/// by the offline [`beamform_spectrum`], the incremental
+/// [`StreamingBeamform`] stage, and served gesture sessions.
 pub struct BeamformEngine {
     cfg: IsarConfig,
     thetas: Vec<f64>,
@@ -187,13 +187,6 @@ impl BeamformEngine {
 /// Offline entry point over the same [`StreamingBeamform`] stage the
 /// incremental pipeline uses, so the two agree bit-for-bit.
 pub fn beamform_spectrum(trace: &[Complex64], cfg: &IsarConfig) -> AngleSpectrogram {
-    cfg.validate();
-    assert!(
-        trace.len() >= cfg.window,
-        "trace shorter ({}) than the analysis window ({})",
-        trace.len(),
-        cfg.window
-    );
     let mut stage = StreamingBeamform::new(*cfg);
     stage.push(trace);
     stage.finish()

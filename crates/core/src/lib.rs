@@ -21,17 +21,21 @@
 //! * [`gesture`] — the through-wall gesture channel (Ch. 6): matched
 //!   filters, peak detection with the 3 dB SNR rule, and bit decoding
 //!   with erasures.
-//! * [`stage`] — the composable streaming pipeline: trackers as
-//!   [`Stage`]s that consume channel-sample batches incrementally and
-//!   emit `A′[θ, n]` columns as analysis windows complete, bitwise
-//!   identical to the offline entry points.
+//! * [`stage`] — the composable streaming pipeline: per-session
+//!   windowing over a borrowed per-window engine ([`SharedStreaming`]),
+//!   emitting `A′[θ, n]` columns as analysis windows complete, and the
+//!   owned [`Stage`]s built from it.
+//! * [`session`] — one [`Session`] type per read-out
+//!   ([`TrackSession`], [`CountSession`], [`GestureSession`]): the code
+//!   every entry point — offline, streaming, served — runs.
 //! * [`cache`] — the keyed engine registry serving shards share their
 //!   per-window engines through: any crate registers its engine type via
 //!   [`ShardEngine`], and same-configuration sessions share one resident
 //!   engine.
 //! * [`device`] — [`WiViDevice`], the end-to-end device tying all stages
-//!   together in the paper's two operating modes, with both one-shot and
-//!   batch-streaming entry points.
+//!   together in the paper's two operating modes; one batch loop
+//!   ([`WiViDevice::run_session`]) drives every read-out, one-shot or
+//!   streaming.
 //! * [`baseline`] — comparison systems: conventional beamforming (what
 //!   MUSIC is shown to beat in §5.2) and a narrowband Doppler detector
 //!   without nulling (the related-work approach the flash defeats, §2.1).
@@ -44,6 +48,7 @@ pub mod gesture;
 pub mod isar;
 pub mod music;
 pub mod nulling;
+pub mod session;
 pub mod spectrogram;
 pub mod stage;
 
@@ -52,8 +57,8 @@ pub use device::{WiViConfig, WiViDevice};
 pub use isar::{BeamformEngine, IsarConfig};
 pub use music::{MusicConfig, MusicEngine};
 pub use nulling::{NullingConfig, NullingReport};
+pub use session::{CountSession, GestureSession, Session, TrackSession};
 pub use spectrogram::AngleSpectrogram;
 pub use stage::{
-    SharedStreamingBeamform, SharedStreamingMusic, Stage, StreamingBeamform, StreamingMusic,
-    WindowBuffer,
+    ColumnEngine, SharedStreaming, Stage, StreamingBeamform, StreamingMusic, WindowBuffer,
 };

@@ -133,11 +133,12 @@ pub fn smoothed_correlation_into(window: &[Complex64], subarray: usize, r: &mut 
 }
 
 /// The reusable per-window smoothed-MUSIC processor: precomputed steering
-/// vectors plus correlation/eigendecomposition scratch. One engine serves
-/// both the offline [`music_spectrum`] path and the incremental
-/// [`StreamingMusic`] stage, so the two are
-/// bitwise identical by construction; window-rate processing performs no
-/// heap allocation beyond the emitted row itself.
+/// vectors plus correlation/eigendecomposition scratch. Every MUSIC
+/// read-out — [`music_spectrum`], the [`StreamingMusic`] stage, and the
+/// per-session [`SharedStreaming`](crate::stage::SharedStreaming) state a
+/// serving shard borrows it from — runs its windows through this engine;
+/// window-rate processing performs no heap allocation beyond the emitted
+/// row and eigenvalue list.
 pub struct MusicEngine {
     cfg: MusicConfig,
     thetas: Vec<f64>,
@@ -291,32 +292,19 @@ pub fn signal_subspace_dim(
 }
 
 /// Runs smoothed MUSIC over a nulled-channel trace, producing the paper's
-/// `A′[θ, n]` (Eq. 5.3) as an [`AngleSpectrogram`], plus the per-window
-/// eigen-structure.
+/// `A′[θ, n]` (Eq. 5.3) as an [`AngleSpectrogram`].
 ///
-/// This is the *offline* entry point; it drives the same
-/// [`StreamingMusic`] stage the incremental pipeline uses, fed in one
-/// push, so batch-incremental and one-shot processing agree bit-for-bit.
-pub fn music_spectrum_with_eigen(
-    trace: &[Complex64],
-    cfg: &MusicConfig,
-) -> (AngleSpectrogram, Vec<WindowEigen>) {
-    cfg.validate();
-    assert!(
-        trace.len() >= cfg.isar.window,
-        "trace shorter ({}) than the analysis window ({})",
-        trace.len(),
-        cfg.isar.window
-    );
+/// This is the *offline* entry point: the trace goes through a
+/// [`StreamingMusic`] stage in one push, so batch-incremental and
+/// one-shot processing agree bit for bit.
+///
+/// # Panics
+/// Panics on an invalid configuration or a trace shorter than one
+/// analysis window.
+pub fn music_spectrum(trace: &[Complex64], cfg: &MusicConfig) -> AngleSpectrogram {
     let mut stage = StreamingMusic::new(*cfg);
     stage.push(trace);
-    stage.finish_with_eigen()
-}
-
-/// Runs smoothed MUSIC over a nulled-channel trace (the common entry
-/// point; discards the eigen diagnostics).
-pub fn music_spectrum(trace: &[Complex64], cfg: &MusicConfig) -> AngleSpectrogram {
-    music_spectrum_with_eigen(trace, cfg).0
+    stage.finish()
 }
 
 #[cfg(test)]
@@ -401,8 +389,17 @@ mod tests {
         // One clean synthetic target: signal dimension should stay small.
         let mut one = synthetic_target_trace(&cfg.isar, 200, 1.0, 4.0, 0.5);
         add_noise(&mut one, 0.01, 4);
-        let (_, eig1) = music_spectrum_with_eigen(&one, &cfg);
-        let mean1: f64 = eig1.iter().map(|e| e.n_signal as f64).sum::<f64>() / eig1.len() as f64;
+        let mean_n_signal = |trace: &[Complex64]| {
+            let mut engine = MusicEngine::new(cfg);
+            let w = cfg.isar.window;
+            let starts: Vec<usize> = (0..=trace.len() - w).step_by(cfg.isar.hop).collect();
+            let total: usize = starts
+                .iter()
+                .map(|&s| engine.process_window(&trace[s..s + w]).1.n_signal)
+                .sum();
+            total as f64 / starts.len() as f64
+        };
+        let mean1 = mean_n_signal(&one);
 
         let mut three = synthetic_target_trace(&cfg.isar, 200, 1.0, 4.0, 0.5);
         add_traces(
@@ -414,8 +411,7 @@ mod tests {
             &synthetic_target_trace(&cfg.isar, 200, 1.0, 6.0, 0.9),
         );
         add_noise(&mut three, 0.01, 5);
-        let (_, eig3) = music_spectrum_with_eigen(&three, &cfg);
-        let mean3: f64 = eig3.iter().map(|e| e.n_signal as f64).sum::<f64>() / eig3.len() as f64;
+        let mean3 = mean_n_signal(&three);
 
         assert!(
             mean3 > mean1,

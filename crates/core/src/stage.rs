@@ -2,41 +2,41 @@
 //!
 //! The real Wi-Vi device is a *streaming* system: the paper drops the OFDM
 //! bandwidth from 20 MHz to 5 MHz precisely so that nulling and tracking
-//! keep up with the channel rate (§7.1). The seed reproduction instead
-//! materialized a whole trial's trace and processed it in one offline
-//! pass. This module restores the streaming shape: a [`Stage`] consumes
-//! nulled channel samples in whatever batch sizes the radio delivers and
-//! emits `A′[θ, n]` columns incrementally, as soon as each analysis window
+//! keep up with the channel rate (§7.1). A stage consumes nulled channel
+//! samples in whatever batch sizes the radio delivers and emits
+//! `A′[θ, n]` columns incrementally, as soon as each analysis window
 //! completes.
 //!
 //! The pipeline composes as
 //!
 //! ```text
 //! nulling (calibration)            wivi_core::nulling::run_nulling
-//!   → batched observation stream   wivi_sdr::MimoFrontend::observe_stream
-//!     → tracker stage              StreamingMusic / StreamingBeamform
-//!       → partial spectrogram      Stage::rows() as columns arrive
-//!         → counting / gestures    counting::StreamingVariance, gesture::decode
+//!   → batches of residual samples  WiViDevice::observe_batch_into
+//!     → windowing + retention      SharedStreaming<E> over a borrowed engine
+//!       → per-window compute       MusicEngine / BeamformEngine (ColumnEngine)
+//!         → the mode's sink        crate::session (spectrogram, counting, gestures)
 //! ```
 //!
-//! Both tracker stages drive the exact same per-window engines the
-//! offline entry points use ([`MusicEngine`], [`BeamformEngine`]), so
-//! incremental and one-shot processing are **bitwise identical** — the
-//! property the `streaming_equivalence` integration test pins down.
-//! Window-rate processing reuses the engines' scratch (correlation
-//! matrix, eigendecomposition workspace, steering tables) with zero heap
-//! allocation beyond the emitted rows themselves, and the internal sample
-//! buffer is trimmed as windows complete. Retention of the emitted
-//! columns is the caller's choice: a tracking run keeps them for the
-//! final spectrogram, while a pure sink pipeline
-//! ([`StreamingMusic::sink_only`] + [`Stage::push_with`]) keeps nothing,
-//! so its memory stays bounded by the window length — not the trial
-//! length.
+//! Windowing and column retention exist once, in [`SharedStreaming`]:
+//! per-session state that *borrows* its [`ColumnEngine`] at every push,
+//! so a serving shard shares one engine (steering tables, correlation
+//! matrix, eig workspace) across every same-configuration session. The
+//! owned stages the offline helpers and benchmarks use —
+//! [`StreamingMusic`], [`StreamingBeamform`] — are that state plus one
+//! private engine, so there is no second windowing path to keep in step.
+//! Window-rate processing reuses the engine's scratch with zero heap
+//! allocation beyond the emitted rows, and the sample buffer is trimmed
+//! as windows complete. Retention is the caller's choice: a tracking run
+//! keeps the columns for the final spectrogram, while a pure sink
+//! pipeline ([`SharedStreaming::sink_only`] / [`StreamingMusic::sink_only`])
+//! keeps nothing, so its memory stays bounded by the window length — not
+//! the trial length.
 
 use wivi_num::Complex64;
 
+use crate::cache::{EngineCache, ShardEngine};
 use crate::isar::{BeamformEngine, IsarConfig};
-use crate::music::{MusicConfig, MusicEngine, WindowEigen};
+use crate::music::{MusicConfig, MusicEngine};
 use crate::spectrogram::AngleSpectrogram;
 
 /// A streaming tracker stage: push channel-sample batches in, get
@@ -89,7 +89,7 @@ pub trait Stage {
     fn finish(&mut self) -> AngleSpectrogram;
 }
 
-/// Sliding-window bookkeeping shared by the tracker stages: accumulates
+/// Sliding-window bookkeeping shared by every stage: accumulates
 /// samples, hands out every complete `(start, window)` pair exactly once,
 /// and trims the buffer so it never holds more than one window plus one
 /// batch.
@@ -154,92 +154,150 @@ impl WindowBuffer {
     }
 }
 
-/// The smoothed-MUSIC tracker as a streaming stage (mode 1 of the device).
-pub struct StreamingMusic {
-    engine: MusicEngine,
-    /// Own copy of the angle grid (hands columns to observers while the
-    /// engine is mutably borrowed).
+/// A per-window engine that turns one analysis window into one
+/// angle-spectrum column — the shape both trackers share. Column output
+/// must depend only on the configuration and the window contents (the
+/// [`ShardEngine`] contract), so borrowing one engine from many
+/// interleaved sessions is bitwise-invisible.
+pub trait ColumnEngine: ShardEngine {
+    /// Validates `cfg` (panicking on a degenerate one) and returns its
+    /// windowing geometry.
+    fn windowing(cfg: &Self::Config) -> IsarConfig;
+
+    /// The configuration this engine was built for.
+    fn config(&self) -> &Self::Config;
+
+    /// Processes one analysis window into a spectrogram column.
+    fn column(&mut self, window: &[Complex64]) -> Vec<f64>;
+}
+
+impl ColumnEngine for MusicEngine {
+    fn windowing(cfg: &MusicConfig) -> IsarConfig {
+        cfg.validate();
+        cfg.isar
+    }
+
+    fn config(&self) -> &MusicConfig {
+        self.cfg()
+    }
+
+    fn column(&mut self, window: &[Complex64]) -> Vec<f64> {
+        self.process_window(window).0
+    }
+}
+
+impl ColumnEngine for BeamformEngine {
+    fn windowing(cfg: &IsarConfig) -> IsarConfig {
+        cfg.validate();
+        *cfg
+    }
+
+    fn config(&self) -> &IsarConfig {
+        self.cfg()
+    }
+
+    fn column(&mut self, window: &[Complex64]) -> Vec<f64> {
+        self.process_window(window)
+    }
+}
+
+/// Per-session windowing state over a *borrowed* [`ColumnEngine`]: the
+/// sliding [`WindowBuffer`], the column counter, and (unless built
+/// [`sink_only`](Self::sink_only)) the retained columns and their window
+/// centre times. The engine is passed in at every push, so a serving
+/// shard keeps one engine per configuration for all its sessions while
+/// a standalone run owns one privately ([`Streaming`]).
+///
+/// # Panics
+/// [`Self::push_with`] panics if the borrowed engine's configuration
+/// does not match the one this state was built for.
+pub struct SharedStreaming<E: ColumnEngine> {
+    /// The full configuration this session expects of its engine — not
+    /// just the windowing: a MUSIC column also depends on subarray,
+    /// thresholds, and the noise floor, so a mismatched engine must
+    /// panic rather than silently emit different columns.
+    cfg: E::Config,
+    isar: IsarConfig,
+    /// Own copy of the angle grid (columns are handed to observers while
+    /// the engine is mutably borrowed).
     thetas: Vec<f64>,
     wb: WindowBuffer,
-    /// Whether emitted columns are stored for [`Stage::finish`]. Sinks
-    /// that fold columns on the fly turn this off so memory stays bounded
-    /// by one analysis window regardless of trial length.
+    /// Whether emitted columns are stored for [`Self::finish`].
     retain: bool,
     emitted: usize,
     rows: Vec<Vec<f64>>,
-    eigens: Vec<WindowEigen>,
     times: Vec<f64>,
 }
 
-impl StreamingMusic {
-    /// Creates the stage (column-retaining: [`Stage::finish`] available).
+impl<E: ColumnEngine> SharedStreaming<E> {
+    /// Creates column-retaining state for engines built from `cfg`.
     ///
     /// # Panics
     /// Panics on an invalid configuration.
-    pub fn new(cfg: MusicConfig) -> Self {
-        let engine = MusicEngine::new(cfg);
-        let thetas = engine.thetas_deg().to_vec();
-        let wb = WindowBuffer::new(cfg.isar.window, cfg.isar.hop);
+    pub fn new(cfg: &E::Config) -> Self {
+        let isar = E::windowing(cfg);
         Self {
-            engine,
-            thetas,
-            wb,
+            cfg: cfg.clone(),
+            isar,
+            thetas: isar.thetas_deg(),
+            wb: WindowBuffer::new(isar.window, isar.hop),
             retain: true,
             emitted: 0,
             rows: Vec::new(),
-            eigens: Vec::new(),
             times: Vec::new(),
         }
     }
 
-    /// Creates a non-retaining stage for pure sink pipelines: columns are
-    /// only handed to [`Stage::push_with`]'s observer, never stored, so a
+    /// Creates non-retaining state for pure sink pipelines: columns are
+    /// only handed to [`Self::push_with`]'s observer, never stored, so a
     /// monitoring run of any length holds one analysis window of samples
-    /// and nothing else. [`Stage::finish`] is unavailable on such a stage.
+    /// and nothing else. [`Self::finish`] is unavailable on such a state.
     ///
     /// # Panics
     /// Panics on an invalid configuration.
-    pub fn sink_only(cfg: MusicConfig) -> Self {
+    pub fn sink_only(cfg: &E::Config) -> Self {
         Self {
             retain: false,
             ..Self::new(cfg)
         }
     }
 
-    /// Per-window eigen-structure diagnostics accumulated so far (empty
-    /// on a [`Self::sink_only`] stage).
-    pub fn eigens(&self) -> &[WindowEigen] {
-        &self.eigens
+    /// The configuration this state expects of its engine.
+    pub fn cfg(&self) -> &E::Config {
+        &self.cfg
     }
 
-    /// Like [`Stage::finish`] but also returns the drained eigen
-    /// diagnostics (which `finish` alone discards).
-    pub fn finish_with_eigen(&mut self) -> (AngleSpectrogram, Vec<WindowEigen>) {
-        let eigens = std::mem::take(&mut self.eigens);
-        let spec = Stage::finish(self);
-        (spec, eigens)
-    }
-}
-
-impl Stage for StreamingMusic {
-    fn push_with(
+    /// Feeds a batch of nulled channel samples through `engine`,
+    /// invoking `on_column(thetas_deg, row)` for each newly completed
+    /// window before it is (optionally) retained. Returns the number of
+    /// new columns.
+    ///
+    /// # Panics
+    /// Panics if `engine` was built for a different configuration.
+    pub fn push_with(
         &mut self,
+        engine: &mut E,
         samples: &[Complex64],
-        on_column: &mut dyn FnMut(&[f64], &[f64]),
+        mut on_column: impl FnMut(&[f64], &[f64]),
     ) -> usize {
-        let engine = &mut self.engine;
-        let thetas = &self.thetas;
-        let retain = self.retain;
-        let rows = &mut self.rows;
-        let eigens = &mut self.eigens;
-        let times = &mut self.times;
-        let isar = engine.cfg().isar;
-        let n = self.wb.push(samples, |start, win| {
-            let (row, eigen) = engine.process_window(win);
+        assert!(
+            *engine.config() == self.cfg,
+            "shared engine built for a different configuration"
+        );
+        let Self {
+            isar,
+            thetas,
+            wb,
+            retain,
+            rows,
+            times,
+            ..
+        } = self;
+        let n = wb.push(samples, |start, win| {
+            let row = engine.column(win);
             on_column(thetas, &row);
-            if retain {
+            if *retain {
                 rows.push(row);
-                eigens.push(eigen);
                 times.push(isar.window_center_s(start));
             }
         });
@@ -247,23 +305,49 @@ impl Stage for StreamingMusic {
         n
     }
 
-    fn n_columns(&self) -> usize {
+    /// [`Self::push_with`] through the shard-style cache: borrows the
+    /// resident engine for this state's configuration.
+    pub fn step(
+        &mut self,
+        engines: &mut EngineCache,
+        samples: &[Complex64],
+        on_column: impl FnMut(&[f64], &[f64]),
+    ) -> usize {
+        let engine = engines.engine::<E>(&self.cfg);
+        self.push_with(engine, samples, on_column)
+    }
+
+    /// Columns emitted so far.
+    pub fn n_columns(&self) -> usize {
         self.emitted
     }
 
-    fn thetas_deg(&self) -> &[f64] {
+    /// Total samples pushed so far.
+    pub fn n_seen(&self) -> usize {
+        self.wb.n_seen()
+    }
+
+    /// The angle grid shared by all columns.
+    pub fn thetas_deg(&self) -> &[f64] {
         &self.thetas
     }
 
-    fn rows(&self) -> &[Vec<f64>] {
+    /// The retained columns so far (empty on a sink-only state).
+    pub fn rows(&self) -> &[Vec<f64>] {
         &self.rows
     }
 
-    fn times_s(&self) -> &[f64] {
+    /// Centre times of the retained columns, seconds.
+    pub fn times_s(&self) -> &[f64] {
         &self.times
     }
 
-    fn finish(&mut self) -> AngleSpectrogram {
+    /// Drains the retained columns into a spectrogram (the state is
+    /// empty afterwards).
+    ///
+    /// # Panics
+    /// Panics on a sink-only state, or if no window completed.
+    pub fn finish(&mut self) -> AngleSpectrogram {
         assert!(
             self.retain,
             "finish() requires a column-retaining stage; this one was built sink_only()"
@@ -272,9 +356,8 @@ impl Stage for StreamingMusic {
             !self.rows.is_empty(),
             "trace shorter ({}) than the analysis window ({})",
             self.wb.n_seen(),
-            self.engine.cfg().isar.window
+            self.isar.window
         );
-        self.eigens.clear();
         self.emitted = 0;
         AngleSpectrogram::new(
             self.thetas.clone(),
@@ -284,249 +367,75 @@ impl Stage for StreamingMusic {
     }
 }
 
-/// The classic-beamforming (Eq. 5.1) tracker as a streaming stage — the
-/// amplitude-bearing spectrum the gesture decoder consumes (mode 2), and
-/// the §5.2 baseline. Always column-retaining: its one sink, the
-/// matched-filter gesture decoder, needs the whole track for its noise
-/// reference, so a sink-only variant would have no caller.
-pub struct StreamingBeamform {
-    engine: BeamformEngine,
-    /// Own copy of the angle grid (hands columns to observers while the
-    /// engine is mutably borrowed).
-    thetas: Vec<f64>,
-    wb: WindowBuffer,
-    rows: Vec<Vec<f64>>,
-    times: Vec<f64>,
+/// A [`SharedStreaming`] state that owns its engine — the standalone
+/// [`Stage`] shape.
+pub struct Streaming<E: ColumnEngine> {
+    engine: E,
+    state: SharedStreaming<E>,
 }
 
-impl StreamingBeamform {
-    /// Creates the stage.
+/// The smoothed-MUSIC tracker as an owned streaming stage (mode 1).
+pub type StreamingMusic = Streaming<MusicEngine>;
+
+/// The classic-beamforming (Eq. 5.1) tracker as an owned streaming stage
+/// — the amplitude-bearing spectrum the gesture decoder consumes
+/// (mode 2), and the §5.2 baseline.
+pub type StreamingBeamform = Streaming<BeamformEngine>;
+
+impl<E: ColumnEngine> Streaming<E> {
+    /// Creates the stage (column-retaining: [`Stage::finish`] available).
     ///
     /// # Panics
     /// Panics on an invalid configuration.
-    pub fn new(cfg: IsarConfig) -> Self {
-        let engine = BeamformEngine::new(cfg);
-        let thetas = engine.thetas_deg().to_vec();
-        let wb = WindowBuffer::new(cfg.window, cfg.hop);
+    pub fn new(cfg: E::Config) -> Self {
+        Self::from_state(SharedStreaming::new(&cfg))
+    }
+
+    /// Creates a non-retaining stage for pure sink pipelines (see
+    /// [`SharedStreaming::sink_only`]). [`Stage::finish`] is unavailable
+    /// on such a stage.
+    ///
+    /// # Panics
+    /// Panics on an invalid configuration.
+    pub fn sink_only(cfg: E::Config) -> Self {
+        Self::from_state(SharedStreaming::sink_only(&cfg))
+    }
+
+    fn from_state(state: SharedStreaming<E>) -> Self {
         Self {
-            engine,
-            thetas,
-            wb,
-            rows: Vec::new(),
-            times: Vec::new(),
+            engine: E::build(state.cfg()),
+            state,
         }
     }
 }
 
-impl Stage for StreamingBeamform {
+impl<E: ColumnEngine> Stage for Streaming<E> {
     fn push_with(
         &mut self,
         samples: &[Complex64],
         on_column: &mut dyn FnMut(&[f64], &[f64]),
     ) -> usize {
-        let engine = &mut self.engine;
-        let thetas = &self.thetas;
-        let rows = &mut self.rows;
-        let times = &mut self.times;
-        let isar = *engine.cfg();
-        self.wb.push(samples, |start, win| {
-            let row = engine.process_window(win);
-            on_column(thetas, &row);
-            rows.push(row);
-            times.push(isar.window_center_s(start));
-        })
+        self.state.push_with(&mut self.engine, samples, on_column)
     }
 
     fn n_columns(&self) -> usize {
-        self.rows.len()
+        self.state.n_columns()
     }
 
     fn thetas_deg(&self) -> &[f64] {
-        &self.thetas
+        self.state.thetas_deg()
     }
 
     fn rows(&self) -> &[Vec<f64>] {
-        &self.rows
+        self.state.rows()
     }
 
     fn times_s(&self) -> &[f64] {
-        &self.times
+        self.state.times_s()
     }
 
     fn finish(&mut self) -> AngleSpectrogram {
-        assert!(
-            !self.rows.is_empty(),
-            "trace shorter ({}) than the analysis window ({})",
-            self.wb.n_seen(),
-            self.engine.cfg().window
-        );
-        AngleSpectrogram::new(
-            self.thetas.clone(),
-            std::mem::take(&mut self.times),
-            std::mem::take(&mut self.rows),
-        )
-    }
-}
-
-/// Per-session MUSIC windowing state for *engine-shared* streaming: the
-/// serving layer runs many concurrent sessions per worker shard, and the
-/// heavy per-window scratch (steering tables, correlation matrix, eig
-/// workspace) lives once per shard in a [`MusicEngine`] instead of once
-/// per session. This type holds only what is genuinely per-session — the
-/// sliding [`WindowBuffer`] and a column counter — and borrows the engine
-/// at every push. Column emission is **bitwise identical** to an owned
-/// [`StreamingMusic`] stage because both feed the same windows through
-/// [`MusicEngine::process_window`], whose output depends only on the
-/// configuration and the window contents (the scratch is fully
-/// overwritten every call).
-///
-/// # Panics
-/// [`Self::push_with`] panics if the borrowed engine's configuration
-/// does not match the one this state was built for.
-#[derive(Clone, Debug)]
-pub struct SharedStreamingMusic {
-    /// The full configuration this session expects of its engine — not
-    /// just the windowing: the pseudospectrum also depends on subarray,
-    /// thresholds, and the noise floor, so a mismatched engine must
-    /// panic rather than silently emit different columns.
-    cfg: MusicConfig,
-    /// Own copy of the angle grid (columns are handed to observers while
-    /// the engine is mutably borrowed). Identical to the engine's grid:
-    /// both come from [`IsarConfig::thetas_deg`].
-    thetas: Vec<f64>,
-    wb: WindowBuffer,
-    emitted: usize,
-}
-
-impl SharedStreamingMusic {
-    /// Creates the per-session state for sessions processed by engines
-    /// built from `cfg`.
-    ///
-    /// # Panics
-    /// Panics on an invalid configuration.
-    pub fn new(cfg: &MusicConfig) -> Self {
-        cfg.validate();
-        Self {
-            cfg: *cfg,
-            thetas: cfg.isar.thetas_deg(),
-            wb: WindowBuffer::new(cfg.isar.window, cfg.isar.hop),
-            emitted: 0,
-        }
-    }
-
-    /// Feeds a batch of nulled channel samples through the shared
-    /// `engine`, invoking `on_column(start_sample, thetas_deg, row)` for
-    /// each newly completed window (`start_sample` is the window's
-    /// absolute start; its centre time is
-    /// [`IsarConfig::window_center_s`]). Returns the number of new
-    /// columns.
-    ///
-    /// # Panics
-    /// Panics if `engine` was built for a different configuration.
-    pub fn push_with(
-        &mut self,
-        engine: &mut MusicEngine,
-        samples: &[Complex64],
-        mut on_column: impl FnMut(usize, &[f64], &[f64]),
-    ) -> usize {
-        assert_eq!(
-            *engine.cfg(),
-            self.cfg,
-            "shared engine built for a different configuration"
-        );
-        let thetas = &self.thetas;
-        let n = self.wb.push(samples, |start, win| {
-            let (row, _eigen) = engine.process_window(win);
-            on_column(start, thetas, &row);
-        });
-        self.emitted += n;
-        n
-    }
-
-    /// Columns emitted so far.
-    pub fn n_columns(&self) -> usize {
-        self.emitted
-    }
-
-    /// Total samples pushed so far.
-    pub fn n_seen(&self) -> usize {
-        self.wb.n_seen()
-    }
-
-    /// The angle grid shared by all columns.
-    pub fn thetas_deg(&self) -> &[f64] {
-        &self.thetas
-    }
-}
-
-/// Per-session beamformer windowing state for engine-shared streaming —
-/// the [`StreamingBeamform`] sibling of [`SharedStreamingMusic`], used by
-/// serving-engine gesture sessions. Columns are handed to the observer
-/// only; retention (the gesture decoder needs the whole track) is the
-/// caller's job.
-#[derive(Clone, Debug)]
-pub struct SharedStreamingBeamform {
-    isar: IsarConfig,
-    thetas: Vec<f64>,
-    wb: WindowBuffer,
-    emitted: usize,
-}
-
-impl SharedStreamingBeamform {
-    /// Creates the per-session state for sessions processed by engines
-    /// built from `cfg`.
-    ///
-    /// # Panics
-    /// Panics on an invalid configuration.
-    pub fn new(cfg: &IsarConfig) -> Self {
-        cfg.validate();
-        Self {
-            isar: *cfg,
-            thetas: cfg.thetas_deg(),
-            wb: WindowBuffer::new(cfg.window, cfg.hop),
-            emitted: 0,
-        }
-    }
-
-    /// Feeds a batch through the shared `engine`, invoking
-    /// `on_column(start_sample, thetas_deg, row)` per completed window.
-    /// Returns the number of new columns.
-    ///
-    /// # Panics
-    /// Panics if `engine` was built for a different windowing geometry.
-    pub fn push_with(
-        &mut self,
-        engine: &mut BeamformEngine,
-        samples: &[Complex64],
-        mut on_column: impl FnMut(usize, &[f64], &[f64]),
-    ) -> usize {
-        assert_eq!(
-            *engine.cfg(),
-            self.isar,
-            "shared engine built for a different configuration"
-        );
-        let thetas = &self.thetas;
-        let n = self.wb.push(samples, |start, win| {
-            let row = engine.process_window(win);
-            on_column(start, thetas, &row);
-        });
-        self.emitted += n;
-        n
-    }
-
-    /// Columns emitted so far.
-    pub fn n_columns(&self) -> usize {
-        self.emitted
-    }
-
-    /// Total samples pushed so far.
-    pub fn n_seen(&self) -> usize {
-        self.wb.n_seen()
-    }
-
-    /// The angle grid shared by all columns.
-    pub fn thetas_deg(&self) -> &[f64] {
-        &self.thetas
+        self.state.finish()
     }
 }
 
@@ -534,7 +443,6 @@ impl SharedStreamingBeamform {
 mod tests {
     use super::*;
     use crate::isar::synthetic_target_trace;
-    use crate::music::music_spectrum_with_eigen;
     use wivi_num::rng::{complex_gaussian, Rng64};
 
     fn noisy_trace(n: usize, seed: u64) -> Vec<Complex64> {
@@ -575,7 +483,13 @@ mod tests {
         let cfg = MusicConfig::fast_test();
         let trace = noisy_trace(150, 9);
 
-        let (offline, offline_eig) = music_spectrum_with_eigen(&trace, &cfg);
+        // Reference: every window straight through a fresh engine.
+        let mut engine = MusicEngine::new(cfg);
+        let w = cfg.isar.window;
+        let expect: Vec<Vec<f64>> = (0..=trace.len() - w)
+            .step_by(cfg.isar.hop)
+            .map(|s| engine.process_window(&trace[s..s + w]).0)
+            .collect();
 
         for batch in [1usize, 7, 40, 150] {
             let mut stage = StreamingMusic::new(cfg);
@@ -583,15 +497,13 @@ mod tests {
             for chunk in trace.chunks(batch) {
                 produced += stage.push(chunk);
             }
-            assert_eq!(produced, offline.n_times());
-            let (spec, eig) = stage.finish_with_eigen();
-            assert_eq!(spec.power, offline.power, "batch {batch}");
-            assert_eq!(spec.times_s, offline.times_s, "batch {batch}");
-            assert_eq!(eig.len(), offline_eig.len());
-            for (a, b) in eig.iter().zip(&offline_eig) {
-                assert_eq!(a.eigenvalues, b.eigenvalues);
-                assert_eq!(a.n_signal, b.n_signal);
-            }
+            assert_eq!(produced, expect.len());
+            let spec = stage.finish();
+            assert_eq!(spec.power, expect, "batch {batch}");
+            let times: Vec<f64> = (0..expect.len())
+                .map(|k| cfg.isar.window_center_s(k * cfg.isar.hop))
+                .collect();
+            assert_eq!(spec.times_s, times, "batch {batch}");
         }
     }
 
@@ -646,91 +558,46 @@ mod tests {
         );
         assert_eq!(sink.n_columns(), stored.len());
         assert!(sink.rows().is_empty(), "sink_only stage retained rows");
-        assert!(sink.eigens().is_empty());
+        assert!(sink.times_s().is_empty());
     }
 
     #[test]
     fn shared_music_equals_owned_stage_even_interleaved() {
         // Two "sessions" with different traces share ONE engine, their
         // pushes interleaved in awkward chunks — exactly the serving
-        // shard's shape. Each must still produce the columns an owned
-        // per-session stage produces, bit for bit.
+        // shard's shape. Each must still produce the columns it produces
+        // alone, bit for bit.
         let cfg = MusicConfig::fast_test();
         let traces = [noisy_trace(130, 21), noisy_trace(130, 22)];
 
-        let owned: Vec<Vec<Vec<f64>>> = traces
+        let alone: Vec<StreamingMusic> = traces
             .iter()
             .map(|t| {
                 let mut stage = StreamingMusic::new(cfg);
                 stage.push(t);
-                stage.rows().to_vec()
+                stage
             })
             .collect();
 
         let mut engine = MusicEngine::new(cfg);
         let mut shared = [
-            SharedStreamingMusic::new(&cfg),
-            SharedStreamingMusic::new(&cfg),
+            SharedStreaming::<MusicEngine>::new(&cfg),
+            SharedStreaming::<MusicEngine>::new(&cfg),
         ];
-        let mut got: [Vec<Vec<f64>>; 2] = [Vec::new(), Vec::new()];
-        let mut starts: [Vec<usize>; 2] = [Vec::new(), Vec::new()];
-        for chunk in 0..(130usize).div_ceil(7) {
+        for lo in (0..130).step_by(7) {
+            let hi = (lo + 7).min(130);
             for s in 0..2 {
-                let lo = chunk * 7;
-                let hi = (lo + 7).min(130);
-                if lo >= hi {
-                    continue;
-                }
-                shared[s].push_with(&mut engine, &traces[s][lo..hi], |start, thetas, row| {
-                    assert_eq!(thetas, engine_thetas(&cfg));
-                    starts[s].push(start);
-                    got[s].push(row.to_vec());
+                shared[s].push_with(&mut engine, &traces[s][lo..hi], |thetas, _| {
+                    assert_eq!(thetas, cfg.isar.thetas_deg());
                 });
             }
         }
         for s in 0..2 {
-            assert_eq!(got[s], owned[s], "session {s} columns diverged");
-            // Window start indices advance by the hop from zero, and the
-            // centre-time expression matches the owned stage's.
-            let isar = cfg.isar;
-            let expect: Vec<usize> = (0..got[s].len()).map(|k| k * isar.hop).collect();
-            assert_eq!(starts[s], expect);
-            let mut stage = StreamingMusic::new(cfg);
-            stage.push(&traces[s]);
-            let times: Vec<f64> = starts[s]
-                .iter()
-                .map(|&st| isar.window_center_s(st))
-                .collect();
-            assert_eq!(times, stage.times_s());
-            assert_eq!(shared[s].n_columns(), got[s].len());
+            assert_eq!(shared[s].rows(), alone[s].rows(), "session {s} diverged");
+            assert_eq!(shared[s].times_s(), alone[s].times_s());
+            assert_eq!(shared[s].n_columns(), alone[s].n_columns());
             assert_eq!(shared[s].n_seen(), 130);
         }
-    }
-
-    fn engine_thetas(cfg: &MusicConfig) -> Vec<f64> {
-        cfg.isar.thetas_deg()
-    }
-
-    #[test]
-    fn shared_beamform_equals_owned_stage() {
-        let cfg = IsarConfig::fast_test();
-        let trace = noisy_trace(110, 23);
-        let mut owned = StreamingBeamform::new(cfg);
-        owned.push(&trace);
-
-        let mut engine = BeamformEngine::new(cfg);
-        let mut shared = SharedStreamingBeamform::new(&cfg);
-        let mut rows: Vec<Vec<f64>> = Vec::new();
-        let mut times: Vec<f64> = Vec::new();
-        for chunk in trace.chunks(9) {
-            shared.push_with(&mut engine, chunk, |start, _thetas, row| {
-                rows.push(row.to_vec());
-                times.push(cfg.window_center_s(start));
-            });
-        }
-        assert_eq!(rows, owned.rows());
-        assert_eq!(times, owned.times_s());
-        assert_eq!(shared.thetas_deg(), Stage::thetas_deg(&owned));
     }
 
     #[test]
@@ -742,8 +609,8 @@ mod tests {
         let mut engine = MusicEngine::new(MusicConfig::fast_test());
         let mut cfg = MusicConfig::fast_test();
         cfg.noise_floor_power = Some(1e-6);
-        let mut shared = SharedStreamingMusic::new(&cfg);
-        shared.push_with(&mut engine, &[Complex64::ZERO], |_, _, _| {});
+        let mut shared = SharedStreaming::<MusicEngine>::new(&cfg);
+        shared.push_with(&mut engine, &[Complex64::ZERO], |_, _| {});
     }
 
     #[test]

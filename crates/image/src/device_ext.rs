@@ -3,25 +3,25 @@
 //! exactly like `wivi-track`'s tracking mode: `use
 //! wivi_image::ImageThroughWall;` and every device can `image(..)`.
 //!
-//! Both shapes honour the repo-wide contract: the streaming entry point
-//! drives a [`StreamingImage`] stage over batched observations and the
-//! offline one-shot path materializes the trace and pushes it through
-//! the *same* stage in one call, so the two are **bitwise identical**
-//! for every batch size (pinned by `tests/streaming_equivalence.rs`).
+//! Every entry point opens an [`ImageSession`] on the device and runs it
+//! through [`WiViDevice::run_session`]: the streaming shape observes in
+//! `batch_len`-sample batches, the offline shape in a single batch, and
+//! the serving engine's `image` mode runs the same session type on its
+//! shards.
 
+use wivi_core::device::ONE_BATCH;
 use wivi_core::WiViDevice;
 use wivi_num::Complex64;
-use wivi_sdr::Observation;
 
 use crate::config::ImageConfig;
-use crate::stage::{ImagingReport, StreamingImage};
+use crate::stage::{ImageSession, ImagingReport};
 
 /// The subcarrier-averaged nulling weight the calibration installed on
 /// the second transmit antenna — the `w` of the imaging model
 /// `q = s¹ + w·s²` (see [`crate::engine::ImagingEngine`]): after
 /// nulling, a mover's residual is its TX-1 path plus this weight times
-/// its TX-2 path. Shared by the device entry points and the serving
-/// engine so the two can never compute it differently.
+/// its TX-2 path. Every imaging session on a device takes it from here
+/// ([`ImageSession::for_device`]).
 ///
 /// # Panics
 /// Panics if the device has not been calibrated.
@@ -33,29 +33,13 @@ pub fn nulling_tx_weight(dev: &WiViDevice) -> Complex64 {
     p.iter().copied().sum::<Complex64>() / p.len() as f64
 }
 
-/// Asserts that the imaging configuration's antenna geometry matches
-/// the device's actual scene layout. The steering tables are built from
-/// `cfg.tx`/`cfg.rx`; a device bound to a scene with a different layout
-/// (nonstandard standoff, custom placement) would silently defocus, so
-/// both the device entry points and the serving engine check first.
-///
-/// # Panics
-/// Panics if the antenna positions differ.
-pub fn assert_device_geometry(dev: &WiViDevice, cfg: &ImageConfig) {
-    let layout = &dev.frontend().scene().device;
-    assert_eq!(
-        (layout.tx, layout.rx),
-        (cfg.tx, cfg.rx),
-        "imaging configuration's antenna geometry does not match the device's scene layout"
-    );
-}
-
 /// Device-level imaging entry points: room images and (x, y) fixes
 /// instead of bare ridge angles.
 pub trait ImageThroughWall {
-    /// Records `duration_s` seconds and backprojects it with the
-    /// configuration derived from the device configuration
-    /// ([`ImageConfig::for_wivi`]). Offline one-shot shape.
+    /// Observes `duration_s` seconds in one batch and backprojects it
+    /// with the configuration derived from the device configuration
+    /// ([`ImageConfig::for_wivi`]). Offline one-shot shape of
+    /// [`Self::image_streaming`].
     ///
     /// # Panics
     /// Panics if the device has not been calibrated.
@@ -65,69 +49,29 @@ pub trait ImageThroughWall {
     fn image_with(&mut self, duration_s: f64, cfg: &ImageConfig) -> ImagingReport;
 
     /// Streaming shape: observations flow in `batch_len`-sample batches
-    /// through a [`StreamingImage`] stage; each completed aperture is
-    /// focused, CFAR-detected, and folded into the position tracker the
-    /// moment it completes. Memory stays bounded by one aperture plus
-    /// the engine's resident tables. Bitwise identical to
-    /// [`Self::image`].
+    /// through an [`ImageSession`]; each completed aperture is focused,
+    /// CFAR-detected, and folded into the position tracker the moment
+    /// it completes. Memory stays bounded by one aperture plus the
+    /// engine's resident tables.
     ///
     /// # Panics
     /// Panics if the device has not been calibrated or `batch_len == 0`.
     fn image_streaming(&mut self, duration_s: f64, batch_len: usize) -> ImagingReport;
-
-    /// [`Self::image_streaming`] with an explicit imaging configuration.
-    fn image_streaming_with(
-        &mut self,
-        duration_s: f64,
-        batch_len: usize,
-        cfg: &ImageConfig,
-    ) -> ImagingReport;
 }
 
 impl ImageThroughWall for WiViDevice {
     fn image(&mut self, duration_s: f64) -> ImagingReport {
-        let cfg = ImageConfig::for_wivi(self.config());
-        self.image_with(duration_s, &cfg)
+        self.image_streaming(duration_s, ONE_BATCH)
     }
 
     fn image_with(&mut self, duration_s: f64, cfg: &ImageConfig) -> ImagingReport {
-        assert_device_geometry(self, cfg);
-        let weight = nulling_tx_weight(self);
-        let trace = self.record_trace(duration_s);
-        let mut stage = StreamingImage::new(*cfg, weight);
-        stage.push(&trace);
-        stage.finish()
+        let session = ImageSession::for_device(self, cfg);
+        self.run_session(session, duration_s, ONE_BATCH)
     }
 
     fn image_streaming(&mut self, duration_s: f64, batch_len: usize) -> ImagingReport {
         let cfg = ImageConfig::for_wivi(self.config());
-        self.image_streaming_with(duration_s, batch_len, &cfg)
-    }
-
-    fn image_streaming_with(
-        &mut self,
-        duration_s: f64,
-        batch_len: usize,
-        cfg: &ImageConfig,
-    ) -> ImagingReport {
-        assert_device_geometry(self, cfg);
-        let weight = nulling_tx_weight(self);
-        // The same duration→samples conversion the device uses, so the
-        // two shapes can never round differently.
-        let total = self.trace_len(duration_s);
-        let mut stage = StreamingImage::new(*cfg, weight);
-        let mut stream = self.frontend_mut().observe_stream(total, batch_len);
-        let mut batch: Vec<Observation> = Vec::with_capacity(batch_len);
-        let mut samples: Vec<Complex64> = Vec::with_capacity(batch_len);
-        loop {
-            let got = stream.next_batch_into(&mut batch);
-            if got == 0 {
-                break;
-            }
-            samples.clear();
-            samples.extend(batch.iter().map(Observation::combined));
-            stage.push(&samples);
-        }
-        stage.finish()
+        let session = ImageSession::for_device(self, &cfg);
+        self.run_session(session, duration_s, batch_len)
     }
 }

@@ -15,16 +15,16 @@
 //!   buffer, CA-CFAR detection ([`wivi_num::cfar`]) with sub-cell
 //!   parabolic refinement and mirror-ghost suppression, emitting
 //!   per-window [`ImageFix`]es.
-//! * [`StreamingImage`] / [`SharedStreamingImage`] — batch-invariant
-//!   streaming stages in the owned and the serving (engine-shared)
-//!   shape.
+//! * [`ImageSession`] — the mode's one per-session implementation
+//!   (windowing over a borrowed engine, fixes, position tracking), run
+//!   by the device entry points and the serving engine alike;
+//!   [`StreamingImage`] is the same session with an owned engine.
 //! * [`PositionTracker`] — gated optimal assignment plus per-axis
 //!   constant-velocity Kalman filtering over the fixes, so tracks carry
 //!   `(x, y)` in metres instead of bare angles.
 //! * [`ImageThroughWall`] — the device extension:
-//!   `WiViDevice::image{,_streaming}`, bitwise identical to each other
-//!   for every batch size, and to a served `image`-mode session
-//!   at every shard count.
+//!   `WiViDevice::image{,_streaming}`, both running an
+//!   [`ImageSession`] through `WiViDevice::run_session`.
 
 pub mod config;
 pub mod device_ext;
@@ -33,9 +33,9 @@ pub mod stage;
 pub mod track2d;
 
 pub use config::{GridSpec, ImageConfig};
-pub use device_ext::{assert_device_geometry, nulling_tx_weight, ImageThroughWall};
+pub use device_ext::{nulling_tx_weight, ImageThroughWall};
 pub use engine::{ImageFix, ImagingEngine};
-pub use stage::{ImagingReport, SharedStreamingImage, StreamingImage};
+pub use stage::{ImageSession, ImagingReport, StreamingImage};
 pub use track2d::{
     PositionTrack, PositionTrackStatus, PositionTracker, PositionTrackerConfig,
     PositionTrackingSummary,

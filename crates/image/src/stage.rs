@@ -1,23 +1,21 @@
-//! Streaming imaging stages: batch-invariant windowing over the
-//! backprojection engine, in both the owned and the engine-shared
-//! (serving) shape.
+//! The imaging read-out as a sensing session.
 //!
-//! [`StreamingImage`] mirrors [`wivi_core::StreamingMusic`]: it owns its
-//! engine, buffers samples in a [`wivi_core::WindowBuffer`], focuses each
-//! completed aperture, extracts CFAR fixes, and folds them into a
-//! [`PositionTracker`]. [`SharedStreamingImage`] mirrors
-//! [`wivi_core::SharedStreamingMusic`]: only the genuinely per-session
-//! state lives here (window buffer, nulling weight, counters) while the
-//! heavy engine — steering tables, image buffer — is borrowed per batch
-//! from the serving shard's cache. Both emit bitwise-identical frames
-//! because both feed the same windows through
-//! [`ImagingEngine::process_window_fixes`], whose output depends only on
-//! the configuration, the window contents, and the nulling weight.
+//! [`ImageSession`] is the mode's one per-session implementation: only
+//! the genuinely per-session state lives in it (window buffer, nulling
+//! weight, position tracker, retained fixes) while the heavy engine —
+//! steering tables, image buffer — is borrowed per batch, from a serving
+//! shard's cache or from the private cache of
+//! [`WiViDevice::run_session`]. [`StreamingImage`] is the same session
+//! plus one owned engine. Frames depend only on the configuration, the
+//! window contents, and the nulling weight
+//! ([`ImagingEngine::process_window_fixes`]), so every drive emits the
+//! same bits.
 
-use wivi_core::WindowBuffer;
+use wivi_core::{EngineCache, Session, WiViDevice, WindowBuffer};
 use wivi_num::Complex64;
 
 use crate::config::{GridSpec, ImageConfig};
+use crate::device_ext::nulling_tx_weight;
 use crate::engine::{ImageFix, ImagingEngine};
 use crate::track2d::{
     PositionTrack, PositionTracker, PositionTrackerConfig, PositionTrackingSummary,
@@ -40,9 +38,7 @@ pub struct ImagingReport {
 
 impl ImagingReport {
     /// Assembles a report from the retained per-window fixes and the
-    /// tracker's summary — the one constructor both the standalone
-    /// stage and the serving drive use, so they cannot assemble
-    /// differently.
+    /// tracker's summary.
     pub fn assemble(
         grid: GridSpec,
         fixes: Vec<Vec<ImageFix>>,
@@ -99,104 +95,25 @@ impl ImagingReport {
     }
 }
 
-/// The owned streaming imaging stage (device entry points).
-pub struct StreamingImage {
-    engine: ImagingEngine,
-    tx_weight: Complex64,
-    wb: WindowBuffer,
-    tracker: Option<PositionTracker>,
-    fixes: Vec<Vec<ImageFix>>,
-    emitted: usize,
-}
-
-impl StreamingImage {
-    /// Creates the stage for `cfg`, focusing with the session's nulling
-    /// weight `tx_weight` on the second transmit path.
-    ///
-    /// # Panics
-    /// Panics on an invalid configuration.
-    pub fn new(cfg: ImageConfig, tx_weight: Complex64) -> Self {
-        let engine = ImagingEngine::new(cfg);
-        let wb = WindowBuffer::new(cfg.window, cfg.hop);
-        let tracker = PositionTracker::new(PositionTrackerConfig::for_image(&cfg));
-        Self {
-            engine,
-            tx_weight,
-            wb,
-            tracker: Some(tracker),
-            fixes: Vec::new(),
-            emitted: 0,
-        }
-    }
-
-    /// The stage's configuration.
-    pub fn cfg(&self) -> &ImageConfig {
-        self.engine.cfg()
-    }
-
-    /// Imaging windows completed so far.
-    pub fn n_frames(&self) -> usize {
-        self.emitted
-    }
-
-    /// Feeds a batch of nulled channel samples (any length), invoking
-    /// `on_frame(start_sample, fixes, image)` for each newly completed
-    /// imaging window (the image slice is the engine's resident buffer,
-    /// valid for the duration of the callback). Returns the number of
-    /// new frames.
-    pub fn push_with(
-        &mut self,
-        samples: &[Complex64],
-        mut on_frame: impl FnMut(usize, &[ImageFix], &[f64]),
-    ) -> usize {
-        let engine = &mut self.engine;
-        let tracker = self.tracker.as_mut().expect("stage already finished");
-        let fixes = &mut self.fixes;
-        let wt = self.tx_weight;
-        let n = self.wb.push(samples, |start, win| {
-            let frame = engine.process_window_fixes(win, wt);
-            tracker.push_fixes(&frame);
-            on_frame(start, &frame, engine.image());
-            fixes.push(frame);
-        });
-        self.emitted += n;
-        n
-    }
-
-    /// [`Self::push_with`] without a frame observer.
-    pub fn push(&mut self, samples: &[Complex64]) -> usize {
-        self.push_with(samples, |_, _, _| {})
-    }
-
-    /// Finalizes the stage into a report, draining the accumulated
-    /// frames (the stage is empty afterwards and must not be pushed
-    /// again).
-    ///
-    /// # Panics
-    /// Panics if called twice.
-    pub fn finish(&mut self) -> ImagingReport {
-        let tracker = self.tracker.take().expect("finish() called twice");
-        let grid = self.engine.cfg().grid;
-        self.emitted = 0;
-        ImagingReport::assemble(grid, std::mem::take(&mut self.fixes), tracker.finish())
-    }
-}
-
-/// Per-session imaging state for *engine-shared* streaming: the serving
-/// shard owns one [`ImagingEngine`] per configuration and every session
-/// borrows it per batch, passing its own nulling weight.
-#[derive(Clone, Debug)]
-pub struct SharedStreamingImage {
+/// One imaging session — the mode's single per-session implementation,
+/// run by the device entry points and by served `image` sessions alike.
+/// Windows samples through a *borrowed* [`ImagingEngine`], focuses each
+/// completed aperture with the session's own nulling weight, and folds
+/// the per-window CFAR fixes into a [`PositionTracker`]. Finishes into
+/// the [`ImagingReport`] (empty if no aperture filled).
+pub struct ImageSession {
     /// The full configuration this session expects of its engine.
     cfg: ImageConfig,
     tx_weight: Complex64,
     wb: WindowBuffer,
-    emitted: usize,
+    /// Boxed: live position tracks carry whole histories.
+    tracker: Box<PositionTracker>,
+    fixes: Vec<Vec<ImageFix>>,
 }
 
-impl SharedStreamingImage {
-    /// Creates the per-session state for sessions processed by engines
-    /// built from `cfg`.
+impl ImageSession {
+    /// Opens a session for `cfg`, focusing with the nulling weight
+    /// `tx_weight` on the second transmit path.
     ///
     /// # Panics
     /// Panics on an invalid configuration.
@@ -206,53 +123,117 @@ impl SharedStreamingImage {
             cfg: *cfg,
             tx_weight,
             wb: WindowBuffer::new(cfg.window, cfg.hop),
-            emitted: 0,
+            tracker: Box::new(PositionTracker::new(PositionTrackerConfig::for_image(cfg))),
+            fixes: Vec::new(),
         }
     }
 
-    /// Feeds a batch through the shared `engine`, invoking
-    /// `on_frame(start_sample, fixes)` per completed imaging window.
+    /// Opens a session on a calibrated device with the device's nulling
+    /// weight ([`nulling_tx_weight`]), after checking that `cfg`'s
+    /// antenna geometry matches the device's scene layout: the steering
+    /// tables are built from `cfg.tx`/`cfg.rx`, so a device bound to a
+    /// different layout would silently defocus.
+    ///
+    /// # Panics
+    /// Panics if the device has not been calibrated or its antenna
+    /// layout differs from `cfg`'s.
+    pub fn for_device(dev: &WiViDevice, cfg: &ImageConfig) -> Self {
+        let layout = &dev.frontend().scene().device;
+        assert_eq!(
+            (layout.tx, layout.rx),
+            (cfg.tx, cfg.rx),
+            "imaging configuration's antenna geometry does not match the device's scene layout"
+        );
+        Self::new(cfg, nulling_tx_weight(dev))
+    }
+
+    /// Feeds a batch of nulled channel samples through `engine`.
     /// Returns the number of new frames.
     ///
     /// # Panics
     /// Panics if `engine` was built for a different configuration.
-    pub fn push_with(
-        &mut self,
-        engine: &mut ImagingEngine,
-        samples: &[Complex64],
-        mut on_frame: impl FnMut(usize, Vec<ImageFix>),
-    ) -> usize {
+    pub fn push(&mut self, engine: &mut ImagingEngine, samples: &[Complex64]) -> usize {
         assert_eq!(
             *engine.cfg(),
             self.cfg,
             "shared engine built for a different configuration"
         );
-        let wt = self.tx_weight;
-        let n = self.wb.push(samples, |start, win| {
-            on_frame(start, engine.process_window_fixes(win, wt));
-        });
-        self.emitted += n;
-        n
+        let Self {
+            tx_weight,
+            wb,
+            tracker,
+            fixes,
+            ..
+        } = self;
+        wb.push(samples, |_start, win| {
+            let frame = engine.process_window_fixes(win, *tx_weight);
+            tracker.push_fixes(&frame);
+            fixes.push(frame);
+        })
+    }
+}
+
+impl Session for ImageSession {
+    type Output = ImagingReport;
+
+    fn step(&mut self, engines: &mut EngineCache, samples: &[Complex64]) {
+        let engine = engines.engine::<ImagingEngine>(&self.cfg);
+        self.push(engine, samples);
     }
 
-    /// Frames emitted so far.
+    fn columns(&self) -> usize {
+        self.fixes.len()
+    }
+
+    fn finish(self) -> ImagingReport {
+        ImagingReport::assemble(self.cfg.grid, self.fixes, self.tracker.finish())
+    }
+}
+
+/// An [`ImageSession`] that owns its engine — the standalone stage the
+/// offline benchmarks push traces through.
+pub struct StreamingImage {
+    engine: ImagingEngine,
+    /// `None` once finished.
+    session: Option<ImageSession>,
+}
+
+impl StreamingImage {
+    /// Creates the stage for `cfg`, focusing with the session's nulling
+    /// weight `tx_weight` on the second transmit path.
+    ///
+    /// # Panics
+    /// Panics on an invalid configuration.
+    pub fn new(cfg: ImageConfig, tx_weight: Complex64) -> Self {
+        let session = ImageSession::new(&cfg, tx_weight);
+        Self {
+            engine: ImagingEngine::new(cfg),
+            session: Some(session),
+        }
+    }
+
+    /// Imaging windows completed so far.
     pub fn n_frames(&self) -> usize {
-        self.emitted
+        self.session.as_ref().map_or(0, Session::columns)
     }
 
-    /// Total samples pushed so far.
-    pub fn n_seen(&self) -> usize {
-        self.wb.n_seen()
+    /// Feeds a batch of nulled channel samples (any length). Returns the
+    /// number of new frames.
+    ///
+    /// # Panics
+    /// Panics if the stage was already finished.
+    pub fn push(&mut self, samples: &[Complex64]) -> usize {
+        let session = self.session.as_mut().expect("stage already finished");
+        session.push(&mut self.engine, samples)
     }
 
-    /// The session's nulling weight.
-    pub fn tx_weight(&self) -> Complex64 {
-        self.tx_weight
-    }
-
-    /// The configuration this session expects of its shared engine.
-    pub fn cfg(&self) -> &ImageConfig {
-        &self.cfg
+    /// Finalizes the stage into a report (the stage must not be pushed
+    /// again).
+    ///
+    /// # Panics
+    /// Panics if called twice.
+    pub fn finish(&mut self) -> ImagingReport {
+        self.session.take().expect("finish() called twice").finish()
     }
 }
 
@@ -334,27 +315,23 @@ mod tests {
 
         let mut engine = ImagingEngine::new(cfg);
         let mut shared = [
-            SharedStreamingImage::new(&cfg, wts[0]),
-            SharedStreamingImage::new(&cfg, wts[1]),
+            ImageSession::new(&cfg, wts[0]),
+            ImageSession::new(&cfg, wts[1]),
         ];
-        let mut got: [Vec<Vec<ImageFix>>; 2] = [Vec::new(), Vec::new()];
-        let mut starts: [Vec<usize>; 2] = [Vec::new(), Vec::new()];
         let chunk = 23;
         for lo in (0..n).step_by(chunk) {
             let hi = (lo + chunk).min(n);
             for s in 0..2 {
-                shared[s].push_with(&mut engine, &traces[s][lo..hi], |start, fixes| {
-                    starts[s].push(start);
-                    got[s].push(fixes);
-                });
+                shared[s].push(&mut engine, &traces[s][lo..hi]);
             }
         }
-        for s in 0..2 {
-            assert_eq!(got[s], owned[s], "session {s} frames diverged");
-            let expect: Vec<usize> = (0..got[s].len()).map(|k| k * cfg.hop).collect();
-            assert_eq!(starts[s], expect);
-            assert_eq!(shared[s].n_frames(), got[s].len());
-            assert_eq!(shared[s].n_seen(), n);
+        for (s, session) in shared.into_iter().enumerate() {
+            assert_eq!(session.columns(), owned[s].len());
+            assert_eq!(
+                session.finish().fixes,
+                owned[s],
+                "session {s} frames diverged"
+            );
         }
     }
 
@@ -420,8 +397,8 @@ mod tests {
         let mut engine = ImagingEngine::new(ImageConfig::fast_test());
         let mut cfg = ImageConfig::fast_test();
         cfg.cfar.threshold_db += 1.0; // a non-windowing mismatch
-        let mut shared = SharedStreamingImage::new(&cfg, Complex64::ONE);
-        shared.push_with(&mut engine, &[Complex64::ZERO], |_, _| {});
+        let mut session = ImageSession::new(&cfg, Complex64::ONE);
+        session.push(&mut engine, &[Complex64::ZERO]);
     }
 
     #[test]

@@ -34,9 +34,8 @@
 //! [`set_enabled`]): off — the default — every probe, span, and hook
 //! is a single static load and a predictable branch, and the golden
 //! traces are bitwise identical either way. The only always-on metrics
-//! are the serving shard counters that replaced the hand-threaded
-//! `ShardStats` plumbing, which the bench suite needs with the switch
-//! off too.
+//! are the serving shard counters, which the bench suite needs with the
+//! switch off too.
 
 pub mod export;
 pub mod metrics;

@@ -35,13 +35,14 @@
 //! the keyed [`EngineCache`] — a registry open to any engine type via
 //! [`ShardEngine`], so new modes bring their own shard-resident engines.
 //!
-//! **The serving contract is bitwise.** A session served by the engine
-//! produces exactly the output of running it standalone through the
-//! device's `*_streaming` entry points, for every shard count and
-//! submission order (`tests/serving_equivalence.rs` and the determinism
-//! matrix pin this). Determinism is inherited, not re-proven: sessions
-//! own all their state, shared engines hold no cross-window state, and
-//! the event merge is a deterministic function of the output set.
+//! **The serving contract is bitwise.** A served session runs the same
+//! per-mode session type as the device's own entry points (see
+//! [`modes`]), so it produces exactly the standalone output for every
+//! shard count and submission order (`tests/serving_equivalence.rs` and
+//! the determinism matrix pin this). Determinism is inherited, not
+//! re-proven: sessions own all their state, shared engines hold no
+//! cross-window state, and the event merge is a deterministic function
+//! of the output set.
 //!
 //! ```no_run
 //! use wivi_core::WiViConfig;
@@ -178,9 +179,7 @@ pub use error::ServeError;
 pub use mode::{ModeOutput, ModeRef, ModeRegistry, SensingMode};
 pub use net::{WireClient, WireServer, WireServerConfig, WireServerReport};
 pub use session::{SessionId, SessionOutput, SessionSpec, SessionSpecBuilder};
-#[allow(deprecated)]
-pub use shard::ShardStats;
 pub use shard::{ShardSnapshot, SloSummary};
-pub use wire::{Frame, OpenRequest, WireError, MIN_WIRE_VERSION, WIRE_VERSION};
+pub use wire::{Frame, OpenRequest, WireError, WIRE_VERSION};
 // Re-exported so mode implementors depend only on this crate's surface.
 pub use wivi_core::{EngineCache, ShardEngine};

@@ -1,332 +1,176 @@
 //! The device's five built-in sensing modes, as [`SensingMode`]
 //! implementations.
 //!
-//! Each mode is the serving twin of one `WiViDevice` streaming entry
-//! point, and each is *bitwise identical* to it: the per-session state
-//! is the same `Shared*` stage the standalone path drives, the heavy
-//! per-window engines come from the shard's [`EngineCache`] keyed by the
-//! same configuration values, and finalization assembles the same
-//! payload types. The golden traces and the determinism matrix pin
-//! this.
+//! Each mode only delegates: its per-session state *is* the mode's one
+//! session type from the mode's home crate — the same type the device's
+//! offline and `*_streaming` methods run through
+//! `WiViDevice::run_session`. The heavy per-window engines come from the
+//! shard's [`EngineCache`] keyed by the same configuration values, so a
+//! served session produces the standalone payload bit for bit. The
+//! golden traces and the determinism matrix pin this.
 //!
-//! | mode | tag | payload ([`ModeOutput::expect`]) | twin of |
-//! |------|-----|----------------------------------|---------|
-//! | [`Track`] | `track` | `Option<AngleSpectrogram>` | `track_streaming` |
-//! | [`TrackTargets`] | `track_targets` | `TrackingReport` | `track_targets_streaming` |
-//! | [`Count`] | `count` | `Option<f64>` | `measure_spatial_variance_streaming` |
-//! | [`Gestures`] | `gestures` | `Option<GestureDecode>` | `decode_gestures_streaming` |
-//! | [`Image`] | `image` | `ImagingReport` | `image_streaming` |
+//! | mode | tag | session | payload ([`ModeOutput::expect`]) |
+//! |------|-----|---------|----------------------------------|
+//! | [`Track`] | `track` | [`TrackSession`] | `Option<AngleSpectrogram>` |
+//! | [`TrackTargets`] | `track_targets` | [`TrackTargetsSession`] | `TrackingReport` |
+//! | [`Count`] | `count` | [`CountSession`] | `Option<f64>` |
+//! | [`Gestures`] | `gestures` | [`GestureSession`] | `Option<GestureDecode>` |
+//! | [`Image`] | `image` | [`ImageSession`] | `ImagingReport` |
 //!
-//! Modes whose output needs at least one analysis window carry
-//! `Option`s: a zero-duration (or immediately closed) session drains
-//! cleanly with `None` instead of panicking.
+//! Modes whose output needs a minimum number of analysis windows carry
+//! `Option`s: a zero-duration, too-short, or immediately closed session
+//! drains cleanly with `None` instead of panicking.
 
-use wivi_core::counting::StreamingVariance;
-use wivi_core::gesture::{decode, GestureDecoderConfig};
 use wivi_core::{
-    AngleSpectrogram, BeamformEngine, EngineCache, MusicConfig, MusicEngine,
-    SharedStreamingBeamform, SharedStreamingMusic, WiViConfig, WiViDevice,
+    CountSession, EngineCache, GestureSession, Session, TrackSession, WiViConfig, WiViDevice,
 };
-use wivi_image::{
-    assert_device_geometry, nulling_tx_weight, ImageConfig, ImageFix, ImagingEngine, ImagingReport,
-    PositionTracker, PositionTrackerConfig, SharedStreamingImage,
-};
+use wivi_image::{ImageConfig, ImageSession};
 use wivi_num::Complex64;
-use wivi_track::{MultiTargetTracker, TrackEvent, TrackerConfig};
+use wivi_track::{TrackEvent, TrackTargetsSession};
 
 use crate::mode::{ModeOutput, SensingMode};
 
-/// Mode 1, imaging: retain every spectrogram column, output the full
-/// `A′[θ, n]` (the serving twin of `WiViDevice::track_streaming`).
-/// Payload: `Option<AngleSpectrogram>` (`None` if no window completed).
+/// Mode 1, imaging: the full `A′[θ, n]` spectrogram.
 pub struct Track;
 
-/// Per-session state of [`Track`].
-pub struct TrackState {
-    stage: SharedStreamingMusic,
-    rows: Vec<Vec<f64>>,
-    times: Vec<f64>,
-    music: MusicConfig,
-}
-
 impl SensingMode for Track {
-    type State = TrackState;
+    type State = TrackSession;
 
     fn tag(&self) -> &'static str {
         "track"
     }
 
-    fn open(&self, _dev: &WiViDevice, eff: &WiViConfig) -> TrackState {
-        TrackState {
-            stage: SharedStreamingMusic::new(&eff.music),
-            rows: Vec::new(),
-            times: Vec::new(),
-            music: eff.music,
-        }
+    fn open(&self, _dev: &WiViDevice, eff: &WiViConfig) -> TrackSession {
+        TrackSession::new(eff)
     }
 
-    fn step(&self, state: &mut TrackState, engines: &mut EngineCache, samples: &[Complex64]) {
-        let TrackState {
-            stage,
-            rows,
-            times,
-            music,
-        } = state;
-        let engine = engines.engine::<MusicEngine>(music);
-        stage.push_with(engine, samples, |start, _thetas, row| {
-            rows.push(row.to_vec());
-            times.push(music.isar.window_center_s(start));
-        });
+    fn step(&self, state: &mut TrackSession, engines: &mut EngineCache, samples: &[Complex64]) {
+        state.step(engines, samples);
     }
 
-    fn columns(&self, state: &TrackState) -> usize {
-        state.stage.n_columns()
+    fn columns(&self, state: &TrackSession) -> usize {
+        state.columns()
     }
 
-    fn finalize(&self, state: TrackState) -> (ModeOutput, Vec<TrackEvent>) {
-        let TrackState {
-            stage, rows, times, ..
-        } = state;
-        let spec = (!rows.is_empty())
-            .then(|| AngleSpectrogram::new(stage.thetas_deg().to_vec(), times, rows));
-        (ModeOutput::new(self.tag(), spec), Vec::new())
+    fn finalize(&self, state: TrackSession) -> (ModeOutput, Vec<TrackEvent>) {
+        (ModeOutput::new(self.tag(), state.finish()), Vec::new())
     }
 }
 
-/// Mode 1, extended: multi-target tracking; outputs the
-/// [`TrackingReport`](wivi_track::TrackingReport) and contributes
-/// entry/exit/crossing/count events to the engine's unified stream
-/// (twin of `track_targets_streaming`). Payload: `TrackingReport`
-/// (empty if zero windows).
+/// Mode 1, extended: multi-target tracking; contributes the report's
+/// entry/exit/crossing/count events to the engine's unified stream.
 pub struct TrackTargets;
 
-/// Per-session state of [`TrackTargets`].
-pub struct TrackTargetsState {
-    stage: SharedStreamingMusic,
-    /// Boxed: the tracker (live tracks, histories) dwarfs the stage.
-    tracker: Box<MultiTargetTracker>,
-    music: MusicConfig,
-}
-
 impl SensingMode for TrackTargets {
-    type State = TrackTargetsState;
+    type State = TrackTargetsSession;
 
     fn tag(&self) -> &'static str {
         "track_targets"
     }
 
-    fn open(&self, _dev: &WiViDevice, eff: &WiViConfig) -> TrackTargetsState {
-        TrackTargetsState {
-            stage: SharedStreamingMusic::new(&eff.music),
-            tracker: Box::new(MultiTargetTracker::new(TrackerConfig::for_music(
-                &eff.music,
-            ))),
-            music: eff.music,
-        }
+    fn open(&self, _dev: &WiViDevice, eff: &WiViConfig) -> TrackTargetsSession {
+        TrackTargetsSession::new(eff)
     }
 
     fn step(
         &self,
-        state: &mut TrackTargetsState,
+        state: &mut TrackTargetsSession,
         engines: &mut EngineCache,
         samples: &[Complex64],
     ) {
-        let TrackTargetsState {
-            stage,
-            tracker,
-            music,
-        } = state;
-        let engine = engines.engine::<MusicEngine>(music);
-        stage.push_with(engine, samples, |_start, thetas, row| {
-            tracker.push_column(thetas, row);
-        });
+        state.step(engines, samples);
     }
 
-    fn columns(&self, state: &TrackTargetsState) -> usize {
-        state.stage.n_columns()
+    fn columns(&self, state: &TrackTargetsSession) -> usize {
+        state.columns()
     }
 
-    fn finalize(&self, state: TrackTargetsState) -> (ModeOutput, Vec<TrackEvent>) {
-        let report = state.tracker.finish();
+    fn finalize(&self, state: TrackTargetsSession) -> (ModeOutput, Vec<TrackEvent>) {
+        let report = state.finish();
         let events = report.events.clone();
         (ModeOutput::new(self.tag(), report), events)
     }
 }
 
-/// Mode 1, counting: fold columns into the spatial-variance sink;
-/// nothing is retained (twin of `measure_spatial_variance_streaming`).
-/// Payload: `Option<f64>` (`None` if no window completed).
+/// Mode 1, counting: the mean spatial variance; nothing is retained.
 pub struct Count;
 
-/// Per-session state of [`Count`].
-pub struct CountState {
-    stage: SharedStreamingMusic,
-    sink: StreamingVariance,
-    music: MusicConfig,
-}
-
 impl SensingMode for Count {
-    type State = CountState;
+    type State = CountSession;
 
     fn tag(&self) -> &'static str {
         "count"
     }
 
-    fn open(&self, _dev: &WiViDevice, eff: &WiViConfig) -> CountState {
-        CountState {
-            stage: SharedStreamingMusic::new(&eff.music),
-            sink: StreamingVariance::new(),
-            music: eff.music,
-        }
+    fn open(&self, _dev: &WiViDevice, eff: &WiViConfig) -> CountSession {
+        CountSession::new(eff)
     }
 
-    fn step(&self, state: &mut CountState, engines: &mut EngineCache, samples: &[Complex64]) {
-        let CountState { stage, sink, music } = state;
-        let engine = engines.engine::<MusicEngine>(music);
-        stage.push_with(engine, samples, |_start, thetas, row| {
-            sink.push_column(thetas, row);
-        });
+    fn step(&self, state: &mut CountSession, engines: &mut EngineCache, samples: &[Complex64]) {
+        state.step(engines, samples);
     }
 
-    fn columns(&self, state: &CountState) -> usize {
-        state.stage.n_columns()
+    fn columns(&self, state: &CountSession) -> usize {
+        state.columns()
     }
 
-    fn finalize(&self, state: CountState) -> (ModeOutput, Vec<TrackEvent>) {
-        let mean = (state.sink.n_columns() > 0).then(|| state.sink.mean());
-        (ModeOutput::new(self.tag(), mean), Vec::new())
+    fn finalize(&self, state: CountSession) -> (ModeOutput, Vec<TrackEvent>) {
+        (ModeOutput::new(self.tag(), state.finish()), Vec::new())
     }
 }
 
-/// Mode 2: beamform incrementally, decode the gesture message when the
-/// session closes (twin of `decode_gestures_streaming`). Payload:
-/// `Option<GestureDecode>` (`None` if no window completed).
+/// Mode 2: the gesture message, decoded when the session closes.
 pub struct Gestures;
 
-/// Per-session state of [`Gestures`].
-pub struct GesturesState {
-    stage: SharedStreamingBeamform,
-    rows: Vec<Vec<f64>>,
-    times: Vec<f64>,
-    music: MusicConfig,
-    gesture: GestureDecoderConfig,
-}
-
 impl SensingMode for Gestures {
-    type State = GesturesState;
+    type State = GestureSession;
 
     fn tag(&self) -> &'static str {
         "gestures"
     }
 
-    fn open(&self, _dev: &WiViDevice, eff: &WiViConfig) -> GesturesState {
-        GesturesState {
-            stage: SharedStreamingBeamform::new(&eff.music.isar),
-            rows: Vec::new(),
-            times: Vec::new(),
-            music: eff.music,
-            gesture: eff.gesture,
-        }
+    fn open(&self, _dev: &WiViDevice, eff: &WiViConfig) -> GestureSession {
+        GestureSession::new(eff)
     }
 
-    fn step(&self, state: &mut GesturesState, engines: &mut EngineCache, samples: &[Complex64]) {
-        let GesturesState {
-            stage,
-            rows,
-            times,
-            music,
-            ..
-        } = state;
-        let engine = engines.engine::<BeamformEngine>(&music.isar);
-        stage.push_with(engine, samples, |start, _thetas, row| {
-            rows.push(row.to_vec());
-            times.push(music.isar.window_center_s(start));
-        });
+    fn step(&self, state: &mut GestureSession, engines: &mut EngineCache, samples: &[Complex64]) {
+        state.step(engines, samples);
     }
 
-    fn columns(&self, state: &GesturesState) -> usize {
-        state.stage.n_columns()
+    fn columns(&self, state: &GestureSession) -> usize {
+        state.columns()
     }
 
-    fn finalize(&self, state: GesturesState) -> (ModeOutput, Vec<TrackEvent>) {
-        let GesturesState {
-            stage,
-            rows,
-            times,
-            gesture,
-            ..
-        } = state;
-        let decoded = (!rows.is_empty()).then(|| {
-            let spec = AngleSpectrogram::new(stage.thetas_deg().to_vec(), times, rows);
-            decode(&spec, &gesture)
-        });
-        (ModeOutput::new(self.tag(), decoded), Vec::new())
+    fn finalize(&self, state: GestureSession) -> (ModeOutput, Vec<TrackEvent>) {
+        (ModeOutput::new(self.tag(), state.finish()), Vec::new())
     }
 }
 
-/// Mode 1, 2-D: backproject each imaging aperture onto the room grid,
-/// CFAR-detect per-window (x, y) fixes, and track positions (twin of
-/// `WiViDevice::image_streaming` from `wivi-image`). Payload:
-/// `ImagingReport` (empty if no aperture filled).
+/// Mode 1, 2-D: per-window (x, y) CFAR fixes and position tracks, with
+/// the configuration `WiViDevice::image_streaming` derives
+/// ([`ImageConfig::for_wivi`]) and the session's own nulling weight.
 pub struct Image;
 
-/// Per-session state of [`Image`].
-pub struct ImageState {
-    stage: SharedStreamingImage,
-    /// Boxed for symmetry with the angle tracker: live position tracks
-    /// carry whole histories.
-    tracker: Box<PositionTracker>,
-    fixes: Vec<Vec<ImageFix>>,
-}
-
 impl SensingMode for Image {
-    type State = ImageState;
+    type State = ImageSession;
 
     fn tag(&self) -> &'static str {
         "image"
     }
 
-    fn open(&self, dev: &WiViDevice, eff: &WiViConfig) -> ImageState {
-        // The derived configuration plus the session's own nulling
-        // weight — exactly what the standalone `image_streaming` entry
-        // point uses (including its geometry check against the
-        // session's scene).
-        let icfg = ImageConfig::for_wivi(eff);
-        assert_device_geometry(dev, &icfg);
-        ImageState {
-            stage: SharedStreamingImage::new(&icfg, nulling_tx_weight(dev)),
-            tracker: Box::new(PositionTracker::new(PositionTrackerConfig::for_image(
-                &icfg,
-            ))),
-            fixes: Vec::new(),
-        }
+    fn open(&self, dev: &WiViDevice, eff: &WiViConfig) -> ImageSession {
+        ImageSession::for_device(dev, &ImageConfig::for_wivi(eff))
     }
 
-    fn step(&self, state: &mut ImageState, engines: &mut EngineCache, samples: &[Complex64]) {
-        let ImageState {
-            stage,
-            tracker,
-            fixes,
-        } = state;
-        let cfg = *stage.cfg();
-        let engine = engines.engine::<ImagingEngine>(&cfg);
-        stage.push_with(engine, samples, |_start, frame| {
-            tracker.push_fixes(&frame);
-            fixes.push(frame);
-        });
+    fn step(&self, state: &mut ImageSession, engines: &mut EngineCache, samples: &[Complex64]) {
+        state.step(engines, samples);
     }
 
-    fn columns(&self, state: &ImageState) -> usize {
-        state.stage.n_frames()
+    fn columns(&self, state: &ImageSession) -> usize {
+        state.columns()
     }
 
-    fn finalize(&self, state: ImageState) -> (ModeOutput, Vec<TrackEvent>) {
-        let ImageState {
-            stage,
-            tracker,
-            fixes,
-        } = state;
-        let report = ImagingReport::assemble(stage.cfg().grid, fixes, tracker.finish());
-        (ModeOutput::new(self.tag(), report), Vec::new())
+    fn finalize(&self, state: ImageSession) -> (ModeOutput, Vec<TrackEvent>) {
+        (ModeOutput::new(self.tag(), state.finish()), Vec::new())
     }
 }

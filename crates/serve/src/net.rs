@@ -200,12 +200,6 @@ struct Conn {
     /// Finished sessions routed back from the completion queue.
     done: Vec<SessionOutput>,
     closed: bool,
-    /// The wire version this peer speaks, recorded from its HELLO
-    /// header and stamped on every frame sent back: a v1 client —
-    /// whose decoder hard-errors on `ver != 1` — gets v1 responses.
-    /// (Every response payload layout is already v1-compatible; only
-    /// the header byte differs.)
-    peer_ver: u8,
 }
 
 impl Conn {
@@ -219,12 +213,11 @@ impl Conn {
             pending: 0,
             done: Vec::new(),
             closed: false,
-            peer_ver: wire::WIRE_VERSION,
         }
     }
 
     fn queue_frame(&mut self, f: &Frame) {
-        f.encode_into_versioned(&mut self.wbuf, self.peer_ver);
+        f.encode_into(&mut self.wbuf);
     }
 
     /// Frames `payload` under `tag` straight into the write buffer —
@@ -232,7 +225,7 @@ impl Conn {
     fn queue_raw(&mut self, tag: u8, payload: &[u8]) {
         let len = (payload.len() + 2) as u32;
         self.wbuf.extend_from_slice(&len.to_le_bytes());
-        self.wbuf.push(self.peer_ver);
+        self.wbuf.push(wire::WIRE_VERSION);
         self.wbuf.push(tag);
         self.wbuf.extend_from_slice(payload);
     }
@@ -428,14 +421,9 @@ impl Reactor {
                 }
                 ConnState::Draining | ConnState::Finished => return,
                 ConnState::AwaitHello | ConnState::Active { .. } => {
-                    let frame = match wire::split_frame_versioned(&conn.rbuf) {
-                        Ok(Some((frame, ver, used))) => {
+                    let frame = match wire::split_frame(&conn.rbuf) {
+                        Ok(Some((frame, used))) => {
                             conn.rbuf.drain(..used);
-                            // The HELLO header negotiates the version
-                            // the whole conversation answers at.
-                            if matches!(conn.state, ConnState::AwaitHello) {
-                                conn.peer_ver = ver.min(wire::WIRE_VERSION);
-                            }
                             frame
                         }
                         Ok(None) => return,

@@ -169,11 +169,10 @@ impl ShardChannel {
 }
 
 /// The obs-registry handles one shard records its serving telemetry
-/// into: always on (they replaced the hand-threaded `ShardStats`
-/// plumbing the bench suite reads with `WIVI_OBS` off too), and shared
-/// by value between the shard's workers and the engine — metrics are
-/// `Arc`-backed atomics, so workers record *directly* and there is no
-/// end-of-round merge to get wrong.
+/// into: always on (the bench suite reads them with `WIVI_OBS` off
+/// too), and shared by value between the shard's workers and the
+/// engine — metrics are `Arc`-backed atomics, so workers record
+/// *directly* and there is no end-of-round merge to get wrong.
 #[derive(Clone)]
 pub(crate) struct ShardMetrics {
     pub(crate) shard: usize,
@@ -289,12 +288,6 @@ impl ShardSnapshot {
         self.batch_latency_ns.quantile(p) / 1e9
     }
 }
-
-/// The former name of [`ShardSnapshot`], kept for downstream callers.
-#[deprecated(
-    note = "renamed to ShardSnapshot; per-batch latencies are an obs histogram, not a raw vector"
-)]
-pub type ShardStats = ShardSnapshot;
 
 /// Engine-wide SLO accounting against the serving hop budget (the
 /// paper's 400 ms end-to-end window budget by default): every batch

@@ -22,14 +22,10 @@
 //! ```
 //!
 //! `len` counts everything after the length field (version + type +
-//! payload) and is bounded by [`MAX_FRAME_LEN`]; a receiver accepts
-//! any version in `[MIN_WIRE_VERSION, WIRE_VERSION]` — v2 added the
-//! optional trace field to OPEN and changed nothing else. Anything
-//! outside the range is a hard error. A client sends at
-//! [`WIRE_VERSION`]; the server answers at the version the peer's
-//! HELLO carried (capped at its own), so a v1 client — whose decoder
-//! hard-errors on `ver != 1` — sees only v1 frames back and keeps
-//! working ([`Frame::encode_into_versioned`]).
+//! payload) and is bounded by [`MAX_FRAME_LEN`]. Both sides speak
+//! exactly [`WIRE_VERSION`]; any other version byte is a hard
+//! [`WireError::BadVersion`], which the server answers with a stable
+//! `wire` ERROR before closing the connection.
 //!
 //! # Frame types and the session conversation
 //!
@@ -80,14 +76,9 @@ use crate::session::{SessionId, SessionOutput};
 pub const MAGIC: [u8; 4] = *b"WIVI";
 
 /// Wire format version carried in every frame header. Version 2 added
-/// the optional trace-context field to OPEN; every other frame body is
-/// byte-identical across versions 1 and 2.
+/// the optional trace-context field to OPEN; version 1 is no longer
+/// accepted.
 pub const WIRE_VERSION: u8 = 2;
-
-/// Oldest version this side still decodes. A v1 peer (no trace field
-/// in OPEN) interoperates: its OPENs decode with `trace: None`, and
-/// every frame we send back uses payload layouts v1 already knew.
-pub const MIN_WIRE_VERSION: u8 = 1;
 
 /// Upper bound on `len` (bytes after the length field): a corrupt or
 /// hostile length cannot make the reader allocate unboundedly.
@@ -132,9 +123,9 @@ pub struct OpenRequest {
     pub scene: String,
     /// Name of a server-registered device configuration.
     pub config: String,
-    /// Request trace id (wire v2+): links the client-side open span to
-    /// the server-side session spans under one 64-bit id. `None` from
-    /// v1 clients or untraced opens.
+    /// Request trace id: links the client-side open span to the
+    /// server-side session spans under one 64-bit id. `None` for
+    /// untraced opens.
     pub trace: Option<u64>,
 }
 
@@ -735,21 +726,11 @@ impl Frame {
     }
 
     /// Appends the frame's full on-wire bytes (length, versioned
-    /// header, payload) at [`WIRE_VERSION`] — what a client sends.
+    /// header, payload).
     pub fn encode_into(&self, buf: &mut Vec<u8>) {
-        self.encode_into_versioned(buf, WIRE_VERSION);
-    }
-
-    /// [`encode_into`](Self::encode_into) at an explicit wire version
-    /// (clamped to the supported range): the server encodes each
-    /// response at the version the peer's HELLO carried, so a strict
-    /// v1 decoder never sees a v2 header. Encoding an OPEN at v1 drops
-    /// the trace field — a v1 body ends at the config name.
-    pub fn encode_into_versioned(&self, buf: &mut Vec<u8>, ver: u8) {
-        let ver = ver.clamp(MIN_WIRE_VERSION, WIRE_VERSION);
         let start = buf.len();
         put_u32(buf, 0); // length back-patched below
-        put_u8(buf, ver);
+        put_u8(buf, WIRE_VERSION);
         put_u8(buf, self.type_tag());
         match self {
             Frame::Hello { token } => put_str(buf, token),
@@ -762,10 +743,7 @@ impl Frame {
                 put_str(buf, &req.mode);
                 put_str(buf, &req.scene);
                 put_str(buf, &req.config);
-                // v2 extension; a v1 body ends before it.
-                if ver >= 2 {
-                    put_opt_u64(buf, req.trace);
-                }
+                put_opt_u64(buf, req.trace);
             }
             Frame::OpenOk { id, shard } => {
                 put_u64(buf, *id);
@@ -826,7 +804,7 @@ impl Frame {
     pub fn decode_body(body: &[u8]) -> Result<Frame, WireError> {
         let mut c = Cursor::new(body);
         let ver = c.u8()?;
-        if !(MIN_WIRE_VERSION..=WIRE_VERSION).contains(&ver) {
+        if ver != WIRE_VERSION {
             return Err(WireError::BadVersion(ver));
         }
         let t = c.u8()?;
@@ -841,16 +819,10 @@ impl Frame {
                 mode: c.str()?,
                 scene: c.str()?,
                 config: c.str()?,
-                // The v1 body ends here; a v2 body carries the
-                // optional trace id after it.
-                trace: if ver >= 2 {
-                    match c.u8()? {
-                        0 => None,
-                        1 => Some(c.u64()?),
-                        _ => return Err(WireError::BadValue("trace flag")),
-                    }
-                } else {
-                    None
+                trace: match c.u8()? {
+                    0 => None,
+                    1 => Some(c.u64()?),
+                    _ => return Err(WireError::BadValue("trace flag")),
                 },
             }),
             tag::OPEN_OK => Frame::OpenOk {
@@ -878,13 +850,6 @@ impl Frame {
 /// `Ok(None)` if more bytes are needed, `Ok(Some((frame, consumed)))`
 /// on success.
 pub fn split_frame(buf: &[u8]) -> Result<Option<(Frame, usize)>, WireError> {
-    Ok(split_frame_versioned(buf)?.map(|(frame, _ver, used)| (frame, used)))
-}
-
-/// [`split_frame`] that also reports the version byte the frame's
-/// header carried — how the server learns what version a peer speaks,
-/// so it can answer in kind.
-pub fn split_frame_versioned(buf: &[u8]) -> Result<Option<(Frame, u8, usize)>, WireError> {
     let Some(len_bytes) = buf.first_chunk::<4>() else {
         return Ok(None);
     };
@@ -898,9 +863,7 @@ pub fn split_frame_versioned(buf: &[u8]) -> Result<Option<(Frame, u8, usize)>, W
     let Some(body) = buf.get(4..4 + len) else {
         return Ok(None);
     };
-    let frame = Frame::decode_body(body)?;
-    let (&ver, _) = body.split_first().ok_or(WireError::Truncated)?;
-    Ok(Some((frame, ver, 4 + len)))
+    Ok(Some((Frame::decode_body(body)?, 4 + len)))
 }
 
 #[cfg(test)]
@@ -1044,118 +1007,32 @@ mod tests {
         assert_eq!(Frame::decode_body(&hello[4..]), Err(WireError::Truncated));
     }
 
-    /// Hand-builds the v1 body of a frame: same payload layout, but a
-    /// v1 header and — for OPEN — no trace field.
-    fn v1_body(payload: &[u8], type_tag: u8) -> Vec<u8> {
-        let mut body = vec![1u8, type_tag];
-        body.extend_from_slice(payload);
-        body
-    }
-
     #[test]
-    fn v1_frames_still_decode() {
-        // A v1 OPEN (no trace field) from an old client.
-        let mut payload = Vec::new();
-        put_u64(&mut payload, 5);
-        put_u64(&mut payload, 99);
-        put_f64(&mut payload, 1.5);
-        put_f64(&mut payload, 0.25);
-        put_str(&mut payload, "count");
-        put_str(&mut payload, "room");
-        put_str(&mut payload, "fast");
-        let open = Frame::decode_body(&v1_body(&payload, tag::OPEN)).expect("v1 OPEN decodes");
-        match open {
-            Frame::Open(req) => {
-                assert_eq!((req.id, req.seed), (5, 99));
-                assert_eq!(req.mode, "count");
-                assert_eq!(req.trace, None, "v1 carries no trace");
-            }
-            other => panic!("expected Open, got {other:?}"),
-        }
-        // Version-invariant frames decode from a v1 header too.
-        assert_eq!(
-            Frame::decode_body(&v1_body(&[], tag::FINISH)).unwrap(),
-            Frame::Finish
-        );
-        let mut hello = Vec::new();
+    fn only_the_current_version_decodes() {
+        // A v1 header is refused whatever the body: v1 is gone.
+        let mut hello = vec![1u8, tag::HELLO];
         put_str(&mut hello, "tok");
-        assert_eq!(
-            Frame::decode_body(&v1_body(&hello, tag::HELLO)).unwrap(),
-            Frame::Hello {
-                token: "tok".into()
-            }
-        );
-        // Versions outside [MIN, CURRENT] stay hard errors.
-        assert_eq!(
-            Frame::decode_body(&[0, tag::FINISH]),
-            Err(WireError::BadVersion(0))
-        );
-        assert_eq!(
-            Frame::decode_body(&[WIRE_VERSION + 1, tag::FINISH]),
-            Err(WireError::BadVersion(WIRE_VERSION + 1))
-        );
-        // A v2 OPEN with a mangled trace flag is rejected.
-        let mut bad = vec![2u8, tag::OPEN];
-        bad.extend_from_slice(&payload);
+        assert_eq!(Frame::decode_body(&hello), Err(WireError::BadVersion(1)));
+        for ver in [0, WIRE_VERSION + 1] {
+            assert_eq!(
+                Frame::decode_body(&[ver, tag::FINISH]),
+                Err(WireError::BadVersion(ver))
+            );
+        }
+        // An OPEN with a mangled trace flag is rejected.
+        let mut bad = vec![WIRE_VERSION, tag::OPEN];
+        put_u64(&mut bad, 5);
+        put_u64(&mut bad, 99);
+        put_f64(&mut bad, 1.5);
+        put_f64(&mut bad, 0.25);
+        for s in ["count", "room", "fast"] {
+            put_str(&mut bad, s);
+        }
         bad.push(7);
         assert_eq!(
             Frame::decode_body(&bad),
             Err(WireError::BadValue("trace flag"))
         );
-    }
-
-    #[test]
-    fn versioned_encoding_speaks_the_peers_version() {
-        // Server responses encoded at v1 carry a v1 header a strict
-        // v1 decoder accepts.
-        for f in [
-            Frame::HelloOk,
-            Frame::OpenOk { id: 7, shard: 1 },
-            Frame::Error {
-                code: "quota".into(),
-                id: 7,
-                message: "over".into(),
-            },
-            Frame::Bye,
-        ] {
-            let mut v1 = Vec::new();
-            f.encode_into_versioned(&mut v1, 1);
-            assert_eq!(v1[4], 1, "header must carry the peer's version");
-            let (back, used) = split_frame(&v1).unwrap().expect("complete");
-            assert_eq!(used, v1.len());
-            assert_eq!(back, f);
-        }
-        // An OPEN at v1 drops the trace field: the body ends at the
-        // config name, exactly what a v1 reader expects.
-        let open = Frame::Open(OpenRequest {
-            id: 5,
-            seed: 9,
-            duration_s: 1.0,
-            start_s: 0.0,
-            mode: "count".into(),
-            scene: "room".into(),
-            config: "fast".into(),
-            trace: Some(0xabcd),
-        });
-        let mut v1 = Vec::new();
-        open.encode_into_versioned(&mut v1, 1);
-        match Frame::decode_body(&v1[4..]).expect("v1 OPEN decodes") {
-            Frame::Open(req) => assert_eq!(req.trace, None, "v1 body carries no trace"),
-            other => panic!("expected Open, got {other:?}"),
-        }
-        let mut v2 = Vec::new();
-        open.encode_into_versioned(&mut v2, 2);
-        assert_eq!(v2.len(), v1.len() + 9, "v2 adds flag byte + trace id");
-        // Out-of-range requests clamp to the supported range.
-        let mut lo = Vec::new();
-        Frame::Finish.encode_into_versioned(&mut lo, 0);
-        assert_eq!(lo[4], MIN_WIRE_VERSION);
-        let mut hi = Vec::new();
-        Frame::Finish.encode_into_versioned(&mut hi, 99);
-        assert_eq!(hi[4], WIRE_VERSION);
-        // split_frame_versioned reports what the header said.
-        let (_, ver, _) = split_frame_versioned(&lo).unwrap().expect("complete");
-        assert_eq!(ver, 1);
     }
 
     #[test]

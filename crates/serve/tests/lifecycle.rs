@@ -3,7 +3,7 @@
 //! backpressure — each asserting that no events (or sessions) are lost
 //! or duplicated.
 
-use wivi_core::gesture::GestureDecode;
+use wivi_core::gesture::{GestureDecode, MIN_DECODE_WINDOWS};
 use wivi_core::{AngleSpectrogram, WiViConfig, WiViDevice};
 use wivi_image::ImagingReport;
 use wivi_rf::{Material, Mover, Point, Scene, WaypointWalker};
@@ -42,10 +42,27 @@ fn zero_duration_sessions_drain_cleanly() {
     engine.open(spec(3, 0.0, modes::Count)).unwrap();
     engine.open(spec(4, 0.0, modes::Gestures)).unwrap();
     engine.open(spec(5, 0.0, modes::Image)).unwrap();
+    // Gestures sessions long enough for exactly one and exactly two
+    // analysis windows — still short of the decoder's minimum — drain
+    // to `None` too instead of panicking their shard.
+    let cfg = WiViConfig::fast_test();
+    let isar = cfg.music.isar;
+    let short = [(6, 1usize), (7, 2)];
+    for (id, windows) in short {
+        let n = isar.window + (windows - 1) * isar.hop;
+        let duration_s = n as f64 / cfg.radio.channel_rate_hz;
+        engine.open(spec(id, duration_s, modes::Gestures)).unwrap();
+    }
     let report = engine.finish();
-    assert_eq!(report.outputs.len(), 5);
+    assert_eq!(report.outputs.len(), 7);
     assert!(report.events.is_empty());
-    for out in &report.outputs {
+    for (id, windows) in short {
+        let out = report.output(id).expect("short gestures session drained");
+        assert_eq!(out.n_columns, windows);
+        assert!(windows < MIN_DECODE_WINDOWS);
+        assert!(out.result.expect::<Option<GestureDecode>>().is_none());
+    }
+    for out in report.outputs.iter().filter(|o| o.id <= 5) {
         assert_eq!(out.n_requested, 0);
         assert_eq!(out.n_samples, 0);
         assert_eq!(out.n_columns, 0);

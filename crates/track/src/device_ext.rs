@@ -1,104 +1,93 @@
-//! `WiViDevice` entry points for target tracking (mode 1, extended).
+//! Target tracking as a sensing session (mode 1, extended), plus the
+//! `WiViDevice` entry points that run it.
 //!
 //! `wivi-track` layers *above* `wivi-core`, so the device grows its
 //! tracking mode through an extension trait rather than an inherent
 //! method: `use wivi_track::TrackTargets;` (re-exported by the umbrella
 //! crate's prelude) and every device can `track_targets(..)`.
 //!
-//! Both shapes mirror the PR-1 contract: the streaming entry point
-//! drives a sink-only [`StreamingMusic`] stage over batched
-//! observations and folds each column into the tracker the moment its
-//! analysis window completes — no trace, no spectrogram is ever
-//! materialized — and its output is **bitwise identical** to the
-//! offline one-shot path (pinned by `tests/tracking_equivalence.rs`).
+//! [`TrackTargetsSession`] is the one implementation of the mode: a
+//! sink-only MUSIC windowing state whose columns fold straight into the
+//! tracker as each analysis window completes — no trace, no spectrogram
+//! is ever materialized. The device methods run it through
+//! [`WiViDevice::run_session`] (offline is a single batch), and the
+//! serving engine's `track_targets` mode runs the same type on its
+//! shards.
 
-use wivi_core::stage::Stage;
-use wivi_core::{StreamingMusic, WiViDevice};
+use wivi_core::device::ONE_BATCH;
+use wivi_core::{EngineCache, MusicEngine, Session, SharedStreaming, WiViConfig, WiViDevice};
 use wivi_num::Complex64;
-use wivi_sdr::Observation;
 
-use crate::tracker::{track_spectrogram, MultiTargetTracker, TrackerConfig, TrackingReport};
+use crate::tracker::{MultiTargetTracker, TrackerConfig, TrackingReport};
+
+/// One multi-target tracking session: smoothed-MUSIC columns folded
+/// into a [`MultiTargetTracker`] with the default tracker configuration
+/// for the device's MUSIC settings. Finishes into the
+/// [`TrackingReport`] (empty if no window completed).
+pub struct TrackTargetsSession {
+    stage: SharedStreaming<MusicEngine>,
+    /// Boxed: the tracker (live tracks, histories) dwarfs the stage.
+    tracker: Box<MultiTargetTracker>,
+}
+
+impl TrackTargetsSession {
+    /// Opens a session for the device's effective configuration.
+    pub fn new(cfg: &WiViConfig) -> Self {
+        Self {
+            stage: SharedStreaming::sink_only(&cfg.music),
+            tracker: Box::new(MultiTargetTracker::new(TrackerConfig::for_music(
+                &cfg.music,
+            ))),
+        }
+    }
+}
+
+impl Session for TrackTargetsSession {
+    type Output = TrackingReport;
+
+    fn step(&mut self, engines: &mut EngineCache, samples: &[Complex64]) {
+        let tracker = &mut self.tracker;
+        self.stage.step(engines, samples, |thetas, row| {
+            tracker.push_column(thetas, row);
+        });
+    }
+
+    fn columns(&self) -> usize {
+        self.stage.n_columns()
+    }
+
+    fn finish(self) -> TrackingReport {
+        self.tracker.finish()
+    }
+}
 
 /// Device-level tracking entry points (mode 1 of the paper, extended
 /// from "render the spectrogram" to "maintain per-person tracks").
 pub trait TrackTargets {
-    /// Records `duration_s` seconds, runs smoothed MUSIC offline, and
-    /// tracks the ridge peaks with the default tracker for the device's
-    /// MUSIC configuration.
+    /// Observes `duration_s` seconds in one batch and tracks the ridge
+    /// peaks of the smoothed-MUSIC spectrogram. Offline one-shot shape
+    /// of [`Self::track_targets_streaming`].
     ///
     /// # Panics
     /// Panics if the device has not been calibrated.
     fn track_targets(&mut self, duration_s: f64) -> TrackingReport;
 
-    /// [`Self::track_targets`] with an explicit tracker configuration.
-    fn track_targets_with(&mut self, duration_s: f64, cfg: TrackerConfig) -> TrackingReport;
-
     /// Streaming shape: observations flow in `batch_len`-sample batches
-    /// through a sink-only MUSIC stage; each completed column is folded
-    /// straight into the tracker. Memory stays bounded by one analysis
-    /// window plus the live tracks. Bitwise identical to
-    /// [`Self::track_targets`].
+    /// through a [`TrackTargetsSession`]. Memory stays bounded by one
+    /// analysis window plus the live tracks.
     ///
     /// # Panics
     /// Panics if the device has not been calibrated or `batch_len == 0`.
     fn track_targets_streaming(&mut self, duration_s: f64, batch_len: usize) -> TrackingReport;
-
-    /// [`Self::track_targets_streaming`] with an explicit tracker
-    /// configuration.
-    fn track_targets_streaming_with(
-        &mut self,
-        duration_s: f64,
-        batch_len: usize,
-        cfg: TrackerConfig,
-    ) -> TrackingReport;
 }
 
 impl TrackTargets for WiViDevice {
     fn track_targets(&mut self, duration_s: f64) -> TrackingReport {
-        let cfg = TrackerConfig::for_music(&self.config().music);
-        self.track_targets_with(duration_s, cfg)
-    }
-
-    fn track_targets_with(&mut self, duration_s: f64, cfg: TrackerConfig) -> TrackingReport {
-        let spec = self.track(duration_s);
-        track_spectrogram(&spec, cfg)
+        self.track_targets_streaming(duration_s, ONE_BATCH)
     }
 
     fn track_targets_streaming(&mut self, duration_s: f64, batch_len: usize) -> TrackingReport {
-        let cfg = TrackerConfig::for_music(&self.config().music);
-        self.track_targets_streaming_with(duration_s, batch_len, cfg)
-    }
-
-    fn track_targets_streaming_with(
-        &mut self,
-        duration_s: f64,
-        batch_len: usize,
-        cfg: TrackerConfig,
-    ) -> TrackingReport {
-        assert!(
-            self.nulling_report().is_some(),
-            "call calibrate() before tracking targets"
-        );
-        let music = self.config().music;
-        // The same duration→samples conversion the device uses, so the
-        // two shapes can never round differently.
-        let total = self.trace_len(duration_s);
-        let mut stage = StreamingMusic::sink_only(music);
-        let mut tracker = MultiTargetTracker::new(cfg);
-        let mut stream = self.frontend_mut().observe_stream(total, batch_len);
-        let mut batch: Vec<Observation> = Vec::with_capacity(batch_len);
-        let mut samples: Vec<Complex64> = Vec::with_capacity(batch_len);
-        loop {
-            let got = stream.next_batch_into(&mut batch);
-            if got == 0 {
-                break;
-            }
-            samples.clear();
-            samples.extend(batch.iter().map(Observation::combined));
-            stage.push_with(&samples, &mut |thetas, row| {
-                tracker.push_column(thetas, row);
-            });
-        }
-        tracker.finish()
+        let session = TrackTargetsSession::new(self.config());
+        self.run_session(session, duration_s, batch_len)
     }
 }

@@ -16,9 +16,10 @@
 //!   confirmed → coasting → dead lifecycle.
 //! * [`events`] — entry/exit, DC-line crossings, count changes, and
 //!   per-track gesture attribution.
-//! * [`device_ext`] — [`TrackTargets`], the `WiViDevice` extension
-//!   trait with offline and streaming entry points, bitwise identical
-//!   to each other like every other mode of the device.
+//! * [`device_ext`] — [`TrackTargetsSession`], the mode's one
+//!   per-session implementation (also what the serving engine runs),
+//!   and [`TrackTargets`], the `WiViDevice` extension trait whose
+//!   offline and streaming entry points both run it.
 //!
 //! ```no_run
 //! use wivi_core::{WiViConfig, WiViDevice};
@@ -43,7 +44,7 @@ pub mod events;
 pub mod tracker;
 
 pub use detect::{detect_column, Detection, DetectorConfig};
-pub use device_ext::TrackTargets;
+pub use device_ext::{TrackTargets, TrackTargetsSession};
 pub use events::{EventKind, TrackEvent};
 pub use tracker::{
     track_spectrogram, MultiTargetTracker, Track, TrackPoint, TrackStatus, TrackerConfig,

@@ -23,9 +23,8 @@
 //! single window, and one-window tracks are noise, not people.
 //!
 //! Everything here is a pure deterministic function of the column
-//! sequence, so the streaming tracker is **bitwise identical** to the
-//! offline one — the same contract the spectrogram stages honour
-//! (pinned by `tests/tracking_equivalence.rs`).
+//! sequence, so the tracker's output never depends on how the
+//! observations were batched (pinned by `tests/streaming_equivalence.rs`).
 
 use wivi_core::gesture::DetectedGesture;
 use wivi_core::music::MusicConfig;

@@ -16,9 +16,10 @@ use std::io::{Read, Write};
 
 use common::{session, N_SESSIONS};
 use wivi::prelude::*;
-use wivi::serve::wire::{encode_serve_event, encode_session_output};
+use wivi::serve::wire::{encode_serve_event, encode_session_output, split_frame};
 use wivi::serve::{
-    AdmissionConfig, OpenRequest, SessionSpec, TokenSpec, WireClient, WireServer, WireServerConfig,
+    AdmissionConfig, Frame, OpenRequest, SessionSpec, TokenSpec, WireClient, WireServer,
+    WireServerConfig,
 };
 
 /// Registers each spec's scene/config under per-session names and
@@ -378,93 +379,42 @@ fn traced_session_links_client_and_server_and_stays_bitwise() {
     let _ = wivi::obs::drain();
 }
 
-/// Hand-built v1 frame: `[len u32 LE][ver][type][payload]`.
-fn v1_frame(tag: u8, payload: &[u8]) -> Vec<u8> {
-    let mut buf = Vec::new();
-    buf.extend_from_slice(&((payload.len() as u32 + 2).to_le_bytes()));
-    buf.push(1); // wire version 1: no trace field anywhere
-    buf.push(tag);
-    buf.extend_from_slice(payload);
-    buf
-}
-
-fn put_str(buf: &mut Vec<u8>, s: &str) {
-    buf.extend_from_slice(&(s.len() as u32).to_le_bytes());
-    buf.extend_from_slice(s.as_bytes());
-}
-
-/// Reads one frame as a strict v1 decoder would: a header version
-/// other than 1 is a hard error. Returns (type tag, payload).
-fn read_raw_frame(sock: &mut std::net::TcpStream) -> (u8, Vec<u8>) {
-    let mut len = [0u8; 4];
-    sock.read_exact(&mut len).expect("frame length");
-    let mut body = vec![0u8; u32::from_le_bytes(len) as usize];
-    sock.read_exact(&mut body).expect("frame body");
-    assert_eq!(
-        body[0], 1,
-        "a v1 peer's decoder hard-errors on ver != 1: the server must \
-         answer a v1 HELLO with v1 frames"
-    );
-    (body[1], body[2..].to_vec())
-}
-
-/// A v1 peer — OPEN body ends at the config name, no trace field —
-/// must still be served end to end: the version bump is additive, and
-/// every frame the server sends back carries a v1 header (checked in
-/// [`read_raw_frame`]) so a real v1 decoder accepts it.
+/// Wire v1 is gone: a HELLO carrying a v1 header takes the
+/// unsupported-version path, gets the stable `wire` ERROR and a BYE, and
+/// the server closes the connection instead of leaving the peer hanging.
 #[test]
-fn v1_open_frame_without_trace_field_still_serves() {
-    const HELLO_OK: u8 = 2;
-    const OPEN_OK: u8 = 4;
-    const FINISH: u8 = 6;
-    const OUTPUT: u8 = 8;
-    const BYE: u8 = 10;
-
-    let mut cfg = WireServerConfig::new(ServeConfig::with_shards_workers(1, 1));
-    cfg.scenes.push(("room".into(), simple_scene().into()));
-    cfg.configs.push(("fast".into(), WiViConfig::fast_test()));
-    let server = WireServer::start(cfg).expect("bind");
-
+fn v1_hello_gets_a_wire_error_and_the_connection_closes() {
+    let server =
+        WireServer::start(WireServerConfig::new(ServeConfig::with_shards(1))).expect("bind");
     let mut sock = std::net::TcpStream::connect(server.addr()).expect("connect");
+    // A hang fails the test instead of stalling the suite.
+    sock.set_read_timeout(Some(std::time::Duration::from_secs(10)))
+        .unwrap();
     sock.write_all(b"WIVI").unwrap();
 
+    // `[len u32 LE][ver = 1][type = HELLO][token]`.
+    let token = b"legacy";
     let mut hello = Vec::new();
-    put_str(&mut hello, "legacy");
-    sock.write_all(&v1_frame(1, &hello)).unwrap();
-    assert_eq!(read_raw_frame(&mut sock).0, HELLO_OK);
+    hello.extend_from_slice(&(token.len() as u32 + 6).to_le_bytes());
+    hello.extend_from_slice(&[1, 1]);
+    hello.extend_from_slice(&(token.len() as u32).to_le_bytes());
+    hello.extend_from_slice(token);
+    sock.write_all(&hello).unwrap();
 
-    // v1 OPEN: id, seed, duration, start, mode, scene, config — stop.
-    let mut open = Vec::new();
-    open.extend_from_slice(&77u64.to_le_bytes());
-    open.extend_from_slice(&9u64.to_le_bytes());
-    open.extend_from_slice(&0.5f64.to_bits().to_le_bytes());
-    open.extend_from_slice(&0.0f64.to_bits().to_le_bytes());
-    put_str(&mut open, "count");
-    put_str(&mut open, "room");
-    put_str(&mut open, "fast");
-    sock.write_all(&v1_frame(3, &open)).unwrap();
-    let (tag, _) = read_raw_frame(&mut sock);
-    assert_eq!(tag, OPEN_OK, "v1 OPEN must be admitted, not rejected");
-
-    sock.write_all(&v1_frame(FINISH, &[])).unwrap();
-    let mut outputs = 0;
-    loop {
-        let (tag, payload) = read_raw_frame(&mut sock);
-        match tag {
-            OUTPUT => {
-                outputs += 1;
-                // First payload field is the session id we opened.
-                assert_eq!(payload[..8], 77u64.to_le_bytes());
-            }
-            BYE => break,
-            _ => {} // EVENT frames stream through
-        }
+    let mut reply = Vec::new();
+    sock.read_to_end(&mut reply)
+        .expect("the server must close the connection, not leave it open");
+    let (error, used) = split_frame(&reply).unwrap().expect("an ERROR frame");
+    match error {
+        Frame::Error { code, .. } => assert_eq!(code, "wire"),
+        other => panic!("expected ERROR, got {other:?}"),
     }
-    assert_eq!(outputs, 1, "the v1-opened session must complete");
+    let (bye, rest) = split_frame(&reply[used..]).unwrap().expect("a BYE frame");
+    assert_eq!(bye, Frame::Bye);
+    assert_eq!(used + rest, reply.len(), "nothing after BYE");
 
     let report = server.shutdown().expect("shutdown");
-    assert_eq!(report.admitted, 1);
-    assert_eq!(report.shed, 0);
+    assert_eq!(report.admitted, 0);
 }
 
 /// The CI smoke: 8 loopback sessions, zero shed, clean shutdown.

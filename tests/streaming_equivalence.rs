@@ -1,42 +1,15 @@
-//! The streaming pipeline's correctness contract: batch-incremental
-//! processing must reproduce the offline one-shot outputs **exactly** —
-//! same spectrogram bits, same counting statistic, same decoded gesture
-//! message — for any batch size, because both shapes drive the same
-//! per-window engines over the same observation sequence.
+//! Batch invariance of every sensing mode: a mode's output must not
+//! depend on how its observations are batched. Each device entry point
+//! runs the mode's one session type through the same batch loop, so
+//! batch 1, the device default of 16, and a single whole-trace batch
+//! (the offline one-shot methods) must all agree bit for bit.
 
-use wivi::core::counting::mean_spatial_variance;
+mod common;
+
+use common::assert_result_eq;
 use wivi::core::stage::{Stage, StreamingMusic};
 use wivi::prelude::*;
 use wivi::rf::Point as P;
-
-fn assert_imaging_report_eq(a: &ImagingReport, b: &ImagingReport, ctx: &str) {
-    assert_eq!(a.grid, b.grid, "{ctx}: grids differ");
-    assert_eq!(a.times_s.len(), b.times_s.len(), "{ctx}: window counts");
-    for (x, y) in a.times_s.iter().zip(&b.times_s) {
-        assert_eq!(x.to_bits(), y.to_bits(), "{ctx}: window times differ");
-    }
-    assert_eq!(a.fixes.len(), b.fixes.len());
-    for (w, (fa, fb)) in a.fixes.iter().zip(&b.fixes).enumerate() {
-        assert_eq!(fa.len(), fb.len(), "{ctx}: fix counts differ at window {w}");
-        for (x, y) in fa.iter().zip(fb) {
-            assert_eq!((x.ix, x.iy), (y.ix, y.iy), "{ctx}: window {w} cells");
-            assert_eq!(x.x_m.to_bits(), y.x_m.to_bits(), "{ctx}: window {w} x");
-            assert_eq!(x.y_m.to_bits(), y.y_m.to_bits(), "{ctx}: window {w} y");
-            assert_eq!(
-                x.power_db.to_bits(),
-                y.power_db.to_bits(),
-                "{ctx}: window {w} power"
-            );
-            assert_eq!(
-                x.snr_db.to_bits(),
-                y.snr_db.to_bits(),
-                "{ctx}: window {w} snr"
-            );
-        }
-    }
-    assert_eq!(a.confirmed_counts, b.confirmed_counts, "{ctx}: counts");
-    assert_eq!(a.tracks, b.tracks, "{ctx}: position tracks differ");
-}
 
 fn walled_scene() -> Scene {
     Scene::new(Material::HollowWall6In).with_office_clutter(Scene::conference_room_small())
@@ -49,101 +22,131 @@ fn walker_scene() -> Scene {
     )))
 }
 
-fn device(seed: u64) -> WiViDevice {
-    let mut dev = WiViDevice::new(walker_scene(), WiViConfig::fast_test(), seed);
+fn crossing_scene() -> Scene {
+    walled_scene()
+        .with_mover(Mover::human(WaypointWalker::new(
+            vec![P::new(-1.5, 3.8), P::new(0.5, 1.0)],
+            0.8,
+        )))
+        .with_mover(Mover::human(WaypointWalker::new(
+            vec![P::new(0.9, 1.1), P::new(1.6, 3.7)],
+            0.5,
+        )))
+}
+
+fn gesture_script() -> GestureScript {
+    GestureScript::for_bits(
+        P::new(0.0, 3.0),
+        Vec2::new(0.0, -1.0),
+        GestureStyle::default(),
+        3.0,
+        &[false],
+    )
+}
+
+fn gesture_scene() -> Scene {
+    walled_scene().with_mover(Mover::human(gesture_script()))
+}
+
+fn device(scene: Scene, seed: u64) -> WiViDevice {
+    let mut dev = WiViDevice::new(scene, WiViConfig::fast_test(), seed);
     dev.calibrate();
     dev
 }
 
-#[test]
-fn streaming_track_is_bitwise_identical_to_offline() {
-    let duration = 2.0;
-    let offline = device(71).track(duration);
+/// One row of the table: a mode and the trial it is run on.
+struct Case {
+    tag: &'static str,
+    scene: fn() -> Scene,
+    seed: u64,
+    duration_s: f64,
+}
 
-    for batch_len in [1usize, 16, 100] {
-        let streamed = device(71).track_streaming(duration, batch_len);
-        assert_eq!(streamed.thetas_deg, offline.thetas_deg);
-        assert_eq!(streamed.times_s, offline.times_s, "batch {batch_len}");
-        assert_eq!(streamed.power.len(), offline.power.len());
-        for (t, (a, b)) in streamed.power.iter().zip(&offline.power).enumerate() {
-            for (x, y) in a.iter().zip(b) {
-                assert_eq!(
-                    x.to_bits(),
-                    y.to_bits(),
-                    "power differs at window {t} (batch {batch_len})"
-                );
-            }
+fn cases() -> [Case; 5] {
+    let case = |tag, scene, seed, duration_s| Case {
+        tag,
+        scene,
+        seed,
+        duration_s,
+    };
+    [
+        case("track", walker_scene as fn() -> Scene, 71, 2.0),
+        case("track_targets", crossing_scene, 81, 2.5),
+        case("count", walker_scene, 72, 2.0),
+        case(
+            "gestures",
+            gesture_scene,
+            73,
+            3.0 + gesture_script().duration() + 1.0,
+        ),
+        case("image", walker_scene, 75, 4.0),
+    ]
+}
+
+/// Runs `case` through the device entry point for its mode: streaming
+/// at `Some(batch_len)`, the offline one-shot method at `None`.
+fn run(case: &Case, batch: Option<usize>) -> ModeOutput {
+    let mut dev = device((case.scene)(), case.seed);
+    let d = case.duration_s;
+    let tag = case.tag;
+    match (tag, batch) {
+        ("track", None) => ModeOutput::new(tag, Some(dev.track(d))),
+        ("track", Some(b)) => ModeOutput::new(tag, Some(dev.track_streaming(d, b))),
+        ("track_targets", None) => ModeOutput::new(tag, dev.track_targets(d)),
+        ("track_targets", Some(b)) => ModeOutput::new(tag, dev.track_targets_streaming(d, b)),
+        ("count", None) => ModeOutput::new(tag, Some(dev.measure_spatial_variance(d))),
+        ("count", Some(b)) => {
+            ModeOutput::new(tag, Some(dev.measure_spatial_variance_streaming(d, b)))
+        }
+        ("gestures", None) => ModeOutput::new(tag, Some(dev.decode_gestures(d))),
+        ("gestures", Some(b)) => ModeOutput::new(tag, Some(dev.decode_gestures_streaming(d, b))),
+        ("image", None) => ModeOutput::new(tag, dev.image(d)),
+        ("image", Some(b)) => ModeOutput::new(tag, dev.image_streaming(d, b)),
+        (other, _) => panic!("unknown mode '{other}'"),
+    }
+}
+
+/// Guards against comparing empty outputs: each trial must exercise its
+/// mode.
+fn assert_nontrivial(out: &ModeOutput) {
+    match out.tag() {
+        "track" => assert!(out.expect::<Option<AngleSpectrogram>>().is_some()),
+        "track_targets" => assert!(!out.expect::<TrackingReport>().tracks.is_empty()),
+        "count" => assert!(out.expect::<Option<f64>>().is_some()),
+        "gestures" => {
+            let decoded = out.expect::<Option<wivi::core::gesture::GestureDecode>>();
+            assert_eq!(decoded.as_ref().unwrap().bits.first(), Some(&Some(false)));
+        }
+        "image" => assert!(out.expect::<ImagingReport>().n_windows() >= 3),
+        other => panic!("unknown mode '{other}'"),
+    }
+}
+
+#[test]
+fn every_mode_is_batch_invariant() {
+    let cases = cases();
+    let tags: Vec<&str> = cases.iter().map(|c| c.tag).collect();
+    assert_eq!(
+        tags,
+        ModeRegistry::builtin().tags(),
+        "table must cover every mode"
+    );
+    for case in &cases {
+        let offline = run(case, None);
+        assert_nontrivial(&offline);
+        for batch_len in [1usize, 16] {
+            let streamed = run(case, Some(batch_len));
+            let ctx = format!("{} at batch {batch_len}", case.tag);
+            assert_result_eq(&streamed, &offline, &ctx);
         }
     }
-}
-
-#[test]
-fn streaming_count_statistic_is_exact() {
-    let duration = 2.0;
-    let offline = {
-        let spec = device(72).track(duration);
-        mean_spatial_variance(&spec)
-    };
-    for batch_len in [1usize, 16, 100] {
-        let streamed = device(72).measure_spatial_variance_streaming(duration, batch_len);
-        assert_eq!(
-            streamed.to_bits(),
-            offline.to_bits(),
-            "variance differs at batch {batch_len}"
-        );
-    }
-}
-
-#[test]
-fn streaming_gesture_decode_is_exact() {
-    let style = GestureStyle::default();
-    let script =
-        GestureScript::for_bits(P::new(0.0, 3.0), Vec2::new(0.0, -1.0), style, 3.0, &[false]);
-    let duration = 3.0 + script.duration() + 1.0;
-    let build = || {
-        let scene = walled_scene().with_mover(Mover::human(GestureScript::for_bits(
-            P::new(0.0, 3.0),
-            Vec2::new(0.0, -1.0),
-            style,
-            3.0,
-            &[false],
-        )));
-        let mut dev = WiViDevice::new(scene, WiViConfig::fast_test(), 73);
-        dev.calibrate();
-        dev
-    };
-    let offline = build().decode_gestures(duration);
-    let streamed = build().decode_gestures_streaming(duration, 16);
-    assert_eq!(streamed.bits, offline.bits);
-    assert_eq!(streamed.track, offline.track);
-    assert_eq!(streamed.matched, offline.matched);
-    assert_eq!(streamed.gestures.len(), offline.gestures.len());
-}
-
-#[test]
-fn streaming_imaging_is_bitwise_identical_to_offline() {
-    // 4 s covers several 2 s imaging apertures of the derived config.
-    let duration = 4.0;
-    let offline = device(75).image(duration);
-    assert!(offline.n_windows() >= 3, "trial too short to mean anything");
-
-    for batch_len in [7usize, 16, 100] {
-        let streamed = device(75).image_streaming(duration, batch_len);
-        assert_imaging_report_eq(&streamed, &offline, &format!("batch {batch_len}"));
-    }
-
-    // An explicit (non-derived) configuration round-trips too.
-    let cfg = ImageConfig::for_wivi(&WiViConfig::fast_test());
-    let explicit_offline = device(76).image_with(duration, &cfg);
-    let explicit_streamed = device(76).image_streaming_with(duration, 16, &cfg);
-    assert_imaging_report_eq(&explicit_streamed, &explicit_offline, "explicit cfg");
 }
 
 #[test]
 fn partial_spectrogram_grows_while_device_streams() {
     // Drive the stage manually off the device's front-end stream: columns
     // must appear incrementally, not only at the end.
-    let mut dev = device(74);
+    let mut dev = device(walker_scene(), 74);
     let cfg = dev.config().music;
     let rate = dev.config().radio.channel_rate_hz;
     let total = (2.0 * rate).round() as usize;

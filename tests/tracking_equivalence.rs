@@ -1,9 +1,8 @@
-//! The tracking pipeline's correctness contract, mirroring
-//! `streaming_equivalence.rs`: batch-incremental tracking must reproduce
-//! the offline one-shot report **exactly** — same tracks (Kalman states
-//! bit for bit), same events, same per-window counts — for any batch
-//! size, because both shapes fold the same spectrogram columns through
-//! the same deterministic tracker.
+//! Tracking checks beyond batch invariance (which the mode table in
+//! `streaming_equivalence.rs` covers for `track_targets` like every
+//! other mode): the tracker's window times agree with the spectrogram
+//! read-out, and the crossing scenario yields confirmed, announced
+//! tracks.
 
 use wivi::prelude::*;
 use wivi::rf::Point as P;
@@ -26,54 +25,6 @@ fn device(seed: u64) -> WiViDevice {
     let mut dev = WiViDevice::new(crossing_scene(), WiViConfig::fast_test(), seed);
     dev.calibrate();
     dev
-}
-
-#[test]
-fn streaming_tracking_is_bitwise_identical_to_offline() {
-    let duration = 2.5;
-    let offline = device(81).track_targets(duration);
-    assert!(
-        !offline.tracks.is_empty(),
-        "scenario produced no tracks to compare"
-    );
-
-    for batch_len in [1usize, 16, 100] {
-        let streamed = device(81).track_targets_streaming(duration, batch_len);
-        // Structural equality covers every f64 in every Kalman state,
-        // history point, and event (derived PartialEq compares them all).
-        assert_eq!(
-            streamed.confirmed_counts, offline.confirmed_counts,
-            "counts differ at batch {batch_len}"
-        );
-        assert_eq!(
-            streamed.events, offline.events,
-            "events differ at batch {batch_len}"
-        );
-        assert_eq!(
-            streamed.tracks.len(),
-            offline.tracks.len(),
-            "track count differs at batch {batch_len}"
-        );
-        for (a, b) in streamed.tracks.iter().zip(&offline.tracks) {
-            assert_eq!(a.id, b.id);
-            assert_eq!(a.history.len(), b.history.len());
-            for (pa, pb) in a.history.iter().zip(&b.history) {
-                assert_eq!(
-                    pa.theta_deg.to_bits(),
-                    pb.theta_deg.to_bits(),
-                    "θ̂ differs (track {}, window {}, batch {batch_len})",
-                    a.id,
-                    pa.window
-                );
-                assert_eq!(pa.theta_vel.to_bits(), pb.theta_vel.to_bits());
-            }
-            assert_eq!(a.kf, b.kf, "Kalman state differs at batch {batch_len}");
-        }
-        assert_eq!(
-            streamed, offline,
-            "full report differs at batch {batch_len}"
-        );
-    }
 }
 
 #[test]
