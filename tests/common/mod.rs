@@ -1,7 +1,9 @@
-//! Shared fixtures for the serving-layer integration tests: a small
-//! deterministic mixed-mode session set, standalone reference runs, and
-//! exact (bit-level) result comparison.
+//! Shared fixtures for the integration tests: a small deterministic
+//! mixed-mode session set, standalone reference runs, exact (bit-level)
+//! result comparison, and the batch-invariance table ([`batch`]).
 #![allow(dead_code)]
+
+pub mod batch;
 
 use wivi::core::gesture::GestureDecode;
 use wivi::core::AngleSpectrogram;

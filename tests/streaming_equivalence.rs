@@ -1,145 +1,63 @@
 //! Batch invariance of every sensing mode: a mode's output must not
-//! depend on how its observations are batched. Each device entry point
-//! runs the mode's one session type through the same batch loop, so
-//! batch 1, the device default of 16, and a single whole-trace batch
-//! (the offline one-shot methods) must all agree bit for bit.
+//! depend on how its observations are batched. Each test below checks
+//! one row of the shared table in `common::batch` (the `track_targets`
+//! row is checked in `tracking_equivalence.rs`): streaming at every
+//! batch length must reproduce the offline one-shot output bit for bit.
 
 mod common;
 
 use common::assert_result_eq;
+use common::batch::{assert_batch_invariant, cases, device, walker_scene};
+use wivi::core::counting::mean_spatial_variance;
 use wivi::core::stage::{Stage, StreamingMusic};
 use wivi::prelude::*;
-use wivi::rf::Point as P;
-
-fn walled_scene() -> Scene {
-    Scene::new(Material::HollowWall6In).with_office_clutter(Scene::conference_room_small())
-}
-
-fn walker_scene() -> Scene {
-    walled_scene().with_mover(Mover::human(WaypointWalker::new(
-        vec![P::new(-1.5, 3.5), P::new(0.5, 1.2), P::new(1.5, 3.5)],
-        1.0,
-    )))
-}
-
-fn crossing_scene() -> Scene {
-    walled_scene()
-        .with_mover(Mover::human(WaypointWalker::new(
-            vec![P::new(-1.5, 3.8), P::new(0.5, 1.0)],
-            0.8,
-        )))
-        .with_mover(Mover::human(WaypointWalker::new(
-            vec![P::new(0.9, 1.1), P::new(1.6, 3.7)],
-            0.5,
-        )))
-}
-
-fn gesture_script() -> GestureScript {
-    GestureScript::for_bits(
-        P::new(0.0, 3.0),
-        Vec2::new(0.0, -1.0),
-        GestureStyle::default(),
-        3.0,
-        &[false],
-    )
-}
-
-fn gesture_scene() -> Scene {
-    walled_scene().with_mover(Mover::human(gesture_script()))
-}
-
-fn device(scene: Scene, seed: u64) -> WiViDevice {
-    let mut dev = WiViDevice::new(scene, WiViConfig::fast_test(), seed);
-    dev.calibrate();
-    dev
-}
-
-/// One row of the table: a mode and the trial it is run on.
-struct Case {
-    tag: &'static str,
-    scene: fn() -> Scene,
-    seed: u64,
-    duration_s: f64,
-}
-
-fn cases() -> [Case; 5] {
-    let case = |tag, scene, seed, duration_s| Case {
-        tag,
-        scene,
-        seed,
-        duration_s,
-    };
-    [
-        case("track", walker_scene as fn() -> Scene, 71, 2.0),
-        case("track_targets", crossing_scene, 81, 2.5),
-        case("count", walker_scene, 72, 2.0),
-        case(
-            "gestures",
-            gesture_scene,
-            73,
-            3.0 + gesture_script().duration() + 1.0,
-        ),
-        case("image", walker_scene, 75, 4.0),
-    ]
-}
-
-/// Runs `case` through the device entry point for its mode: streaming
-/// at `Some(batch_len)`, the offline one-shot method at `None`.
-fn run(case: &Case, batch: Option<usize>) -> ModeOutput {
-    let mut dev = device((case.scene)(), case.seed);
-    let d = case.duration_s;
-    let tag = case.tag;
-    match (tag, batch) {
-        ("track", None) => ModeOutput::new(tag, Some(dev.track(d))),
-        ("track", Some(b)) => ModeOutput::new(tag, Some(dev.track_streaming(d, b))),
-        ("track_targets", None) => ModeOutput::new(tag, dev.track_targets(d)),
-        ("track_targets", Some(b)) => ModeOutput::new(tag, dev.track_targets_streaming(d, b)),
-        ("count", None) => ModeOutput::new(tag, Some(dev.measure_spatial_variance(d))),
-        ("count", Some(b)) => {
-            ModeOutput::new(tag, Some(dev.measure_spatial_variance_streaming(d, b)))
-        }
-        ("gestures", None) => ModeOutput::new(tag, Some(dev.decode_gestures(d))),
-        ("gestures", Some(b)) => ModeOutput::new(tag, Some(dev.decode_gestures_streaming(d, b))),
-        ("image", None) => ModeOutput::new(tag, dev.image(d)),
-        ("image", Some(b)) => ModeOutput::new(tag, dev.image_streaming(d, b)),
-        (other, _) => panic!("unknown mode '{other}'"),
-    }
-}
-
-/// Guards against comparing empty outputs: each trial must exercise its
-/// mode.
-fn assert_nontrivial(out: &ModeOutput) {
-    match out.tag() {
-        "track" => assert!(out.expect::<Option<AngleSpectrogram>>().is_some()),
-        "track_targets" => assert!(!out.expect::<TrackingReport>().tracks.is_empty()),
-        "count" => assert!(out.expect::<Option<f64>>().is_some()),
-        "gestures" => {
-            let decoded = out.expect::<Option<wivi::core::gesture::GestureDecode>>();
-            assert_eq!(decoded.as_ref().unwrap().bits.first(), Some(&Some(false)));
-        }
-        "image" => assert!(out.expect::<ImagingReport>().n_windows() >= 3),
-        other => panic!("unknown mode '{other}'"),
-    }
-}
 
 #[test]
-fn every_mode_is_batch_invariant() {
-    let cases = cases();
-    let tags: Vec<&str> = cases.iter().map(|c| c.tag).collect();
+fn batch_table_covers_every_mode() {
+    let tags: Vec<&str> = cases().iter().map(|c| c.tag).collect();
     assert_eq!(
         tags,
         ModeRegistry::builtin().tags(),
         "table must cover every mode"
     );
-    for case in &cases {
-        let offline = run(case, None);
-        assert_nontrivial(&offline);
-        for batch_len in [1usize, 16] {
-            let streamed = run(case, Some(batch_len));
-            let ctx = format!("{} at batch {batch_len}", case.tag);
-            assert_result_eq(&streamed, &offline, &ctx);
-        }
-    }
+}
+
+#[test]
+fn streaming_track_is_bitwise_identical_to_offline() {
+    assert_batch_invariant("track");
+}
+
+#[test]
+fn streaming_count_statistic_is_exact() {
+    let offline = assert_batch_invariant("count");
+    // The count statistic is the mean spatial variance of the tracking
+    // spectrogram of the same trial.
+    let case = common::batch::case("count");
+    let spec = device((case.scene)(), case.seed).track(case.duration_s);
+    assert_eq!(
+        offline.expect::<Option<f64>>().map(f64::to_bits),
+        Some(mean_spatial_variance(&spec).to_bits()),
+        "count differs from the spectrogram's spatial variance"
+    );
+}
+
+#[test]
+fn streaming_gesture_decode_is_exact() {
+    assert_batch_invariant("gestures");
+}
+
+#[test]
+fn streaming_imaging_is_bitwise_identical_to_offline() {
+    let derived = assert_batch_invariant("image");
+    // An explicit configuration equal to the derived one round-trips.
+    let case = common::batch::case("image");
+    let cfg = ImageConfig::for_wivi(&WiViConfig::fast_test());
+    let explicit = device((case.scene)(), case.seed).image_with(case.duration_s, &cfg);
+    assert_result_eq(
+        &ModeOutput::new("image", explicit),
+        &derived,
+        "explicit cfg",
+    );
 }
 
 #[test]

@@ -1,30 +1,23 @@
-//! Tracking checks beyond batch invariance (which the mode table in
-//! `streaming_equivalence.rs` covers for `track_targets` like every
-//! other mode): the tracker's window times agree with the spectrogram
-//! read-out, and the crossing scenario yields confirmed, announced
-//! tracks.
+//! Tracking checks: batch invariance of `track_targets` (its row of the
+//! shared table in `common::batch`), the tracker's window times agree
+//! with the spectrogram read-out, and the crossing scenario yields
+//! confirmed, announced tracks.
 
+mod common;
+
+use common::batch::{assert_batch_invariant, crossing_scene};
 use wivi::prelude::*;
-use wivi::rf::Point as P;
 use wivi::track::TrackStatus;
 
-fn crossing_scene() -> Scene {
-    Scene::new(Material::HollowWall6In)
-        .with_office_clutter(Scene::conference_room_small())
-        .with_mover(Mover::human(WaypointWalker::new(
-            vec![P::new(-1.5, 3.8), P::new(0.5, 1.0)],
-            0.8,
-        )))
-        .with_mover(Mover::human(WaypointWalker::new(
-            vec![P::new(0.9, 1.1), P::new(1.6, 3.7)],
-            0.5,
-        )))
+fn device(seed: u64) -> WiViDevice {
+    common::batch::device(crossing_scene(), seed)
 }
 
-fn device(seed: u64) -> WiViDevice {
-    let mut dev = WiViDevice::new(crossing_scene(), WiViConfig::fast_test(), seed);
-    dev.calibrate();
-    dev
+#[test]
+fn streaming_tracking_is_bitwise_identical_to_offline() {
+    // The comparison covers every f64 in every Kalman state, history
+    // point, and event (derived PartialEq compares them all).
+    assert_batch_invariant("track_targets");
 }
 
 #[test]
