@@ -163,7 +163,7 @@ pub fn score_imaging(
             .tracks
             .iter()
             .filter(|t| {
-                t.mirror_of.is_some()
+                t.extra.mirror_of.is_some()
                     && t.history
                         .iter()
                         .any(|p| p.observed.is_some() && p.window >= from)

@@ -19,9 +19,11 @@
 //!   (windowing over a borrowed engine, fixes, position tracking), run
 //!   by the device entry points and the serving engine alike;
 //!   [`StreamingImage`] is the same session with an owned engine.
-//! * [`PositionTracker`] — gated optimal assignment plus per-axis
-//!   constant-velocity Kalman filtering over the fixes, so tracks carry
-//!   `(x, y)` in metres instead of bare angles.
+//! * [`PositionTracker`] — per-axis constant-velocity Kalman filtering
+//!   over the fixes, as a policy over `wivi-track`'s shared track
+//!   lifecycle ([`wivi_track::lifecycle`]), so tracks carry `(x, y)` in
+//!   metres instead of bare angles; a mirror-side vote at the end marks
+//!   conjugate ghost tracks.
 //! * [`ImageThroughWall`] — the device extension:
 //!   `WiViDevice::image{,_streaming}`, both running an
 //!   [`ImageSession`] through `WiViDevice::run_session`.
@@ -37,6 +39,5 @@ pub use device_ext::{nulling_tx_weight, ImageThroughWall};
 pub use engine::{ImageFix, ImagingEngine};
 pub use stage::{ImageSession, ImagingReport, StreamingImage};
 pub use track2d::{
-    PositionTrack, PositionTrackStatus, PositionTracker, PositionTrackerConfig,
-    PositionTrackingSummary,
+    MirrorVote, PositionTrack, PositionTracker, PositionTrackerConfig, PositionTrackingSummary,
 };

@@ -65,11 +65,11 @@ impl ImagingReport {
     }
 
     /// Ids of confirmed tracks the tracker-level mirror-side vote
-    /// marked as conjugate ghosts (see [`PositionTrack::mirror_of`]).
+    /// marked as conjugate ghosts (see [`crate::MirrorVote::mirror_of`]).
     pub fn mirror_ghost_ids(&self) -> Vec<u32> {
         self.tracks
             .iter()
-            .filter(|t| t.mirror_of.is_some())
+            .filter(|t| t.extra.mirror_of.is_some())
             .map(|t| t.id)
             .collect()
     }
@@ -81,7 +81,7 @@ impl ImagingReport {
     /// vote is hindsight only a whole track's history can provide.
     pub fn credible_fixes(&self) -> Vec<Vec<ImageFix>> {
         let mut out = self.fixes.clone();
-        for ghost in self.tracks.iter().filter(|t| t.mirror_of.is_some()) {
+        for ghost in self.tracks.iter().filter(|t| t.extra.mirror_of.is_some()) {
             for p in &ghost.history {
                 let Some(observed) = p.observed else { continue };
                 if let Some(win) = out.get_mut(p.window) {
@@ -373,7 +373,7 @@ mod tests {
         let ghost = report
             .tracks
             .iter()
-            .find(|t| t.mirror_of.is_some())
+            .find(|t| t.extra.mirror_of.is_some())
             .unwrap();
         let dropped = ghost
             .history

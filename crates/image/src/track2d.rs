@@ -1,24 +1,20 @@
 //! Position tracking over per-window image fixes: the imaging
-//! counterpart of `wivi-track`'s angle tracker, built on the same
-//! kernels — gated globally-optimal assignment
-//! ([`wivi_num::solve_assignment`]) and the constant-velocity
-//! [`wivi_num::Kalman2`], one filter per coordinate (the CV model is
-//! separable, so two independent 2-state filters are exactly the 4-state
-//! (x, y, ẋ, ẏ) filter with block-diagonal covariance). Tracks carry
-//! room positions in metres instead of bare angles.
-//!
-//! The lifecycle is the proven subset of the angle tracker's:
-//! `Tentative → Confirmed → Coasting ⇄ Confirmed … → Dead`, with
-//! tentative tracks dying on their first miss and only confirmed tracks
-//! reported. The dominance/continuity announcement veto is *not* carried
-//! over: the CFAR detector already thresholds against local noise, and
-//! mirror ghosts are suppressed at fix extraction.
+//! counterpart of `wivi-track`'s angle tracker, and a second policy over
+//! the same track lifecycle ([`wivi_track::lifecycle`]). Its measurement
+//! model is one constant-velocity [`wivi_num::Kalman2`] per coordinate
+//! (the CV model is separable, so two 2-state filters are exactly the
+//! 4-state (x, y, ẋ, ẏ) filter with block-diagonal covariance), gated in
+//! metres and by the summed per-axis innovation. The policy is the plain
+//! lifecycle — a tentative track dies on its first miss; no
+//! announcement veto, no merging, since the CFAR detector already
+//! thresholds against local noise and mirror ghosts are suppressed at fix
+//! extraction — plus the mirror-side vote at [`PositionTracker::finish`].
 //!
 //! Everything is a pure deterministic function of the fix sequence, so
-//! the streaming tracker is bitwise identical to the offline one — the
-//! same contract every other stage honours.
+//! the streaming tracker is bitwise identical to the offline one.
 
-use wivi_num::{solve_assignment, Kalman2};
+use wivi_num::Kalman2;
+use wivi_track::lifecycle::{Lifecycle, TrackPolicy, TrackRecord, TrackingSummary};
 
 use crate::config::ImageConfig;
 use crate::engine::ImageFix;
@@ -60,7 +56,7 @@ pub struct PositionTrackerConfig {
     /// (0 disables): two confirmed tracks whose per-window positions
     /// reflect each other across the axis within this tolerance form a
     /// mirror pair, and the vote marks the weaker member a ghost (see
-    /// [`PositionTrack::mirror_of`]).
+    /// [`MirrorVote::mirror_of`]).
     pub mirror_vote_tol_m: f64,
 }
 
@@ -131,12 +127,6 @@ impl PositionTrackerConfig {
         }
     }
 
-    /// Centre time of analysis window `k` — the same expression
-    /// [`ImageConfig::window_center_s`] uses.
-    pub fn window_time_s(&self, k: usize) -> f64 {
-        ((k * self.hop) as f64 + self.window_len as f64 / 2.0) * self.sample_period_s
-    }
-
     /// Time between consecutive windows, seconds.
     pub fn window_dt_s(&self) -> f64 {
         self.hop as f64 * self.sample_period_s
@@ -158,19 +148,6 @@ impl PositionTrackerConfig {
     }
 }
 
-/// Lifecycle state of a position track.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum PositionTrackStatus {
-    /// Newborn; dies on its first miss, never reported.
-    Tentative,
-    /// Seen `confirm_hits` windows — a localized person.
-    Confirmed,
-    /// Confirmed but currently unobserved; propagates on prediction.
-    Coasting,
-    /// Exhausted the miss budget.
-    Dead,
-}
-
 /// One window of a position track's trajectory.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct PositionPoint {
@@ -188,25 +165,10 @@ pub struct PositionPoint {
     pub observed: Option<ImageFix>,
 }
 
-/// One target's track through the room.
-#[derive(Clone, Debug, PartialEq)]
-pub struct PositionTrack {
-    /// Stable identity, assigned at birth in spawn order.
-    pub id: u32,
-    /// Window of the first fix.
-    pub born_window: usize,
-    /// Window at which the track reached confirmation, if ever.
-    pub confirmed_window: Option<usize>,
-    /// Window of the most recent fix.
-    pub last_observed_window: usize,
-    pub status: PositionTrackStatus,
-    /// Per-axis Kalman state as of the last processed window.
-    pub kx: Kalman2,
-    pub ky: Kalman2,
-    /// Consecutive windows without a matched fix.
-    pub misses: usize,
-    /// Total windows with a matched fix.
-    pub observed_windows: usize,
+/// The mirror-side vote's verdict on a track: the position policy's
+/// per-track state.
+#[derive(Clone, Copy, Debug, Default, PartialEq)]
+pub struct MirrorVote {
     /// Set by the mirror-side vote at [`PositionTracker::finish`]: the
     /// id of the (stronger) track this one is the conjugate ghost of.
     /// The per-window joint-LS mirror resolution occasionally picks the
@@ -218,72 +180,23 @@ pub struct PositionTrack {
     /// consumers filter with
     /// [`ImagingReport::credible_fixes`](crate::ImagingReport::credible_fixes).
     pub mirror_of: Option<u32>,
-    /// One point per window from birth.
-    pub history: Vec<PositionPoint>,
 }
 
-impl PositionTrack {
-    /// Predicted position, metres.
-    pub fn position(&self) -> (f64, f64) {
-        (self.kx.predicted(), self.ky.predicted())
-    }
-
-    /// Number of windows the track spans.
-    pub fn len(&self) -> usize {
-        self.history.len()
-    }
-
-    /// `true` if the track never recorded a point (not possible for
-    /// reported tracks).
-    pub fn is_empty(&self) -> bool {
-        self.history.is_empty()
-    }
-
-    /// Mean observed position over the track's matched windows.
-    pub fn mean_observed(&self) -> Option<(f64, f64)> {
-        let obs: Vec<&ImageFix> = self
-            .history
-            .iter()
-            .filter_map(|p| p.observed.as_ref())
-            .collect();
-        if obs.is_empty() {
-            return None;
-        }
-        let n = obs.len() as f64;
-        Some((
-            obs.iter().map(|f| f.x_m).sum::<f64>() / n,
-            obs.iter().map(|f| f.y_m).sum::<f64>() / n,
-        ))
-    }
-}
+/// One target's track through the room: the shared lifecycle record
+/// around one [`Kalman2`] per axis (`filter = [x, y]`), with one
+/// [`PositionPoint`] per window and the [`MirrorVote`].
+pub type PositionTrack = TrackRecord<[Kalman2; 2], PositionPoint, MirrorVote>;
 
 /// Everything a position-tracking run produced (the tracker half of the
-/// [`crate::ImagingReport`]).
-#[derive(Clone, Debug, PartialEq)]
-pub struct PositionTrackingSummary {
-    /// Every confirmed track, in id (birth) order.
-    pub tracks: Vec<PositionTrack>,
-    /// Per-window count of confirmed tracks (coasting included).
-    pub confirmed_counts: Vec<usize>,
-    /// Window centre times, seconds.
-    pub times_s: Vec<f64>,
-}
+/// [`crate::ImagingReport`]): every confirmed track in id order, and the
+/// per-window confirmed counts (coasting included) and times.
+pub type PositionTrackingSummary = TrackingSummary<PositionTrack>;
 
 /// The streaming position tracker: feed it each window's fixes, drain
 /// the summary with [`Self::finish`].
 #[derive(Clone, Debug)]
 pub struct PositionTracker {
-    cfg: PositionTrackerConfig,
-    /// Live tracks in birth order (determinism relies on stable order).
-    live: Vec<PositionTrack>,
-    /// Retired tracks that reached confirmation.
-    finished: Vec<PositionTrack>,
-    next_id: u32,
-    window: usize,
-    confirmed_counts: Vec<usize>,
-    times_s: Vec<f64>,
-    /// Scratch: per-track × per-fix gated costs.
-    costs: Vec<Vec<f64>>,
+    core: Lifecycle<PositionTrackerConfig>,
 }
 
 impl PositionTracker {
@@ -294,182 +207,114 @@ impl PositionTracker {
     pub fn new(cfg: PositionTrackerConfig) -> Self {
         cfg.validate();
         Self {
-            cfg,
-            live: Vec::new(),
-            finished: Vec::new(),
-            next_id: 0,
-            window: 0,
-            confirmed_counts: Vec::new(),
-            times_s: Vec::new(),
-            costs: Vec::new(),
+            core: Lifecycle::new(cfg),
         }
     }
 
     /// The configuration.
     pub fn cfg(&self) -> &PositionTrackerConfig {
-        &self.cfg
+        &self.core.policy
     }
 
     /// Windows processed so far.
     pub fn n_windows(&self) -> usize {
-        self.window
+        self.core.n_windows()
     }
 
     /// Live tracks (any status), in birth order.
     pub fn live_tracks(&self) -> &[PositionTrack] {
-        &self.live
+        self.core.live_tracks()
     }
 
     /// Current confirmed-track count (coasting included).
     pub fn confirmed_count(&self) -> usize {
-        *self.confirmed_counts.last().unwrap_or(&0)
+        self.core.confirmed_count()
     }
 
-    /// Processes one window's fixes: predict → associate → update →
-    /// lifecycle → spawn.
+    /// Processes one window's fixes: one lifecycle step.
     pub fn push_fixes(&mut self, fixes: &[ImageFix]) {
-        let w = self.window;
-        let t = self.cfg.window_time_s(w);
-        let dt = self.cfg.window_dt_s();
-        let r = self.cfg.measurement_var;
-
-        // 1. Predict.
-        if w > 0 {
-            for tr in &mut self.live {
-                tr.kx.predict(dt, self.cfg.process_noise);
-                tr.ky.predict(dt, self.cfg.process_noise);
-            }
-        }
-
-        // 2. Associate: gated per-axis NIS sums, optimal assignment,
-        //    misses priced at the gate.
-        self.costs.clear();
-        for tr in &self.live {
-            let row: Vec<f64> = fixes
-                .iter()
-                .map(|f| {
-                    let (px, py) = tr.position();
-                    let dist = (f.x_m - px).hypot(f.y_m - py);
-                    let nis = tr.kx.gate_distance2(f.x_m, r) + tr.ky.gate_distance2(f.y_m, r);
-                    if dist <= self.cfg.gate_m && nis <= self.cfg.gate_nis {
-                        nis
-                    } else {
-                        f64::INFINITY
-                    }
-                })
-                .collect();
-            self.costs.push(row);
-        }
-        let miss = vec![self.cfg.gate_nis; self.live.len()];
-        let assignment = solve_assignment(&self.costs, &miss);
-
-        // 3. Update matched tracks, age unmatched ones.
-        let mut fix_used = vec![false; fixes.len()];
-        let mut retired: Vec<usize> = Vec::new();
-        for (i, tr) in self.live.iter_mut().enumerate() {
-            match assignment.pairing[i] {
-                Some(j) => {
-                    fix_used[j] = true;
-                    tr.kx.update(fixes[j].x_m, r);
-                    tr.ky.update(fixes[j].y_m, r);
-                    tr.misses = 0;
-                    tr.observed_windows += 1;
-                    tr.last_observed_window = w;
-                    if tr.status == PositionTrackStatus::Coasting {
-                        tr.status = PositionTrackStatus::Confirmed;
-                    } else if tr.status == PositionTrackStatus::Tentative
-                        && tr.observed_windows >= self.cfg.confirm_hits
-                    {
-                        tr.status = PositionTrackStatus::Confirmed;
-                        tr.confirmed_window = Some(w);
-                    }
-                    record_position(tr, w, t, Some(fixes[j]));
-                }
-                None => {
-                    tr.misses += 1;
-                    match tr.status {
-                        PositionTrackStatus::Tentative => {
-                            tr.status = PositionTrackStatus::Dead;
-                            retired.push(i);
-                        }
-                        PositionTrackStatus::Confirmed | PositionTrackStatus::Coasting => {
-                            tr.status = PositionTrackStatus::Coasting;
-                            if tr.misses > self.cfg.max_misses {
-                                tr.status = PositionTrackStatus::Dead;
-                                retired.push(i);
-                            } else {
-                                record_position(tr, w, t, None);
-                            }
-                        }
-                        PositionTrackStatus::Dead => unreachable!("dead tracks are retired"),
-                    }
-                }
-            }
-        }
-        for &i in retired.iter().rev() {
-            let tr = self.live.remove(i);
-            if tr.confirmed_window.is_some() {
-                self.finished.push(tr);
-            }
-        }
-
-        // 4. Spawn tentative tracks from unmatched fixes.
-        for (j, f) in fixes.iter().enumerate() {
-            if fix_used[j] {
-                continue;
-            }
-            let kx = Kalman2::from_observation(f.x_m, self.cfg.init_pos_var, self.cfg.init_vel_var);
-            let ky = Kalman2::from_observation(f.y_m, self.cfg.init_pos_var, self.cfg.init_vel_var);
-            let confirmed = self.cfg.confirm_hits == 1;
-            let mut tr = PositionTrack {
-                id: self.next_id,
-                born_window: w,
-                confirmed_window: confirmed.then_some(w),
-                last_observed_window: w,
-                status: if confirmed {
-                    PositionTrackStatus::Confirmed
-                } else {
-                    PositionTrackStatus::Tentative
-                },
-                kx,
-                ky,
-                misses: 0,
-                observed_windows: 1,
-                mirror_of: None,
-                history: Vec::new(),
-            };
-            record_position(&mut tr, w, t, Some(*f));
-            self.next_id += 1;
-            self.live.push(tr);
-        }
-
-        // 5. Bookkeeping.
-        let count = self
-            .live
-            .iter()
-            .filter(|tr| tr.confirmed_window.is_some())
-            .count();
-        self.confirmed_counts.push(count);
-        self.times_s.push(t);
-        self.window += 1;
+        self.core.step(fixes);
     }
 
     /// Finalizes the run: confirmed tracks only, id order, with the
     /// mirror-side vote annotating conjugate ghosts; tracks alive at
     /// the end keep their final status.
-    pub fn finish(mut self) -> PositionTrackingSummary {
-        let mut tracks = std::mem::take(&mut self.finished);
-        for tr in self.live {
-            if tr.confirmed_window.is_some() {
-                tracks.push(tr);
-            }
+    pub fn finish(self) -> PositionTrackingSummary {
+        let (cfg, mut summary) = self.core.finish();
+        vote_mirror_sides(&mut summary.tracks, &cfg);
+        summary
+    }
+}
+
+/// The configuration is the whole position policy: the per-axis
+/// measurement model over the plain lifecycle (no tentative allowance,
+/// no veto, no merging).
+impl TrackPolicy for PositionTrackerConfig {
+    type Measurement = ImageFix;
+    type Filter = [Kalman2; 2];
+    type Point = PositionPoint;
+    type Extra = MirrorVote;
+
+    fn confirm_hits(&self) -> usize {
+        self.confirm_hits
+    }
+
+    fn max_misses(&self) -> usize {
+        self.max_misses
+    }
+
+    /// The same expression [`ImageConfig::window_center_s`] uses.
+    fn window_time_s(&self, k: usize) -> f64 {
+        ((k * self.hop) as f64 + self.window_len as f64 / 2.0) * self.sample_period_s
+    }
+
+    fn init(&self, f: &ImageFix) -> [Kalman2; 2] {
+        [f.x_m, f.y_m].map(|z| Kalman2::from_observation(z, self.init_pos_var, self.init_vel_var))
+    }
+
+    fn predict(&self, [kx, ky]: &mut [Kalman2; 2]) {
+        kx.predict(self.window_dt_s(), self.process_noise);
+        ky.predict(self.window_dt_s(), self.process_noise);
+    }
+
+    /// The summed per-axis normalized innovation, inside both the hard
+    /// distance gate and the statistical gate.
+    fn cost(&self, [kx, ky]: &[Kalman2; 2], f: &ImageFix) -> f64 {
+        let r = self.measurement_var;
+        let dist = (f.x_m - kx.predicted()).hypot(f.y_m - ky.predicted());
+        let nis = kx.gate_distance2(f.x_m, r) + ky.gate_distance2(f.y_m, r);
+        if dist <= self.gate_m && nis <= self.gate_nis {
+            nis
+        } else {
+            f64::INFINITY
         }
-        tracks.sort_by_key(|t| t.id);
-        vote_mirror_sides(&mut tracks, &self.cfg);
-        PositionTrackingSummary {
-            tracks,
-            confirmed_counts: self.confirmed_counts,
-            times_s: self.times_s,
+    }
+
+    fn miss_cost(&self) -> f64 {
+        self.gate_nis
+    }
+
+    fn update(&self, [kx, ky]: &mut [Kalman2; 2], f: &ImageFix) {
+        kx.update(f.x_m, self.measurement_var);
+        ky.update(f.y_m, self.measurement_var);
+    }
+
+    fn point(
+        &mut self,
+        tr: &PositionTrack,
+        window: usize,
+        time_s: f64,
+        f: Option<&ImageFix>,
+    ) -> PositionPoint {
+        let [kx, ky] = &tr.filter;
+        PositionPoint {
+            window,
+            time_s,
+            x_m: kx.predicted(),
+            y_m: ky.predicted(),
+            vx: kx.velocity(),
+            vy: ky.velocity(),
+            observed: f.copied(),
         }
     }
 }
@@ -484,7 +329,7 @@ impl PositionTracker {
 /// for the ghost (it is fed only by the resolution's error windows)
 /// while the real target's track is fed consistently — so the member
 /// holding a clear fix majority (`observed_windows`, ≥ 2×) is real and
-/// the other is marked [`PositionTrack::mirror_of`] it. A pair without
+/// the other is marked [`MirrorVote::mirror_of`] it. A pair without
 /// that dominance — e.g. two genuinely mirror-symmetric subjects — is
 /// left alone. Pure function of the track set, so serving stays
 /// bitwise identical to standalone.
@@ -498,7 +343,7 @@ fn vote_mirror_sides(tracks: &mut [PositionTrack], cfg: &PositionTrackerConfig) 
         for j in (i + 1)..tracks.len() {
             // A track already voted a ghost cannot claim others (its
             // mirror is the real target it shadows).
-            if tracks[i].mirror_of.is_some() || tracks[j].mirror_of.is_some() {
+            if tracks[i].extra.mirror_of.is_some() || tracks[j].extra.mirror_of.is_some() {
                 continue;
             }
             // Only a clearly weaker partner can be a ghost: error
@@ -544,27 +389,15 @@ fn vote_mirror_sides(tracks: &mut [PositionTrack], cfg: &PositionTrackerConfig) 
             {
                 continue;
             }
-            tracks[ghost].mirror_of = Some(tracks[real].id);
+            tracks[ghost].extra.mirror_of = Some(tracks[real].id);
         }
     }
-}
-
-/// Appends one window to `tr`'s history.
-fn record_position(tr: &mut PositionTrack, w: usize, t: f64, observed: Option<ImageFix>) {
-    tr.history.push(PositionPoint {
-        window: w,
-        time_s: t,
-        x_m: tr.kx.predicted(),
-        y_m: tr.ky.predicted(),
-        vx: tr.kx.velocity(),
-        vy: tr.ky.velocity(),
-        observed,
-    });
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use wivi_track::TrackStatus;
 
     fn cfg() -> PositionTrackerConfig {
         PositionTrackerConfig::for_image(&ImageConfig::fast_test())
@@ -585,7 +418,7 @@ mod tests {
     fn steady_subject_confirms_and_tracks() {
         let mut tk = PositionTracker::new(cfg());
         for k in 0..8 {
-            let t = k as f64 * tk.cfg.window_dt_s();
+            let t = k as f64 * tk.cfg().window_dt_s();
             tk.push_fixes(&[fix(-1.0 + 0.8 * t, 2.5)]);
         }
         assert_eq!(tk.confirmed_count(), 1);
@@ -596,11 +429,11 @@ mod tests {
         assert!(tr.confirmed_window.is_some());
         // Velocity learned ≈ (0.8, 0) m/s.
         assert!(
-            (tr.kx.velocity() - 0.8).abs() < 0.3,
+            (tr.filter[0].velocity() - 0.8).abs() < 0.3,
             "vx {}",
-            tr.kx.velocity()
+            tr.filter[0].velocity()
         );
-        assert!(tr.ky.velocity().abs() < 0.3);
+        assert!(tr.filter[1].velocity().abs() < 0.3);
         assert_eq!(s.confirmed_counts.len(), 8);
         assert_eq!(s.times_s.len(), 8);
     }
@@ -621,7 +454,7 @@ mod tests {
     fn two_subjects_keep_identities_through_parallel_motion() {
         let mut tk = PositionTracker::new(cfg());
         for k in 0..10 {
-            let t = k as f64 * tk.cfg.window_dt_s();
+            let t = k as f64 * tk.cfg().window_dt_s();
             tk.push_fixes(&[fix(-2.0 + 0.9 * t, 1.5), fix(2.0 - 0.9 * t, 3.5)]);
         }
         let s = tk.finish();
@@ -642,7 +475,7 @@ mod tests {
         assert_eq!(*s.confirmed_counts.last().unwrap(), 2);
         // Different lanes (Δy well past the tolerance): two real
         // subjects, the mirror vote must not touch them.
-        assert!(s.tracks.iter().all(|t| t.mirror_of.is_none()));
+        assert!(s.tracks.iter().all(|t| t.extra.mirror_of.is_none()));
     }
 
     #[test]
@@ -654,7 +487,7 @@ mod tests {
         // window-for-window but holds fewer observations — the vote
         // must mark it, and only it.
         let mut tk = PositionTracker::new(cfg());
-        let dt = tk.cfg.window_dt_s();
+        let dt = tk.cfg().window_dt_s();
         for k in 0..10 {
             let t = k as f64 * dt;
             let x = -2.0 + 0.8 * t;
@@ -668,9 +501,9 @@ mod tests {
         assert_eq!(s.tracks.len(), 2);
         let real = s.tracks.iter().max_by_key(|t| t.observed_windows).unwrap();
         let ghost = s.tracks.iter().min_by_key(|t| t.observed_windows).unwrap();
-        assert!(real.mirror_of.is_none(), "real track voted a ghost");
+        assert!(real.extra.mirror_of.is_none(), "real track voted a ghost");
         assert_eq!(
-            ghost.mirror_of,
+            ghost.extra.mirror_of,
             Some(real.id),
             "ghost not attributed to its real twin"
         );
@@ -686,7 +519,7 @@ mod tests {
             tk.push_fixes(&[fix(x, 2.0), fix(-x, 2.0)]);
         }
         let s = tk.finish();
-        assert!(s.tracks.iter().all(|t| t.mirror_of.is_none()));
+        assert!(s.tracks.iter().all(|t| t.extra.mirror_of.is_none()));
     }
 
     #[test]
@@ -700,15 +533,34 @@ mod tests {
         tk.push_fixes(&[]);
         assert_eq!(tk.confirmed_count(), 1);
         tk.push_fixes(&[fix(1.0, 2.0)]);
-        assert_eq!(tk.live_tracks()[0].status, PositionTrackStatus::Confirmed);
+        assert_eq!(tk.live_tracks()[0].status, TrackStatus::Confirmed);
         // Now exhaust the miss budget.
-        for _ in 0..(tk.cfg.max_misses + 1) {
+        for _ in 0..(tk.cfg().max_misses + 1) {
             tk.push_fixes(&[]);
         }
         assert_eq!(tk.confirmed_count(), 0);
         let s = tk.finish();
         assert_eq!(s.tracks.len(), 1, "confirmed track must still be reported");
-        assert_eq!(s.tracks[0].status, PositionTrackStatus::Dead);
+        assert_eq!(s.tracks[0].status, TrackStatus::Dead);
+    }
+
+    #[test]
+    fn confirm_hits_one_confirms_and_counts_at_birth() {
+        let mut c = cfg();
+        c.confirm_hits = 1;
+        let mut tk = PositionTracker::new(c);
+        tk.push_fixes(&[fix(1.0, 2.0)]);
+        let tr = &tk.live_tracks()[0];
+        assert_eq!(tr.status, TrackStatus::Confirmed);
+        assert_eq!(tr.confirmed_window, Some(tr.born_window));
+        assert_eq!(tk.confirmed_count(), 1, "not counted in its birth window");
+        // One window is enough to be reported; the lone miss after it
+        // coasts, it does not kill.
+        tk.push_fixes(&[]);
+        let s = tk.finish();
+        assert_eq!(s.confirmed_counts, vec![1, 1]);
+        assert_eq!(s.tracks.len(), 1);
+        assert_eq!(s.tracks[0].status, TrackStatus::Coasting);
     }
 
     #[test]

@@ -57,7 +57,7 @@ impl std::fmt::Display for Diag {
 /// A parsed `wivi-lint: allow(...)` comment.
 #[derive(Clone, Debug)]
 pub struct Suppression {
-    /// The rule being allowed (always one of [`rules::RULES`] once the
+    /// The rule being allowed (always one of [`rules::RULE_IDS`] once the
     /// L-series checks pass).
     pub rule: String,
     /// Line the comment sits on; it covers this line and the next.

@@ -30,9 +30,11 @@ pub struct Assignment {
 
 /// Solves the rectangular min-cost assignment exactly.
 ///
-/// `costs` is row-major `n_rows × n_cols`; `costs[i][j] = INFINITY`
+/// `costs` is the row-major `n_rows × n_cols` cost matrix, flattened
+/// (`costs[i * n_cols + j]`), so a caller can refill one buffer every
+/// call; `n_cols` is `costs.len() / n_rows`. A cost of `INFINITY`
 /// forbids the pairing. Each row is assigned to at most one column and
-/// vice versa; a row left unassigned contributes `miss_cost[i]`. Columns
+/// vice versa; a row left unassigned contributes `miss_cost`. Columns
 /// may also remain unused at no cost (unmatched detections are the
 /// tracker's job to handle, not the solver's).
 ///
@@ -40,38 +42,36 @@ pub struct Assignment {
 /// feasible column index), so the solver is reproducible bit-for-bit.
 ///
 /// # Panics
-/// Panics if `n_cols > `[`MAX_COLS`], if row lengths are inconsistent, or
-/// if `miss_cost.len() != n_rows`.
-pub fn solve_assignment(costs: &[Vec<f64>], miss_cost: &[f64]) -> Assignment {
-    let n_rows = costs.len();
-    let n_cols = costs.first().map_or(0, Vec::len);
+/// Panics if `n_cols > `[`MAX_COLS`], or if `costs.len()` is not a
+/// multiple of `n_rows` (or is non-empty with `n_rows == 0`).
+pub fn solve_assignment(costs: &[f64], n_rows: usize, miss_cost: f64) -> Assignment {
+    let n_cols = if n_rows == 0 {
+        assert!(costs.is_empty(), "costs given for zero rows");
+        0
+    } else {
+        assert_eq!(costs.len() % n_rows, 0, "ragged cost matrix");
+        costs.len() / n_rows
+    };
     assert!(
         n_cols <= MAX_COLS,
         "assignment supports at most {MAX_COLS} columns"
     );
-    assert_eq!(miss_cost.len(), n_rows, "one miss cost per row");
-    for row in costs {
-        assert_eq!(row.len(), n_cols, "ragged cost matrix");
-    }
 
     let n_masks = 1usize << n_cols;
     // dp[mask] after processing rows i..n_rows given `mask` columns already
     // used. Filled backwards from the last row.
     let mut dp = vec![0.0f64; n_masks];
     let mut next = vec![0.0f64; n_masks];
-    // choice[i][mask]: column picked by row i (u8::MAX = miss).
-    let mut choice = vec![vec![u8::MAX; n_masks]; n_rows];
+    // choice[i * n_masks + mask]: column picked by row i (u8::MAX = miss).
+    let mut choice = vec![u8::MAX; n_rows * n_masks];
 
     for i in (0..n_rows).rev() {
+        let row = &costs[i * n_cols..(i + 1) * n_cols];
         for mask in 0..n_masks {
-            let mut best = miss_cost[i] + next[mask];
+            let mut best = miss_cost + next[mask];
             let mut pick = u8::MAX;
-            for j in 0..n_cols {
-                if mask & (1 << j) != 0 {
-                    continue;
-                }
-                let c = costs[i][j];
-                if !c.is_finite() {
+            for (j, &c) in row.iter().enumerate() {
+                if mask & (1 << j) != 0 || !c.is_finite() {
                     continue;
                 }
                 let cand = c + next[mask | (1 << j)];
@@ -81,7 +81,7 @@ pub fn solve_assignment(costs: &[Vec<f64>], miss_cost: &[f64]) -> Assignment {
                 }
             }
             dp[mask] = best;
-            choice[i][mask] = pick;
+            choice[i * n_masks + mask] = pick;
         }
         std::mem::swap(&mut dp, &mut next);
     }
@@ -90,7 +90,7 @@ pub fn solve_assignment(costs: &[Vec<f64>], miss_cost: &[f64]) -> Assignment {
     let total_cost = if n_rows == 0 { 0.0 } else { next[0] };
     let mut pairing = Vec::with_capacity(n_rows);
     let mut mask = 0usize;
-    for row_choice in &choice {
+    for row_choice in choice.chunks_exact(n_masks) {
         match row_choice[mask] {
             u8::MAX => pairing.push(None),
             j => {
@@ -109,17 +109,25 @@ pub fn solve_assignment(costs: &[Vec<f64>], miss_cost: &[f64]) -> Assignment {
 mod tests {
     use super::*;
 
+    const INF: f64 = f64::INFINITY;
+
     #[test]
     fn empty_problem() {
-        let a = solve_assignment(&[], &[]);
+        let a = solve_assignment(&[], 0, 0.0);
         assert!(a.pairing.is_empty());
         assert_eq!(a.total_cost, 0.0);
     }
 
     #[test]
+    fn rows_without_columns_all_miss() {
+        let a = solve_assignment(&[], 3, 2.0);
+        assert_eq!(a.pairing, vec![None, None, None]);
+        assert_eq!(a.total_cost, 6.0);
+    }
+
+    #[test]
     fn one_to_one_diagonal() {
-        let costs = vec![vec![1.0, 9.0], vec![9.0, 1.0]];
-        let a = solve_assignment(&costs, &[100.0, 100.0]);
+        let a = solve_assignment(&[1.0, 9.0, 9.0, 1.0], 2, 100.0);
         assert_eq!(a.pairing, vec![Some(0), Some(1)]);
         assert_eq!(a.total_cost, 2.0);
     }
@@ -128,39 +136,34 @@ mod tests {
     fn global_optimum_beats_greedy() {
         // Greedy gives row 0 its best column (0 at cost 1), forcing row 1
         // to cost 10; the optimum swaps: 2 + 2 = 4.
-        let costs = vec![vec![1.0, 2.0], vec![2.0, 10.0]];
-        let a = solve_assignment(&costs, &[100.0, 100.0]);
+        let a = solve_assignment(&[1.0, 2.0, 2.0, 10.0], 2, 100.0);
         assert_eq!(a.pairing, vec![Some(1), Some(0)]);
         assert_eq!(a.total_cost, 4.0);
     }
 
     #[test]
     fn miss_cost_drops_expensive_rows() {
-        let costs = vec![vec![50.0], vec![1.0]];
-        let a = solve_assignment(&costs, &[5.0, 5.0]);
+        let a = solve_assignment(&[50.0, 1.0], 2, 5.0);
         assert_eq!(a.pairing, vec![None, Some(0)]);
         assert_eq!(a.total_cost, 6.0);
     }
 
     #[test]
     fn infinite_cost_forbids_pairing() {
-        let costs = vec![vec![f64::INFINITY, 3.0]];
-        let a = solve_assignment(&costs, &[10.0]);
+        let a = solve_assignment(&[INF, 3.0], 1, 10.0);
         assert_eq!(a.pairing, vec![Some(1)]);
     }
 
     #[test]
     fn all_forbidden_means_all_missed() {
-        let costs = vec![vec![f64::INFINITY; 2]; 2];
-        let a = solve_assignment(&costs, &[1.0, 2.0]);
+        let a = solve_assignment(&[INF; 4], 2, 1.5);
         assert_eq!(a.pairing, vec![None, None]);
         assert_eq!(a.total_cost, 3.0);
     }
 
     #[test]
     fn more_rows_than_columns() {
-        let costs = vec![vec![1.0], vec![2.0], vec![3.0]];
-        let a = solve_assignment(&costs, &[10.0, 10.0, 10.0]);
+        let a = solve_assignment(&[1.0, 2.0, 3.0], 3, 10.0);
         assert_eq!(a.pairing, vec![Some(0), None, None]);
         assert_eq!(a.total_cost, 21.0);
     }
@@ -168,6 +171,6 @@ mod tests {
     #[test]
     #[should_panic(expected = "ragged")]
     fn ragged_matrix_panics() {
-        let _ = solve_assignment(&[vec![1.0, 2.0], vec![1.0]], &[0.0, 0.0]);
+        let _ = solve_assignment(&[1.0, 2.0, 1.0], 2, 0.0);
     }
 }

@@ -155,7 +155,7 @@ fn cdf_bounds_and_monotonicity() {
 
 /// Brute-force optimal assignment: enumerate every per-row choice
 /// (a column or a miss), reject column collisions, take the minimum.
-fn brute_force_assignment(costs: &[Vec<f64>], miss: &[f64]) -> f64 {
+fn brute_force_assignment(costs: &[Vec<f64>], miss: f64) -> f64 {
     let n_rows = costs.len();
     let n_cols = costs.first().map_or(0, Vec::len);
     let mut best = f64::INFINITY;
@@ -166,18 +166,18 @@ fn brute_force_assignment(costs: &[Vec<f64>], miss: &[f64]) -> f64 {
         let mut used = 0u32;
         let mut cost = 0.0;
         let mut ok = true;
-        for i in 0..n_rows {
+        for row in costs {
             let pick = (c % (n_cols as u64 + 1)) as usize;
             c /= n_cols as u64 + 1;
             if pick == n_cols {
-                cost += miss[i];
+                cost += miss;
             } else {
                 if used & (1 << pick) != 0 {
                     ok = false;
                     break;
                 }
                 used |= 1 << pick;
-                cost += costs[i][pick];
+                cost += row[pick];
             }
         }
         if ok && cost < best {
@@ -207,10 +207,10 @@ fn assignment_solver_matches_brute_force() {
                     .collect()
             })
             .collect();
-        let miss: Vec<f64> = (0..n_rows).map(|_| rng.gen_range(0.0, 10.0)).collect();
+        let miss = rng.gen_range(0.0, 10.0);
 
-        let solved = wivi_num::solve_assignment(&costs, &miss);
-        let brute = brute_force_assignment(&costs, &miss);
+        let solved = wivi_num::solve_assignment(&costs.concat(), n_rows, miss);
+        let brute = brute_force_assignment(&costs, miss);
         assert!(
             (solved.total_cost - brute).abs() < 1e-9,
             "case {case}: solver {} vs brute force {brute} ({costs:?}, miss {miss:?})",
@@ -223,7 +223,7 @@ fn assignment_solver_matches_brute_force() {
         let mut replay = 0.0;
         for (i, p) in solved.pairing.iter().enumerate() {
             match p {
-                None => replay += miss[i],
+                None => replay += miss,
                 Some(j) => {
                     assert!(!used[*j], "case {case}: column {j} assigned twice");
                     assert!(costs[i][*j].is_finite(), "case {case}: gated pairing used");

@@ -64,7 +64,7 @@
 
 use wivi_core::gesture::GestureDecode;
 use wivi_core::AngleSpectrogram;
-use wivi_image::{ImageFix, ImagingReport, PositionTrack, PositionTrackStatus};
+use wivi_image::{ImageFix, ImagingReport, PositionTrack};
 use wivi_num::Kalman2;
 use wivi_track::{EventKind, TrackEvent, TrackStatus, TrackingReport};
 
@@ -469,21 +469,12 @@ fn put_kalman2(buf: &mut Vec<u8>, k: &Kalman2) {
     }
 }
 
-fn track_status_tag(s: TrackStatus) -> u8 {
+fn status_tag(s: TrackStatus) -> u8 {
     match s {
         TrackStatus::Tentative => 0,
         TrackStatus::Confirmed => 1,
         TrackStatus::Coasting => 2,
         TrackStatus::Dead => 3,
-    }
-}
-
-fn position_status_tag(s: PositionTrackStatus) -> u8 {
-    match s {
-        PositionTrackStatus::Tentative => 0,
-        PositionTrackStatus::Confirmed => 1,
-        PositionTrackStatus::Coasting => 2,
-        PositionTrackStatus::Dead => 3,
     }
 }
 
@@ -503,13 +494,13 @@ fn put_tracking_report(buf: &mut Vec<u8>, r: &TrackingReport) {
         put_usize(buf, t.born_window);
         put_opt_u64(buf, t.confirmed_window.map(|w| w as u64));
         put_usize(buf, t.last_observed_window);
-        put_u8(buf, track_status_tag(t.status));
-        put_kalman2(buf, &t.kf);
-        put_usize(buf, t.hits);
+        put_u8(buf, status_tag(t.status));
+        put_kalman2(buf, &t.filter);
+        put_usize(buf, t.observed_windows); // the retired `hits` slot
         put_usize(buf, t.misses);
         put_usize(buf, t.observed_windows);
-        put_usize(buf, t.led_windows);
-        put_f64s(buf, &t.recent_gaps_db);
+        put_usize(buf, t.extra.led_windows);
+        put_f64s(buf, &t.extra.recent_gaps_db);
         put_bool(buf, t.announced);
         put_len(buf, t.history.len());
         for p in &t.history {
@@ -566,12 +557,11 @@ fn put_position_track(buf: &mut Vec<u8>, t: &PositionTrack) {
     put_usize(buf, t.born_window);
     put_opt_u64(buf, t.confirmed_window.map(|w| w as u64));
     put_usize(buf, t.last_observed_window);
-    put_u8(buf, position_status_tag(t.status));
-    put_kalman2(buf, &t.kx);
-    put_kalman2(buf, &t.ky);
+    put_u8(buf, status_tag(t.status));
+    t.filter.iter().for_each(|k| put_kalman2(buf, k));
     put_usize(buf, t.misses);
     put_usize(buf, t.observed_windows);
-    match t.mirror_of {
+    match t.extra.mirror_of {
         Some(m) => {
             put_u8(buf, 1);
             put_u32(buf, m);

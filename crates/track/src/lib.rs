@@ -10,10 +10,11 @@
 //! * [`detect`] — per-window ridge-peak detection (sub-bin parabolic
 //!   interpolation over the same dB threshold and DC guard the counter
 //!   uses).
-//! * [`tracker`] — gated, globally-optimal data association
-//!   ([`wivi_num::solve_assignment`]), per-track constant-velocity
-//!   Kalman filters ([`wivi_num::Kalman2`]), and the tentative →
-//!   confirmed → coasting → dead lifecycle.
+//! * [`lifecycle`] — the track lifecycle every tracker shares: gated,
+//!   globally-optimal association ([`wivi_num::solve_assignment`]),
+//!   Kalman filtering, and tentative → confirmed → coasting → dead aging.
+//! * [`tracker`] — the angle tracker, a [`TrackPolicy`] over that core
+//!   with `(θ, θ̇)` Kalman filters, the announcement veto and merging.
 //! * [`events`] — entry/exit, DC-line crossings, count changes, and
 //!   per-track gesture attribution.
 //! * [`device_ext`] — [`TrackTargetsSession`], the mode's one
@@ -41,12 +42,14 @@
 pub mod detect;
 pub mod device_ext;
 pub mod events;
+pub mod lifecycle;
 pub mod tracker;
 
 pub use detect::{detect_column, Detection, DetectorConfig};
 pub use device_ext::{TrackTargets, TrackTargetsSession};
 pub use events::{EventKind, TrackEvent};
+pub use lifecycle::{Lifecycle, TrackPolicy, TrackRecord, TrackStatus, TrackingSummary};
 pub use tracker::{
-    track_spectrogram, MultiTargetTracker, Track, TrackPoint, TrackStatus, TrackerConfig,
+    track_spectrogram, Dominance, MultiTargetTracker, Track, TrackPoint, TrackerConfig,
     TrackingReport,
 };

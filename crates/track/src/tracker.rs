@@ -1,26 +1,14 @@
-//! The multi-target tracker: detections → tracks → events.
+//! The multi-target angle tracker: detections → tracks → events.
 //!
-//! Per spectrogram column (one analysis window) the tracker runs the
-//! classic detect–associate–filter cycle:
-//!
-//! 1. **Predict** every live track's `(θ, θ̇)` Kalman state forward one
-//!    window ([`wivi_num::Kalman2`], constant-velocity model).
-//! 2. **Detect** ridge peaks in the new column
-//!    ([`crate::detect::detect_column`]).
-//! 3. **Associate** detections to tracks by solving the *globally
-//!    optimal* assignment over gated Mahalanobis distances
-//!    ([`wivi_num::solve_assignment`]) — greedy nearest-neighbour swaps
-//!    identities exactly when two ridges cross; the optimal assignment
-//!    does not.
-//! 4. **Update** matched tracks, coast unmatched confirmed tracks
-//!    through fades (a body crossing the DC guard emits no detections
-//!    for several windows), spawn tentative tracks from unmatched
-//!    detections, and retire tracks that exhaust their miss budget.
-//!
-//! Track lifecycle: `Tentative → Confirmed → Coasting ⇄ Confirmed … →
-//! Dead`. Tentative tracks die on their first miss and are never
-//! reported — MUSIC grass occasionally clears the ridge threshold for a
-//! single window, and one-window tracks are noise, not people.
+//! Per spectrogram column (one analysis window) the tracker detects the
+//! column's ridge peaks ([`crate::detect::detect_column`]) and runs one
+//! step of the shared track lifecycle ([`crate::lifecycle`]) over them,
+//! with a constant-velocity `(θ, θ̇)` [`wivi_num::Kalman2`] per track.
+//! This module is the angle policy over that core. It adds the tentative
+//! allowance ([`TrackerConfig::tentative_misses`]; one-window tracks are
+//! MUSIC grass, never people), the announcement veto
+//! ([`TrackerConfig::dominance_lead_fraction`]), merging of converged
+//! duplicates, and entry, exit, DC-line crossing and count-change events.
 //!
 //! Everything here is a pure deterministic function of the column
 //! sequence, so the tracker's output never depends on how the
@@ -29,10 +17,11 @@
 use wivi_core::gesture::DetectedGesture;
 use wivi_core::music::MusicConfig;
 use wivi_core::spectrogram::AngleSpectrogram;
-use wivi_num::{solve_assignment, Kalman2};
+use wivi_num::Kalman2;
 
-use crate::detect::{detect_column, DetectorConfig};
+use crate::detect::{detect_column, Detection, DetectorConfig};
 use crate::events::{EventKind, TrackEvent};
+use crate::lifecycle::{Lifecycle, TrackPolicy, TrackRecord};
 
 /// Tracker tuning.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -175,20 +164,6 @@ impl TrackerConfig {
 /// over (see [`TrackerConfig::dominance_mean_gap_db`]).
 pub const DOMINANCE_GAP_WINDOW: usize = 8;
 
-/// Lifecycle state of a track.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum TrackStatus {
-    /// Newborn; dies on its first miss, never reported.
-    Tentative,
-    /// Seen `confirm_hits` consecutive windows — a person.
-    Confirmed,
-    /// Confirmed but currently unobserved (ridge fade, DC-guard
-    /// crossing); propagates on prediction alone.
-    Coasting,
-    /// Exhausted the miss budget.
-    Dead,
-}
-
 /// One window of a track's trajectory.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct TrackPoint {
@@ -204,26 +179,10 @@ pub struct TrackPoint {
     pub observed: Option<f64>,
 }
 
-/// One target's track through the spectrogram.
-#[derive(Clone, Debug, PartialEq)]
-pub struct Track {
-    /// Stable identity, assigned at birth in spawn order.
-    pub id: u32,
-    /// Window of the first detection.
-    pub born_window: usize,
-    /// Window at which the track reached confirmation, if it ever did.
-    pub confirmed_window: Option<usize>,
-    /// Window of the most recent detection.
-    pub last_observed_window: usize,
-    pub status: TrackStatus,
-    /// The Kalman state as of the last processed window.
-    pub kf: Kalman2,
-    /// Consecutive windows with a matched detection.
-    pub hits: usize,
-    /// Consecutive windows without one.
-    pub misses: usize,
-    /// Total windows with a matched detection.
-    pub observed_windows: usize,
+/// The angle policy's per-track state: the evidence the announcement
+/// veto accumulates (see [`TrackerConfig::dominance_lead_fraction`]).
+#[derive(Clone, Copy, Debug, Default, PartialEq)]
+pub struct Dominance {
     /// Windows in which this track's detection was its column's
     /// strongest.
     pub led_windows: usize,
@@ -231,33 +190,14 @@ pub struct Track {
     /// strongest detection (ring buffer; only the first
     /// `min(observed_windows, DOMINANCE_GAP_WINDOW)` entries are live).
     pub recent_gaps_db: [f64; DOMINANCE_GAP_WINDOW],
-    /// Whether the track has passed the dominance veto and entered the
-    /// event stream / count (see
-    /// [`TrackerConfig::dominance_lead_fraction`]). Monotone.
-    pub announced: bool,
-    /// One point per window from birth to death (or to the end of the
-    /// trace): `history[k]` is window `born_window + k`.
-    pub history: Vec<TrackPoint>,
 }
 
+/// One target's track through the spectrogram: the shared lifecycle
+/// record around a `(θ, θ̇)` [`Kalman2`], with one [`TrackPoint`] per
+/// window and the [`Dominance`] evidence.
+pub type Track = TrackRecord<Kalman2, TrackPoint, Dominance>;
+
 impl Track {
-    /// The track's point at absolute window `w`, if the track spans it.
-    pub fn point_at(&self, w: usize) -> Option<&TrackPoint> {
-        w.checked_sub(self.born_window)
-            .and_then(|k| self.history.get(k))
-    }
-
-    /// Number of windows the track spans.
-    pub fn len(&self) -> usize {
-        self.history.len()
-    }
-
-    /// `true` if the track never recorded a point (not possible for
-    /// reported tracks; included for completeness).
-    pub fn is_empty(&self) -> bool {
-        self.history.is_empty()
-    }
-
     /// The dominance test (see
     /// [`TrackerConfig::dominance_lead_fraction`]): led often enough, or
     /// recently close enough to the leader on average.
@@ -269,13 +209,12 @@ impl Track {
         // free lead whenever its source body's ridge fades for a single
         // window, and one lead over a young track's few observations
         // would clear any sensible fraction.
-        if self.led_windows >= 2
-            && self.led_windows as f64 >= cfg.dominance_lead_fraction * self.observed_windows as f64
-        {
+        let led = self.extra.led_windows;
+        if led >= 2 && led as f64 >= cfg.dominance_lead_fraction * self.observed_windows as f64 {
             return true;
         }
         let n = self.observed_windows.min(DOMINANCE_GAP_WINDOW);
-        let recent: f64 = self.recent_gaps_db[..n].iter().sum();
+        let recent: f64 = self.extra.recent_gaps_db[..n].iter().sum();
         recent <= cfg.dominance_mean_gap_db * n as f64
     }
 
@@ -399,19 +338,7 @@ impl TrackingReport {
 /// the [`TrackingReport`] with [`Self::finish`].
 #[derive(Clone, Debug)]
 pub struct MultiTargetTracker {
-    cfg: TrackerConfig,
-    /// Live tracks in birth order (determinism depends on stable order).
-    live: Vec<Track>,
-    /// Retired tracks that reached confirmation.
-    finished: Vec<Track>,
-    next_id: u32,
-    window: usize,
-    events: Vec<TrackEvent>,
-    confirmed_counts: Vec<usize>,
-    times_s: Vec<f64>,
-    last_count: usize,
-    /// Scratch: per-live-track × per-detection gated costs.
-    costs: Vec<Vec<f64>>,
+    core: Lifecycle<AnglePolicy>,
 }
 
 impl MultiTargetTracker {
@@ -422,294 +349,60 @@ impl MultiTargetTracker {
     pub fn new(cfg: TrackerConfig) -> Self {
         cfg.validate();
         Self {
-            cfg,
-            live: Vec::new(),
-            finished: Vec::new(),
-            next_id: 0,
-            window: 0,
-            events: Vec::new(),
-            confirmed_counts: Vec::new(),
-            times_s: Vec::new(),
-            last_count: 0,
-            costs: Vec::new(),
+            core: Lifecycle::new(AnglePolicy {
+                cfg,
+                col_max_db: f64::NEG_INFINITY,
+                events: Vec::new(),
+            }),
         }
     }
 
     /// The configuration.
     pub fn cfg(&self) -> &TrackerConfig {
-        &self.cfg
+        &self.core.policy.cfg
     }
 
     /// Windows processed so far.
     pub fn n_windows(&self) -> usize {
-        self.window
+        self.core.n_windows()
     }
 
     /// Live tracks (any status), in birth order.
     pub fn live_tracks(&self) -> &[Track] {
-        &self.live
+        self.core.live_tracks()
     }
 
     /// Current confirmed-track count (coasting included).
     pub fn confirmed_count(&self) -> usize {
-        self.last_count
+        self.core.confirmed_count()
     }
 
     /// Events emitted so far.
     pub fn events(&self) -> &[TrackEvent] {
-        &self.events
+        &self.core.policy.events
     }
 
-    /// Processes one spectrogram column: the full
-    /// predict–detect–associate–update–lifecycle cycle.
+    /// Processes one spectrogram column: detection, one lifecycle step,
+    /// then the count-change event, the window's last.
     pub fn push_column(&mut self, thetas_deg: &[f64], power_row: &[f64]) {
-        let _span = wivi_obs::span_with("track.window", self.window as u64);
-        let w = self.window;
-        let t = self.cfg.window_time_s(w);
-        let dt = self.cfg.window_dt_s();
-
-        // 1. Predict.
-        if w > 0 {
-            for tr in &mut self.live {
-                tr.kf.predict(dt, self.cfg.process_noise);
-            }
-        }
-
-        // 2. Detect.
-        let dets = detect_column(thetas_deg, power_row, &self.cfg.detector);
-
-        // 3. Associate: gated Mahalanobis costs, globally optimal
-        //    assignment, misses priced at the gate.
-        self.costs.clear();
-        for tr in &self.live {
-            let row: Vec<f64> = dets
-                .iter()
-                .map(|d| {
-                    let resid = (d.theta_deg - tr.kf.predicted()).abs();
-                    let nis = tr.kf.gate_distance2(d.theta_deg, self.cfg.measurement_var);
-                    if resid <= self.cfg.gate_deg && nis <= self.cfg.gate_nis {
-                        nis
-                    } else {
-                        f64::INFINITY
-                    }
-                })
-                .collect();
-            self.costs.push(row);
-        }
-        let miss = vec![self.cfg.gate_nis; self.live.len()];
-        let assignment = solve_assignment(&self.costs, &miss);
-
+        let w = self.core.n_windows();
+        let _span = wivi_obs::span_with("track.window", w as u64);
+        let policy = &mut self.core.policy;
+        let dets = detect_column(thetas_deg, power_row, &policy.cfg.detector);
         // The column's strongest detection — the reference the dominance
         // veto accumulates against.
-        let col_max_db = dets
+        policy.col_max_db = dets
             .iter()
             .map(|d| d.power_db)
             .fold(f64::NEG_INFINITY, f64::max);
-
-        // 4. Update matched tracks, age unmatched ones.
-        let mut det_used = vec![false; dets.len()];
-        let mut retired: Vec<usize> = Vec::new();
-        for (i, tr) in self.live.iter_mut().enumerate() {
-            match assignment.pairing[i] {
-                Some(j) => {
-                    det_used[j] = true;
-                    let z = dets[j].theta_deg;
-                    tr.kf.update(z, self.cfg.measurement_var);
-                    tr.hits += 1;
-                    tr.misses = 0;
-                    tr.last_observed_window = w;
-                    let gap = col_max_db - dets[j].power_db;
-                    tr.recent_gaps_db[tr.observed_windows % DOMINANCE_GAP_WINDOW] = gap;
-                    tr.observed_windows += 1;
-                    if gap == 0.0 {
-                        tr.led_windows += 1;
-                    }
-                    if tr.status == TrackStatus::Coasting {
-                        tr.status = TrackStatus::Confirmed;
-                    } else if tr.status == TrackStatus::Tentative
-                        && tr.observed_windows >= self.cfg.confirm_hits
-                    {
-                        tr.status = TrackStatus::Confirmed;
-                        tr.confirmed_window = Some(w);
-                    }
-                    // Announcement: confirmed and past the dominance
-                    // veto. The entry event is back-dated to the birth
-                    // window, so entry *timing* carries no confirmation
-                    // or veto latency.
-                    if !tr.announced && tr.meets_announcement(&self.cfg, w) {
-                        tr.announced = true;
-                        self.events.push(TrackEvent {
-                            window: tr.born_window,
-                            time_s: self.cfg.window_time_s(tr.born_window),
-                            track_id: Some(tr.id),
-                            kind: EventKind::Entry {
-                                theta_deg: tr.kf.predicted(),
-                            },
-                        });
-                    }
-                    record_point(&mut self.events, tr, w, t, Some(z));
-                }
-                None => {
-                    tr.misses += 1;
-                    match tr.status {
-                        TrackStatus::Tentative => {
-                            if tr.misses > self.cfg.tentative_misses {
-                                tr.status = TrackStatus::Dead;
-                                retired.push(i);
-                            } else {
-                                record_point(&mut self.events, tr, w, t, None);
-                            }
-                        }
-                        TrackStatus::Confirmed | TrackStatus::Coasting => {
-                            tr.status = TrackStatus::Coasting;
-                            if tr.misses > self.cfg.max_misses {
-                                tr.status = TrackStatus::Dead;
-                                let last = tr.point_at(tr.last_observed_window).copied().unwrap_or(
-                                    TrackPoint {
-                                        window: w,
-                                        time_s: t,
-                                        theta_deg: tr.kf.predicted(),
-                                        theta_vel: tr.kf.velocity(),
-                                        observed: None,
-                                    },
-                                );
-                                if tr.announced {
-                                    self.events.push(TrackEvent {
-                                        window: tr.last_observed_window,
-                                        time_s: last.time_s,
-                                        track_id: Some(tr.id),
-                                        kind: EventKind::Exit {
-                                            theta_deg: last.theta_deg,
-                                        },
-                                    });
-                                }
-                                retired.push(i);
-                            } else {
-                                record_point(&mut self.events, tr, w, t, None);
-                            }
-                        }
-                        TrackStatus::Dead => unreachable!("dead tracks are retired"),
-                    }
-                }
-            }
+        let before = self.core.confirmed_count();
+        self.core.step(&dets);
+        let count = self.core.confirmed_count();
+        if count != before {
+            self.core
+                .policy
+                .emit(w, None, EventKind::CountChange { count });
         }
-        // Retire in reverse so indices stay valid; keep only announced
-        // tracks (the rest are flicker or vetoed ghosts).
-        for &i in retired.iter().rev() {
-            let tr = self.live.remove(i);
-            if tr.announced {
-                self.finished.push(tr);
-            }
-        }
-
-        // 5. Merge converged tracks: when two live tracks' filtered
-        // angles come within the merge gate, the less-established one
-        // (fewer observed windows; elder id wins ties) is absorbed — a
-        // coasting track drifting onto another's ridge must not count
-        // the person twice. The absorbed track transfers its
-        // announcement, so the count never dips from a merge.
-        let mut absorbed: Vec<usize> = Vec::new();
-        for i in 0..self.live.len() {
-            for j in (i + 1)..self.live.len() {
-                if absorbed.contains(&i) || absorbed.contains(&j) {
-                    continue;
-                }
-                let (a, b) = (&self.live[i], &self.live[j]);
-                if (a.kf.predicted() - b.kf.predicted()).abs() < self.cfg.merge_deg
-                    && (a.kf.velocity() - b.kf.velocity()).abs() < self.cfg.merge_vel_deg_s
-                {
-                    // Birth order means id_i < id_j, so i wins ties.
-                    let loser = if a.observed_windows >= b.observed_windows {
-                        j
-                    } else {
-                        i
-                    };
-                    let winner = i + j - loser;
-                    if self.live[loser].announced {
-                        self.live[winner].announced = true;
-                    }
-                    absorbed.push(loser);
-                }
-            }
-        }
-        absorbed.sort_unstable();
-        for &i in absorbed.iter().rev() {
-            let tr = self.live.remove(i);
-            if tr.announced {
-                self.finished.push(tr);
-            }
-        }
-
-        // 6. Spawn tentative tracks from unmatched detections.
-        for (j, d) in dets.iter().enumerate() {
-            if det_used[j] {
-                continue;
-            }
-            let kf = Kalman2::from_observation(
-                d.theta_deg,
-                self.cfg.init_pos_var,
-                self.cfg.init_vel_var,
-            );
-            let gap = col_max_db - d.power_db;
-            let mut recent_gaps_db = [0.0; DOMINANCE_GAP_WINDOW];
-            recent_gaps_db[0] = gap;
-            let mut tr = Track {
-                id: self.next_id,
-                born_window: w,
-                confirmed_window: None,
-                last_observed_window: w,
-                status: TrackStatus::Tentative,
-                kf,
-                hits: 1,
-                misses: 0,
-                observed_windows: 1,
-                led_windows: usize::from(gap == 0.0),
-                recent_gaps_db,
-                announced: false,
-                history: Vec::new(),
-            };
-            // A single hit confirms immediately when confirm_hits == 1.
-            if self.cfg.confirm_hits == 1 {
-                tr.status = TrackStatus::Confirmed;
-                tr.confirmed_window = Some(w);
-                if tr.is_dominant(&self.cfg) {
-                    tr.announced = true;
-                    self.events.push(TrackEvent {
-                        window: w,
-                        time_s: t,
-                        track_id: Some(tr.id),
-                        kind: EventKind::Entry {
-                            theta_deg: d.theta_deg,
-                        },
-                    });
-                }
-            }
-            tr.history.push(TrackPoint {
-                window: w,
-                time_s: t,
-                theta_deg: tr.kf.predicted(),
-                theta_vel: tr.kf.velocity(),
-                observed: Some(d.theta_deg),
-            });
-            self.next_id += 1;
-            self.live.push(tr);
-        }
-
-        // 7. Scene-level bookkeeping: announced tracks only (coasting
-        // included — a fade is not an exit).
-        let count = self.live.iter().filter(|tr| tr.announced).count();
-        if count != self.last_count {
-            self.events.push(TrackEvent {
-                window: w,
-                time_s: t,
-                track_id: None,
-                kind: EventKind::CountChange { count },
-            });
-            self.last_count = count;
-        }
-        self.confirmed_counts.push(count);
-        self.times_s.push(t);
-        self.window += 1;
     }
 
     /// Finalizes the run. Tracks still live keep their final status;
@@ -717,57 +410,183 @@ impl MultiTargetTracker {
     /// ghosts — are dropped. No exit events are emitted for tracks alive
     /// at the end of the trace — the trace ended, the people didn't
     /// leave.
-    pub fn finish(mut self) -> TrackingReport {
-        let mut tracks = std::mem::take(&mut self.finished);
-        for tr in self.live {
-            if tr.announced {
-                tracks.push(tr);
-            }
-        }
-        tracks.sort_by_key(|t| t.id);
+    pub fn finish(self) -> TrackingReport {
+        let (policy, summary) = self.core.finish();
         TrackingReport {
-            tracks,
-            events: self.events,
-            confirmed_counts: self.confirmed_counts,
-            times_s: self.times_s,
-            cfg: self.cfg,
+            tracks: summary.tracks,
+            events: policy.events,
+            confirmed_counts: summary.confirmed_counts,
+            times_s: summary.times_s,
+            cfg: policy.cfg,
         }
     }
 }
 
-/// Appends one window to `tr`'s history, emitting a [`EventKind::Crossing`]
-/// event first if the filtered angle changed sign since the last point.
-/// Shared by the matched and coasting paths of
-/// [`MultiTargetTracker::push_column`] so observed and coasted crossings
-/// can never drift apart. The sign check runs against the *history* so a
-/// crossing completed while coasting (the DC guard blanks detections
-/// near θ = 0) is caught on reacquisition.
-fn record_point(
-    events: &mut Vec<TrackEvent>,
-    tr: &mut Track,
-    w: usize,
-    t: f64,
-    observed: Option<f64>,
-) {
-    let new_theta = tr.kf.predicted();
-    let prev_theta = tr.history.last().map_or(new_theta, |p| p.theta_deg);
-    if tr.announced && prev_theta * new_theta < 0.0 {
-        events.push(TrackEvent {
-            window: w,
-            time_s: t,
-            track_id: Some(tr.id),
-            kind: EventKind::Crossing {
-                direction: if new_theta > 0.0 { 1 } else { -1 },
-            },
+/// The angle tracker's policy over the shared lifecycle: the `(θ, θ̇)`
+/// measurement model, the announcement veto, merging, and the events.
+#[derive(Clone, Debug)]
+struct AnglePolicy {
+    cfg: TrackerConfig,
+    /// The current column's strongest detection, dB.
+    col_max_db: f64,
+    events: Vec<TrackEvent>,
+}
+
+impl AnglePolicy {
+    /// Emits an event about window `window`, at that window's centre
+    /// time.
+    fn emit(&mut self, window: usize, track_id: Option<u32>, kind: EventKind) {
+        let time_s = self.cfg.window_time_s(window);
+        self.events.push(TrackEvent {
+            window,
+            time_s,
+            track_id,
+            kind,
         });
     }
-    tr.history.push(TrackPoint {
-        window: w,
-        time_s: t,
-        theta_deg: new_theta,
-        theta_vel: tr.kf.velocity(),
-        observed,
-    });
+}
+
+impl TrackPolicy for AnglePolicy {
+    type Measurement = Detection;
+    type Filter = Kalman2;
+    type Point = TrackPoint;
+    type Extra = Dominance;
+
+    fn confirm_hits(&self) -> usize {
+        self.cfg.confirm_hits
+    }
+
+    fn tentative_misses(&self) -> usize {
+        self.cfg.tentative_misses
+    }
+
+    fn max_misses(&self) -> usize {
+        self.cfg.max_misses
+    }
+
+    fn window_time_s(&self, k: usize) -> f64 {
+        self.cfg.window_time_s(k)
+    }
+
+    fn init(&self, d: &Detection) -> Kalman2 {
+        Kalman2::from_observation(d.theta_deg, self.cfg.init_pos_var, self.cfg.init_vel_var)
+    }
+
+    fn predict(&self, kf: &mut Kalman2) {
+        kf.predict(self.cfg.window_dt_s(), self.cfg.process_noise);
+    }
+
+    /// Normalized innovation squared, inside both the hard angle gate
+    /// and the statistical gate.
+    fn cost(&self, kf: &Kalman2, d: &Detection) -> f64 {
+        let resid = (d.theta_deg - kf.predicted()).abs();
+        let nis = kf.gate_distance2(d.theta_deg, self.cfg.measurement_var);
+        if resid <= self.cfg.gate_deg && nis <= self.cfg.gate_nis {
+            nis
+        } else {
+            f64::INFINITY
+        }
+    }
+
+    fn miss_cost(&self) -> f64 {
+        self.cfg.gate_nis
+    }
+
+    fn update(&self, kf: &mut Kalman2, d: &Detection) {
+        kf.update(d.theta_deg, self.cfg.measurement_var);
+    }
+
+    /// Emits a [`EventKind::Crossing`] first when an announced track's
+    /// filtered angle changes sign. The check runs against the
+    /// *history*, so a crossing completed while coasting (the DC guard
+    /// blanks detections near θ = 0) is caught on reacquisition.
+    fn point(
+        &mut self,
+        tr: &Track,
+        window: usize,
+        time_s: f64,
+        d: Option<&Detection>,
+    ) -> TrackPoint {
+        let theta_deg = tr.filter.predicted();
+        let prev_theta = tr.history.last().map_or(theta_deg, |p| p.theta_deg);
+        if tr.announced && prev_theta * theta_deg < 0.0 {
+            let direction = if theta_deg > 0.0 { 1 } else { -1 };
+            self.emit(window, Some(tr.id), EventKind::Crossing { direction });
+        }
+        TrackPoint {
+            window,
+            time_s,
+            theta_deg,
+            theta_vel: tr.filter.velocity(),
+            observed: d.map(|d| d.theta_deg),
+        }
+    }
+
+    /// Accumulates the dominance evidence, then applies the announcement
+    /// veto. The entry event is back-dated to the birth window, so entry
+    /// *timing* carries no confirmation or veto latency. A track confirmed
+    /// at birth (`confirm_hits == 1`) is announced on dominance alone.
+    fn observed(&mut self, tr: &mut Track, d: &Detection, born: bool) {
+        let gap = self.col_max_db - d.power_db;
+        tr.extra.recent_gaps_db[(tr.observed_windows - 1) % DOMINANCE_GAP_WINDOW] = gap;
+        if gap == 0.0 {
+            tr.extra.led_windows += 1;
+        }
+        let announce = if born {
+            tr.confirmed_window.is_some() && tr.is_dominant(&self.cfg)
+        } else {
+            tr.meets_announcement(&self.cfg, tr.last_observed_window)
+        };
+        if !tr.announced && announce {
+            tr.announced = true;
+            let theta_deg = tr.filter.predicted();
+            self.emit(tr.born_window, Some(tr.id), EventKind::Entry { theta_deg });
+        }
+    }
+
+    /// An announced track's exit is back-dated to its last observation,
+    /// so exit timing does not lag by the miss budget.
+    fn died(&mut self, tr: &Track) {
+        if !tr.announced {
+            return;
+        }
+        if let Some(last) = tr.point_at(tr.last_observed_window) {
+            let theta_deg = last.theta_deg;
+            self.emit(last.window, Some(tr.id), EventKind::Exit { theta_deg });
+        }
+    }
+
+    /// When two live tracks' filtered angles come within the merge gate
+    /// with agreeing rates, the less-established one (fewer observed
+    /// windows; the elder id wins ties) is absorbed — a coasting track
+    /// drifting onto another's ridge must not count the person twice.
+    /// The absorbed track hands over its announcement, so the count never
+    /// dips from a merge.
+    fn merge(&mut self, live: &mut [Track], gone: &mut [bool]) {
+        for i in 0..live.len() {
+            for j in (i + 1)..live.len() {
+                if gone[i] || gone[j] {
+                    continue;
+                }
+                let (a, b) = (&live[i].filter, &live[j].filter);
+                if (a.predicted() - b.predicted()).abs() < self.cfg.merge_deg
+                    && (a.velocity() - b.velocity()).abs() < self.cfg.merge_vel_deg_s
+                {
+                    // Birth order means id_i < id_j, so i wins ties.
+                    let loser = if live[i].observed_windows >= live[j].observed_windows {
+                        j
+                    } else {
+                        i
+                    };
+                    let winner = i + j - loser;
+                    if live[loser].announced {
+                        live[winner].announced = true;
+                    }
+                    gone[loser] = true;
+                }
+            }
+        }
+    }
 }
 
 /// Runs the tracker over a complete spectrogram (the offline shape).

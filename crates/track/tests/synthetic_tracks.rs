@@ -14,12 +14,18 @@ fn thetas() -> Vec<f64> {
 /// unit (0 dB) floor; ridge skirts fall off parabolically in dB so the
 /// detector's sub-bin interpolation has real structure to fit.
 fn column(ridges: &[f64]) -> Vec<f64> {
+    let peaks: Vec<(f64, f64)> = ridges.iter().map(|&r| (r, 30.0)).collect();
+    column_db(&peaks)
+}
+
+/// [`column`] with a peak height per ridge: `(angle, peak dB)`.
+fn column_db(ridges: &[(f64, f64)]) -> Vec<f64> {
     thetas()
         .iter()
         .map(|&tb| {
             let mut p = 1.0;
-            for &r in ridges {
-                let db = 30.0 - 0.5 * (tb - r) * (tb - r);
+            for &(r, peak_db) in ridges {
+                let db = peak_db - 0.5 * (tb - r) * (tb - r);
                 if db > 0.0 {
                     p += 10f64.powf(db / 10.0);
                 }
@@ -244,4 +250,54 @@ fn report_times_match_window_grid() {
         assert_eq!(t.to_bits(), c.window_time_s(k).to_bits());
     }
     assert_eq!(report.window_near_time(report.times_s[3]), 3);
+}
+
+#[test]
+fn confirm_hits_one_confirms_at_birth_and_announces_only_dominant_tracks() {
+    // One column: the strongest ridge, one 3 dB below it (within the
+    // 5 dB dominance gap), and one 12 dB below it.
+    let cfg = TrackerConfig {
+        confirm_hits: 1,
+        ..cfg()
+    };
+    assert!(cfg.dominance_mean_gap_db > 3.0 && cfg.dominance_mean_gap_db < 12.0);
+    let mut tracker = MultiTargetTracker::new(cfg);
+    tracker.push_column(
+        &thetas(),
+        &column_db(&[(-40.0, 30.0), (20.0, 27.0), (55.0, 18.0)]),
+    );
+
+    let live = tracker.live_tracks();
+    assert_eq!(live.len(), 3);
+    for tr in live {
+        assert_eq!(tr.status, TrackStatus::Confirmed);
+        assert_eq!(tr.confirmed_window, Some(tr.born_window));
+        assert_eq!(tr.born_window, 0);
+    }
+    let by_angle = |theta: f64| {
+        live.iter()
+            .find(|t| (t.history[0].theta_deg - theta).abs() < 3.0)
+            .unwrap()
+    };
+    let (strong, near, weak) = (by_angle(-40.0), by_angle(20.0), by_angle(55.0));
+    assert!(strong.announced && near.announced);
+    assert!(
+        !weak.announced,
+        "a track 12 dB below the leader was announced"
+    );
+    // Announced means an entry at the birth window, and counted.
+    let entries: Vec<(usize, Option<u32>)> = tracker
+        .events()
+        .iter()
+        .filter(|e| e.is_entry())
+        .map(|e| (e.window, e.track_id))
+        .collect();
+    assert_eq!(entries, vec![(0, Some(strong.id)), (0, Some(near.id))]);
+    assert_eq!(tracker.confirmed_count(), 2);
+
+    let announced = vec![strong.id, near.id];
+    let report = tracker.finish();
+    assert_eq!(report.confirmed_counts, vec![2]);
+    let ids: Vec<u32> = report.tracks.iter().map(|t| t.id).collect();
+    assert_eq!(ids, announced, "only the announced tracks are reported");
 }

@@ -29,7 +29,7 @@ use std::fmt::Write as _;
 
 use wivi::core::counting::mean_spatial_variance;
 use wivi::core::music::MusicConfig;
-use wivi::image::{ImageFix, PositionTrackStatus, PositionTracker, PositionTrackerConfig};
+use wivi::image::{ImageFix, PositionTracker, PositionTrackerConfig};
 use wivi::num::rng::normal;
 use wivi::num::{Kalman2, Rng64};
 use wivi::prelude::*;
@@ -392,7 +392,7 @@ fn tracking_entry(name: &str, report: TrackingReport) -> String {
                 opt_window(t.confirmed_window),
                 t.last_observed_window,
                 t.observed_windows,
-                kalman_bits(&t.kf),
+                kalman_bits(&t.filter),
             )
         })
         .collect();
@@ -413,9 +413,11 @@ fn imaging_entry(name: &str, report: ImagingReport) -> String {
                 opt_window(t.confirmed_window),
                 t.last_observed_window,
                 t.observed_windows,
-                t.mirror_of.map_or_else(|| "-".into(), |m| m.to_string()),
-                kalman_bits(&t.kx),
-                kalman_bits(&t.ky),
+                t.extra
+                    .mirror_of
+                    .map_or_else(|| "-".into(), |m| m.to_string()),
+                kalman_bits(&t.filter[0]),
+                kalman_bits(&t.filter[1]),
             )
         })
         .collect();
@@ -613,14 +615,11 @@ fn image_synthetic(cfg: PositionTrackerConfig, frames: Vec<Vec<ImageFix>>) -> Im
     }
     let report = ImagingReport::assemble(ImageConfig::fast_test().grid, frames, tracker.finish());
     assert!(
-        report.tracks.iter().any(|t| t.mirror_of.is_some()),
+        report.tracks.iter().any(|t| t.extra.mirror_of.is_some()),
         "no mirror ghost voted"
     );
     assert!(
-        report
-            .tracks
-            .iter()
-            .any(|t| t.status == PositionTrackStatus::Dead),
+        report.tracks.iter().any(|t| t.status == TrackStatus::Dead),
         "no track died"
     );
     report
