@@ -496,7 +496,8 @@ fn put_tracking_report(buf: &mut Vec<u8>, r: &TrackingReport) {
         put_usize(buf, t.last_observed_window);
         put_u8(buf, status_tag(t.status));
         put_kalman2(buf, &t.filter);
-        put_usize(buf, t.observed_windows); // the retired `hits` slot
+        // The `hits` slot: matched windows, which is `observed_windows`.
+        put_usize(buf, t.observed_windows);
         put_usize(buf, t.misses);
         put_usize(buf, t.observed_windows);
         put_usize(buf, t.extra.led_windows);
