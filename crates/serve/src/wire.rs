@@ -1026,6 +1026,80 @@ mod tests {
         );
     }
 
+    /// The bytes of the three `Option` payloads (track, count,
+    /// gestures), `Some` and `None`, pinned as literals: a codec change
+    /// that moves a flag, a field or its order fails here, across
+    /// commits, not only against another encoding from the same build.
+    #[test]
+    #[rustfmt::skip]
+    fn option_payloads_encode_to_pinned_bytes() {
+        use crate::ModeOutput;
+        use wivi_core::gesture::DetectedGesture;
+        let spec = AngleSpectrogram {
+            thetas_deg: vec![-90.0, 0.0, 90.0],
+            times_s: vec![0.5, 1.0],
+            power: vec![vec![1.0, 2.0, 4.0], vec![0.25, 0.5, 8.0]],
+        };
+        let decode = GestureDecode {
+            track: vec![1.0, -1.0],
+            matched: vec![0.5],
+            times_s: vec![0.25, 0.75],
+            gestures: vec![DetectedGesture { time_s: 0.5, polarity: -1, snr_db: 3.0 }],
+            bits: vec![Some(true), None],
+        };
+        let cases: [(ModeOutput, &[u8]); 6] = [
+            (ModeOutput::new("track", Some(spec)), &[
+                2,                                         // present
+                3, 0, 0, 0,                                // 3 angles
+                0, 0, 0, 0, 0, 0x80, 0x56, 0xc0,           // -90.0
+                0, 0, 0, 0, 0, 0, 0, 0,                    // 0.0
+                0, 0, 0, 0, 0, 0x80, 0x56, 0x40,           // 90.0
+                2, 0, 0, 0,                                // 2 windows
+                0, 0, 0, 0, 0, 0, 0xe0, 0x3f,              // 0.5
+                0, 0, 0, 0, 0, 0, 0xf0, 0x3f,              // 1.0
+                2, 0, 0, 0,                                // 2 rows
+                3, 0, 0, 0,                                // row 0: 3 powers
+                0, 0, 0, 0, 0, 0, 0xf0, 0x3f,              // 1.0
+                0, 0, 0, 0, 0, 0, 0, 0x40,                 // 2.0
+                0, 0, 0, 0, 0, 0, 0x10, 0x40,              // 4.0
+                3, 0, 0, 0,                                // row 1: 3 powers
+                0, 0, 0, 0, 0, 0, 0xd0, 0x3f,              // 0.25
+                0, 0, 0, 0, 0, 0, 0xe0, 0x3f,              // 0.5
+                0, 0, 0, 0, 0, 0, 0x20, 0x40,              // 8.0
+            ]),
+            (ModeOutput::new("track", None::<AngleSpectrogram>), &[1]),
+            (ModeOutput::new("count", Some(1.5f64)), &[
+                2,                                         // present
+                0, 0, 0, 0, 0, 0, 0xf8, 0x3f,              // 1.5
+            ]),
+            (ModeOutput::new("count", None::<f64>), &[1]),
+            (ModeOutput::new("gestures", Some(decode)), &[
+                2,                                         // present
+                2, 0, 0, 0,                                // track: 2
+                0, 0, 0, 0, 0, 0, 0xf0, 0x3f,              // 1.0
+                0, 0, 0, 0, 0, 0, 0xf0, 0xbf,              // -1.0
+                1, 0, 0, 0,                                // matched: 1
+                0, 0, 0, 0, 0, 0, 0xe0, 0x3f,              // 0.5
+                2, 0, 0, 0,                                // times: 2
+                0, 0, 0, 0, 0, 0, 0xd0, 0x3f,              // 0.25
+                0, 0, 0, 0, 0, 0, 0xe8, 0x3f,              // 0.75
+                1, 0, 0, 0,                                // 1 gesture
+                0, 0, 0, 0, 0, 0, 0xe0, 0x3f,              //   time 0.5
+                0xff,                                      //   polarity -1
+                0, 0, 0, 0, 0, 0, 0x08, 0x40,              //   snr 3.0
+                2, 0, 0, 0,                                // 2 bits
+                2,                                         // Some(true)
+                0,                                         // None
+            ]),
+            (ModeOutput::new("gestures", None::<GestureDecode>), &[1]),
+        ];
+        for (out, want) in &cases {
+            let mut got = Vec::new();
+            encode_mode_payload(out, &mut got);
+            assert_eq!(&got[..], *want, "{out:?} payload bytes moved");
+        }
+    }
+
     #[test]
     fn output_frame_is_byte_identical_to_canonical_encoding() {
         use crate::ModeOutput;
