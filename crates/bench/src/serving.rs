@@ -27,8 +27,8 @@ use wivi_rf::{
 };
 use wivi_serve::net::ClientError;
 use wivi_serve::{
-    modes, ModeRef, OpenRequest, ServeConfig, ServeEngine, ServeReport, SessionSpec, WireClient,
-    WireServer, WireServerConfig,
+    Mode, OpenRequest, ServeConfig, ServeEngine, ServeReport, SessionSpec, WireClient, WireServer,
+    WireServerConfig,
 };
 use wivi_track::TrackTargets;
 
@@ -78,14 +78,14 @@ pub fn soak_sessions(n: usize, duration_s: f64, config: &WiViConfig) -> Vec<Sess
     ];
     (0..n)
         .map(|i| {
-            let mode: ModeRef = match i % 5 {
-                0 => modes::TrackTargets.into(),
-                1 => modes::Count.into(),
-                2 => modes::Track.into(),
-                3 => modes::Gestures.into(),
-                _ => modes::Image.into(),
+            let mode = match i % 5 {
+                0 => Mode::TrackTargets,
+                1 => Mode::Count,
+                2 => Mode::Track,
+                3 => Mode::Gestures,
+                _ => Mode::Image,
             };
-            let imaging = mode.tag() == "image";
+            let imaging = mode == Mode::Image;
             let scenario = ScenarioSpec {
                 room: if imaging {
                     Room::Small
@@ -102,7 +102,7 @@ pub fn soak_sessions(n: usize, duration_s: f64, config: &WiViConfig) -> Vec<Sess
                 trial: i as u64,
                 duration_s,
             };
-            let scene = if mode.tag() == "gestures" {
+            let scene = if mode == Mode::Gestures {
                 gesture_scene(i)
             } else {
                 scenario.build_scene()
@@ -180,7 +180,7 @@ fn timed_fleet_open(
                     .config(*config)
                     .seed(500 + id)
                     .duration_s(0.0)
-                    .mode(modes::Count)
+                    .mode(Mode::Count)
                     .build(),
             )
             .unwrap();
@@ -606,9 +606,9 @@ mod tests {
             &tags[..5],
             &["track_targets", "count", "track", "gestures", "image"]
         );
-        // Every registered mode appears in a cycle-length prefix.
-        for mode in wivi_serve::ModeRegistry::builtin().tags() {
-            assert!(tags.contains(&mode), "{mode} missing from the mix");
+        // Every mode appears in a cycle-length prefix.
+        for mode in Mode::ALL {
+            assert!(tags.contains(&mode.tag()), "{mode:?} missing from the mix");
         }
     }
 

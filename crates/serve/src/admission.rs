@@ -244,7 +244,7 @@ impl Admission {
 mod tests {
     use super::*;
     use crate::engine::ServeConfig;
-    use crate::modes;
+    use crate::Mode;
     use wivi_core::WiViConfig;
     use wivi_rf::{Material, Scene};
 
@@ -255,7 +255,7 @@ mod tests {
             WiViConfig::fast_test(),
             1,
             0.0,
-            modes::Count,
+            Mode::Count,
         )
     }
 

@@ -575,7 +575,7 @@ mod tests {
             wivi_core::WiViConfig::fast_test(),
             1,
             0.0,
-            crate::modes::Count,
+            crate::Mode::Count,
         )
     }
 

@@ -61,8 +61,8 @@ impl std::fmt::Display for ServeError {
     }
 }
 
-// Manual: `SessionSpec` holds type-erased scene/mode handles and is not
-// `Debug`; showing the variant and id is what a failure report needs.
+// Manual: `SessionSpec` is not `Debug`; showing the variant and id is
+// what a failure report needs.
 impl std::fmt::Debug for ServeError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {

@@ -1,306 +1,155 @@
-//! The sensing-mode API: one radio, pluggable read-outs.
+//! The sensing modes: one radio, a closed set of read-outs.
 //!
-//! The paper's device is a single RF front end with many read-outs —
-//! tracking, counting, gestures, imaging — and related systems (SiWa's
-//! radar → multi-head pipeline, the crowd-counting reuse of one link for
-//! a different estimator) expose exactly that shape. This module makes
-//! the read-out set *open*: a sensing mode is an implementation of
-//! [`SensingMode`], the serving engine dispatches through type-erased
-//! [`ModeRef`]s, and a [`ModeRegistry`] maps stable string tags to
-//! modes. Nothing in the serving engine enumerates modes; a new mode —
-//! including one defined in a downstream crate — plugs in by
-//! implementing the trait (see the crate-level example, which registers
-//! a sixth mode from outside this crate).
+//! The paper's device is a single RF front end with a fixed set of
+//! read-outs. [`Mode`] names them and [`ModeOutput`] carries their
+//! payloads, one variant each:
 //!
-//! The lifecycle mirrors a session's: [`SensingMode::open`] builds the
-//! per-session streaming state for a freshly calibrated device,
-//! [`SensingMode::step`] consumes one batch of residual-channel samples
-//! (borrowing the shard's [`EngineCache`] for the heavy per-window
-//! compute), and [`SensingMode::finalize`] drains the state into a
-//! [`ModeOutput`] plus the session's contribution to the engine's
-//! unified [`TrackEvent`] stream — modes without events return an empty
-//! vector from the one shared code path instead of each dispatch arm
-//! hand-writing `Vec::new()`.
+//! | mode | tag | session | payload ([`ModeOutput`] variant) |
+//! |------|-----|---------|----------------------------------|
+//! | [`Mode::Track`] | `track` | [`TrackSession`] | `Option<AngleSpectrogram>` |
+//! | [`Mode::TrackTargets`] | `track_targets` | [`TrackTargetsSession`] | `TrackingReport` |
+//! | [`Mode::Count`] | `count` | [`CountSession`] | `Option<f64>` |
+//! | [`Mode::Gestures`] | `gestures` | [`GestureSession`] | `Option<GestureDecode>` |
+//! | [`Mode::Image`] | `image` | [`ImageSession`] | `ImagingReport` |
 //!
-//! **Determinism contract.** A mode's output must be a pure function of
-//! `(effective config, sample stream)`: state lives in
-//! `Self::State`, shard engines hold no cross-window state, and nothing
-//! may read clocks, thread ids, or global state. The serving engine
-//! inherits its bitwise shard-count/submission-order invariance from
-//! this.
+//! A served session runs its mode's one session type from the mode's
+//! home crate — the same type the device's offline and `*_streaming`
+//! methods run through `WiViDevice::run_session` — so it produces the
+//! standalone payload bit for bit. Payloads that need a minimum number
+//! of analysis windows are `Option`s: a zero-duration, too-short, or
+//! immediately closed session drains cleanly with `None`.
+//!
+//! `Mode::open` is the one place a mode meets its session type; the
+//! shard drives every session through one object-safe adapter over
+//! [`Session`]. Adding a read-out is one variant in each enum plus the
+//! `match` arms the compiler then asks for.
+//!
+//! **Determinism contract.** A session's output must be a pure function
+//! of `(effective config, sample stream)`: state lives in the session,
+//! shard engines hold no cross-window state, and nothing may read
+//! clocks, thread ids, or global state. The serving engine inherits its
+//! bitwise shard-count/submission-order invariance from this.
 
-use std::any::Any;
-use std::sync::Arc;
-
-use wivi_core::{EngineCache, WiViConfig, WiViDevice};
+use wivi_core::gesture::GestureDecode;
+use wivi_core::{
+    AngleSpectrogram, CountSession, EngineCache, GestureSession, Session, TrackSession, WiViConfig,
+    WiViDevice,
+};
+use wivi_image::{ImageConfig, ImageSession, ImagingReport};
 use wivi_num::Complex64;
-use wivi_track::TrackEvent;
+use wivi_track::{TrackTargetsSession, TrackingReport};
 
-/// One sensing read-out of the device: how to open, advance, and drain
-/// a session of this mode. Implementations are stateless recipes — all
-/// per-session state lives in `Self::State`; shared heavy scratch lives
-/// in the shard's [`EngineCache`].
-pub trait SensingMode: Send + Sync + 'static {
-    /// Per-session streaming state.
-    type State: Send + 'static;
-
-    /// Stable identifier used in reports, JSON, and the
-    /// [`ModeRegistry`]. Must be unique among registered modes.
-    fn tag(&self) -> &'static str;
-
-    /// Builds the session's streaming state for a calibrated device.
-    /// `eff` is the device's *effective* configuration (the device
-    /// derives e.g. the MUSIC noise floor at construction) — the same
-    /// values the standalone `*_streaming` entry points run with.
-    fn open(&self, dev: &WiViDevice, eff: &WiViConfig) -> Self::State;
-
-    /// Consumes one batch of nulled residual-channel samples, borrowing
-    /// the shard's engine cache for the per-window compute.
-    fn step(&self, state: &mut Self::State, engines: &mut EngineCache, samples: &[Complex64]);
-
-    /// Analysis windows (spectrogram columns / imaging frames) the
-    /// session has completed so far.
-    fn columns(&self, state: &Self::State) -> usize;
-
-    /// Drains the session into its output and its tracker events
-    /// (session-relative times, emission order; empty for modes without
-    /// an event stream). The output's tag is normalized to
-    /// [`Self::tag`] by the serving layer, so it cannot disagree with
-    /// the session's mode.
-    fn finalize(&self, state: Self::State) -> (ModeOutput, Vec<TrackEvent>);
+/// One sensing read-out of the device.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
+pub enum Mode {
+    /// Mode 1, imaging: the full `A′[θ, n]` spectrogram.
+    Track,
+    /// Mode 1, extended: multi-target tracking, with the report's
+    /// entry/exit/crossing/count events.
+    TrackTargets,
+    /// Mode 1, counting: the mean spatial variance; nothing is retained.
+    Count,
+    /// Mode 2: the gesture message, decoded when the session closes.
+    Gestures,
+    /// Mode 1, 2-D: per-window (x, y) CFAR fixes and position tracks,
+    /// with the configuration `WiViDevice::image_streaming` derives
+    /// ([`ImageConfig::for_wivi`]) and the session's own nulling weight.
+    Image,
 }
 
-/// The type-erased payload a finished session produced, tagged with its
-/// mode. Downcast with [`Self::get`] / [`Self::expect`] to the payload
-/// type the mode documents (e.g. `TrackingReport` for `track_targets`).
-/// Cloning is an `Arc` bump.
-#[derive(Clone)]
-pub struct ModeOutput {
-    tag: &'static str,
-    value: Arc<dyn Any + Send + Sync>,
-}
+impl Mode {
+    /// Every mode, in the stable order reports and tests index.
+    pub const ALL: [Mode; 5] = [
+        Mode::Track,
+        Mode::TrackTargets,
+        Mode::Count,
+        Mode::Gestures,
+        Mode::Image,
+    ];
 
-impl ModeOutput {
-    /// Wraps a mode's payload.
-    pub fn new<T: Any + Send + Sync>(tag: &'static str, value: T) -> Self {
-        Self {
-            tag,
-            value: Arc::new(value),
+    /// The mode's stable tag, used in reports, JSON, and wire `OPEN`s.
+    pub const fn tag(self) -> &'static str {
+        match self {
+            Mode::Track => "track",
+            Mode::TrackTargets => "track_targets",
+            Mode::Count => "count",
+            Mode::Gestures => "gestures",
+            Mode::Image => "image",
         }
     }
 
-    /// The producing mode's tag.
-    pub fn tag(&self) -> &'static str {
-        self.tag
+    /// The mode tagged `tag`, if any — the inverse of [`Self::tag`].
+    pub fn from_tag(tag: &str) -> Option<Mode> {
+        Mode::ALL.into_iter().find(|m| m.tag() == tag)
     }
 
-    /// The payload, if it is a `T`.
-    pub fn get<T: Any>(&self) -> Option<&T> {
-        self.value.downcast_ref::<T>()
-    }
-
-    /// `true` if the payload is a `T`.
-    pub fn is<T: Any>(&self) -> bool {
-        self.value.is::<T>()
-    }
-
-    /// The payload as a `T`.
-    ///
-    /// # Panics
-    /// Panics (with the mode tag) if the payload is not a `T`.
-    pub fn expect<T: Any>(&self) -> &T {
-        self.get::<T>().unwrap_or_else(|| {
-            panic!(
-                "mode '{}' output is not a {}",
-                self.tag,
-                std::any::type_name::<T>()
-            )
-        })
+    /// Opens the mode's session for a calibrated device. `eff` is the
+    /// device's *effective* configuration (the device derives e.g. the
+    /// MUSIC noise floor at construction) — the same values the
+    /// standalone `*_streaming` entry points run with.
+    pub(crate) fn open(self, dev: &WiViDevice, eff: &WiViConfig) -> Box<dyn ModeSession> {
+        match self {
+            Mode::Track => Served::boxed(TrackSession::new(eff), ModeOutput::Track),
+            Mode::TrackTargets => {
+                Served::boxed(TrackTargetsSession::new(eff), ModeOutput::TrackTargets)
+            }
+            Mode::Count => Served::boxed(CountSession::new(eff), ModeOutput::Count),
+            Mode::Gestures => Served::boxed(GestureSession::new(eff), ModeOutput::Gestures),
+            Mode::Image => Served::boxed(
+                ImageSession::for_device(dev, &ImageConfig::for_wivi(eff)),
+                ModeOutput::Image,
+            ),
+        }
     }
 }
 
-impl std::fmt::Debug for ModeOutput {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "ModeOutput({})", self.tag)
-    }
+/// The payload a finished session produced: one variant per [`Mode`].
+#[derive(Clone, Debug)]
+pub enum ModeOutput {
+    /// The spectrogram (`None` if no window completed).
+    Track(Option<AngleSpectrogram>),
+    /// The tracking report.
+    TrackTargets(TrackingReport),
+    /// The mean spatial variance (`None` if no window completed).
+    Count(Option<f64>),
+    /// The gesture decode (`None` below the decoder's minimum windows).
+    Gestures(Option<GestureDecode>),
+    /// The imaging report.
+    Image(ImagingReport),
 }
 
-/// Object-safe per-session state: a [`SensingMode`] bound to one
-/// session's `State` so shards can drive any mode without knowing its
-/// types.
-pub(crate) trait ErasedState: Send {
+/// Object-safe view of a session being served: what a shard needs to
+/// advance and drain it without knowing its mode.
+pub(crate) trait ModeSession: Send {
     fn step(&mut self, engines: &mut EngineCache, samples: &[Complex64]);
     fn columns(&self) -> usize;
-    fn finalize(self: Box<Self>) -> (ModeOutput, Vec<TrackEvent>);
+    fn finish(self: Box<Self>) -> ModeOutput;
 }
 
-/// A mode paired with one session's state.
-struct BoundState<M: SensingMode> {
-    mode: Arc<M>,
-    state: M::State,
+/// A mode's session paired with the [`ModeOutput`] variant that wraps
+/// its payload.
+struct Served<S: Session> {
+    session: S,
+    wrap: fn(S::Output) -> ModeOutput,
 }
 
-impl<M: SensingMode> ErasedState for BoundState<M> {
+impl<S: Session + Send + 'static> Served<S> {
+    fn boxed(session: S, wrap: fn(S::Output) -> ModeOutput) -> Box<dyn ModeSession> {
+        Box::new(Self { session, wrap })
+    }
+}
+
+impl<S: Session + Send> ModeSession for Served<S> {
     fn step(&mut self, engines: &mut EngineCache, samples: &[Complex64]) {
-        self.mode.step(&mut self.state, engines, samples);
+        self.session.step(engines, samples);
     }
 
     fn columns(&self) -> usize {
-        self.mode.columns(&self.state)
+        self.session.columns()
     }
 
-    fn finalize(self: Box<Self>) -> (ModeOutput, Vec<TrackEvent>) {
-        let (mut out, events) = self.mode.finalize(self.state);
-        // The registry identity is authoritative: a mode whose finalize
-        // stamped a different (or typoed) tag cannot make the output's
-        // tag disagree with the session's mode.
-        out.tag = self.mode.tag();
-        (out, events)
-    }
-}
-
-/// Object-safe mode surface (tag + open), behind [`ModeRef`].
-trait ErasedMode: Send + Sync {
-    fn tag(&self) -> &'static str;
-    fn open(&self, dev: &WiViDevice, eff: &WiViConfig) -> Box<dyn ErasedState>;
-}
-
-struct Erased<M: SensingMode>(Arc<M>);
-
-impl<M: SensingMode> ErasedMode for Erased<M> {
-    fn tag(&self) -> &'static str {
-        self.0.tag()
-    }
-
-    fn open(&self, dev: &WiViDevice, eff: &WiViConfig) -> Box<dyn ErasedState> {
-        Box::new(BoundState {
-            mode: Arc::clone(&self.0),
-            state: self.0.open(dev, eff),
-        })
-    }
-}
-
-/// A cheap, cloneable, type-erased handle to a [`SensingMode`] — what a
-/// [`SessionSpec`](crate::SessionSpec) carries and shards dispatch
-/// through. Obtain one from a mode value (`ModeRef::new(Track)`, or any
-/// `impl Into<ModeRef>` parameter) or from a [`ModeRegistry`] by tag.
-#[derive(Clone)]
-pub struct ModeRef(Arc<dyn ErasedMode>);
-
-impl ModeRef {
-    /// Erases a mode into a shareable handle.
-    pub fn new<M: SensingMode>(mode: M) -> Self {
-        Self(Arc::new(Erased(Arc::new(mode))))
-    }
-
-    /// The mode's stable tag.
-    pub fn tag(&self) -> &'static str {
-        self.0.tag()
-    }
-
-    /// Opens per-session state (crate-internal: shards call this).
-    pub(crate) fn open_state(&self, dev: &WiViDevice, eff: &WiViConfig) -> Box<dyn ErasedState> {
-        self.0.open(dev, eff)
-    }
-}
-
-impl<M: SensingMode> From<M> for ModeRef {
-    fn from(mode: M) -> Self {
-        ModeRef::new(mode)
-    }
-}
-
-/// Two refs are equal when they name the same mode (same tag) — tags
-/// are the registry's identity, unique by construction.
-impl PartialEq for ModeRef {
-    fn eq(&self, other: &Self) -> bool {
-        self.tag() == other.tag()
-    }
-}
-
-impl Eq for ModeRef {}
-
-impl std::fmt::Debug for ModeRef {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "ModeRef({})", self.tag())
-    }
-}
-
-/// The table of registered sensing modes: tag → mode, in registration
-/// order. [`Self::builtin`] holds the device's five native read-outs;
-/// downstream crates [`register`](Self::register) their own on top —
-/// the registry is the *one* place the mode set is spelled out, and the
-/// registry-exhaustiveness test serves one session per entry so a mode
-/// cannot exist half-wired.
-#[derive(Clone, Default)]
-pub struct ModeRegistry {
-    modes: Vec<ModeRef>,
-}
-
-impl ModeRegistry {
-    /// An empty registry.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// The built-in mode table: `track`, `track_targets`, `count`,
-    /// `gestures`, `image` — in that (stable) order.
-    pub fn builtin() -> Self {
-        let mut reg = Self::new();
-        reg.register(crate::modes::Track);
-        reg.register(crate::modes::TrackTargets);
-        reg.register(crate::modes::Count);
-        reg.register(crate::modes::Gestures);
-        reg.register(crate::modes::Image);
-        reg
-    }
-
-    /// Registers a mode, returning its handle.
-    ///
-    /// # Panics
-    /// Panics if a mode with the same tag is already registered.
-    pub fn register<M: SensingMode>(&mut self, mode: M) -> ModeRef {
-        self.register_ref(ModeRef::new(mode))
-    }
-
-    /// Registers an already-erased mode handle.
-    ///
-    /// # Panics
-    /// Panics if a mode with the same tag is already registered.
-    pub fn register_ref(&mut self, mode: ModeRef) -> ModeRef {
-        assert!(
-            self.get(mode.tag()).is_none(),
-            "mode '{}' already registered",
-            mode.tag()
-        );
-        self.modes.push(mode.clone());
-        mode
-    }
-
-    /// The mode registered under `tag`, if any — the inverse of
-    /// [`ModeRef::tag`].
-    pub fn get(&self, tag: &str) -> Option<ModeRef> {
-        self.modes.iter().find(|m| m.tag() == tag).cloned()
-    }
-
-    /// All registered modes, in registration order.
-    pub fn modes(&self) -> &[ModeRef] {
-        &self.modes
-    }
-
-    /// All registered tags, in registration order.
-    pub fn tags(&self) -> Vec<&'static str> {
-        self.modes.iter().map(|m| m.tag()).collect()
-    }
-
-    /// Number of registered modes.
-    pub fn len(&self) -> usize {
-        self.modes.len()
-    }
-
-    /// `true` if no mode is registered.
-    pub fn is_empty(&self) -> bool {
-        self.modes.is_empty()
+    fn finish(self: Box<Self>) -> ModeOutput {
+        (self.wrap)(self.session.finish())
     }
 }
 
@@ -309,51 +158,15 @@ mod tests {
     use super::*;
 
     #[test]
-    fn builtin_registry_has_the_five_modes_in_order() {
-        let reg = ModeRegistry::builtin();
+    fn every_mode_tag_round_trips_in_order() {
+        let tags = Mode::ALL.map(Mode::tag);
         assert_eq!(
-            reg.tags(),
-            vec!["track", "track_targets", "count", "gestures", "image"]
+            tags,
+            ["track", "track_targets", "count", "gestures", "image"]
         );
-        for tag in reg.tags() {
-            let m = reg.get(tag).expect("registered");
-            assert_eq!(m.tag(), tag);
+        for mode in Mode::ALL {
+            assert_eq!(Mode::from_tag(mode.tag()), Some(mode));
         }
-        assert!(reg.get("no_such_mode").is_none());
-        assert_eq!(reg.len(), 5);
-        assert!(!reg.is_empty());
-    }
-
-    #[test]
-    fn mode_refs_compare_by_tag() {
-        let a = ModeRef::new(crate::modes::Track);
-        let b = ModeRegistry::builtin().get("track").unwrap();
-        assert_eq!(a, b);
-        assert_ne!(a, ModeRef::new(crate::modes::Count));
-        assert_eq!(format!("{a:?}"), "ModeRef(track)");
-    }
-
-    #[test]
-    #[should_panic(expected = "already registered")]
-    fn duplicate_tags_are_rejected() {
-        let mut reg = ModeRegistry::builtin();
-        reg.register(crate::modes::Track);
-    }
-
-    #[test]
-    fn mode_output_downcasts() {
-        let out = ModeOutput::new("count", Some(1.5f64));
-        assert_eq!(out.tag(), "count");
-        assert!(out.is::<Option<f64>>());
-        assert_eq!(*out.expect::<Option<f64>>(), Some(1.5));
-        assert!(out.get::<String>().is_none());
-        assert_eq!(format!("{out:?}"), "ModeOutput(count)");
-    }
-
-    #[test]
-    #[should_panic(expected = "output is not a")]
-    fn mode_output_expect_panics_on_wrong_type() {
-        let out = ModeOutput::new("count", 1.5f64);
-        let _ = out.expect::<String>();
+        assert_eq!(Mode::from_tag("no_such_mode"), None);
     }
 }

@@ -56,20 +56,17 @@ use crate::admission::{Admission, AdmissionConfig};
 use crate::engine::{
     merge_session_events, CompletionQueue, ServeConfig, ServeEngine, ServeEvent, ServeReport,
 };
-use crate::mode::ModeRegistry;
+use crate::mode::Mode;
 use crate::session::{SessionId, SessionOutput, SessionSpec};
 use crate::wire::{self, Frame, OpenRequest, WireError, WireOutput, MAGIC};
 
 /// Everything a [`WireServer`] needs: engine sizing, admission policy,
-/// and the server-side catalogs a wire `OPEN` resolves its names
-/// against.
+/// and the server-side catalogs a wire `OPEN` resolves its scene and
+/// config names against (its mode tag resolves through
+/// [`Mode::from_tag`]).
 pub struct WireServerConfig {
     pub serve: ServeConfig,
     pub admission: AdmissionConfig,
-    /// Sensing modes reachable over the wire, by tag. The registry is
-    /// the wire-to-mode resolution point: registering a mode here makes
-    /// it remotely servable with no wire-format changes.
-    pub modes: ModeRegistry,
     /// Named scenes an `OPEN` may reference.
     pub scenes: Vec<(String, SceneHandle)>,
     /// Named device configurations an `OPEN` may reference.
@@ -83,13 +80,12 @@ pub struct WireServerConfig {
 }
 
 impl WireServerConfig {
-    /// Open-access loopback server with the built-in modes — the test
-    /// and bench baseline. Add scenes/configs before starting.
+    /// Open-access loopback server — the test and bench baseline. Add
+    /// scenes/configs before starting.
     pub fn new(serve: ServeConfig) -> Self {
         Self {
             serve,
             admission: AdmissionConfig::open_access(),
-            modes: ModeRegistry::builtin(),
             scenes: Vec::new(),
             configs: Vec::new(),
             bind: "127.0.0.1:0".to_owned(),
@@ -252,7 +248,6 @@ struct Reactor {
     engine: ServeEngine,
     completions: CompletionQueue,
     admission: Admission,
-    modes: ModeRegistry,
     scenes: Vec<(String, SceneHandle)>,
     configs: Vec<(String, WiViConfig)>,
     grace: Duration,
@@ -278,7 +273,6 @@ impl Reactor {
             engine,
             completions,
             admission,
-            modes: cfg.modes,
             scenes: cfg.scenes,
             configs: cfg.configs,
             grace: cfg.shutdown_grace,
@@ -477,7 +471,7 @@ impl Reactor {
 
     fn handle_open(&mut self, slot: usize, token: &str, req: OpenRequest) {
         let id = req.id;
-        let Some(mode) = self.modes.get(&req.mode) else {
+        let Some(mode) = Mode::from_tag(&req.mode) else {
             let conn = self.conns[slot].as_mut().expect("slot live");
             conn.queue_error("unknown_mode", id, format!("no mode '{}'", req.mode));
             return;

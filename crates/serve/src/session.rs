@@ -4,13 +4,12 @@
 //! session — the scene behind the wall (owned, or shared through a
 //! [`SceneHandle`] from a [`SceneStore`](wivi_rf::SceneStore)), the
 //! device configuration, the deterministic seed, how long to record,
-//! and which [`SensingMode`](crate::SensingMode) to run. The engine
-//! routes it to a worker shard, which owns the session through its
-//! lifecycle (open → stream → drain → close) and produces a
-//! [`SessionOutput`].
+//! and which [`Mode`] to run. The engine routes it to a worker shard,
+//! which owns the session through its lifecycle (open → stream → drain
+//! → close) and produces a [`SessionOutput`].
 //!
 //! The per-session streaming state (`ActiveSession`, crate-private) is
-//! deliberately thin: the mode's state holds only per-session data, and
+//! deliberately thin: the mode's session holds only per-session data, and
 //! the heavy per-window scratch (steering tables, FFT plans, the
 //! eigendecomposition workspace) lives once per *shard* in the keyed
 //! [`EngineCache`] and is borrowed per batch — see [`crate::shard`].
@@ -20,7 +19,7 @@ use wivi_num::Complex64;
 use wivi_rf::SceneHandle;
 use wivi_track::TrackEvent;
 
-use crate::mode::{ErasedState, ModeOutput, ModeRef};
+use crate::mode::{Mode, ModeOutput, ModeSession};
 
 /// Session identity. Must be unique across the engine's lifetime; ties
 /// in the merged event stream break by it, and shard routing hashes it.
@@ -45,11 +44,8 @@ pub struct SessionSpec {
     /// the engine's merged stream are `start_s` + the session-relative
     /// window time.
     pub start_s: f64,
-    /// The sensing mode to run — any registered [`SensingMode`]
-    /// (built-in or downstream-defined), type-erased.
-    ///
-    /// [`SensingMode`]: crate::SensingMode
-    pub mode: ModeRef,
+    /// The sensing mode to run.
+    pub mode: Mode,
     /// Request trace id linking this session's open/step/drain spans to
     /// the client-side open span (0 = untraced). Observability only:
     /// the session's outputs and events are bitwise independent of it.
@@ -58,15 +54,14 @@ pub struct SessionSpec {
 
 impl SessionSpec {
     /// A spec starting at serving-clock zero. `scene` may be owned or a
-    /// shared handle; `mode` may be a mode value (`Track`) or a
-    /// [`ModeRef`] from a registry.
+    /// shared handle.
     pub fn new(
         id: SessionId,
         scene: impl Into<SceneHandle>,
         config: WiViConfig,
         seed: u64,
         duration_s: f64,
-        mode: impl Into<ModeRef>,
+        mode: Mode,
     ) -> Self {
         Self {
             id,
@@ -75,7 +70,7 @@ impl SessionSpec {
             seed,
             duration_s,
             start_s: 0.0,
-            mode: mode.into(),
+            mode,
             trace: 0,
         }
     }
@@ -101,7 +96,7 @@ impl SessionSpec {
 ///
 /// ```
 /// use wivi_rf::{Material, Scene, SceneStore};
-/// use wivi_serve::{modes::Count, SessionSpec};
+/// use wivi_serve::{Mode, SessionSpec};
 ///
 /// let mut store = SceneStore::new();
 /// let room = store.insert("lab", Scene::new(Material::HollowWall6In));
@@ -110,7 +105,7 @@ impl SessionSpec {
 ///     .seed(42)
 ///     .duration_s(4.0)
 ///     .start_s(1.5)
-///     .mode(Count)
+///     .mode(Mode::Count)
 ///     .build();
 /// assert_eq!(spec.mode.tag(), "count");
 /// ```
@@ -121,7 +116,7 @@ pub struct SessionSpecBuilder {
     seed: u64,
     duration_s: Option<f64>,
     start_s: f64,
-    mode: Option<ModeRef>,
+    mode: Option<Mode>,
     trace: u64,
 }
 
@@ -157,9 +152,9 @@ impl SessionSpecBuilder {
         self
     }
 
-    /// The sensing mode — a mode value or a [`ModeRef`]. Required.
-    pub fn mode(mut self, mode: impl Into<ModeRef>) -> Self {
-        self.mode = Some(mode.into());
+    /// The sensing mode. Required.
+    pub fn mode(mut self, mode: Mode) -> Self {
+        self.mode = Some(mode);
         self
     }
 
@@ -201,7 +196,7 @@ pub struct SessionOutput {
     pub id: SessionId,
     /// The shard that served the session.
     pub shard: usize,
-    /// The tag of the mode the session ran ([`ModeRef::tag`]).
+    /// The tag of the mode the session ran ([`Mode::tag`]).
     pub mode: &'static str,
     pub start_s: f64,
     /// Channel samples requested (`duration_s` at the radio's rate).
@@ -215,13 +210,12 @@ pub struct SessionOutput {
     pub closed_early: bool,
     /// Nulling achieved at session open, dB.
     pub nulling_db: f64,
-    /// The mode's payload — downcast with [`ModeOutput::expect`] to the
-    /// type the mode documents.
+    /// The mode's payload.
     pub result: ModeOutput,
     /// The session's tracker events (session-relative times, emission
-    /// order), as returned by the mode's `finalize` — the one event
-    /// path every mode shares; modes without an event stream return
-    /// none. The engine merges these into its unified stream.
+    /// order): the tracking report's events for `track_targets`, none
+    /// for every other mode. The engine merges these into its unified
+    /// stream.
     pub events: Vec<TrackEvent>,
     /// Calibration wall-clock at open, seconds.
     pub calibrate_s: f64,
@@ -230,13 +224,13 @@ pub struct SessionOutput {
 }
 
 /// A session being served by a shard: the device plus the mode's
-/// type-erased streaming state.
+/// streaming session.
 pub(crate) struct ActiveSession {
     pub(crate) id: SessionId,
-    mode: ModeRef,
+    mode: Mode,
     start_s: f64,
     dev: WiViDevice,
-    state: Box<dyn ErasedState>,
+    session: Box<dyn ModeSession>,
     n_requested: usize,
     remaining: usize,
     nulling_db: f64,
@@ -279,7 +273,7 @@ impl SessionSlo {
 
 impl ActiveSession {
     /// Opens the session: builds the device, calibrates (timing it), and
-    /// opens the mode's streaming state against the *effective*
+    /// opens the mode's session against the *effective*
     /// configuration (the device derives the MUSIC noise floor from the
     /// radio), exactly as the standalone entry points do.
     pub(crate) fn open(spec: SessionSpec) -> Self {
@@ -299,14 +293,14 @@ impl ActiveSession {
         let nulling_db = dev.calibrate().nulling_db();
         let calibrate_s = t0.elapsed().as_secs_f64();
         let eff = *dev.config();
-        let state = mode.open_state(&dev, &eff);
+        let session = mode.open(&dev, &eff);
         let n_requested = dev.trace_len(duration_s);
         Self {
             id,
             mode,
             start_s,
             dev,
-            state,
+            session,
             n_requested,
             remaining: n_requested,
             nulling_db,
@@ -340,7 +334,7 @@ impl ActiveSession {
         let _span = wivi_obs::span_traced("session.step", self.id, self.trace);
         self.dev.observe_batch_into(n, scratch);
         self.remaining -= n;
-        self.state.step(engines, scratch);
+        self.session.step(engines, scratch);
     }
 
     /// Drains the session into its output (the close step of the
@@ -349,8 +343,12 @@ impl ActiveSession {
         let _span = wivi_obs::span_traced("session.drain", self.id, self.trace);
         let n_samples = self.n_requested - self.remaining;
         let closed_early = self.remaining > 0;
-        let n_columns = self.state.columns();
-        let (result, events) = self.state.finalize();
+        let n_columns = self.session.columns();
+        let result = self.session.finish();
+        let events = match &result {
+            ModeOutput::TrackTargets(report) => report.events.clone(),
+            _ => Vec::new(),
+        };
         SessionOutput {
             id: self.id,
             shard,

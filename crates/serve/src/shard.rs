@@ -21,10 +21,8 @@
 //! one resident engine — one steering table, one correlation matrix,
 //! one eigendecomposition workspace — borrowed per batch through the
 //! `Shared*` streaming stages. The engines live in the shard's keyed
-//! [`EngineCache`], a registry open to any
-//! engine type (see [`wivi_core::ShardEngine`]): a shard serving N
-//! same-config sessions holds one engine, not N, and a downstream
-//! sensing mode's engines are hosted exactly like the built-ins'.
+//! [`EngineCache`] (see [`wivi_core::ShardEngine`]): a shard serving N
+//! same-config sessions holds one engine, not N.
 
 use std::collections::VecDeque;
 use std::sync::{Arc, Condvar, Mutex};

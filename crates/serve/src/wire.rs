@@ -52,15 +52,13 @@
 //! [`encode_session_output`] defines *the* canonical byte encoding of a
 //! [`SessionOutput`]: identity and lifecycle fields, the session's full
 //! event list, and the mode payload encoded field-for-field (every
-//! `f64` by bit pattern) for the five built-in modes. Wall-clock
-//! telemetry (`calibrate_s`, `stream_s`) is deliberately excluded —
-//! the wire carries observations, not scheduling accidents — as is the
-//! tracker's `cfg` (a pure function of the session's effective config,
-//! not an observation). The loopback acceptance test pins that a
+//! `f64` by bit pattern). Wall-clock telemetry (`calibrate_s`,
+//! `stream_s`) is deliberately excluded — the wire carries
+//! observations, not scheduling accidents — as is the tracker's `cfg`
+//! (a pure function of the session's effective config, not an
+//! observation). The loopback acceptance test pins that a
 //! net-served session's OUTPUT/EVENT frames are byte-identical to this
 //! encoding of the in-process [`ServeReport`](crate::ServeReport).
-//! Downstream-defined modes (unknown payload types) encode with a
-//! `0` presence flag: framing stays valid, the payload is opaque.
 
 use wivi_core::gesture::GestureDecode;
 use wivi_core::AngleSpectrogram;
@@ -69,6 +67,7 @@ use wivi_num::Kalman2;
 use wivi_track::{EventKind, TrackEvent, TrackStatus, TrackingReport};
 
 use crate::engine::ServeEvent;
+use crate::mode::ModeOutput;
 use crate::session::{SessionId, SessionOutput};
 
 /// Connection preamble: lets the listener tell protocol traffic from an
@@ -105,9 +104,7 @@ pub(crate) mod tag {
 /// the names the server registered them under
 /// ([`WireServerConfig`](crate::net::WireServerConfig)) — a remote
 /// radio streams *into* a scene catalog, it does not upload geometry —
-/// and the mode by its [`ModeRegistry`](crate::ModeRegistry) tag, which
-/// is the wire-to-mode resolution point: every registered mode is
-/// remotely reachable with no per-mode wire code.
+/// and the mode by its [`Mode`](crate::Mode) tag.
 #[derive(Clone, Debug, PartialEq)]
 pub struct OpenRequest {
     pub id: SessionId,
@@ -130,8 +127,8 @@ pub struct OpenRequest {
 }
 
 /// One decoded frame. `Output` carries the decoded common surface plus
-/// the raw canonical payload bytes (client side cannot reconstruct a
-/// type-erased `ModeOutput`; byte-level comparison is the contract).
+/// the raw canonical payload bytes (the client does not decode a
+/// payload; byte-level comparison is the contract).
 #[derive(Clone, Debug, PartialEq)]
 pub enum Frame {
     /// Client hello: auth token.
@@ -609,11 +606,10 @@ fn put_imaging_report(buf: &mut Vec<u8>, r: &ImagingReport) {
     put_usizes(buf, &r.confirmed_counts);
 }
 
-/// Encodes a mode payload canonically: a presence flag, then — for the
-/// five built-in payload types — every field, floats by bit pattern.
-/// Unknown (downstream) payload types encode flag `0`: the frame stays
-/// well-formed and the common surface still travels.
-pub fn encode_mode_payload(out: &crate::ModeOutput, buf: &mut Vec<u8>) {
+/// Encodes a mode payload canonically: a presence flag (`2` when a
+/// payload follows, `1` for an absent `Option` payload), then every
+/// field, floats by bit pattern.
+pub fn encode_mode_payload(out: &ModeOutput, buf: &mut Vec<u8>) {
     fn put_opt<T>(buf: &mut Vec<u8>, v: &Option<T>, put: impl Fn(&mut Vec<u8>, &T)) {
         match v {
             Some(x) => {
@@ -623,20 +619,18 @@ pub fn encode_mode_payload(out: &crate::ModeOutput, buf: &mut Vec<u8>) {
             None => put_u8(buf, 1),
         }
     }
-    if let Some(spec) = out.get::<Option<AngleSpectrogram>>() {
-        put_opt(buf, spec, put_spectrogram);
-    } else if let Some(report) = out.get::<TrackingReport>() {
-        put_u8(buf, 2);
-        put_tracking_report(buf, report);
-    } else if let Some(mean) = out.get::<Option<f64>>() {
-        put_opt(buf, mean, |b, &m| put_f64(b, m));
-    } else if let Some(decode) = out.get::<Option<GestureDecode>>() {
-        put_opt(buf, decode, put_gesture_decode);
-    } else if let Some(report) = out.get::<ImagingReport>() {
-        put_u8(buf, 2);
-        put_imaging_report(buf, report);
-    } else {
-        put_u8(buf, 0);
+    match out {
+        ModeOutput::Track(spec) => put_opt(buf, spec, put_spectrogram),
+        ModeOutput::TrackTargets(report) => {
+            put_u8(buf, 2);
+            put_tracking_report(buf, report);
+        }
+        ModeOutput::Count(mean) => put_opt(buf, mean, |b, &m| put_f64(b, m)),
+        ModeOutput::Gestures(decode) => put_opt(buf, decode, put_gesture_decode),
+        ModeOutput::Image(report) => {
+            put_u8(buf, 2);
+            put_imaging_report(buf, report);
+        }
     }
 }
 
@@ -679,8 +673,7 @@ fn take_wire_output(c: &mut Cursor) -> Result<WireOutput, WireError> {
         events.push(take_track_event(c)?);
     }
     // Everything after the common surface is the canonical payload
-    // block, kept as raw bytes (type-erased payloads cannot be
-    // reconstructed client-side; bytes are the contract).
+    // block, kept as raw bytes (bytes are the contract).
     let payload = c.buf.get(c.pos..).unwrap_or(&[]).to_vec();
     c.pos = c.buf.len();
     Ok(WireOutput {
@@ -1033,7 +1026,6 @@ mod tests {
     #[test]
     #[rustfmt::skip]
     fn option_payloads_encode_to_pinned_bytes() {
-        use crate::ModeOutput;
         use wivi_core::gesture::DetectedGesture;
         let spec = AngleSpectrogram {
             thetas_deg: vec![-90.0, 0.0, 90.0],
@@ -1048,7 +1040,7 @@ mod tests {
             bits: vec![Some(true), None],
         };
         let cases: [(ModeOutput, &[u8]); 6] = [
-            (ModeOutput::new("track", Some(spec)), &[
+            (ModeOutput::Track(Some(spec)), &[
                 2,                                         // present
                 3, 0, 0, 0,                                // 3 angles
                 0, 0, 0, 0, 0, 0x80, 0x56, 0xc0,           // -90.0
@@ -1067,13 +1059,13 @@ mod tests {
                 0, 0, 0, 0, 0, 0, 0xe0, 0x3f,              // 0.5
                 0, 0, 0, 0, 0, 0, 0x20, 0x40,              // 8.0
             ]),
-            (ModeOutput::new("track", None::<AngleSpectrogram>), &[1]),
-            (ModeOutput::new("count", Some(1.5f64)), &[
+            (ModeOutput::Track(None), &[1]),
+            (ModeOutput::Count(Some(1.5)), &[
                 2,                                         // present
                 0, 0, 0, 0, 0, 0, 0xf8, 0x3f,              // 1.5
             ]),
-            (ModeOutput::new("count", None::<f64>), &[1]),
-            (ModeOutput::new("gestures", Some(decode)), &[
+            (ModeOutput::Count(None), &[1]),
+            (ModeOutput::Gestures(Some(decode)), &[
                 2,                                         // present
                 2, 0, 0, 0,                                // track: 2
                 0, 0, 0, 0, 0, 0, 0xf0, 0x3f,              // 1.0
@@ -1091,7 +1083,7 @@ mod tests {
                 2,                                         // Some(true)
                 0,                                         // None
             ]),
-            (ModeOutput::new("gestures", None::<GestureDecode>), &[1]),
+            (ModeOutput::Gestures(None), &[1]),
         ];
         for (out, want) in &cases {
             let mut got = Vec::new();
@@ -1102,7 +1094,6 @@ mod tests {
 
     #[test]
     fn output_frame_is_byte_identical_to_canonical_encoding() {
-        use crate::ModeOutput;
         let out = SessionOutput {
             id: 11,
             shard: 1,
@@ -1113,7 +1104,7 @@ mod tests {
             n_columns: 4,
             closed_early: false,
             nulling_db: -27.5,
-            result: ModeOutput::new("count", Some(1.5f64)),
+            result: ModeOutput::Count(Some(1.5)),
             events: vec![TrackEvent {
                 window: 2,
                 time_s: 0.5,

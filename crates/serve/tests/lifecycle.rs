@@ -3,11 +3,10 @@
 //! backpressure — each asserting that no events (or sessions) are lost
 //! or duplicated.
 
-use wivi_core::gesture::{GestureDecode, MIN_DECODE_WINDOWS};
-use wivi_core::{AngleSpectrogram, WiViConfig, WiViDevice};
-use wivi_image::ImagingReport;
+use wivi_core::gesture::MIN_DECODE_WINDOWS;
+use wivi_core::{WiViConfig, WiViDevice};
 use wivi_rf::{Material, Mover, Point, Scene, WaypointWalker};
-use wivi_serve::{modes, ModeRef, ServeConfig, ServeEngine, SessionSpec};
+use wivi_serve::{Mode, ModeOutput, ServeConfig, ServeEngine, SessionOutput, SessionSpec};
 use wivi_track::{TrackTargets, TrackingReport};
 
 fn crossing_scene() -> Scene {
@@ -23,7 +22,7 @@ fn crossing_scene() -> Scene {
         )))
 }
 
-fn spec(id: u64, duration_s: f64, mode: impl Into<ModeRef>) -> SessionSpec {
+fn spec(id: u64, duration_s: f64, mode: Mode) -> SessionSpec {
     SessionSpec::new(
         id,
         crossing_scene(),
@@ -37,11 +36,11 @@ fn spec(id: u64, duration_s: f64, mode: impl Into<ModeRef>) -> SessionSpec {
 #[test]
 fn zero_duration_sessions_drain_cleanly() {
     let mut engine = ServeEngine::start(ServeConfig::with_shards(2));
-    engine.open(spec(1, 0.0, modes::Track)).unwrap();
-    engine.open(spec(2, 0.0, modes::TrackTargets)).unwrap();
-    engine.open(spec(3, 0.0, modes::Count)).unwrap();
-    engine.open(spec(4, 0.0, modes::Gestures)).unwrap();
-    engine.open(spec(5, 0.0, modes::Image)).unwrap();
+    engine.open(spec(1, 0.0, Mode::Track)).unwrap();
+    engine.open(spec(2, 0.0, Mode::TrackTargets)).unwrap();
+    engine.open(spec(3, 0.0, Mode::Count)).unwrap();
+    engine.open(spec(4, 0.0, Mode::Gestures)).unwrap();
+    engine.open(spec(5, 0.0, Mode::Image)).unwrap();
     // Gestures sessions long enough for exactly one and exactly two
     // analysis windows — still short of the decoder's minimum — drain
     // to `None` too instead of panicking their shard.
@@ -51,7 +50,7 @@ fn zero_duration_sessions_drain_cleanly() {
     for (id, windows) in short {
         let n = isar.window + (windows - 1) * isar.hop;
         let duration_s = n as f64 / cfg.radio.channel_rate_hz;
-        engine.open(spec(id, duration_s, modes::Gestures)).unwrap();
+        engine.open(spec(id, duration_s, Mode::Gestures)).unwrap();
     }
     let report = engine.finish();
     assert_eq!(report.outputs.len(), 7);
@@ -60,7 +59,7 @@ fn zero_duration_sessions_drain_cleanly() {
         let out = report.output(id).expect("short gestures session drained");
         assert_eq!(out.n_columns, windows);
         assert!(windows < MIN_DECODE_WINDOWS);
-        assert!(out.result.expect::<Option<GestureDecode>>().is_none());
+        assert!(matches!(out.result, ModeOutput::Gestures(None)));
     }
     for out in report.outputs.iter().filter(|o| o.id <= 5) {
         assert_eq!(out.n_requested, 0);
@@ -68,21 +67,18 @@ fn zero_duration_sessions_drain_cleanly() {
         assert_eq!(out.n_columns, 0);
         assert!(!out.closed_early, "a zero-duration session is complete");
         assert!(out.events.is_empty());
-        match out.mode {
-            "track" => assert!(out.result.expect::<Option<AngleSpectrogram>>().is_none()),
-            "track_targets" => {
-                let r = out.result.expect::<TrackingReport>();
+        match &out.result {
+            ModeOutput::Track(spec) => assert!(spec.is_none()),
+            ModeOutput::TrackTargets(r) => {
                 assert_eq!(r.n_windows(), 0);
                 assert!(r.tracks.is_empty() && r.events.is_empty());
             }
-            "count" => assert!(out.result.expect::<Option<f64>>().is_none()),
-            "gestures" => assert!(out.result.expect::<Option<GestureDecode>>().is_none()),
-            "image" => {
-                let r = out.result.expect::<ImagingReport>();
+            ModeOutput::Count(mean) => assert!(mean.is_none()),
+            ModeOutput::Gestures(decode) => assert!(decode.is_none()),
+            ModeOutput::Image(r) => {
                 assert_eq!(r.n_windows(), 0);
                 assert!(r.fixes.is_empty() && r.tracks.is_empty());
             }
-            other => panic!("unexpected mode '{other}'"),
         }
     }
 }
@@ -92,7 +88,7 @@ fn more_sessions_than_shards_all_complete_exactly_once() {
     let n = 6usize;
     let mut engine = ServeEngine::start(ServeConfig::with_shards(2));
     for id in 0..n as u64 {
-        engine.open(spec(id, 1.5, modes::TrackTargets)).unwrap();
+        engine.open(spec(id, 1.5, Mode::TrackTargets)).unwrap();
     }
     let report = engine.finish();
     assert_eq!(report.outputs.len(), n);
@@ -113,7 +109,7 @@ fn more_sessions_than_shards_all_complete_exactly_once() {
     dev.calibrate();
     let reference = dev.track_targets_streaming(1.5, engine_batch());
     for out in &report.outputs {
-        let r = out.result.expect::<TrackingReport>();
+        let r = tracking_report(out);
         assert_eq!(r, &reference, "session {}", out.id);
         assert_eq!(out.events, reference.events);
     }
@@ -121,6 +117,13 @@ fn more_sessions_than_shards_all_complete_exactly_once() {
         if s.sessions > 0 {
             assert_eq!(s.engines, 1, "same-config sessions must share one engine");
         }
+    }
+}
+
+fn tracking_report(out: &SessionOutput) -> &TrackingReport {
+    match &out.result {
+        ModeOutput::TrackTargets(report) => report,
+        _ => panic!("session {} is not a tracking session", out.id),
     }
 }
 
@@ -136,7 +139,7 @@ fn closing_mid_stream_yields_an_exact_prefix_with_no_event_loss() {
     // duplicated at the cut.
     let duration = 60.0; // ~18'750 samples ≈ seconds of compute: close lands mid-stream
     let mut engine = ServeEngine::start(ServeConfig::with_shards(1));
-    engine.open(spec(9, duration, modes::TrackTargets)).unwrap();
+    engine.open(spec(9, duration, Mode::TrackTargets)).unwrap();
     std::thread::sleep(std::time::Duration::from_millis(300));
     engine.close(9).unwrap();
     let report = engine.finish();
@@ -161,7 +164,7 @@ fn closing_mid_stream_yields_an_exact_prefix_with_no_event_loss() {
     assert_eq!(dev.trace_len(truncated_duration), out.n_samples);
     let reference = dev.track_targets_streaming(truncated_duration, engine_batch());
 
-    let r = out.result.expect::<TrackingReport>();
+    let r = tracking_report(out);
     assert_eq!(r.n_windows(), reference.n_windows());
     assert_eq!(
         r.events, reference.events,
@@ -182,11 +185,11 @@ fn full_queue_backpressures_and_loses_nothing() {
         batch_len: 16,
         ..ServeConfig::with_shards_workers(1, 1)
     });
-    engine.open(spec(0, 0.5, modes::Count)).unwrap();
-    engine.open(spec(1, 0.5, modes::Count)).unwrap();
+    engine.open(spec(0, 0.5, Mode::Count)).unwrap();
+    engine.open(spec(1, 0.5, Mode::Count)).unwrap();
 
     let mut rejected = 0usize;
-    let mut pending = spec(2, 0.5, modes::Count);
+    let mut pending = spec(2, 0.5, Mode::Count);
     loop {
         match engine.try_open(pending) {
             Ok(()) => break,
@@ -220,14 +223,14 @@ fn full_queue_backpressures_and_loses_nothing() {
 #[test]
 fn duplicate_session_ids_are_rejected() {
     let mut engine = ServeEngine::start(ServeConfig::with_shards(1));
-    engine.open(spec(5, 0.5, modes::Count)).unwrap();
+    engine.open(spec(5, 0.5, Mode::Count)).unwrap();
     let err = engine
-        .open(spec(5, 0.5, modes::Count))
+        .open(spec(5, 0.5, Mode::Count))
         .expect_err("duplicate id must be refused");
     assert!(matches!(err, wivi_serve::ServeError::DuplicateId(5)));
     // try_open enforces the same uniqueness.
     let err = engine
-        .try_open(spec(5, 0.5, modes::Count))
+        .try_open(spec(5, 0.5, Mode::Count))
         .expect_err("duplicate id must be refused on try_open too");
     assert_eq!(err.tag(), "duplicate_id");
     let report = engine.finish();
@@ -237,7 +240,7 @@ fn duplicate_session_ids_are_rejected() {
 #[test]
 fn closing_unknown_or_finished_sessions_is_harmless() {
     let mut engine = ServeEngine::start(ServeConfig::with_shards(2));
-    engine.open(spec(1, 0.5, modes::Count)).unwrap();
+    engine.open(spec(1, 0.5, Mode::Count)).unwrap();
     engine.close(999).unwrap(); // never existed
     let report = engine.finish();
     assert_eq!(report.outputs.len(), 1);
@@ -248,7 +251,7 @@ fn closing_unknown_or_finished_sessions_is_harmless() {
 fn shard_stats_are_consistent() {
     let mut engine = ServeEngine::start(ServeConfig::with_shards(3));
     for id in 0..5u64 {
-        engine.open(spec(id, 1.0, modes::Count)).unwrap();
+        engine.open(spec(id, 1.0, Mode::Count)).unwrap();
     }
     let report = engine.finish();
     assert_eq!(report.shards().len(), 3);

@@ -1,25 +1,11 @@
-//! Registry-exhaustiveness coverage: every mode registered in
-//! [`ModeRegistry::builtin`] round-trips its tag and actually serves
-//! end-to-end, with the result payload downcasting to the type the mode
-//! documents. The payload `match` below is deliberately written over an
-//! *explicit* tag list with a panicking fallback, and the expected-tag
-//! list is asserted against the registry — so registering a new
-//! built-in mode fails this test until its payload contract is spelled
-//! out: the registry cannot silently grow past its coverage.
-//!
-//! This file is also an out-of-crate extension-point proof: integration
-//! tests link `wivi_serve` as an external crate, and the toy mode at the
-//! bottom implements [`SensingMode`] — with its own shard-resident
-//! engine through the keyed [`EngineCache`] — without touching the
-//! serving crate.
+//! Mode coverage: every [`Mode`] actually serves end-to-end and returns
+//! its own [`ModeOutput`] variant. The `match` below pairs each mode
+//! with its payload and has no fallback arm, so a new mode does not
+//! compile here until its payload check is spelled out.
 
-use wivi_core::gesture::GestureDecode;
-use wivi_core::{AngleSpectrogram, EngineCache, ShardEngine, WiViConfig, WiViDevice};
-use wivi_image::ImagingReport;
-use wivi_num::Complex64;
+use wivi_core::WiViConfig;
 use wivi_rf::{Material, Mover, Point, Scene, WaypointWalker};
-use wivi_serve::{ModeOutput, ModeRegistry, SensingMode, ServeConfig, ServeEngine, SessionSpec};
-use wivi_track::{TrackEvent, TrackingReport};
+use wivi_serve::{Mode, ModeOutput, ServeConfig, ServeEngine, SessionSpec};
 
 fn scene() -> Scene {
     Scene::new(Material::HollowWall6In)
@@ -30,36 +16,10 @@ fn scene() -> Scene {
         )))
 }
 
-/// The payload contract this test knows how to check — must cover the
-/// registry exactly (asserted in the tests below).
-const KNOWN_TAGS: [&str; 5] = ["track", "track_targets", "count", "gestures", "image"];
-
-#[test]
-fn every_registered_mode_label_round_trips() {
-    let reg = ModeRegistry::builtin();
-    // The registry and this test's coverage must agree exactly: a new
-    // registered mode must be added to KNOWN_TAGS (and the payload
-    // match below) before this suite passes again.
-    assert_eq!(reg.tags(), KNOWN_TAGS.to_vec(), "registry coverage drift");
-    for mode in reg.modes() {
-        let by_tag = reg.get(mode.tag()).expect("tag resolves");
-        assert_eq!(by_tag.tag(), mode.tag());
-        assert_eq!(&by_tag, mode, "tag round-trip changed the mode");
-    }
-    assert!(reg.get("no_such_mode").is_none());
-    // Tags are unique (the registry enforces it at registration).
-    for (i, a) in reg.tags().iter().enumerate() {
-        for b in &reg.tags()[i + 1..] {
-            assert_ne!(a, b);
-        }
-    }
-}
-
 #[test]
 fn every_registered_mode_serves_and_returns_its_own_payload() {
-    let reg = ModeRegistry::builtin();
     let mut engine = ServeEngine::start(ServeConfig::with_shards(2));
-    for (i, mode) in reg.modes().iter().enumerate() {
+    for (i, mode) in Mode::ALL.into_iter().enumerate() {
         engine
             .open(
                 SessionSpec::builder(i as u64)
@@ -67,152 +27,29 @@ fn every_registered_mode_serves_and_returns_its_own_payload() {
                     .config(WiViConfig::fast_test())
                     .seed(100 + i as u64)
                     .duration_s(2.5)
-                    .mode(mode.clone())
+                    .mode(mode)
                     .build(),
             )
             .unwrap();
     }
     let report = engine.finish();
-    assert_eq!(report.outputs.len(), reg.len());
-    for (i, mode) in reg.modes().iter().enumerate() {
+    assert_eq!(report.outputs.len(), Mode::ALL.len());
+    for (i, mode) in Mode::ALL.into_iter().enumerate() {
         let out = report.output(i as u64).expect("session served");
         assert_eq!(out.mode, mode.tag());
-        assert_eq!(out.result.tag(), mode.tag());
         assert_eq!(out.n_samples, out.n_requested);
         assert!(out.n_columns > 0, "{} produced no windows", mode.tag());
-        // Explicit tag list with panicking fallback: a newly registered
-        // mode must declare its payload here.
-        match out.mode {
-            "track" => {
-                assert!(out.result.expect::<Option<AngleSpectrogram>>().is_some());
+        match (mode, &out.result) {
+            (Mode::Track, ModeOutput::Track(spec)) => assert!(spec.is_some()),
+            (Mode::TrackTargets, ModeOutput::TrackTargets(report)) => {
+                assert!(!report.times_s.is_empty());
             }
-            "track_targets" => {
-                assert!(!out.result.expect::<TrackingReport>().times_s.is_empty());
+            (Mode::Count, ModeOutput::Count(mean)) => assert!(mean.is_some()),
+            (Mode::Gestures, ModeOutput::Gestures(decode)) => assert!(decode.is_some()),
+            (Mode::Image, ModeOutput::Image(report)) => assert!(report.n_windows() > 0),
+            (Mode::Track | Mode::TrackTargets | Mode::Count | Mode::Gestures | Mode::Image, _) => {
+                panic!("mode '{}' returned another mode's payload", mode.tag())
             }
-            "count" => {
-                assert!(out.result.expect::<Option<f64>>().is_some());
-            }
-            "gestures" => {
-                assert!(out.result.expect::<Option<GestureDecode>>().is_some());
-            }
-            "image" => {
-                assert!(out.result.expect::<ImagingReport>().n_windows() > 0);
-            }
-            other => panic!("registered mode '{other}' has no payload check"),
         }
     }
-}
-
-// ---- Out-of-crate toy mode ------------------------------------------
-
-/// A shard-resident engine defined outside wivi-serve: a precomputed
-/// Hann-like window the mode applies per batch. Shards build it once
-/// per configuration and share it across sessions.
-struct TaperEngine {
-    taper: Vec<f64>,
-}
-
-impl ShardEngine for TaperEngine {
-    type Config = usize; // taper length
-
-    fn build(cfg: &usize) -> Self {
-        let n = (*cfg).max(1);
-        TaperEngine {
-            taper: (0..n)
-                .map(|i| {
-                    let x = i as f64 / n as f64;
-                    0.5 - 0.5 * (std::f64::consts::TAU * x).cos()
-                })
-                .collect(),
-        }
-    }
-}
-
-/// The toy sixth mode: tapered mean power of the nulled residual.
-struct TaperedPower;
-
-struct TaperedPowerState {
-    sum: f64,
-    n: usize,
-    batch_len: usize,
-}
-
-impl SensingMode for TaperedPower {
-    type State = TaperedPowerState;
-
-    fn tag(&self) -> &'static str {
-        "tapered_power"
-    }
-
-    fn open(&self, _dev: &WiViDevice, _eff: &WiViConfig) -> TaperedPowerState {
-        TaperedPowerState {
-            sum: 0.0,
-            n: 0,
-            batch_len: 16,
-        }
-    }
-
-    fn step(&self, st: &mut TaperedPowerState, engines: &mut EngineCache, h: &[Complex64]) {
-        let engine = engines.engine::<TaperEngine>(&st.batch_len);
-        for (i, z) in h.iter().enumerate() {
-            st.sum += z.norm_sqr() * engine.taper[i % engine.taper.len()];
-        }
-        st.n += h.len();
-    }
-
-    fn columns(&self, st: &TaperedPowerState) -> usize {
-        st.n
-    }
-
-    fn finalize(&self, st: TaperedPowerState) -> (ModeOutput, Vec<TrackEvent>) {
-        let mean = (st.n > 0).then(|| st.sum / st.n as f64);
-        (ModeOutput::new(self.tag(), mean), Vec::new())
-    }
-}
-
-#[test]
-fn out_of_crate_mode_registers_and_serves_next_to_builtins() {
-    let mut reg = ModeRegistry::builtin();
-    let toy = reg.register(TaperedPower);
-    assert_eq!(reg.len(), KNOWN_TAGS.len() + 1);
-    assert_eq!(reg.get("tapered_power").unwrap().tag(), "tapered_power");
-
-    // One toy session multiplexed with a built-in on the same engine.
-    let mut engine = ServeEngine::start(ServeConfig::with_shards(1));
-    engine
-        .open(
-            SessionSpec::builder(1)
-                .scene(scene())
-                .config(WiViConfig::fast_test())
-                .seed(7)
-                .duration_s(0.5)
-                .mode(toy)
-                .build(),
-        )
-        .unwrap();
-    engine
-        .open(
-            SessionSpec::builder(2)
-                .scene(scene())
-                .config(WiViConfig::fast_test())
-                .seed(8)
-                .duration_s(0.5)
-                .mode(reg.get("count").unwrap())
-                .build(),
-        )
-        .unwrap();
-    let report = engine.finish();
-    assert_eq!(report.outputs.len(), 2);
-
-    let toy_out = report.output(1).unwrap();
-    assert_eq!(toy_out.mode, "tapered_power");
-    let mean = toy_out.result.expect::<Option<f64>>();
-    assert!(mean.unwrap() > 0.0, "toy mode saw no residual power");
-    assert!(toy_out.events.is_empty(), "toy mode contributes no events");
-
-    let count_out = report.output(2).unwrap();
-    assert_eq!(count_out.mode, "count");
-    assert!(count_out.result.expect::<Option<f64>>().is_some());
-    // The shard hosted the toy engine next to the built-in MUSIC engine.
-    assert!(report.shards()[0].engines >= 2);
 }

@@ -30,10 +30,9 @@
 //!   concurrent sessions hash-routed to worker shards, streamed in
 //!   batches with backpressure, their tracker events merged into one
 //!   timestamp-ordered stream — bitwise identical to running each
-//!   session standalone. Sensing modes are pluggable
-//!   ([`SensingMode`](serve::SensingMode) + a keyed engine registry),
-//!   and fleet sessions share scenes copy-on-write through
-//!   [`SceneStore`](rf::SceneStore).
+//!   session standalone. A session names one [`Mode`](serve::Mode) of
+//!   the device's closed set of read-outs, and fleet sessions share
+//!   scenes copy-on-write through [`SceneStore`](rf::SceneStore).
 //! * [`obs`] — zero-dependency observability: lock-light metrics
 //!   (counters, gauges, log-linear histograms), span tracing into
 //!   per-thread flight-recorder rings, kernel-level probes, and JSON /
@@ -86,10 +85,7 @@ pub mod prelude {
         ConfinedRandomWalk, GestureScript, GestureStyle, Material, Mover, Point, Rect, Scene,
         SceneHandle, SceneStore, Vec2, WaypointWalker,
     };
-    pub use wivi_serve::{
-        modes, ModeOutput, ModeRef, ModeRegistry, SensingMode, ServeConfig, ServeEngine,
-        ServeReport, SessionSpec,
-    };
+    pub use wivi_serve::{Mode, ModeOutput, ServeConfig, ServeEngine, ServeReport, SessionSpec};
     pub use wivi_track::{
         MultiTargetTracker, TrackEvent, TrackTargets, TrackerConfig, TrackingReport,
     };

@@ -5,11 +5,8 @@
 //! methods) must all agree bit for bit.
 
 use super::assert_result_eq;
-use wivi::core::gesture::GestureDecode;
-use wivi::core::AngleSpectrogram;
 use wivi::prelude::*;
 use wivi::rf::{GestureScript, GestureStyle, Point as P, Vec2};
-use wivi::track::TrackingReport;
 
 /// Streaming batch lengths every row is checked at, against the offline
 /// (one whole-trace batch) output.
@@ -61,32 +58,32 @@ pub fn device(scene: Scene, seed: u64) -> WiViDevice {
 
 /// One row of the table: a mode and the trial it is run on.
 pub struct Case {
-    pub tag: &'static str,
+    pub mode: Mode,
     pub scene: fn() -> Scene,
     pub seed: u64,
     pub duration_s: f64,
 }
 
-/// One row per built-in mode, in registry order.
+/// One row per mode, in [`Mode::ALL`] order.
 pub fn cases() -> [Case; 5] {
-    let case = |tag, scene, seed, duration_s| Case {
-        tag,
+    let case = |mode, scene, seed, duration_s| Case {
+        mode,
         scene,
         seed,
         duration_s,
     };
     [
-        case("track", walker_scene as fn() -> Scene, 71, 2.0),
-        case("track_targets", crossing_scene, 81, 2.5),
-        case("count", walker_scene, 72, 2.0),
+        case(Mode::Track, walker_scene as fn() -> Scene, 71, 2.0),
+        case(Mode::TrackTargets, crossing_scene, 81, 2.5),
+        case(Mode::Count, walker_scene, 72, 2.0),
         case(
-            "gestures",
+            Mode::Gestures,
             gesture_scene,
             73,
             3.0 + gesture_script().duration() + 1.0,
         ),
         // 4 s covers several 2 s imaging apertures of the derived config.
-        case("image", walker_scene, 75, 4.0),
+        case(Mode::Image, walker_scene, 75, 4.0),
     ]
 }
 
@@ -95,64 +92,64 @@ pub fn cases() -> [Case; 5] {
 pub fn run(case: &Case, batch: Option<usize>) -> ModeOutput {
     let mut dev = device((case.scene)(), case.seed);
     let d = case.duration_s;
-    let tag = case.tag;
-    match (tag, batch) {
-        ("track", None) => ModeOutput::new(tag, Some(dev.track(d))),
-        ("track", Some(b)) => ModeOutput::new(tag, Some(dev.track_streaming(d, b))),
-        ("track_targets", None) => ModeOutput::new(tag, dev.track_targets(d)),
-        ("track_targets", Some(b)) => ModeOutput::new(tag, dev.track_targets_streaming(d, b)),
-        ("count", None) => ModeOutput::new(tag, Some(dev.measure_spatial_variance(d))),
-        ("count", Some(b)) => {
-            ModeOutput::new(tag, Some(dev.measure_spatial_variance_streaming(d, b)))
+    match (case.mode, batch) {
+        (Mode::Track, None) => ModeOutput::Track(Some(dev.track(d))),
+        (Mode::Track, Some(b)) => ModeOutput::Track(Some(dev.track_streaming(d, b))),
+        (Mode::TrackTargets, None) => ModeOutput::TrackTargets(dev.track_targets(d)),
+        (Mode::TrackTargets, Some(b)) => {
+            ModeOutput::TrackTargets(dev.track_targets_streaming(d, b))
         }
-        ("gestures", None) => ModeOutput::new(tag, Some(dev.decode_gestures(d))),
-        ("gestures", Some(b)) => ModeOutput::new(tag, Some(dev.decode_gestures_streaming(d, b))),
-        ("image", None) => ModeOutput::new(tag, dev.image(d)),
-        ("image", Some(b)) => ModeOutput::new(tag, dev.image_streaming(d, b)),
-        (other, _) => panic!("unknown mode '{other}'"),
+        (Mode::Count, None) => ModeOutput::Count(Some(dev.measure_spatial_variance(d))),
+        (Mode::Count, Some(b)) => {
+            ModeOutput::Count(Some(dev.measure_spatial_variance_streaming(d, b)))
+        }
+        (Mode::Gestures, None) => ModeOutput::Gestures(Some(dev.decode_gestures(d))),
+        (Mode::Gestures, Some(b)) => {
+            ModeOutput::Gestures(Some(dev.decode_gestures_streaming(d, b)))
+        }
+        (Mode::Image, None) => ModeOutput::Image(dev.image(d)),
+        (Mode::Image, Some(b)) => ModeOutput::Image(dev.image_streaming(d, b)),
     }
 }
 
 /// Guards against comparing empty outputs: each trial must exercise its
 /// mode.
 fn assert_nontrivial(out: &ModeOutput) {
-    match out.tag() {
-        "track" => assert!(out.expect::<Option<AngleSpectrogram>>().is_some()),
-        "track_targets" => assert!(
-            !out.expect::<TrackingReport>().tracks.is_empty(),
+    match out {
+        ModeOutput::Track(spec) => assert!(spec.is_some()),
+        ModeOutput::TrackTargets(report) => assert!(
+            !report.tracks.is_empty(),
             "scenario produced no tracks to compare"
         ),
-        "count" => assert!(out.expect::<Option<f64>>().is_some()),
-        "gestures" => {
-            let decoded = out.expect::<Option<GestureDecode>>();
+        ModeOutput::Count(mean) => assert!(mean.is_some()),
+        ModeOutput::Gestures(decoded) => {
             assert_eq!(decoded.as_ref().unwrap().bits.first(), Some(&Some(false)));
         }
-        "image" => assert!(
-            out.expect::<ImagingReport>().n_windows() >= 3,
-            "trial too short to mean anything"
-        ),
-        other => panic!("unknown mode '{other}'"),
+        ModeOutput::Image(report) => {
+            assert!(report.n_windows() >= 3, "trial too short to mean anything")
+        }
     }
 }
 
-/// The table row for `tag`.
-pub fn case(tag: &str) -> Case {
+/// The table row for `mode`.
+pub fn case(mode: Mode) -> Case {
     cases()
         .into_iter()
-        .find(|c| c.tag == tag)
-        .unwrap_or_else(|| panic!("no table row for mode '{tag}'"))
+        .find(|c| c.mode == mode)
+        .unwrap_or_else(|| panic!("no table row for mode {mode:?}"))
 }
 
-/// Checks `tag`'s row: the offline output is non-trivial and every
+/// Checks `mode`'s row: the offline output is non-trivial and every
 /// streaming batch length in [`BATCH_LENS`] reproduces it bit for bit.
 /// Returns the offline output for mode-specific follow-up checks.
-pub fn assert_batch_invariant(tag: &str) -> ModeOutput {
-    let case = case(tag);
+pub fn assert_batch_invariant(mode: Mode) -> ModeOutput {
+    let case = case(mode);
     let offline = run(&case, None);
     assert_nontrivial(&offline);
     for batch_len in BATCH_LENS {
         let streamed = run(&case, Some(batch_len));
-        assert_result_eq(&streamed, &offline, &format!("{tag} at batch {batch_len}"));
+        let ctx = format!("{} at batch {batch_len}", mode.tag());
+        assert_result_eq(&streamed, &offline, &ctx);
     }
     offline
 }

@@ -10,7 +10,6 @@ use wivi::core::AngleSpectrogram;
 use wivi::prelude::*;
 use wivi::rf::{GestureScript, GestureStyle, Point, Vec2};
 use wivi::serve::SessionId;
-use wivi::track::TrackingReport;
 use wivi_bench::engine::{MotionModel, ScenarioSpec};
 use wivi_bench::scenarios::Room;
 
@@ -66,11 +65,9 @@ pub fn gesture_duration() -> f64 {
     3.0 + script.duration() + 1.0
 }
 
-/// Session `i`'s mode: the set cycles through every registered
-/// built-in mode.
-pub fn mode_of(i: usize) -> ModeRef {
-    let reg = ModeRegistry::builtin();
-    reg.modes()[i % reg.len()].clone()
+/// Session `i`'s mode: the set cycles through every mode.
+pub fn mode_of(i: usize) -> Mode {
+    Mode::ALL[i % Mode::ALL.len()]
 }
 
 /// Ids deliberately non-contiguous so hash routing is exercised.
@@ -83,15 +80,15 @@ pub fn seed_of(i: usize) -> u64 {
 }
 
 pub fn duration_of(i: usize) -> f64 {
-    match mode_of(i).tag() {
-        "gestures" => gesture_duration(),
+    match mode_of(i) {
+        Mode::Gestures => gesture_duration(),
         _ => DUR,
     }
 }
 
 fn scene_of(i: usize) -> Scene {
-    match mode_of(i).tag() {
-        "gestures" => gesture_scene(),
+    match mode_of(i) {
+        Mode::Gestures => gesture_scene(),
         _ => scenario(i).build_scene(),
     }
 }
@@ -117,17 +114,18 @@ pub fn run_standalone(i: usize) -> ModeOutput {
     let mut dev = WiViDevice::new(scene_of(i), WiViConfig::fast_test(), seed_of(i));
     dev.calibrate();
     let duration = duration_of(i);
-    let tag = mode_of(i).tag();
-    match tag {
-        "track" => ModeOutput::new(tag, Some(dev.track_streaming(duration, BATCH))),
-        "track_targets" => ModeOutput::new(tag, dev.track_targets_streaming(duration, BATCH)),
-        "count" => ModeOutput::new(
-            tag,
-            Some(dev.measure_spatial_variance_streaming(duration, BATCH)),
-        ),
-        "gestures" => ModeOutput::new(tag, Some(dev.decode_gestures_streaming(duration, BATCH))),
-        "image" => ModeOutput::new(tag, dev.image_streaming(duration, BATCH)),
-        other => panic!("unknown built-in mode tag '{other}'"),
+    match mode_of(i) {
+        Mode::Track => ModeOutput::Track(Some(dev.track_streaming(duration, BATCH))),
+        Mode::TrackTargets => {
+            ModeOutput::TrackTargets(dev.track_targets_streaming(duration, BATCH))
+        }
+        Mode::Count => ModeOutput::Count(Some(
+            dev.measure_spatial_variance_streaming(duration, BATCH),
+        )),
+        Mode::Gestures => {
+            ModeOutput::Gestures(Some(dev.decode_gestures_streaming(duration, BATCH)))
+        }
+        Mode::Image => ModeOutput::Image(dev.image_streaming(duration, BATCH)),
     }
 }
 
@@ -193,23 +191,14 @@ fn assert_imaging_eq(a: &ImagingReport, b: &ImagingReport, ctx: &str) {
 }
 
 /// Exact comparison of two mode outputs — every f64 by bit pattern.
-/// Downcasts by tag to the payload type each built-in mode documents.
 pub fn assert_result_eq(a: &ModeOutput, b: &ModeOutput, ctx: &str) {
-    assert_eq!(a.tag(), b.tag(), "{ctx}: mode mismatch");
-    match a.tag() {
-        "track" => {
-            let (x, y) = (
-                a.expect::<Option<AngleSpectrogram>>(),
-                b.expect::<Option<AngleSpectrogram>>(),
-            );
-            match (x, y) {
-                (Some(x), Some(y)) => assert_spectrogram_eq(x, y, ctx),
-                (None, None) => {}
-                _ => panic!("{ctx}: one Track result empty"),
-            }
-        }
-        "track_targets" => {
-            let (x, y) = (a.expect::<TrackingReport>(), b.expect::<TrackingReport>());
+    match (a, b) {
+        (ModeOutput::Track(x), ModeOutput::Track(y)) => match (x, y) {
+            (Some(x), Some(y)) => assert_spectrogram_eq(x, y, ctx),
+            (None, None) => {}
+            _ => panic!("{ctx}: one Track result empty"),
+        },
+        (ModeOutput::TrackTargets(x), ModeOutput::TrackTargets(y)) => {
             assert_eq!(
                 x.confirmed_counts, y.confirmed_counts,
                 "{ctx}: per-window counts differ"
@@ -217,30 +206,17 @@ pub fn assert_result_eq(a: &ModeOutput, b: &ModeOutput, ctx: &str) {
             assert_eq!(x.events, y.events, "{ctx}: event streams differ");
             assert_eq!(x, y, "{ctx}: tracking reports differ");
         }
-        "count" => {
-            let (x, y) = (a.expect::<Option<f64>>(), b.expect::<Option<f64>>());
-            assert_eq!(
-                x.map(f64::to_bits),
-                y.map(f64::to_bits),
-                "{ctx}: variance differs"
-            );
-        }
-        "gestures" => {
-            let (x, y) = (
-                a.expect::<Option<GestureDecode>>(),
-                b.expect::<Option<GestureDecode>>(),
-            );
-            match (x, y) {
-                (Some(x), Some(y)) => assert_decode_eq(x, y, ctx),
-                (None, None) => {}
-                _ => panic!("{ctx}: one Gestures result empty"),
-            }
-        }
-        "image" => assert_imaging_eq(
-            a.expect::<ImagingReport>(),
-            b.expect::<ImagingReport>(),
-            ctx,
+        (ModeOutput::Count(x), ModeOutput::Count(y)) => assert_eq!(
+            x.map(f64::to_bits),
+            y.map(f64::to_bits),
+            "{ctx}: variance differs"
         ),
-        other => panic!("{ctx}: unknown mode tag '{other}'"),
+        (ModeOutput::Gestures(x), ModeOutput::Gestures(y)) => match (x, y) {
+            (Some(x), Some(y)) => assert_decode_eq(x, y, ctx),
+            (None, None) => {}
+            _ => panic!("{ctx}: one Gestures result empty"),
+        },
+        (ModeOutput::Image(x), ModeOutput::Image(y)) => assert_imaging_eq(x, y, ctx),
+        _ => panic!("{ctx}: mode mismatch"),
     }
 }

@@ -397,7 +397,7 @@ fn tracking_entry(name: &str, report: TrackingReport) -> String {
         })
         .collect();
     let tag = "track_targets";
-    stream_entry(name, tag, ModeOutput::new(tag, report), &lines)
+    stream_entry(name, tag, ModeOutput::TrackTargets(report), &lines)
 }
 
 fn imaging_entry(name: &str, report: ImagingReport) -> String {
@@ -422,7 +422,7 @@ fn imaging_entry(name: &str, report: ImagingReport) -> String {
         })
         .collect();
     let tag = "image";
-    stream_entry(name, tag, ModeOutput::new(tag, report), &lines)
+    stream_entry(name, tag, ModeOutput::Image(report), &lines)
 }
 
 /// Angle grid of the synthetic ridge streams: 3° bins over ±90°.

@@ -14,28 +14,26 @@ use wivi::prelude::*;
 
 #[test]
 fn batch_table_covers_every_mode() {
-    let tags: Vec<&str> = cases().iter().map(|c| c.tag).collect();
-    assert_eq!(
-        tags,
-        ModeRegistry::builtin().tags(),
-        "table must cover every mode"
-    );
+    let modes = cases().map(|c| c.mode);
+    assert_eq!(modes, Mode::ALL, "table must cover every mode");
 }
 
 #[test]
 fn streaming_track_is_bitwise_identical_to_offline() {
-    assert_batch_invariant("track");
+    assert_batch_invariant(Mode::Track);
 }
 
 #[test]
 fn streaming_count_statistic_is_exact() {
-    let offline = assert_batch_invariant("count");
+    let ModeOutput::Count(mean) = assert_batch_invariant(Mode::Count) else {
+        panic!("the count row returned another mode's payload");
+    };
     // The count statistic is the mean spatial variance of the tracking
     // spectrogram of the same trial.
-    let case = common::batch::case("count");
+    let case = common::batch::case(Mode::Count);
     let spec = device((case.scene)(), case.seed).track(case.duration_s);
     assert_eq!(
-        offline.expect::<Option<f64>>().map(f64::to_bits),
+        mean.map(f64::to_bits),
         Some(mean_spatial_variance(&spec).to_bits()),
         "count differs from the spectrogram's spatial variance"
     );
@@ -43,21 +41,17 @@ fn streaming_count_statistic_is_exact() {
 
 #[test]
 fn streaming_gesture_decode_is_exact() {
-    assert_batch_invariant("gestures");
+    assert_batch_invariant(Mode::Gestures);
 }
 
 #[test]
 fn streaming_imaging_is_bitwise_identical_to_offline() {
-    let derived = assert_batch_invariant("image");
+    let derived = assert_batch_invariant(Mode::Image);
     // An explicit configuration equal to the derived one round-trips.
-    let case = common::batch::case("image");
+    let case = common::batch::case(Mode::Image);
     let cfg = ImageConfig::for_wivi(&WiViConfig::fast_test());
     let explicit = device((case.scene)(), case.seed).image_with(case.duration_s, &cfg);
-    assert_result_eq(
-        &ModeOutput::new("image", explicit),
-        &derived,
-        "explicit cfg",
-    );
+    assert_result_eq(&ModeOutput::Image(explicit), &derived, "explicit cfg");
 }
 
 #[test]

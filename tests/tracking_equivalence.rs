@@ -17,7 +17,7 @@ fn device(seed: u64) -> WiViDevice {
 fn streaming_tracking_is_bitwise_identical_to_offline() {
     // The comparison covers every f64 in every Kalman state, history
     // point, and event (derived PartialEq compares them all).
-    assert_batch_invariant("track_targets");
+    assert_batch_invariant(Mode::TrackTargets);
 }
 
 #[test]
