@@ -575,7 +575,7 @@ pub fn write_serving_json(
             o.shard,
             o.n_samples,
             o.n_columns,
-            o.events.len(),
+            o.result.events().len(),
             o.nulling_db,
             o.stream_s,
         )?;

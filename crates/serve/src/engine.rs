@@ -516,10 +516,11 @@ impl ServeEngine {
 pub(crate) fn merge_session_events(outputs: &[SessionOutput]) -> Vec<ServeEvent> {
     let streams: Vec<TimedStream<ServeEvent>> = outputs
         .iter()
-        .filter(|o| !o.events.is_empty())
+        .filter(|o| !o.result.events().is_empty())
         .map(|o| {
             let mut items: Vec<ServeEvent> = o
-                .events
+                .result
+                .events()
                 .iter()
                 .enumerate()
                 .map(|(seq, &event)| ServeEvent {

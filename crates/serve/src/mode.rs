@@ -37,7 +37,7 @@ use wivi_core::{
 };
 use wivi_image::{ImageConfig, ImageSession, ImagingReport};
 use wivi_num::Complex64;
-use wivi_track::{TrackTargetsSession, TrackingReport};
+use wivi_track::{TrackEvent, TrackTargetsSession, TrackingReport};
 
 /// One sensing read-out of the device.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -116,6 +116,22 @@ pub enum ModeOutput {
     Gestures(Option<GestureDecode>),
     /// The imaging report.
     Image(ImagingReport),
+}
+
+impl ModeOutput {
+    /// The session's tracker events (session-relative times, emission
+    /// order): the tracking report's events for `track_targets`, none
+    /// for every other mode. The engine merges these into its unified
+    /// stream.
+    pub fn events(&self) -> &[TrackEvent] {
+        match self {
+            ModeOutput::TrackTargets(report) => &report.events,
+            ModeOutput::Track(_)
+            | ModeOutput::Count(_)
+            | ModeOutput::Gestures(_)
+            | ModeOutput::Image(_) => &[],
+        }
+    }
 }
 
 /// Object-safe view of a session being served: what a shard needs to

@@ -17,7 +17,6 @@
 use wivi_core::{EngineCache, WiViConfig, WiViDevice};
 use wivi_num::Complex64;
 use wivi_rf::SceneHandle;
-use wivi_track::TrackEvent;
 
 use crate::mode::{Mode, ModeOutput, ModeSession};
 
@@ -210,13 +209,9 @@ pub struct SessionOutput {
     pub closed_early: bool,
     /// Nulling achieved at session open, dB.
     pub nulling_db: f64,
-    /// The mode's payload.
+    /// The mode's payload; its tracker events are
+    /// [`ModeOutput::events`].
     pub result: ModeOutput,
-    /// The session's tracker events (session-relative times, emission
-    /// order): the tracking report's events for `track_targets`, none
-    /// for every other mode. The engine merges these into its unified
-    /// stream.
-    pub events: Vec<TrackEvent>,
     /// Calibration wall-clock at open, seconds.
     pub calibrate_s: f64,
     /// Summed per-batch processing wall-clock, seconds.
@@ -345,10 +340,6 @@ impl ActiveSession {
         let closed_early = self.remaining > 0;
         let n_columns = self.session.columns();
         let result = self.session.finish();
-        let events = match &result {
-            ModeOutput::TrackTargets(report) => report.events.clone(),
-            _ => Vec::new(),
-        };
         SessionOutput {
             id: self.id,
             shard,
@@ -360,7 +351,6 @@ impl ActiveSession {
             closed_early,
             nulling_db: self.nulling_db,
             result,
-            events,
             calibrate_s: self.calibrate_s,
             stream_s: self.stream_s,
         }

@@ -649,8 +649,9 @@ pub fn encode_session_output(out: &SessionOutput) -> Vec<u8> {
     put_usize(&mut buf, out.n_columns);
     put_bool(&mut buf, out.closed_early);
     put_f64(&mut buf, out.nulling_db);
-    put_len(&mut buf, out.events.len());
-    for e in &out.events {
+    let events = out.result.events();
+    put_len(&mut buf, events.len());
+    for e in events {
         put_track_event(&mut buf, e);
     }
     encode_mode_payload(&out.result, &mut buf);
@@ -1094,23 +1095,31 @@ mod tests {
 
     #[test]
     fn output_frame_is_byte_identical_to_canonical_encoding() {
-        let out = SessionOutput {
-            id: 11,
-            shard: 1,
-            mode: "count",
-            start_s: 0.75,
-            n_requested: 320,
-            n_samples: 320,
-            n_columns: 4,
-            closed_early: false,
-            nulling_db: -27.5,
-            result: ModeOutput::Count(Some(1.5)),
+        use wivi_core::MusicConfig;
+        use wivi_track::TrackerConfig;
+        let report = TrackingReport {
+            tracks: Vec::new(),
             events: vec![TrackEvent {
                 window: 2,
                 time_s: 0.5,
                 track_id: None,
                 kind: EventKind::CountChange { count: 1 },
             }],
+            confirmed_counts: vec![0, 0, 1, 1],
+            times_s: vec![0.125, 0.25, 0.375, 0.5],
+            cfg: TrackerConfig::for_music(&MusicConfig::wivi_default()),
+        };
+        let out = SessionOutput {
+            id: 11,
+            shard: 1,
+            mode: "track_targets",
+            start_s: 0.75,
+            n_requested: 320,
+            n_samples: 320,
+            n_columns: 4,
+            closed_early: false,
+            nulling_db: -27.5,
+            result: ModeOutput::TrackTargets(report),
             calibrate_s: 123.0, // wall-clock: must NOT affect the wire
             stream_s: 456.0,
         };
@@ -1128,8 +1137,8 @@ mod tests {
         match frame {
             Frame::Output(w) => {
                 assert_eq!(w.id, 11);
-                assert_eq!(w.mode, "count");
-                assert_eq!(w.events.len(), 1);
+                assert_eq!(w.mode, "track_targets");
+                assert_eq!(w.events, out.result.events());
                 assert!(!w.payload.is_empty());
             }
             other => panic!("expected Output, got {other:?}"),

@@ -66,7 +66,7 @@ fn zero_duration_sessions_drain_cleanly() {
         assert_eq!(out.n_samples, 0);
         assert_eq!(out.n_columns, 0);
         assert!(!out.closed_early, "a zero-duration session is complete");
-        assert!(out.events.is_empty());
+        assert!(out.result.events().is_empty());
         match &out.result {
             ModeOutput::Track(spec) => assert!(spec.is_none()),
             ModeOutput::TrackTargets(r) => {
@@ -111,7 +111,7 @@ fn more_sessions_than_shards_all_complete_exactly_once() {
     for out in &report.outputs {
         let r = tracking_report(out);
         assert_eq!(r, &reference, "session {}", out.id);
-        assert_eq!(out.events, reference.events);
+        assert_eq!(out.result.events(), reference.events);
     }
     for s in report.shards() {
         if s.sessions > 0 {
@@ -172,7 +172,7 @@ fn closing_mid_stream_yields_an_exact_prefix_with_no_event_loss() {
     );
     assert_eq!(r, &reference, "closed session is not an exact prefix");
     // The merged stream carries exactly the session's events.
-    assert_eq!(report.events.len(), out.events.len());
+    assert_eq!(report.events.len(), out.result.events().len());
 }
 
 #[test]

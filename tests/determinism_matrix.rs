@@ -115,7 +115,12 @@ fn serve_engine_is_identical_at_1_2_and_8_shards_and_any_submission_order() {
                 assert_eq!(a.id, b.id, "output order must be id-sorted");
                 assert_eq!(a.n_samples, b.n_samples);
                 assert_eq!(a.n_columns, b.n_columns);
-                assert_eq!(a.events, b.events, "session {} events drifted", a.id);
+                assert_eq!(
+                    a.result.events(),
+                    b.result.events(),
+                    "session {} events drifted",
+                    a.id
+                );
                 assert_result_eq(
                     &a.result,
                     &b.result,
@@ -148,7 +153,12 @@ fn serve_engine_is_identical_under_multi_threaded_shards() {
             assert_eq!(a.id, b.id, "output order must be id-sorted");
             assert_eq!(a.n_samples, b.n_samples);
             assert_eq!(a.n_columns, b.n_columns);
-            assert_eq!(a.events, b.events, "session {} events drifted", a.id);
+            assert_eq!(
+                a.result.events(),
+                b.result.events(),
+                "session {} events drifted",
+                a.id
+            );
             assert_result_eq(
                 &a.result,
                 &b.result,

@@ -46,7 +46,8 @@ fn serving_is_bitwise_invariant_under_observability() {
                 assert_eq!(a.n_samples, b.n_samples);
                 assert_eq!(a.n_columns, b.n_columns);
                 assert_eq!(
-                    a.events, b.events,
+                    a.result.events(),
+                    b.result.events(),
                     "session {} events drifted with obs on",
                     a.id
                 );

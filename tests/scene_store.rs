@@ -82,7 +82,12 @@ fn shared_scene_sessions_equal_owned_clones_at_1_2_and_8_shards_and_any_order() 
                 assert_eq!(a.mode, b.mode);
                 assert_eq!(a.n_samples, b.n_samples);
                 assert_eq!(a.n_columns, b.n_columns);
-                assert_eq!(a.events, b.events, "session {} events drifted", a.id);
+                assert_eq!(
+                    a.result.events(),
+                    b.result.events(),
+                    "session {} events drifted",
+                    a.id
+                );
                 assert_eq!(
                     a.nulling_db.to_bits(),
                     b.nulling_db.to_bits(),

@@ -105,21 +105,18 @@ fn merged_event_stream_is_ordered_and_complete() {
     }
     // ...and exactly every session event appears once.
     for out in &report.outputs {
+        let events = out.result.events();
         let merged: Vec<&wivi::serve::ServeEvent> = report
             .events
             .iter()
             .filter(|e| e.session == out.id)
             .collect();
-        assert_eq!(merged.len(), out.events.len(), "session {} events", out.id);
+        assert_eq!(merged.len(), events.len(), "session {} events", out.id);
         let mut seqs: Vec<usize> = merged.iter().map(|e| e.seq).collect();
         seqs.sort_unstable();
-        assert_eq!(seqs, (0..out.events.len()).collect::<Vec<_>>());
+        assert_eq!(seqs, (0..events.len()).collect::<Vec<_>>());
         for e in &merged {
-            assert_eq!(
-                e.event, out.events[e.seq],
-                "session {} seq {}",
-                out.id, e.seq
-            );
+            assert_eq!(e.event, events[e.seq], "session {} seq {}", out.id, e.seq);
         }
     }
 }
