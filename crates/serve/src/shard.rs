@@ -400,6 +400,26 @@ struct WorkerState {
     scratch: Vec<Complex64>,
 }
 
+impl WorkerState {
+    /// Advances `s` by one batch unless it is done streaming, then
+    /// records the step's wall-clock: session stream time, shard busy
+    /// time and batch latency, and the SLO tally. The one step path of
+    /// every shard worker.
+    fn step(&mut self, s: &mut ActiveSession, batch_len: usize, metrics: &ShardMetrics) {
+        if s.done_streaming() {
+            return;
+        }
+        let t0 = Instant::now();
+        s.step(&mut self.engines, batch_len, &mut self.scratch);
+        let d = t0.elapsed();
+        s.stream_s += d.as_secs_f64();
+        metrics.record_step(d);
+        metrics
+            .slo
+            .note_step(s, u64::try_from(d.as_nanos()).unwrap_or(u64::MAX));
+    }
+}
+
 /// The shard thread body: rounds of (drain commands → advance each live
 /// session one batch → drain finished sessions), until shutdown and
 /// empty. With `workers > 1` each round's live sessions are round-robin
@@ -461,17 +481,7 @@ pub(crate) fn run_shard(
         if workers == 1 || active.len() == 1 {
             let ws = &mut worker_states[0];
             for s in active.iter_mut() {
-                if s.done_streaming() {
-                    continue;
-                }
-                let t0 = Instant::now();
-                s.step(&mut ws.engines, batch_len, &mut ws.scratch);
-                let d = t0.elapsed();
-                s.stream_s += d.as_secs_f64();
-                metrics.record_step(d);
-                metrics
-                    .slo
-                    .note_step(s, u64::try_from(d.as_nanos()).unwrap_or(u64::MAX));
+                ws.step(s, batch_len, &metrics);
             }
         } else {
             // Round-robin partition of the id-sorted list: worker w
@@ -495,17 +505,7 @@ pub(crate) fn run_shard(
                         let metrics = &metrics;
                         scope.spawn(move || {
                             for s in part {
-                                if s.done_streaming() {
-                                    continue;
-                                }
-                                let t0 = Instant::now();
-                                s.step(&mut ws.engines, batch_len, &mut ws.scratch);
-                                let d = t0.elapsed();
-                                s.stream_s += d.as_secs_f64();
-                                metrics.record_step(d);
-                                metrics
-                                    .slo
-                                    .note_step(s, u64::try_from(d.as_nanos()).unwrap_or(u64::MAX));
+                                ws.step(s, batch_len, metrics);
                             }
                         })
                     })
