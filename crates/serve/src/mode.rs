@@ -40,7 +40,7 @@ use wivi_num::Complex64;
 use wivi_track::{TrackEvent, TrackTargetsSession, TrackingReport};
 
 /// One sensing read-out of the device.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Mode {
     /// Mode 1, imaging: the full `A′[θ, n]` spectrogram.
     Track,
