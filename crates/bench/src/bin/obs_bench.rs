@@ -1,5 +1,4 @@
-//! Standalone runner for the obs stage: regenerates `BENCH_obs.json`
-//! without the rest of the pipeline benchmark. `--quick` shortens the
+//! The obs benchmark: regenerates `BENCH_obs.json`. `--quick` shortens the
 //! microbenchmark rep counts; the on-vs-off pipeline probe runs at
 //! full length either way (it has to resolve < 1 % against scheduler
 //! noise). Pair with `obs_gate` to enforce the budgets the artifact

@@ -1,5 +1,5 @@
-//! The multi-scenario engine: declarative trial grids, a parallel runner,
-//! and machine-readable per-stage performance reporting.
+//! The multi-scenario engine: declarative trial grids with
+//! coordinate-hashed seeds, and tracking ground truth and scoring.
 //!
 //! The paper's evaluation — and every related through-wall system (crowd
 //! counting, 2.4 GHz commodity-Wi-Fi imaging) — lives or dies by sweeping
@@ -11,26 +11,20 @@
 //!   subject count × motion model × trial index. Its seed is a *stable
 //!   hash of the coordinates*, so a trial's randomness is independent of
 //!   grid shape, enumeration order, and executor thread count.
-//! * [`ScenarioGrid`] — the Cartesian product enumerator.
-//! * [`ScenarioRunner`] — executes a grid in parallel over the streaming
-//!   device pipeline (calibrate → batched observation stream → incremental
-//!   MUSIC → streaming variance sink), timing each stage.
-//! * [`write_pipeline_json`] — emits `BENCH_pipeline.json` so future PRs
-//!   have a perf trajectory to compare against.
+//! * [`ScenarioGrid`] — the Cartesian product enumerator. Run its
+//!   [`specs`](ScenarioGrid::specs) through
+//!   [`wivi_num::par::parallel_map`] for a parallel sweep.
+//! * [`ground_truth_thetas`] and [`score_tracking`] — the tracking
+//!   workload's ground truth and metrics.
 
-use std::io::Write as _;
-use std::time::Instant;
-
-use wivi_core::device::DEFAULT_BATCH_LEN;
-use wivi_core::{WiViConfig, WiViDevice};
+use wivi_core::WiViConfig;
 use wivi_num::rng::Rng64;
 use wivi_rf::{BodyConfig, Material, Mover, Point, Scene, WaypointWalker};
 
 use wivi_core::counting::DC_GUARD_DEG;
-use wivi_track::{TrackTargets, TrackingReport};
+use wivi_track::TrackingReport;
 
 use crate::scenarios::{add_random_walkers, Room};
-use wivi_num::par::parallel_map_threads;
 
 /// How the subjects of a scenario move (the motion-model axis of the
 /// grid).
@@ -115,18 +109,6 @@ impl ScenarioSpec {
         eat(self.motion.tag().as_bytes());
         eat(&self.trial.to_le_bytes());
         h
-    }
-
-    /// Human-readable cell label (stable, used in reports and JSON).
-    pub fn label(&self) -> String {
-        format!(
-            "{}/{}/{}h/{}#{}",
-            room_tag(self.room),
-            material_tag(self.material),
-            self.n_humans,
-            self.motion.tag(),
-            self.trial
-        )
     }
 
     /// Builds the trial's scene: clutter, wall material, and `n_humans`
@@ -266,60 +248,6 @@ impl ScenarioSpec {
         }
         scene
     }
-
-    /// Runs the trial through the streaming pipeline, timing each stage.
-    pub fn run(&self, cfg: &WiViConfig, batch_len: usize) -> TrialResult {
-        let t0 = Instant::now();
-        let scene = self.build_scene();
-        let mut dev = WiViDevice::new(scene, *cfg, self.seed());
-        let setup_s = t0.elapsed().as_secs_f64();
-
-        let t1 = Instant::now();
-        let nulling_db = dev.calibrate().nulling_db();
-        let calibrate_s = t1.elapsed().as_secs_f64();
-
-        let t2 = Instant::now();
-        let variance = dev.measure_spatial_variance_streaming(self.duration_s, batch_len);
-        let stream_s = t2.elapsed().as_secs_f64();
-
-        let n_samples = (self.duration_s * cfg.radio.channel_rate_hz).round() as usize;
-        TrialResult {
-            spec: *self,
-            seed: self.seed(),
-            variance,
-            nulling_db,
-            n_samples,
-            setup_s,
-            calibrate_s,
-            stream_s,
-        }
-    }
-}
-
-/// Outcome and per-stage wall-clock of one scenario trial.
-#[derive(Clone, Debug)]
-pub struct TrialResult {
-    pub spec: ScenarioSpec,
-    pub seed: u64,
-    /// Mean spatial variance (the counting statistic).
-    pub variance: f64,
-    /// Achieved nulling, dB.
-    pub nulling_db: f64,
-    /// Channel samples streamed through the tracker.
-    pub n_samples: usize,
-    /// Scene construction + device bring-up, seconds.
-    pub setup_s: f64,
-    /// Algorithm 1 (nulling) wall-clock, seconds.
-    pub calibrate_s: f64,
-    /// Streaming record+track+count wall-clock, seconds.
-    pub stream_s: f64,
-}
-
-impl TrialResult {
-    /// Streaming throughput, channel samples per second of wall-clock.
-    pub fn samples_per_sec(&self) -> f64 {
-        self.n_samples as f64 / self.stream_s.max(1e-12)
-    }
 }
 
 /// Ground-truth ridge angles per analysis window: the angle each mover's
@@ -352,48 +280,16 @@ pub fn ground_truth_thetas(scene: &Scene, cfg: &WiViConfig, times_s: &[f64]) -> 
         .collect()
 }
 
-/// Outcome and metrics of one tracking trial: the tracker's report
-/// scored against the scene's ground-truth trajectories.
-#[derive(Clone, Debug)]
-pub struct TrackingTrialResult {
-    pub spec: ScenarioSpec,
-    pub seed: u64,
-    /// Analysis windows processed.
-    pub n_windows: usize,
-    /// Confirmed tracks over the trial.
-    pub n_tracks: usize,
-    /// Fraction of windows (after the unavoidable confirmation latency)
-    /// where the confirmed-track count equals the number of movers whose
-    /// ground-truth angle is clear of the DC guard.
-    pub count_accuracy: f64,
-    /// Detection-weighted track purity: per track, the share of its
-    /// observations whose nearest ground-truth mover is the track's
-    /// majority mover; 1.0 for an empty scene correctly left trackless.
-    pub track_purity: f64,
-    /// Entry / exit events emitted.
-    pub n_entries: usize,
-    pub n_exits: usize,
-    /// Achieved nulling, dB.
-    pub nulling_db: f64,
-    /// Channel samples streamed.
-    pub n_samples: usize,
-    /// Scene construction + device bring-up, seconds.
-    pub setup_s: f64,
-    /// Algorithm 1 (nulling) wall-clock, seconds.
-    pub calibrate_s: f64,
-    /// Streaming record+MUSIC+track wall-clock, seconds.
-    pub stream_s: f64,
-}
-
-impl TrackingTrialResult {
-    /// Tracking-stage throughput, channel samples per second.
-    pub fn samples_per_sec(&self) -> f64 {
-        self.n_samples as f64 / self.stream_s.max(1e-12)
-    }
-}
-
-/// Scores a tracking report against ground truth. Split out of
-/// [`ScenarioSpec::run_tracking`] so tests can score synthetic reports.
+/// Scores a tracking report against ground truth, returning
+/// `(count_accuracy, track_purity)`.
+///
+/// * Count accuracy is the fraction of windows after the first
+///   `confirm_latency_windows` where the confirmed-track count equals
+///   the number of movers whose ground-truth angle is clear of the DC
+///   guard.
+/// * Track purity is detection-weighted: per track, the share of its
+///   observations whose nearest ground-truth mover is the track's
+///   majority mover; 1.0 for an empty scene correctly left trackless.
 pub fn score_tracking(
     report: &TrackingReport,
     gt: &[Vec<f64>],
@@ -463,53 +359,6 @@ pub fn score_tracking(
     (count_accuracy, track_purity)
 }
 
-impl ScenarioSpec {
-    /// Runs the trial through the streaming *tracking* pipeline
-    /// (calibrate → batched observations → incremental MUSIC →
-    /// multi-target tracker) and scores it against the scene's
-    /// ground-truth trajectories.
-    pub fn run_tracking(&self, cfg: &WiViConfig, batch_len: usize) -> TrackingTrialResult {
-        let t0 = Instant::now();
-        let scene = self.build_scene();
-        // An identical scene copy for ground truth: the device consumes
-        // its own.
-        let gt_scene = self.build_scene();
-        let mut dev = WiViDevice::new(scene, *cfg, self.seed());
-        let setup_s = t0.elapsed().as_secs_f64();
-
-        let t1 = Instant::now();
-        let nulling_db = dev.calibrate().nulling_db();
-        let calibrate_s = t1.elapsed().as_secs_f64();
-
-        let t2 = Instant::now();
-        let report = dev.track_targets_streaming(self.duration_s, batch_len);
-        let stream_s = t2.elapsed().as_secs_f64();
-
-        let gt = ground_truth_thetas(&gt_scene, cfg, &report.times_s);
-        // Warm-up excluded from scoring: confirmation plus the dominance
-        // veto's evidence window.
-        let latency = report.cfg.confirm_hits + wivi_track::tracker::DOMINANCE_GAP_WINDOW;
-        let (count_accuracy, track_purity) = score_tracking(&report, &gt, latency);
-
-        let n_samples = (self.duration_s * cfg.radio.channel_rate_hz).round() as usize;
-        TrackingTrialResult {
-            spec: *self,
-            seed: self.seed(),
-            n_windows: report.n_windows(),
-            n_tracks: report.tracks.len(),
-            count_accuracy,
-            track_purity,
-            n_entries: report.entries().len(),
-            n_exits: report.exits().len(),
-            nulling_db,
-            n_samples,
-            setup_s,
-            calibrate_s,
-            stream_s,
-        }
-    }
-}
-
 /// A Cartesian scenario grid.
 #[derive(Clone, Debug)]
 pub struct ScenarioGrid {
@@ -524,23 +373,6 @@ pub struct ScenarioGrid {
 }
 
 impl ScenarioGrid {
-    /// The acceptance grid: 2 rooms × 3 materials × 0–3 humans, random
-    /// walks.
-    pub fn standard() -> Self {
-        Self {
-            rooms: vec![Room::Small, Room::Large],
-            materials: vec![
-                Material::TintedGlass,
-                Material::HollowWall6In,
-                Material::ConcreteWall8In,
-            ],
-            human_counts: vec![0, 1, 2, 3],
-            motions: vec![MotionModel::RandomWalk],
-            trials_per_cell: 1,
-            duration_s: 4.0,
-        }
-    }
-
     /// The tracking-acceptance grid: both rooms, the standard wall,
     /// 0–3 crossing subjects.
     pub fn tracking() -> Self {
@@ -593,216 +425,26 @@ impl ScenarioGrid {
     }
 }
 
-/// Parallel executor for scenario grids.
-#[derive(Clone, Debug)]
-pub struct ScenarioRunner {
-    pub config: WiViConfig,
-    /// Worker threads (`None` ⇒ `available_parallelism`).
-    pub threads: Option<usize>,
-    /// Observation batch size for the streaming pipeline.
-    pub batch_len: usize,
-}
-
-impl ScenarioRunner {
-    /// A runner over `config` with default parallelism and batching.
-    pub fn new(config: WiViConfig) -> Self {
-        Self {
-            config,
-            threads: None,
-            batch_len: DEFAULT_BATCH_LEN,
-        }
-    }
-
-    /// Caps the worker-thread count (for determinism experiments).
-    pub fn with_threads(mut self, threads: usize) -> Self {
-        self.threads = Some(threads);
-        self
-    }
-
-    /// Runs every trial of `grid` in parallel. Results are in grid
-    /// enumeration order and — because each trial's seed hashes only its
-    /// own coordinates — identical for every thread count.
-    pub fn run(&self, grid: &ScenarioGrid) -> Vec<TrialResult> {
-        self.run_specs(&grid.specs())
-    }
-
-    /// Runs an explicit trial list in parallel, preserving order.
-    pub fn run_specs(&self, specs: &[ScenarioSpec]) -> Vec<TrialResult> {
-        let cfg = &self.config;
-        parallel_map_threads(specs, |spec| spec.run(cfg, self.batch_len), self.threads)
-    }
-
-    /// Runs every trial of `grid` through the tracking pipeline in
-    /// parallel, with the same thread-count-invariance guarantee as
-    /// [`Self::run`].
-    pub fn run_tracking(&self, grid: &ScenarioGrid) -> Vec<TrackingTrialResult> {
-        self.run_tracking_specs(&grid.specs())
-    }
-
-    /// Runs an explicit trial list through the tracking pipeline.
-    pub fn run_tracking_specs(&self, specs: &[ScenarioSpec]) -> Vec<TrackingTrialResult> {
-        let cfg = &self.config;
-        parallel_map_threads(
-            specs,
-            |spec| spec.run_tracking(cfg, self.batch_len),
-            self.threads,
-        )
-    }
-}
-
-pub(crate) fn json_escape(s: &str) -> String {
-    s.replace('\\', "\\\\").replace('"', "\\\"")
-}
-
-/// Writes `BENCH_pipeline.json`: run-level aggregates (wall-clock,
-/// throughput in channel-samples/sec, per-stage totals) plus one record
-/// per trial. Hand-rolled JSON — the container has no serde.
-///
-/// `mode` tags the run shape (`"quick"` / `"standard"` / `"full"`), and
-/// the per-trial duration is recorded alongside it, so baselines from
-/// different trial lengths are self-describing and can never be compared
-/// by accident.
-pub fn write_pipeline_json(
-    path: &str,
-    results: &[TrialResult],
-    wall_s: f64,
-    threads: usize,
-    mode: &str,
-) -> std::io::Result<()> {
-    let total_samples: usize = results.iter().map(|r| r.n_samples).sum();
-    let total_stream: f64 = results.iter().map(|r| r.stream_s).sum();
-    let total_calibrate: f64 = results.iter().map(|r| r.calibrate_s).sum();
-    let total_setup: f64 = results.iter().map(|r| r.setup_s).sum();
-    let trial_duration_s = results.first().map_or(0.0, |r| r.spec.duration_s);
-
-    let mut f = std::fs::File::create(path)?;
-    writeln!(f, "{{")?;
-    writeln!(f, "  \"benchmark\": \"wivi_streaming_pipeline\",")?;
-    writeln!(f, "  \"mode\": \"{}\",", json_escape(mode))?;
-    writeln!(f, "  \"trial_duration_s\": {trial_duration_s:.3},")?;
-    writeln!(f, "  \"trials\": {},", results.len())?;
-    writeln!(f, "  \"threads\": {threads},")?;
-    writeln!(f, "  \"wall_clock_s\": {wall_s:.6},")?;
-    writeln!(f, "  \"total_channel_samples\": {total_samples},")?;
-    writeln!(
-        f,
-        "  \"throughput_samples_per_sec\": {:.2},",
-        total_samples as f64 / wall_s.max(1e-12)
-    )?;
-    writeln!(f, "  \"stage_totals_s\": {{")?;
-    writeln!(f, "    \"setup\": {total_setup:.6},")?;
-    writeln!(f, "    \"calibrate\": {total_calibrate:.6},")?;
-    writeln!(f, "    \"stream_track_count\": {total_stream:.6}")?;
-    writeln!(f, "  }},")?;
-    writeln!(f, "  \"results\": [")?;
-    for (i, r) in results.iter().enumerate() {
-        let comma = if i + 1 == results.len() { "" } else { "," };
-        writeln!(
-            f,
-            "    {{\"label\": \"{}\", \"seed\": {}, \"variance\": {:.6}, \
-             \"nulling_db\": {:.3}, \"n_samples\": {}, \"setup_s\": {:.6}, \
-             \"calibrate_s\": {:.6}, \"stream_s\": {:.6}, \
-             \"samples_per_sec\": {:.2}}}{comma}",
-            json_escape(&r.spec.label()),
-            r.seed,
-            r.variance,
-            r.nulling_db,
-            r.n_samples,
-            r.setup_s,
-            r.calibrate_s,
-            r.stream_s,
-            r.samples_per_sec(),
-        )?;
-    }
-    writeln!(f, "  ]")?;
-    writeln!(f, "}}")?;
-    Ok(())
-}
-
-/// Writes `BENCH_tracking.json`: run-level aggregates (wall-clock,
-/// throughput, mean count accuracy / track purity over the grid) plus one
-/// record per trial. Field documentation lives in DESIGN.md §8.
-pub fn write_tracking_json(
-    path: &str,
-    results: &[TrackingTrialResult],
-    wall_s: f64,
-    threads: usize,
-    mode: &str,
-) -> std::io::Result<()> {
-    let total_samples: usize = results.iter().map(|r| r.n_samples).sum();
-    let total_stream: f64 = results.iter().map(|r| r.stream_s).sum();
-    let trial_duration_s = results.first().map_or(0.0, |r| r.spec.duration_s);
-    let mean = |f: &dyn Fn(&TrackingTrialResult) -> f64| -> f64 {
-        if results.is_empty() {
-            0.0
-        } else {
-            results.iter().map(f).sum::<f64>() / results.len() as f64
-        }
-    };
-
-    let mut f = std::fs::File::create(path)?;
-    writeln!(f, "{{")?;
-    writeln!(f, "  \"benchmark\": \"wivi_tracking_pipeline\",")?;
-    writeln!(f, "  \"mode\": \"{}\",", json_escape(mode))?;
-    writeln!(f, "  \"trial_duration_s\": {trial_duration_s:.3},")?;
-    writeln!(f, "  \"trials\": {},", results.len())?;
-    writeln!(f, "  \"threads\": {threads},")?;
-    writeln!(f, "  \"wall_clock_s\": {wall_s:.6},")?;
-    writeln!(f, "  \"total_channel_samples\": {total_samples},")?;
-    writeln!(
-        f,
-        "  \"throughput_samples_per_sec\": {:.2},",
-        total_samples as f64 / wall_s.max(1e-12)
-    )?;
-    writeln!(f, "  \"tracking_stage_total_s\": {total_stream:.6},")?;
-    writeln!(
-        f,
-        "  \"mean_count_accuracy\": {:.4},",
-        mean(&|r| r.count_accuracy)
-    )?;
-    writeln!(
-        f,
-        "  \"mean_track_purity\": {:.4},",
-        mean(&|r| r.track_purity)
-    )?;
-    writeln!(f, "  \"results\": [")?;
-    for (i, r) in results.iter().enumerate() {
-        let comma = if i + 1 == results.len() { "" } else { "," };
-        writeln!(
-            f,
-            "    {{\"label\": \"{}\", \"seed\": {}, \"n_windows\": {}, \
-             \"n_tracks\": {}, \"count_accuracy\": {:.4}, \
-             \"track_purity\": {:.4}, \"entries\": {}, \"exits\": {}, \
-             \"nulling_db\": {:.3}, \"n_samples\": {}, \"stream_s\": {:.6}, \
-             \"samples_per_sec\": {:.2}}}{comma}",
-            json_escape(&r.spec.label()),
-            r.seed,
-            r.n_windows,
-            r.n_tracks,
-            r.count_accuracy,
-            r.track_purity,
-            r.n_entries,
-            r.n_exits,
-            r.nulling_db,
-            r.n_samples,
-            r.stream_s,
-            r.samples_per_sec(),
-        )?;
-    }
-    writeln!(f, "  ]")?;
-    writeln!(f, "}}")?;
-    Ok(())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn grid_enumerates_full_cartesian_product() {
-        let grid = ScenarioGrid::standard();
+        let grid = ScenarioGrid {
+            rooms: vec![Room::Small, Room::Large],
+            materials: vec![
+                Material::TintedGlass,
+                Material::HollowWall6In,
+                Material::ConcreteWall8In,
+            ],
+            human_counts: vec![0, 1, 2, 3],
+            motions: vec![MotionModel::RandomWalk, MotionModel::Pacing],
+            trials_per_cell: 2,
+            duration_s: 4.0,
+        };
         let specs = grid.specs();
-        assert_eq!(specs.len(), 2 * 3 * 4);
+        assert_eq!(specs.len(), 2 * 3 * 4 * 2 * 2);
         assert_eq!(specs.len(), grid.len());
         assert!(!grid.is_empty());
         // All seeds distinct.
@@ -863,38 +505,6 @@ mod tests {
                     assert!(rect.contains(m1.position(t)), "{motion:?} escaped at t={t}");
                 }
             }
-        }
-    }
-
-    #[test]
-    fn runner_is_thread_count_invariant() {
-        // The acceptance-criterion property: per-trial results identical
-        // independent of executor parallelism.
-        let grid = ScenarioGrid {
-            rooms: vec![Room::Small],
-            materials: vec![Material::HollowWall6In],
-            human_counts: vec![0, 1],
-            motions: vec![MotionModel::RandomWalk],
-            trials_per_cell: 1,
-            duration_s: 0.5,
-        };
-        let runner = |threads| {
-            ScenarioRunner::new(WiViConfig::fast_test())
-                .with_threads(threads)
-                .run(&grid)
-        };
-        let sequential = runner(1);
-        let parallel = runner(4);
-        assert_eq!(sequential.len(), parallel.len());
-        for (a, b) in sequential.iter().zip(&parallel) {
-            assert_eq!(a.seed, b.seed);
-            assert_eq!(
-                a.variance.to_bits(),
-                b.variance.to_bits(),
-                "{}",
-                a.spec.label()
-            );
-            assert_eq!(a.nulling_db.to_bits(), b.nulling_db.to_bits());
         }
     }
 
@@ -991,83 +601,5 @@ mod tests {
         let (acc0, purity0) = score_tracking(&report, &gt_empty, 5);
         assert_eq!(acc0, 0.0, "phantom track must score zero accuracy");
         assert_eq!(purity0, 0.0);
-    }
-
-    #[test]
-    fn tracking_json_is_written_and_parsable_shape() {
-        let spec = ScenarioSpec {
-            room: Room::Small,
-            material: Material::HollowWall6In,
-            n_humans: 1,
-            motion: MotionModel::Crossing,
-            trial: 0,
-            duration_s: 1.0,
-        };
-        let r = spec.run_tracking(&WiViConfig::fast_test(), 16);
-        assert_eq!(r.n_samples, (1.0 * 312.5f64).round() as usize);
-        assert!(r.samples_per_sec() > 0.0);
-
-        let path = std::env::temp_dir().join("wivi_bench_tracking_test.json");
-        let path = path.to_str().unwrap();
-        write_tracking_json(path, &[r], 1.0, 4, "quick").unwrap();
-        let body = std::fs::read_to_string(path).unwrap();
-        assert!(body.contains("\"benchmark\": \"wivi_tracking_pipeline\""));
-        assert!(body.contains("\"mean_count_accuracy\""));
-        assert!(body.contains("\"mean_track_purity\""));
-        assert!(body.contains("\"count_accuracy\""));
-        assert!(body.contains("small_7x4/hollow_wall_6in/1h/crossing#0"));
-        std::fs::remove_file(path).ok();
-    }
-
-    #[test]
-    fn tracking_runner_is_thread_count_invariant() {
-        let grid = ScenarioGrid {
-            rooms: vec![Room::Small],
-            materials: vec![Material::HollowWall6In],
-            human_counts: vec![0, 1],
-            motions: vec![MotionModel::Crossing],
-            trials_per_cell: 1,
-            duration_s: 1.0,
-        };
-        let runner = |threads| {
-            ScenarioRunner::new(WiViConfig::fast_test())
-                .with_threads(threads)
-                .run_tracking(&grid)
-        };
-        let sequential = runner(1);
-        let parallel = runner(4);
-        assert_eq!(sequential.len(), parallel.len());
-        for (a, b) in sequential.iter().zip(&parallel) {
-            assert_eq!(a.seed, b.seed);
-            assert_eq!(a.n_tracks, b.n_tracks, "{}", a.spec.label());
-            assert_eq!(a.count_accuracy.to_bits(), b.count_accuracy.to_bits());
-            assert_eq!(a.track_purity.to_bits(), b.track_purity.to_bits());
-        }
-    }
-
-    #[test]
-    fn pipeline_json_is_written_and_parsable_shape() {
-        let spec = ScenarioSpec {
-            room: Room::Small,
-            material: Material::HollowWall6In,
-            n_humans: 1,
-            motion: MotionModel::RandomWalk,
-            trial: 0,
-            duration_s: 0.5,
-        };
-        let r = spec.run(&WiViConfig::fast_test(), 16);
-        assert_eq!(r.n_samples, (0.5 * 312.5f64).round() as usize);
-        assert!(r.samples_per_sec() > 0.0);
-
-        let path = std::env::temp_dir().join("wivi_bench_pipeline_test.json");
-        let path = path.to_str().unwrap();
-        write_pipeline_json(path, &[r], 1.0, 4, "quick").unwrap();
-        let body = std::fs::read_to_string(path).unwrap();
-        assert!(body.contains("\"benchmark\": \"wivi_streaming_pipeline\""));
-        assert!(body.contains("\"throughput_samples_per_sec\""));
-        assert!(body.contains("\"mode\": \"quick\""));
-        assert!(body.contains("\"trial_duration_s\": 0.500"));
-        assert!(body.contains("small_7x4/hollow_wall_6in/1h/random_walk#0"));
-        std::fs::remove_file(path).ok();
     }
 }

@@ -1,6 +1,5 @@
 //! The imaging workload: deterministic 2-D localization scenes with
-//! known ground-truth positions, localization/detection scoring, and
-//! the `BENCH_imaging.json` stage.
+//! known ground-truth positions, and localization/detection scoring.
 //!
 //! The scenario family exercises the imaging subsystem's native
 //! geometry — subjects pacing lanes parallel to the wall (the
@@ -14,7 +13,6 @@
 //! into the DC notch — the 2-D analogue of the spectrogram's DC guard
 //! ([`wivi_core::counting::DC_GUARD_DEG`]).
 
-use std::io::Write as _;
 use std::time::Instant;
 
 use wivi_core::{WiViConfig, WiViDevice};
@@ -22,7 +20,6 @@ use wivi_image::{nulling_tx_weight, ImageConfig, ImagingReport, StreamingImage};
 use wivi_num::stats;
 use wivi_rf::{Material, Mover, Point, Scene, WaypointWalker};
 
-use crate::engine::json_escape;
 use crate::serving::REALTIME_RATE;
 
 /// Boresight dead-strip half-width, metres: ground truth inside
@@ -210,7 +207,7 @@ pub fn score_imaging(
 /// One imaging trial: a named scene, run end-to-end and scored.
 #[derive(Clone, Debug)]
 pub struct ImagingTrialSpec {
-    /// Stable label for reports and JSON.
+    /// Stable trial label.
     pub name: &'static str,
     /// Subjects in the showcase scene.
     pub n_subjects: usize,
@@ -254,35 +251,16 @@ fn one_sided_lane(speed: f64) -> Scene {
         )))
 }
 
-/// Outcome and per-stage wall-clock of one imaging trial.
+/// Outcome and imaging-compute timing of one imaging trial.
 #[derive(Clone, Debug)]
 pub struct ImagingTrialResult {
-    pub spec: ImagingTrialSpec,
     /// Imaging windows processed.
     pub n_windows: usize,
     pub detection_rate: f64,
     pub mean_error_m: f64,
     pub median_error_m: f64,
-    /// False fixes after the mirror-side vote (the scored metric).
-    pub false_fixes: usize,
-    /// False fixes over raw detections, before the vote.
-    pub false_fixes_raw: usize,
-    /// Confirmed tracks the mirror-side vote marked as ghosts.
-    pub n_ghost_tracks: usize,
-    /// Confirmed position tracks.
-    pub n_tracks: usize,
-    /// Achieved nulling, dB.
-    pub nulling_db: f64,
     /// Channel samples recorded.
     pub n_samples: usize,
-    /// Grid cells focused per window.
-    pub n_cells: usize,
-    /// Scene + device bring-up, seconds.
-    pub setup_s: f64,
-    /// Algorithm 1 (nulling) wall-clock, seconds.
-    pub calibrate_s: f64,
-    /// Radio simulation (trace recording) wall-clock, seconds.
-    pub record_s: f64,
     /// Total imaging compute (focus + CFAR + tracking), seconds.
     pub image_s: f64,
     /// Per-window imaging latency, seconds (one entry per window).
@@ -296,16 +274,6 @@ impl ImagingTrialResult {
     /// up with a live radio.
     pub fn samples_per_sec(&self) -> f64 {
         self.n_samples as f64 / self.image_s.max(1e-12)
-    }
-
-    /// Focused cells per second of imaging compute.
-    pub fn cells_per_sec(&self) -> f64 {
-        (self.n_windows * self.n_cells) as f64 / self.image_s.max(1e-12)
-    }
-
-    /// Imaging windows per second of imaging compute.
-    pub fn windows_per_sec(&self) -> f64 {
-        self.n_windows as f64 / self.image_s.max(1e-12)
     }
 
     /// The `p`-th percentile of per-window imaging latency, seconds.
@@ -334,19 +302,11 @@ pub fn run_imaging_trial(
     wivi: &WiViConfig,
     img: &ImageConfig,
 ) -> (ImagingTrialResult, ImagingReport) {
-    let t0 = Instant::now();
     let scene = spec.build_scene();
     let gt_scene = spec.build_scene();
     let mut dev = WiViDevice::new(scene, *wivi, spec.seed);
-    let setup_s = t0.elapsed().as_secs_f64();
-
-    let t1 = Instant::now();
-    let nulling_db = dev.calibrate().nulling_db();
-    let calibrate_s = t1.elapsed().as_secs_f64();
-
-    let t2 = Instant::now();
+    dev.calibrate();
     let trace = dev.record_trace(spec.duration_s);
-    let record_s = t2.elapsed().as_secs_f64();
 
     let mut stage = StreamingImage::new(*img, nulling_tx_weight(&dev));
     let mut window_latencies_s = Vec::new();
@@ -366,21 +326,11 @@ pub fn run_imaging_trial(
     let score = score_imaging(&report, &gt, img.rx.x, 1);
 
     let result = ImagingTrialResult {
-        spec: spec.clone(),
         n_windows: report.n_windows(),
         detection_rate: score.detection_rate(),
         mean_error_m: score.mean_error_m(),
         median_error_m: score.median_error_m(),
-        false_fixes: score.false_fixes,
-        false_fixes_raw: score.false_fixes_raw,
-        n_ghost_tracks: score.ghost_tracks,
-        n_tracks: report.tracks.len(),
-        nulling_db,
         n_samples: trace.len(),
-        n_cells: img.grid.len(),
-        setup_s,
-        calibrate_s,
-        record_s,
         image_s,
         window_latencies_s,
     };
@@ -426,91 +376,6 @@ pub fn imaging_trials(duration_s: f64) -> Vec<ImagingTrialSpec> {
             seed: 40,
         },
     ]
-}
-
-/// Writes `BENCH_imaging.json`. Field documentation lives in the README
-/// ("Imaging" section) and DESIGN.md §10.
-pub fn write_imaging_json(
-    path: &str,
-    results: &[ImagingTrialResult],
-    img: &ImageConfig,
-    wall_s: f64,
-    mode: &str,
-) -> std::io::Result<()> {
-    let mean = |f: &dyn Fn(&ImagingTrialResult) -> f64| -> f64 {
-        if results.is_empty() {
-            0.0
-        } else {
-            results.iter().map(f).sum::<f64>() / results.len() as f64
-        }
-    };
-    let budget_s = results.first().map_or(0.0, |r| r.window_budget_s(img));
-
-    let mut f = std::fs::File::create(path)?;
-    writeln!(f, "{{")?;
-    writeln!(f, "  \"benchmark\": \"wivi_imaging_pipeline\",")?;
-    writeln!(f, "  \"mode\": \"{}\",", json_escape(mode))?;
-    writeln!(f, "  \"trials\": {},", results.len())?;
-    writeln!(f, "  \"wall_clock_s\": {wall_s:.6},")?;
-    writeln!(f, "  \"grid_cells\": {},", img.grid.len())?;
-    writeln!(
-        f,
-        "  \"grid_cell_m\": [{}, {}],",
-        img.grid.cell_x_m, img.grid.cell_y_m
-    )?;
-    writeln!(f, "  \"aperture_samples\": {},", img.window)?;
-    writeln!(f, "  \"hop_samples\": {},", img.hop)?;
-    writeln!(f, "  \"realtime_rate_per_session\": {REALTIME_RATE},")?;
-    writeln!(f, "  \"window_budget_ms\": {:.3},", 1e3 * budget_s)?;
-    writeln!(
-        f,
-        "  \"mean_detection_rate\": {:.4},",
-        mean(&|r| r.detection_rate)
-    )?;
-    writeln!(
-        f,
-        "  \"mean_localization_error_m\": {:.4},",
-        mean(&|r| r.mean_error_m)
-    )?;
-    writeln!(f, "  \"results\": [")?;
-    for (i, r) in results.iter().enumerate() {
-        let comma = if i + 1 == results.len() { "" } else { "," };
-        writeln!(
-            f,
-            "    {{\"label\": \"{}\", \"seed\": {}, \"subjects\": {}, \"speed\": {}, \
-             \"n_windows\": {}, \"detection_rate\": {:.4}, \"mean_error_m\": {:.4}, \
-             \"median_error_m\": {:.4}, \"false_fixes\": {}, \"false_fixes_raw\": {}, \
-             \"ghost_tracks\": {}, \"n_tracks\": {}, \
-             \"nulling_db\": {:.3}, \"n_samples\": {}, \"record_s\": {:.6}, \
-             \"image_s\": {:.6}, \"samples_per_sec\": {:.2}, \"cells_per_sec\": {:.0}, \
-             \"windows_per_sec\": {:.2}, \"window_latency_p50_ms\": {:.4}, \
-             \"window_latency_p99_ms\": {:.4}}}{comma}",
-            json_escape(r.spec.name),
-            r.spec.seed,
-            r.spec.n_subjects,
-            r.spec.speed,
-            r.n_windows,
-            r.detection_rate,
-            r.mean_error_m,
-            r.median_error_m,
-            r.false_fixes,
-            r.false_fixes_raw,
-            r.n_ghost_tracks,
-            r.n_tracks,
-            r.nulling_db,
-            r.n_samples,
-            r.record_s,
-            r.image_s,
-            r.samples_per_sec(),
-            r.cells_per_sec(),
-            r.windows_per_sec(),
-            1e3 * r.window_latency_percentile_s(50.0),
-            1e3 * r.window_latency_percentile_s(99.0),
-        )?;
-    }
-    writeln!(f, "  ]")?;
-    writeln!(f, "}}")?;
-    Ok(())
 }
 
 #[cfg(test)]
@@ -593,34 +458,5 @@ mod tests {
         assert_eq!(s3.n_windows, 1);
 
         let _ = GridSpec::cover(Scene::conference_room_small(), 0.125, 0.5);
-    }
-
-    #[test]
-    fn imaging_json_is_written_and_parsable_shape() {
-        let img = ImageConfig::fast_test();
-        let spec = ImagingTrialSpec {
-            name: "showcase_1",
-            n_subjects: 1,
-            speed: 1.0,
-            one_sided: false,
-            duration_s: 2.6,
-            seed: 5,
-        };
-        let (r, report) = run_imaging_trial(&spec, &WiViConfig::fast_test(), &img);
-        assert!(r.n_windows >= 1);
-        assert_eq!(r.n_windows, report.n_windows());
-        assert_eq!(r.window_latencies_s.len(), r.n_windows);
-        assert!(r.samples_per_sec() > 0.0 && r.cells_per_sec() > 0.0);
-
-        let path = std::env::temp_dir().join("wivi_bench_imaging_test.json");
-        let path = path.to_str().unwrap();
-        write_imaging_json(path, &[r], &img, 1.0, "quick").unwrap();
-        let body = std::fs::read_to_string(path).unwrap();
-        assert!(body.contains("\"benchmark\": \"wivi_imaging_pipeline\""));
-        assert!(body.contains("\"mean_detection_rate\""));
-        assert!(body.contains("\"window_latency_p99_ms\""));
-        assert!(body.contains("\"cells_per_sec\""));
-        assert!(body.contains("showcase_1"));
-        std::fs::remove_file(path).ok();
     }
 }

@@ -6,9 +6,8 @@
 //! actually uses: length-50 Jacobi rows, the 50×50 correlation matrix,
 //! the 625-sample imaging aperture, the 64-point OFDM FFT. The levels
 //! are forced through [`wivi_num::simd::set_forced`], so one process
-//! measures all paths; `write_kernels_json` emits `BENCH_kernels.json`
-//! with ns/op per (kernel × level) plus the detected CPU features, and
-//! future PRs regress against it.
+//! measures all paths. `cargo bench -p wivi-bench` prints the resulting
+//! per-level table.
 
 use std::hint::black_box;
 use std::time::Instant;
@@ -226,47 +225,6 @@ pub fn run_kernels_bench(quick: bool) -> KernelsReport {
     }
 }
 
-/// Writes `BENCH_kernels.json`.
-pub fn write_kernels_json(path: &str, report: &KernelsReport, mode: &str) -> std::io::Result<()> {
-    use std::io::Write;
-    let mut f = std::fs::File::create(path)?;
-    writeln!(f, "{{")?;
-    writeln!(f, "  \"benchmark\": \"wivi_simd_kernels\",")?;
-    writeln!(f, "  \"mode\": \"{}\",", crate::engine::json_escape(mode))?;
-    writeln!(f, "  \"cpu\": {{")?;
-    writeln!(f, "    \"avx2\": {},", report.avx2)?;
-    writeln!(f, "    \"fma\": {},", report.fma)?;
-    writeln!(f, "    \"avx512\": {}", report.avx512)?;
-    writeln!(f, "  }},")?;
-    writeln!(f, "  \"auto_level\": \"{}\",", report.auto_level)?;
-    writeln!(f, "  \"kernels\": [")?;
-    for (i, t) in report.timings.iter().enumerate() {
-        let comma = if i + 1 < report.timings.len() {
-            ","
-        } else {
-            ""
-        };
-        let per_level: Vec<String> = t
-            .ns_per_op
-            .iter()
-            .map(|(l, ns)| format!("\"{l}_ns\": {ns:.1}"))
-            .collect();
-        let (best_level, _) = t.best();
-        writeln!(
-            f,
-            "    {{\"kernel\": \"{}\", {}, \"best\": \"{}\", \"speedup\": {:.2}}}{}",
-            crate::engine::json_escape(&t.kernel),
-            per_level.join(", "),
-            best_level,
-            t.speedup(),
-            comma
-        )?;
-    }
-    writeln!(f, "  ]")?;
-    writeln!(f, "}}")?;
-    Ok(())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -290,18 +248,5 @@ mod tests {
             report.auto_level,
             "bench must restore auto dispatch"
         );
-    }
-
-    #[test]
-    fn json_report_is_written() {
-        let report = run_kernels_bench(true);
-        let dir = std::env::temp_dir().join("wivi_kernels_json_test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("BENCH_kernels.json");
-        write_kernels_json(path.to_str().unwrap(), &report, "quick").unwrap();
-        let text = std::fs::read_to_string(&path).unwrap();
-        assert!(text.contains("\"benchmark\": \"wivi_simd_kernels\""));
-        assert!(text.contains("scalar_ns"));
-        assert!(text.contains("\"auto_level\""));
     }
 }

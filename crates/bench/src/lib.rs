@@ -8,20 +8,19 @@
 //!   conference rooms, gesture trials at parametric distance / material /
 //!   subject, and the standard scene builders.
 //! * [`engine`] — the multi-scenario engine: declarative
-//!   (room × material × count × motion) grids, the parallel
-//!   [`ScenarioRunner`](engine::ScenarioRunner) over the streaming device
-//!   pipeline, and `BENCH_pipeline.json` emission.
-//! * [`serving`] — the multi-session serving soak over
-//!   [`wivi_serve::ServeEngine`] and `BENCH_serving.json` emission.
+//!   (room × material × count × motion) grids with coordinate-hashed
+//!   seeds, and tracking ground truth and scoring.
+//! * [`serving`] — the mixed-mode session list the serving workloads
+//!   submit to [`wivi_serve::ServeEngine`].
 //! * [`kernels`] — ns/op microbenchmarks of the dispatched SIMD complex
-//!   kernels (scalar vs AVX2 vs AVX-512) and `BENCH_kernels.json`
-//!   emission.
+//!   kernels (scalar vs AVX2 vs AVX-512), printed by
+//!   `cargo bench -p wivi-bench`.
 //! * [`obs`] — ns/event microbenchmarks of the observability layer
 //!   (counter / histogram / span at 1–4 threads), the `WIVI_OBS`
 //!   on-vs-off pipeline overhead probe, and `BENCH_obs.json` emission.
 //! * [`imaging`] — the 2-D localization workload over `wivi-image`:
-//!   showcase scenes with known positions, detection/localization
-//!   scoring, and `BENCH_imaging.json` emission.
+//!   showcase scenes with known positions and detection/localization
+//!   scoring.
 //! * [`report`] — uniform stdout formatting: CDF tables, bar charts,
 //!   confusion matrices, figure headers.
 

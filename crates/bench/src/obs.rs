@@ -292,7 +292,8 @@ pub fn write_obs_json(path: &str, report: &ObsBenchReport, mode: &str) -> std::i
     let mut f = std::fs::File::create(path)?;
     writeln!(f, "{{")?;
     writeln!(f, "  \"benchmark\": \"wivi_obs_overhead\",")?;
-    writeln!(f, "  \"mode\": \"{}\",", crate::engine::json_escape(mode))?;
+    let mode = mode.replace('\\', "\\\\").replace('"', "\\\"");
+    writeln!(f, "  \"mode\": \"{mode}\",")?;
     // Budgets apply to every row's throughput-derived per-thread cost —
     // the obs_gate bin enforces them at each thread count, not just 1.
     writeln!(

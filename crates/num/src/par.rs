@@ -1,7 +1,7 @@
 //! Order-preserving parallel map over scoped OS threads.
 //!
-//! Every parallel consumer in the workspace — the bench runner's trial
-//! grid, the imaging engine's row-parallel focus sweep, the serving
+//! Every parallel consumer in the workspace — a scenario grid's
+//! trials, the imaging engine's row-parallel focus sweep, the serving
 //! shards' intra-shard workers — needs the same primitive: map a
 //! function over independent items on `std::thread`s and get the
 //! results back **in input order**, so the output is independent of the

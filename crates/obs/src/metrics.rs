@@ -396,7 +396,7 @@ impl HistogramSnapshot {
     }
 
     /// The occupied buckets as `(lo, hi, count)` rows (what the JSON
-    /// exporter and BENCH_serving.json emit).
+    /// exporter emits).
     pub fn nonzero_buckets(&self) -> Vec<(u64, u64, u64)> {
         self.buckets
             .iter()

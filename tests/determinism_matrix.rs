@@ -1,17 +1,43 @@
 //! The determinism matrix: the PR-1 coordinate-hashed-seed guarantee —
 //! results depend on *what* is computed, never on how the work is
-//! scheduled — extended to the serving layer. `ScenarioRunner` must be
-//! bitwise identical at 1, 2, and 8 worker threads; the serve engine
-//! must be bitwise identical at 1, 2, and 8 shards **and** under
-//! shuffled session-submission order.
+//! scheduled — extended to the serving layer. A scenario grid's trials,
+//! mapped over worker threads, must be bitwise identical at 1, 2, and 8
+//! threads; the serve engine must be bitwise identical at 1, 2, and 8
+//! shards **and** under shuffled session-submission order.
 
 mod common;
 
 use common::*;
 use wivi::prelude::*;
-use wivi_bench::engine::{MotionModel, ScenarioGrid, ScenarioRunner};
+use wivi_bench::engine::{
+    ground_truth_thetas, score_tracking, MotionModel, ScenarioGrid, ScenarioSpec,
+};
 use wivi_bench::scenarios::Room;
+use wivi_num::par::parallel_map_threads;
 use wivi_num::Rng64;
+use wivi_track::tracker::DOMINANCE_GAP_WINDOW;
+
+/// Per-trial outcome of a counting trial: seed, mean spatial variance,
+/// and achieved nulling (dB).
+fn variance_trial(spec: &ScenarioSpec) -> (u64, f64, f64) {
+    let mut dev = WiViDevice::new(spec.build_scene(), WiViConfig::fast_test(), spec.seed());
+    let nulling_db = dev.calibrate().nulling_db();
+    let variance = dev.measure_spatial_variance_streaming(spec.duration_s, BATCH);
+    (spec.seed(), variance, nulling_db)
+}
+
+/// Per-trial outcome of a tracking trial scored against ground truth:
+/// confirmed tracks, count accuracy, and track purity.
+fn tracking_trial(spec: &ScenarioSpec) -> (usize, f64, f64) {
+    let cfg = WiViConfig::fast_test();
+    let mut dev = WiViDevice::new(spec.build_scene(), cfg, spec.seed());
+    dev.calibrate();
+    let report = dev.track_targets_streaming(spec.duration_s, BATCH);
+    let gt = ground_truth_thetas(&spec.build_scene(), &cfg, &report.times_s);
+    let latency = report.cfg.confirm_hits + DOMINANCE_GAP_WINDOW;
+    let (count_accuracy, track_purity) = score_tracking(&report, &gt, latency);
+    (report.tracks.len(), count_accuracy, track_purity)
+}
 
 #[test]
 fn scenario_runner_is_identical_at_1_2_and_8_threads() {
@@ -23,24 +49,22 @@ fn scenario_runner_is_identical_at_1_2_and_8_threads() {
         trials_per_cell: 1,
         duration_s: 0.5,
     };
-    let run = |threads| {
-        ScenarioRunner::new(WiViConfig::fast_test())
-            .with_threads(threads)
-            .run(&grid)
-    };
+    let specs = grid.specs();
+    let run = |threads| parallel_map_threads(&specs, variance_trial, Some(threads));
     let baseline = run(1);
     for threads in [2usize, 8] {
         let out = run(threads);
         assert_eq!(out.len(), baseline.len());
-        for (a, b) in baseline.iter().zip(&out) {
-            assert_eq!(a.seed, b.seed);
+        for ((spec, &(seed_a, var_a, null_a)), &(seed_b, var_b, null_b)) in
+            specs.iter().zip(&baseline).zip(&out)
+        {
+            assert_eq!(seed_a, seed_b);
             assert_eq!(
-                a.variance.to_bits(),
-                b.variance.to_bits(),
-                "{} differs at {threads} threads",
-                a.spec.label()
+                var_a.to_bits(),
+                var_b.to_bits(),
+                "{spec:?} differs at {threads} threads"
             );
-            assert_eq!(a.nulling_db.to_bits(), b.nulling_db.to_bits());
+            assert_eq!(null_a.to_bits(), null_b.to_bits());
         }
     }
 }
@@ -55,18 +79,17 @@ fn tracking_runner_is_identical_at_1_2_and_8_threads() {
         trials_per_cell: 1,
         duration_s: 1.5,
     };
-    let run = |threads| {
-        ScenarioRunner::new(WiViConfig::fast_test())
-            .with_threads(threads)
-            .run_tracking(&grid)
-    };
+    let specs = grid.specs();
+    let run = |threads| parallel_map_threads(&specs, tracking_trial, Some(threads));
     let baseline = run(1);
     for threads in [2usize, 8] {
         let out = run(threads);
-        for (a, b) in baseline.iter().zip(&out) {
-            assert_eq!(a.n_tracks, b.n_tracks, "at {threads} threads");
-            assert_eq!(a.count_accuracy.to_bits(), b.count_accuracy.to_bits());
-            assert_eq!(a.track_purity.to_bits(), b.track_purity.to_bits());
+        for (&(tracks_a, acc_a, purity_a), &(tracks_b, acc_b, purity_b)) in
+            baseline.iter().zip(&out)
+        {
+            assert_eq!(tracks_a, tracks_b, "at {threads} threads");
+            assert_eq!(acc_a.to_bits(), acc_b.to_bits());
+            assert_eq!(purity_a.to_bits(), purity_b.to_bits());
         }
     }
 }
