@@ -244,8 +244,9 @@ pub fn shard_of(id: SessionId, n_shards: usize) -> usize {
 /// [`SessionOutput`] here the moment the session finalizes — hundreds
 /// of batch rounds before `finish()` would surface it — so a serving
 /// front can stream results back to clients while the engine keeps
-/// running. The payload clone is an `Arc` bump. Cloning the queue
-/// handle shares the same underlying queue.
+/// running. The clone deep-copies the payload, because `ModeOutput`
+/// holds it inline. Cloning the queue handle shares the same underlying
+/// queue.
 #[derive(Clone, Default)]
 pub struct CompletionQueue(Arc<Mutex<VecDeque<SessionOutput>>>);
 
