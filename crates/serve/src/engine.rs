@@ -19,7 +19,7 @@
 //! outputs or events — the `serving_equivalence` and determinism-matrix
 //! integration tests pin this.
 
-use std::collections::VecDeque;
+use std::collections::{BTreeSet, VecDeque};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
@@ -295,7 +295,9 @@ pub struct ServeEngine {
     registry: Registry,
     metrics: Vec<ShardMetrics>,
     slo: SloMetrics,
-    opened_ids: Vec<SessionId>,
+    /// Every id this engine has accepted, for the O(log n) duplicate
+    /// check on both open paths.
+    opened_ids: BTreeSet<SessionId>,
     started: Instant,
 }
 
@@ -351,7 +353,7 @@ impl ServeEngine {
             registry,
             metrics,
             slo,
-            opened_ids: Vec::new(),
+            opened_ids: BTreeSet::new(),
             started: Instant::now(),
         }
     }
@@ -428,7 +430,7 @@ impl ServeEngine {
         self.channels[shard]
             .push_blocking(Command::Open(Box::new(spec)))
             .map_err(|_| ServeError::ShutDown)?;
-        self.opened_ids.push(id);
+        self.opened_ids.insert(id);
         Ok(())
     }
 
@@ -444,7 +446,7 @@ impl ServeEngine {
         let id = spec.id;
         match self.channels[shard].try_push(Command::Open(Box::new(spec))) {
             Ok(()) => {
-                self.opened_ids.push(id);
+                self.opened_ids.insert(id);
                 Ok(())
             }
             Err(TryPushError::Full(Command::Open(spec))) => Err(ServeError::QueueFull(spec)),
