@@ -20,7 +20,8 @@
 //! integration tests pin this.
 
 use std::collections::{BTreeSet, VecDeque};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, OnceLock};
+use std::thread::Thread;
 use std::time::Instant;
 
 use wivi_num::{merge_streams, TimedStream};
@@ -246,9 +247,18 @@ pub fn shard_of(id: SessionId, n_shards: usize) -> usize {
 /// front can stream results back to clients while the engine keeps
 /// running. The clone deep-copies the payload, because `ModeOutput`
 /// holds it inline. Cloning the queue handle shares the same underlying
-/// queue.
+/// queue, and its waker: the wire reactor registers its thread, and
+/// every push unparks it.
 #[derive(Clone, Default)]
-pub struct CompletionQueue(Arc<Mutex<VecDeque<SessionOutput>>>);
+pub struct CompletionQueue(Arc<Completions>);
+
+#[derive(Default)]
+struct Completions {
+    queue: Mutex<VecDeque<SessionOutput>>,
+    /// The thread each push unparks: the wire reactor, which parks
+    /// while idle. Unset for an in-process engine.
+    waker: OnceLock<Thread>,
+}
 
 impl CompletionQueue {
     /// An empty queue.
@@ -256,11 +266,25 @@ impl CompletionQueue {
         Self::default()
     }
 
+    /// Registers the calling thread as the one every push unparks. The
+    /// first registration sticks. A push that lands while the thread is
+    /// running leaves the park token set, so its next park returns at
+    /// once and no completion is slept through.
+    pub(crate) fn register_waker(&self) {
+        let _ = self.0.waker.set(std::thread::current());
+    }
+
     pub(crate) fn push(&self, out: SessionOutput) {
         self.0
+            .queue
             .lock()
             .expect("completion queue poisoned")
             .push_back(out);
+        // The guard dropped with the statement above, so the woken
+        // thread never finds the lock still held.
+        if let Some(t) = self.0.waker.get() {
+            t.unpark();
+        }
     }
 
     /// Takes everything completed since the last drain, in completion
@@ -268,6 +292,7 @@ impl CompletionQueue {
     /// blocks.
     pub fn drain(&self) -> Vec<SessionOutput> {
         self.0
+            .queue
             .lock()
             .expect("completion queue poisoned")
             .drain(..)
@@ -276,7 +301,11 @@ impl CompletionQueue {
 
     /// Completed-but-undrained outputs right now.
     pub fn len(&self) -> usize {
-        self.0.lock().expect("completion queue poisoned").len()
+        self.0
+            .queue
+            .lock()
+            .expect("completion queue poisoned")
+            .len()
     }
 
     /// `true` if nothing is waiting.
@@ -664,5 +693,53 @@ mod tests {
         let mut ids: Vec<u64> = live.iter().map(|o| o.id).collect();
         ids.sort_unstable();
         assert_eq!(ids, vec![0, 1, 2, 3]);
+    }
+
+    /// A push unparks the registered waker: a thread parked with a 30 s
+    /// timeout sees the completion long before the timeout. Without the
+    /// unpark it would sleep the full 30 s.
+    #[test]
+    fn completion_wakes_a_parked_waker() {
+        let q = CompletionQueue::new();
+        let (registered, ready) = std::sync::mpsc::channel();
+        let waiter = {
+            let q = q.clone();
+            std::thread::spawn(move || {
+                q.register_waker();
+                registered.send(()).expect("test thread alive");
+                let t0 = Instant::now();
+                let deadline = t0 + std::time::Duration::from_secs(30);
+                while q.is_empty() {
+                    let now = Instant::now();
+                    if now >= deadline {
+                        break;
+                    }
+                    std::thread::park_timeout(deadline - now);
+                }
+                (q.len(), t0.elapsed())
+            })
+        };
+        ready.recv().expect("waiter registered");
+        std::thread::sleep(std::time::Duration::from_millis(20));
+        q.push(SessionOutput {
+            id: 1,
+            shard: 0,
+            mode: "count",
+            start_s: 0.0,
+            n_requested: 0,
+            n_samples: 0,
+            n_columns: 0,
+            closed_early: false,
+            nulling_db: 0.0,
+            result: crate::ModeOutput::Count(None),
+            calibrate_s: 0.0,
+            stream_s: 0.0,
+        });
+        let (seen, waited) = waiter.join().expect("waiter panicked");
+        assert_eq!(seen, 1, "the waiter must see the pushed output");
+        assert!(
+            waited < std::time::Duration::from_secs(5),
+            "waiter slept {waited:?}: the push did not unpark it"
+        );
     }
 }

@@ -290,6 +290,38 @@ fn healthz_and_tracez_answer_on_the_wire_port() {
     server.shutdown().expect("shutdown");
 }
 
+/// A request head that trickles in one byte per write — the reactor
+/// resumes its blank-line scan across reads, including a terminator
+/// split between them — still gets the full JSON answer.
+#[test]
+fn healthz_answers_a_head_written_one_byte_at_a_time() {
+    let mut cfg = WireServerConfig::new(ServeConfig::with_shards_workers(1, 1));
+    cfg.scenes.push(("room".into(), simple_scene().into()));
+    cfg.configs.push(("fast".into(), WiViConfig::fast_test()));
+    let server = WireServer::start(cfg).expect("bind");
+
+    let mut sock = std::net::TcpStream::connect(server.addr()).expect("connect");
+    sock.set_nodelay(true).expect("nodelay");
+    // A lost head would otherwise block the read below forever.
+    sock.set_read_timeout(Some(std::time::Duration::from_secs(30)))
+        .expect("read timeout");
+    for b in b"GET /healthz HTTP/1.1\r\nHost: x\r\n\r\n" {
+        sock.write_all(std::slice::from_ref(b)).unwrap();
+        // Longer than the reactor's longest idle park, so most bytes
+        // arrive in a read of their own. Correctness does not depend
+        // on it.
+        std::thread::sleep(std::time::Duration::from_millis(1));
+    }
+    let mut response = String::new();
+    sock.read_to_string(&mut response).unwrap();
+    assert!(response.starts_with("HTTP/1.1 200 OK"), "got: {response}");
+    assert!(response.contains("Content-Type: application/json"));
+    assert!(response.contains("\"shards\""), "shard list: {response}");
+    assert!(response.ends_with('}'), "truncated body: {response}");
+
+    server.shutdown().expect("shutdown");
+}
+
 /// The tentpole acceptance: with observability ON, a loopback session
 /// carries ONE trace id from the client's open RTT through the
 /// server-side open/step/drain spans, `/tracez` returns it, rolling
