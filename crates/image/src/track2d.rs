@@ -575,4 +575,25 @@ mod tests {
         };
         assert_eq!(run(), run());
     }
+
+    /// Callers keep finished summaries, so `finish` trims each vector
+    /// it hands back to its length. Ten windows leave every per-window
+    /// vector short of a power of two, so an untrimmed one would show
+    /// spare capacity.
+    #[test]
+    fn finished_summary_vectors_have_no_spare_capacity() {
+        let mut tk = PositionTracker::new(cfg());
+        for k in 0..10 {
+            let t = k as f64 * tk.cfg().window_dt_s();
+            tk.push_fixes(&[fix(-2.0 + 0.9 * t, 1.5), fix(2.0 - 0.9 * t, 3.5)]);
+        }
+        let s = tk.finish();
+        assert_eq!(s.tracks.len(), 2);
+        assert_eq!(s.tracks.capacity(), s.tracks.len());
+        for tr in &s.tracks {
+            assert_eq!(tr.history.capacity(), tr.history.len(), "track {}", tr.id);
+        }
+        assert_eq!(s.confirmed_counts.capacity(), s.confirmed_counts.len());
+        assert_eq!(s.times_s.capacity(), s.times_s.len());
+    }
 }

@@ -292,16 +292,24 @@ impl<P: TrackPolicy> Lifecycle<P> {
     }
 
     /// Finalizes the run: announced tracks only, in id order, live ones
-    /// keeping their final status. Hands back the policy too.
+    /// keeping their final status. Hands back the policy too. Every
+    /// vector is trimmed to its length, because callers keep finished
+    /// summaries and growth by doubling can leave half of one unused.
     pub fn finish(self) -> (P, TrackingSummary<TrackOf<P>>) {
         let mut tracks = self.finished;
         tracks.extend(self.live.into_iter().filter(|tr| tr.announced));
         tracks.sort_by_key(|t| t.id);
-        let summary = TrackingSummary {
+        for tr in &mut tracks {
+            tr.history.shrink_to_fit();
+        }
+        tracks.shrink_to_fit();
+        let mut summary = TrackingSummary {
             tracks,
             confirmed_counts: self.confirmed_counts,
             times_s: self.times_s,
         };
+        summary.confirmed_counts.shrink_to_fit();
+        summary.times_s.shrink_to_fit();
         (self.policy, summary)
     }
 }

@@ -412,9 +412,11 @@ impl MultiTargetTracker {
     /// leave.
     pub fn finish(self) -> TrackingReport {
         let (policy, summary) = self.core.finish();
+        let mut events = policy.events;
+        events.shrink_to_fit();
         TrackingReport {
             tracks: summary.tracks,
-            events: policy.events,
+            events,
             confirmed_counts: summary.confirmed_counts,
             times_s: summary.times_s,
             cfg: policy.cfg,

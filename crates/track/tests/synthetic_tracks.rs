@@ -301,3 +301,27 @@ fn confirm_hits_one_confirms_at_birth_and_announces_only_dominant_tracks() {
     let ids: Vec<u32> = report.tracks.iter().map(|t| t.id).collect();
     assert_eq!(ids, announced, "only the announced tracks are reported");
 }
+
+/// Callers keep finished reports (a shard holds every output until
+/// shutdown), so `finish` trims each vector it hands back to its
+/// length. The crossing pair's 41 windows leave every per-window
+/// vector short of a power of two, so an untrimmed one would show
+/// spare capacity.
+#[test]
+fn finished_report_vectors_have_no_spare_capacity() {
+    let windows: Vec<Vec<f64>> = (0..41)
+        .map(|k| vec![-65.0 + 3.0 * k as f64, 52.0 - 3.0 * k as f64])
+        .collect();
+    let report = run(&windows);
+    assert!(!report.tracks.is_empty() && !report.events.is_empty());
+    assert_eq!(report.tracks.capacity(), report.tracks.len());
+    for tr in &report.tracks {
+        assert_eq!(tr.history.capacity(), tr.history.len(), "track {}", tr.id);
+    }
+    assert_eq!(report.events.capacity(), report.events.len());
+    assert_eq!(
+        report.confirmed_counts.capacity(),
+        report.confirmed_counts.len()
+    );
+    assert_eq!(report.times_s.capacity(), report.times_s.len());
+}
