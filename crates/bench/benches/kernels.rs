@@ -1,8 +1,8 @@
 //! Benchmarks for the Wi-Vi compute kernels (`cargo bench -p wivi-bench`).
 //!
 //! First the per-level table of the dispatched SIMD kernels
-//! ([`wivi_bench::kernels::run_kernels_bench`]: ns/op at scalar, AVX2
-//! and AVX-512), then the kernel rows below. Hand-rolled timing harness
+//! ([`wivi_bench::kernels::run_kernels_bench`]: ns/op at scalar and
+//! AVX2), then the kernel rows below. Hand-rolled timing harness
 //! (median of repeated batches) — criterion is not available offline.
 //! Each row also contrasts the planned / workspace-reuse hot path against
 //! the allocating convenience API, so the zero-allocation refactor's
@@ -48,8 +48,8 @@ fn bench(name: &str, iters_per_batch: usize, mut f: impl FnMut()) {
 fn print_simd_levels() {
     let kreport = run_kernels_bench(false);
     println!(
-        "SIMD kernels: auto level {} (avx2 {}, fma {}, avx512 {})",
-        kreport.auto_level, kreport.avx2, kreport.fma, kreport.avx512
+        "SIMD kernels: auto level {} (avx2 {})",
+        kreport.auto_level, kreport.avx2
     );
     let rows: Vec<Vec<String>> = kreport
         .timings
@@ -66,7 +66,6 @@ fn print_simd_levels() {
         headers.extend(first.ns_per_op.iter().map(|(l, _)| match l.as_str() {
             "scalar" => "scalar ns",
             "avx2" => "avx2 ns",
-            "avx512" => "avx512 ns",
             _ => "ns",
         }));
     }

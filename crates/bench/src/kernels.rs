@@ -2,9 +2,10 @@
 //! [`wivi_num::simd`].
 //!
 //! Each kernel is timed at every dispatch level the running CPU supports
-//! (scalar reference, AVX2, AVX-512), on the buffer sizes the pipeline
-//! actually uses: length-50 Jacobi rows, the 50×50 correlation matrix,
-//! the 625-sample imaging aperture, the 64-point OFDM FFT. The levels
+//! (scalar reference, AVX2), on the buffer sizes the pipeline actually
+//! uses: length-50 Jacobi rows, the 50×50 correlation matrix, the
+//! 181-angle MUSIC grid, the 625-sample imaging aperture, the 64-point
+//! OFDM FFT. The levels
 //! are forced through [`wivi_num::simd::set_forced`], so one process
 //! measures all paths. `cargo bench -p wivi-bench` prints the resulting
 //! per-level table.
@@ -12,6 +13,7 @@
 use std::hint::black_box;
 use std::time::Instant;
 
+use wivi_core::isar::IsarConfig;
 use wivi_num::eig::{hermitian_eig_in, EigWorkspace};
 use wivi_num::rng::Rng64;
 use wivi_num::{simd, CMatrix, Complex64, FftPlan};
@@ -27,7 +29,7 @@ pub const FFT_N: usize = 64;
 /// (scalar first).
 #[derive(Clone, Debug)]
 pub struct KernelTiming {
-    /// Kernel name with its benchmarked size, e.g. `"cdot_625"`.
+    /// Kernel name with its benchmarked size, e.g. `"caxpy_181"`.
     pub kernel: String,
     /// `(level name, ns per op)` pairs, scalar first.
     pub ns_per_op: Vec<(String, f64)>,
@@ -66,8 +68,6 @@ pub struct KernelsReport {
     /// Dispatch level auto-detection resolves to in this process.
     pub auto_level: String,
     pub avx2: bool,
-    pub fma: bool,
-    pub avx512: bool,
 }
 
 fn cvec(n: usize, rng: &mut Rng64) -> Vec<Complex64> {
@@ -94,9 +94,6 @@ fn levels() -> Vec<simd::SimdLevel> {
     if simd::avx2_supported() {
         out.push(simd::SimdLevel::Avx2);
     }
-    if simd::avx512_supported() {
-        out.push(simd::SimdLevel::Avx512);
-    }
     out
 }
 
@@ -113,6 +110,9 @@ pub fn run_kernels_bench(quick: bool) -> KernelsReport {
     let ap_a = cvec(APERTURE, &mut rng);
     let ap_b = cvec(APERTURE, &mut rng);
     let ap_c = cvec(APERTURE, &mut rng);
+    let n_angles = IsarConfig::wivi_default().n_angles;
+    let grid_a = cvec(n_angles, &mut rng);
+    let grid_b = cvec(n_angles, &mut rng);
     let e = Complex64::cis(0.7);
     let a = Complex64::new(0.3, -1.2);
 
@@ -140,17 +140,9 @@ pub fn run_kernels_bench(quick: bool) -> KernelsReport {
         });
     };
 
-    // cdot over the imaging aperture (the one reassociated kernel).
-    bench(&format!("cdot_{APERTURE}"), 200_000, &mut {
-        let (a, b) = (ap_a.clone(), ap_b.clone());
-        move || {
-            black_box(simd::cdot(black_box(&a), black_box(&b)));
-        }
-    });
-
-    // caxpy over the aperture-sized row (MUSIC projection shape).
-    bench(&format!("caxpy_{APERTURE}"), 200_000, &mut {
-        let (mut acc, x) = (ap_a.clone(), ap_b.clone());
+    // caxpy over one steering-table row (the MUSIC projection shape).
+    bench(&format!("caxpy_{n_angles}"), 400_000, &mut {
+        let (mut acc, x) = (grid_a.clone(), grid_b.clone());
         move || {
             simd::caxpy(black_box(&mut acc), black_box(&x), a);
         }
@@ -220,8 +212,6 @@ pub fn run_kernels_bench(quick: bool) -> KernelsReport {
         timings,
         auto_level: simd::level().name().to_string(),
         avx2: simd::avx2_supported(),
-        fma: simd::fma_supported(),
-        avx512: simd::avx512_supported(),
     }
 }
 

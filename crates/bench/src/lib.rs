@@ -13,7 +13,7 @@
 //! * [`serving`] — the mixed-mode session list the serving workloads
 //!   submit to [`wivi_serve::ServeEngine`].
 //! * [`kernels`] — ns/op microbenchmarks of the dispatched SIMD complex
-//!   kernels (scalar vs AVX2 vs AVX-512), printed by
+//!   kernels (scalar vs AVX2), printed by
 //!   `cargo bench -p wivi-bench`.
 //! * [`obs`] — ns/event microbenchmarks of the observability layer
 //!   (counter / histogram / span at 1–4 threads), the `WIVI_OBS`

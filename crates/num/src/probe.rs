@@ -21,8 +21,8 @@
 //!   aggregate locally in registers and flush one [`count_kernel`] per
 //!   natural loop boundary (one per eigensolve, one per FFT run, one
 //!   per correlation update). Per-call counting is reserved for kernels
-//!   long enough to hide a few nanoseconds (`cdot`,
-//!   `focus_accumulate`). DESIGN.md §13 records the budget.
+//!   long enough to hide a few nanoseconds (`focus_accumulate`).
+//!   DESIGN.md §13 records the budget.
 //!
 //! Counts are monotone from process start; consumers diff two
 //! [`snapshot`]s to meter an interval. There is deliberately no reset —
@@ -31,18 +31,17 @@
 use std::sync::atomic::{AtomicU64, AtomicU8, AtomicUsize, Ordering};
 use std::sync::{Mutex, OnceLock};
 
-/// Number of SIMD dispatch levels tracked (scalar / AVX2 / AVX-512 —
-/// mirrors `simd::SimdLevel`'s order).
-pub const N_LEVELS: usize = 3;
+/// Number of SIMD dispatch levels tracked (scalar / AVX2 — mirrors
+/// `simd::SimdLevel`'s order).
+pub const N_LEVELS: usize = 2;
 
 /// The per-level kernel-call counters. `Rotations` counts Jacobi pivot
 /// updates (aggregated per eigensolve), `AxpyRows` correlation rows
 /// (aggregated per outer-product update), `Butterflies` FFT butterfly
 /// pairs (aggregated per transform), `Caxpy` MUSIC projection axpys
-/// (aggregated per window); `Cdot` and `Focus` are counted per call.
+/// (aggregated per window); `Focus` is counted per call.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Kernel {
-    Cdot,
     Caxpy,
     AxpyRows,
     Butterflies,
@@ -50,7 +49,7 @@ pub enum Kernel {
     Rotations,
 }
 
-const N_KERNELS: usize = 6;
+const N_KERNELS: usize = 5;
 
 // Flat cell layout: kernel × level grid, then the scalar counters.
 const IDX_EIG_CALLS: usize = N_KERNELS * N_LEVELS;
@@ -174,7 +173,7 @@ fn bump(idx: usize, n: u64) {
 }
 
 /// Records `n` calls (or aggregated units) of `kernel` at SIMD dispatch
-/// level `level` (0 = scalar, 1 = AVX2, 2 = AVX-512; clamped). No-op
+/// level `level` (0 = scalar, 1 = AVX2; clamped). No-op
 /// when observability is off.
 #[inline]
 pub fn count_kernel_at(kernel: Kernel, level: usize, n: u64) {
@@ -238,7 +237,7 @@ pub fn count_fft_run(butterflies: u64) {
 // ---------------------------------------------------------------------
 // Snapshots.
 
-/// Per-level call/unit counts of one kernel: `[scalar, avx2, avx512]`.
+/// Per-level call/unit counts of one kernel: `[scalar, avx2]`.
 pub type LevelCounts = [u64; N_LEVELS];
 
 /// A monotone snapshot of every probe counter, summed across threads.
@@ -246,8 +245,6 @@ pub type LevelCounts = [u64; N_LEVELS];
 /// interval.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct ProbeSnapshot {
-    /// `cdot` calls per dispatch level.
-    pub cdot: LevelCounts,
     /// MUSIC projection `caxpy` calls per level (caller-aggregated).
     pub caxpy: LevelCounts,
     /// Correlation rows accumulated per level (caller-aggregated).
@@ -279,7 +276,6 @@ impl ProbeSnapshot {
             out
         };
         ProbeSnapshot {
-            cdot: d(self.cdot, earlier.cdot),
             caxpy: d(self.caxpy, earlier.caxpy),
             axpy_rows: d(self.axpy_rows, earlier.axpy_rows),
             butterflies: d(self.butterflies, earlier.butterflies),
@@ -296,7 +292,6 @@ impl ProbeSnapshot {
     /// stable order (exporters iterate this).
     pub fn kernel_rows(&self) -> [(&'static str, LevelCounts); N_KERNELS] {
         [
-            ("cdot", self.cdot),
             ("caxpy", self.caxpy),
             ("axpy_rows", self.axpy_rows),
             ("butterflies", self.butterflies),
@@ -308,7 +303,7 @@ impl ProbeSnapshot {
     /// Stable lower-case dispatch level names, index-aligned with
     /// [`LevelCounts`].
     pub fn level_names() -> [&'static str; N_LEVELS] {
-        ["scalar", "avx2", "avx512"]
+        ["scalar", "avx2"]
     }
 }
 
@@ -329,7 +324,6 @@ pub fn snapshot() -> ProbeSnapshot {
         out
     };
     ProbeSnapshot {
-        cdot: grid(Kernel::Cdot),
         caxpy: grid(Kernel::Caxpy),
         axpy_rows: grid(Kernel::AxpyRows),
         butterflies: grid(Kernel::Butterflies),
@@ -369,21 +363,21 @@ mod tests {
         set_enabled(Some(false));
         let before = snapshot();
         count_kernel_at(Kernel::Caxpy, 0, 5);
-        count_kernel_at(Kernel::Caxpy, 2, 2);
+        count_kernel_at(Kernel::Caxpy, 1, 2);
         assert_eq!(
             snapshot().since(&before).caxpy,
-            [0, 0, 0],
+            [0, 0],
             "disabled probes must not count"
         );
 
         set_enabled(Some(true));
         count_kernel_at(Kernel::Caxpy, 0, 5);
-        count_kernel_at(Kernel::Caxpy, 2, 2);
+        count_kernel_at(Kernel::Caxpy, 1, 2);
         count_fft_plan();
         set_enabled(None);
 
         let after = snapshot().since(&before);
-        assert_eq!(after.caxpy, [5, 0, 2]);
+        assert_eq!(after.caxpy, [5, 2]);
         assert!(after.fft_plans >= 1);
     }
 

@@ -6,26 +6,18 @@
 //! the imaging focus sweep. This module vectorizes exactly those, with a
 //! dispatch contract the golden-trace suite depends on:
 //!
-//! **Bitwise pinning.** Every kernel in this module except [`cdot`]
-//! produces output *bit-identical* to its `*_scalar` reference on every
-//! input, on every dispatch level. This is achievable because the
-//! kernels vectorize across *independent outputs* (different matrix
-//! entries, different accumulators, different cells) while keeping each
-//! output's arithmetic sequence — operand order, rounding points, no
-//! FMA contraction — exactly the scalar one. Two IEEE-754 facts carry
-//! the proofs: `a·b` and `b·a` round identically (so complex
-//! multiplication commutes bitwise), and negation is a sign-bit flip (so
-//! conjugation via XOR mask equals the scalar `-im`). The AVX2/AVX-512
-//! paths therefore use explicit `mul`/`add`/`sub`/`addsub` — never
-//! `fma` (the AVX-512 paths emulate `addsub` with an add, a sub, and a
-//! lane blend, each lane still one IEEE operation) — and the golden
-//! fixtures pass unchanged whichever level dispatch lands on.
-//!
-//! **Epsilon pinning.** [`cdot`] is the one reassociated kernel: four
-//! interleaved accumulators plus FMA, ≈ 4× faster on long vectors but
-//! only ≤ 1e-12-relatively equal to the sequential fold. It is kept off
-//! the golden path (benches, diagnostics, and callers that tolerate
-//! reassociation) — see DESIGN.md §12 for the per-kernel policy table.
+//! **Bitwise pinning.** Every kernel in this module produces output
+//! *bit-identical* to its `*_scalar` reference on every input, at every
+//! dispatch level. This is achievable because the kernels vectorize
+//! across *independent outputs* (different matrix entries, different
+//! accumulators, different cells) while keeping each output's arithmetic
+//! sequence — operand order, rounding points, no FMA contraction —
+//! exactly the scalar one. Two IEEE-754 facts carry the proofs: `a·b`
+//! and `b·a` round identically (so complex multiplication commutes
+//! bitwise), and negation is a sign-bit flip (so conjugation via XOR
+//! mask equals the scalar `-im`). The AVX2 paths therefore use explicit
+//! `mul`/`add`/`sub`/`addsub` — never `fma` — and the golden fixtures
+//! pass unchanged whichever level dispatch lands on.
 //!
 //! **Dispatch.** [`level`] detects AVX2 once (`is_x86_feature_detected!`)
 //! and honours two overrides: the `WIVI_NO_SIMD=1` environment variable
@@ -35,7 +27,7 @@
 //! to the portable scalar fallbacks, which are unrolled four-wide where
 //! it helps the autovectorizer but remain per-output sequential.
 
-use std::sync::atomic::{AtomicU8, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::OnceLock;
 
 use crate::Complex64;
@@ -48,81 +40,51 @@ pub enum SimdLevel {
     Scalar,
     /// AVX2 256-bit paths (x86-64 with runtime-detected support).
     Avx2,
-    /// AVX-512 512-bit paths (requires `avx512f` + `avx512dq`).
-    Avx512,
 }
 
 impl SimdLevel {
-    /// Stable lower-case name for reports
-    /// (`"scalar"` / `"avx2"` / `"avx512"`).
+    /// Stable lower-case name for reports (`"scalar"` / `"avx2"`).
     pub fn name(self) -> &'static str {
         match self {
             SimdLevel::Scalar => "scalar",
             SimdLevel::Avx2 => "avx2",
-            SimdLevel::Avx512 => "avx512",
         }
     }
 }
 
-/// 0 = auto (detected), 1 = force scalar, 2 = force AVX2, 3 = force
-/// AVX-512 (forced levels are clamped to what the CPU supports).
-static FORCED: AtomicU8 = AtomicU8::new(0);
+/// Set while [`set_forced`] pins dispatch to the scalar reference.
+static FORCE_SCALAR: AtomicBool = AtomicBool::new(false);
 static DETECTED: OnceLock<SimdLevel> = OnceLock::new();
 
 fn detected() -> SimdLevel {
     *DETECTED.get_or_init(|| {
-        if std::env::var("WIVI_NO_SIMD").is_ok_and(|v| v == "1") {
-            return SimdLevel::Scalar;
+        if std::env::var("WIVI_NO_SIMD").is_ok_and(|v| v == "1") || !avx2_supported() {
+            SimdLevel::Scalar
+        } else {
+            SimdLevel::Avx2
         }
-        // `WIVI_SIMD_LEVEL=scalar|avx2|avx512` caps auto-detection — the
-        // benchmarking knob for comparing levels across processes.
-        let cap = match std::env::var("WIVI_SIMD_LEVEL").as_deref() {
-            Ok("scalar") => SimdLevel::Scalar,
-            Ok("avx2") => SimdLevel::Avx2,
-            _ => SimdLevel::Avx512,
-        };
-        #[allow(unused_mut)]
-        let mut hw = SimdLevel::Scalar;
-        #[cfg(target_arch = "x86_64")]
-        {
-            // The AVX-512 level also requires AVX2: some of its kernels
-            // delegate to the 256-bit implementations.
-            if std::arch::is_x86_feature_detected!("avx512f")
-                && std::arch::is_x86_feature_detected!("avx512dq")
-                && std::arch::is_x86_feature_detected!("avx2")
-            {
-                hw = SimdLevel::Avx512;
-            } else if std::arch::is_x86_feature_detected!("avx2") {
-                hw = SimdLevel::Avx2;
-            }
-        }
-        hw.min(cap)
     })
 }
 
 /// The dispatch level kernel calls resolve to right now.
 pub fn level() -> SimdLevel {
-    match FORCED.load(Ordering::Relaxed) {
-        1 => SimdLevel::Scalar,
-        2 => detected().min(SimdLevel::Avx2),
-        3 => detected(), // "force AVX-512" still requires hardware support
-        _ => detected(),
+    // ordering: Relaxed — a standalone flag; callers that need a crisp
+    // cutover (tests, the kernels bench) serialize around it themselves.
+    if FORCE_SCALAR.load(Ordering::Relaxed) {
+        SimdLevel::Scalar
+    } else {
+        detected()
     }
 }
 
 /// Overrides dispatch at runtime: `Some(Scalar)` forces the reference
-/// path, `Some(Avx2)`/`Some(Avx512)` request that level (clamped to
-/// hardware support), `None` restores auto-detection. Intended for the
-/// kernels bench and the scalar-vs-SIMD property tests; affects all
-/// threads.
+/// path; `Some(Avx2)` requests AVX2 (clamped to hardware support and
+/// `WIVI_NO_SIMD`, exactly what auto-detection resolves to), as does
+/// `None`. Intended for the kernels bench and the scalar-vs-SIMD
+/// property tests; affects all threads.
 pub fn set_forced(level: Option<SimdLevel>) {
-    let v = match level {
-        None => 0,
-        Some(SimdLevel::Scalar) => 1,
-        Some(SimdLevel::Avx2) => 2,
-        Some(SimdLevel::Avx512) => 3,
-    };
-    FORCED.store(v, Ordering::Relaxed);
+    // ordering: Relaxed — see level().
+    FORCE_SCALAR.store(level == Some(SimdLevel::Scalar), Ordering::Relaxed);
 }
 
 /// `true` if the CPU supports the AVX2 paths (regardless of overrides).
@@ -136,41 +98,6 @@ pub fn avx2_supported() -> bool {
         false
     }
 }
-
-/// `true` if the CPU supports the AVX-512 paths (regardless of
-/// overrides).
-pub fn avx512_supported() -> bool {
-    #[cfg(target_arch = "x86_64")]
-    {
-        std::arch::is_x86_feature_detected!("avx512f")
-            && std::arch::is_x86_feature_detected!("avx512dq")
-            && std::arch::is_x86_feature_detected!("avx2")
-    }
-    #[cfg(not(target_arch = "x86_64"))]
-    {
-        false
-    }
-}
-
-/// `true` if the CPU additionally supports FMA (used only by [`cdot`]).
-pub fn fma_supported() -> bool {
-    #[cfg(target_arch = "x86_64")]
-    {
-        std::arch::is_x86_feature_detected!("fma")
-    }
-    #[cfg(not(target_arch = "x86_64"))]
-    {
-        false
-    }
-}
-
-/// Minimum element count for which the 512-bit paths beat the 256-bit
-/// ones on contiguous kernels (measured with the kernels bench: at the
-/// length-50 Jacobi rows AVX-512 loses ~2× to AVX2 — wider-vector
-/// startup and remainder overhead dominates — while at the 625-element
-/// aperture it wins ~1.4×). Length-dependent *routing* only; every
-/// route is bitwise pinned to the same scalar reference.
-const AVX512_MIN_N: usize = 256;
 
 // ---------------------------------------------------------------------------
 // Givens rotation (the Jacobi eigensolver's inner loop)
@@ -194,18 +121,10 @@ const AVX512_MIN_N: usize = 256;
 pub fn givens_rotate(x: &mut [Complex64], y: &mut [Complex64], c: f64, s: f64, e: Complex64) {
     assert_eq!(x.len(), y.len(), "rotation pair length mismatch");
     #[cfg(target_arch = "x86_64")]
-    match level() {
-        SimdLevel::Avx512 if x.len() >= AVX512_MIN_N => {
-            // SAFETY: level() reports this tier only after runtime CPU
-            // detection confirmed the kernel's target features.
-            return unsafe { avx512::givens_rotate(x, y, c, s, e) };
-        }
-        SimdLevel::Avx512 | SimdLevel::Avx2 => {
-            // SAFETY: level() reports this tier only after runtime CPU
-            // detection confirmed the kernel's target features.
-            return unsafe { avx2::givens_rotate(x, y, c, s, e) };
-        }
-        SimdLevel::Scalar => {}
+    if level() == SimdLevel::Avx2 {
+        // SAFETY: level() reports AVX2 only after runtime CPU detection
+        // confirmed it.
+        return unsafe { avx2::givens_rotate(x, y, c, s, e) };
     }
     givens_rotate_scalar(x, y, c, s, e);
 }
@@ -250,16 +169,11 @@ pub fn givens_rotate_cols(
         "ragged buffer"
     );
     assert!(p < stride && q < stride && p != q, "bad column pair");
-    // The strided gathers don't widen profitably to 512 bits, so the
-    // AVX-512 level reuses the 256-bit path.
     #[cfg(target_arch = "x86_64")]
-    match level() {
-        SimdLevel::Avx512 | SimdLevel::Avx2 => {
-            // SAFETY: level() reports this tier only after runtime CPU
-            // detection confirmed the kernel's target features.
-            return unsafe { avx2::givens_rotate_cols(data, stride, p, q, c, s, e) };
-        }
-        SimdLevel::Scalar => {}
+    if level() == SimdLevel::Avx2 {
+        // SAFETY: level() reports AVX2 only after runtime CPU detection
+        // confirmed it.
+        return unsafe { avx2::givens_rotate_cols(data, stride, p, q, c, s, e) };
     }
     givens_rotate_cols_scalar(data, stride, p, q, c, s, e);
 }
@@ -357,16 +271,10 @@ pub fn rotate_rows_mirror(
     );
     assert!(p < q && q < stride, "row pair must satisfy p < q < stride");
     #[cfg(target_arch = "x86_64")]
-    match level() {
-        SimdLevel::Avx512 => {
-            // SAFETY: level() reports this tier only after runtime CPU
-            // detection confirmed the kernel's target features.
-            return unsafe { avx512::rotate_rows_mirror(data, stride, p, q, c, s, e) };
-        }
-        // SAFETY: level() reports this tier only after runtime CPU
-        // detection confirmed the kernel's target features.
-        SimdLevel::Avx2 => return unsafe { avx2::rotate_rows_mirror(data, stride, p, q, c, s, e) },
-        SimdLevel::Scalar => {}
+    if level() == SimdLevel::Avx2 {
+        // SAFETY: level() reports AVX2 only after runtime CPU detection
+        // confirmed it.
+        return unsafe { avx2::rotate_rows_mirror(data, stride, p, q, c, s, e) };
     }
     rotate_rows_mirror_scalar(data, stride, p, q, c, s, e);
 }
@@ -409,16 +317,10 @@ pub fn rotate_rows_mirror_scalar(
 pub fn caxpy(acc: &mut [Complex64], x: &[Complex64], a: Complex64) {
     assert_eq!(acc.len(), x.len(), "caxpy length mismatch");
     #[cfg(target_arch = "x86_64")]
-    match level() {
-        SimdLevel::Avx512 if acc.len() >= AVX512_MIN_N => {
-            // SAFETY: level() reports this tier only after runtime CPU
-            // detection confirmed the kernel's target features.
-            return unsafe { avx512::caxpy(acc, x, a) };
-        }
-        // SAFETY: level() reports this tier only after runtime CPU
-        // detection confirmed the kernel's target features.
-        SimdLevel::Avx512 | SimdLevel::Avx2 => return unsafe { avx2::caxpy(acc, x, a) },
-        SimdLevel::Scalar => {}
+    if level() == SimdLevel::Avx2 {
+        // SAFETY: level() reports AVX2 only after runtime CPU detection
+        // confirmed it.
+        return unsafe { avx2::caxpy(acc, x, a) };
     }
     caxpy_scalar(acc, x, a);
 }
@@ -453,18 +355,10 @@ pub fn caxpy_scalar(acc: &mut [Complex64], x: &[Complex64], a: Complex64) {
 pub fn accumulate_outer_row(row: &mut [Complex64], v: &[Complex64], x: Complex64, s: f64) {
     assert_eq!(row.len(), v.len(), "outer-row length mismatch");
     #[cfg(target_arch = "x86_64")]
-    match level() {
-        SimdLevel::Avx512 if row.len() >= AVX512_MIN_N => {
-            // SAFETY: level() reports this tier only after runtime CPU
-            // detection confirmed the kernel's target features.
-            return unsafe { avx512::accumulate_outer_row(row, v, x, s) };
-        }
-        SimdLevel::Avx512 | SimdLevel::Avx2 => {
-            // SAFETY: level() reports this tier only after runtime CPU
-            // detection confirmed the kernel's target features.
-            return unsafe { avx2::accumulate_outer_row(row, v, x, s) };
-        }
-        SimdLevel::Scalar => {}
+    if level() == SimdLevel::Avx2 {
+        // SAFETY: level() reports AVX2 only after runtime CPU detection
+        // confirmed it.
+        return unsafe { avx2::accumulate_outer_row(row, v, x, s) };
     }
     accumulate_outer_row_scalar(row, v, x, s);
 }
@@ -492,15 +386,11 @@ pub fn butterflies(lo: &mut [Complex64], hi: &mut [Complex64], w: &[Complex64]) 
         lo.len() == hi.len() && lo.len() == w.len(),
         "butterfly length mismatch"
     );
-    // FFT stages here are at most 32 butterflies (64-point OFDM), too
-    // short for 512-bit lanes to pay off — AVX-512 reuses the 256-bit
-    // path.
     #[cfg(target_arch = "x86_64")]
-    match level() {
-        // SAFETY: level() reports this tier only after runtime CPU
-        // detection confirmed the kernel's target features.
-        SimdLevel::Avx512 | SimdLevel::Avx2 => return unsafe { avx2::butterflies(lo, hi, w) },
-        SimdLevel::Scalar => {}
+    if level() == SimdLevel::Avx2 {
+        // SAFETY: level() reports AVX2 only after runtime CPU detection
+        // confirmed it.
+        return unsafe { avx2::butterflies(lo, hi, w) };
     }
     butterflies_scalar(lo, hi, w);
 }
@@ -539,15 +429,11 @@ pub fn focus_accumulate(h: &[Complex64], t1: &[Complex64], t2: &[Complex64]) -> 
         "focus length mismatch"
     );
     crate::probe::count_kernel(crate::probe::Kernel::Focus, 1);
-    // The four accumulators fill exactly one ymm pair; a 512-bit version
-    // would change the (pinned) per-accumulator addition order, so the
-    // AVX-512 level reuses the 256-bit path.
     #[cfg(target_arch = "x86_64")]
-    match level() {
-        // SAFETY: level() reports this tier only after runtime CPU
-        // detection confirmed the kernel's target features.
-        SimdLevel::Avx512 | SimdLevel::Avx2 => return unsafe { avx2::focus_accumulate(h, t1, t2) },
-        SimdLevel::Scalar => {}
+    if level() == SimdLevel::Avx2 {
+        // SAFETY: level() reports AVX2 only after runtime CPU detection
+        // confirmed it.
+        return unsafe { avx2::focus_accumulate(h, t1, t2) };
     }
     focus_accumulate_scalar(h, t1, t2)
 }
@@ -572,50 +458,6 @@ pub fn focus_accumulate_scalar(
         a2r += hr * t2[i];
     }
     [a1f, a2f, a1r, a2r]
-}
-
-// ---------------------------------------------------------------------------
-// cdot — the one reassociated kernel
-// ---------------------------------------------------------------------------
-
-/// Conjugated dot product `Σ a[k]·conj(b[k])`, **reassociated**: four
-/// interleaved accumulators and (where supported) FMA. Matches
-/// [`cdot_scalar`] only to ≤ 1e-12 relative error — keep it off
-/// bitwise-pinned paths (see the module docs).
-///
-/// # Panics
-/// Panics if the slices differ in length.
-pub fn cdot(a: &[Complex64], b: &[Complex64]) -> Complex64 {
-    assert_eq!(a.len(), b.len(), "dot length mismatch");
-    crate::probe::count_kernel(crate::probe::Kernel::Cdot, 1);
-    #[cfg(target_arch = "x86_64")]
-    if level() >= SimdLevel::Avx2 && fma_supported() {
-        // SAFETY: the guard above confirmed AVX2 and FMA at runtime.
-        return unsafe { avx2::cdot(a, b) };
-    }
-    // Portable reassociated fallback: 4 lanes, same accumulator
-    // structure as the AVX2 path minus the FMA contraction.
-    let mut acc = [Complex64::ZERO; 4];
-    let mut ai = a.chunks_exact(4);
-    let mut bi = b.chunks_exact(4);
-    for (ac, bc) in ai.by_ref().zip(bi.by_ref()) {
-        for l in 0..4 {
-            acc[l] += ac[l] * bc[l].conj();
-        }
-    }
-    let mut tail = Complex64::ZERO;
-    for (&ak, &bk) in ai.remainder().iter().zip(bi.remainder()) {
-        tail += ak * bk.conj();
-    }
-    ((acc[0] + acc[1]) + (acc[2] + acc[3])) + tail
-}
-
-/// Sequential-fold reference for [`cdot`].
-pub fn cdot_scalar(a: &[Complex64], b: &[Complex64]) -> Complex64 {
-    assert_eq!(a.len(), b.len(), "dot length mismatch");
-    a.iter()
-        .zip(b)
-        .fold(Complex64::ZERO, |acc, (&x, &y)| acc + x * y.conj())
 }
 
 // ---------------------------------------------------------------------------
@@ -919,274 +761,6 @@ mod avx2 {
         // documented return order.
         out
     }
-
-    // SAFETY: callable only with AVX2 and FMA present — the dispatch
-    // guard proves both at runtime. Every pointer offset below stays
-    // inside the argument slices (whole pairs, then a scalar tail).
-    #[target_feature(enable = "avx2", enable = "fma")]
-    pub(super) unsafe fn cdot(a: &[Complex64], b: &[Complex64]) -> Complex64 {
-        let n = a.len();
-        let conj_mask = _mm256_setr_pd(0.0, -0.0, 0.0, -0.0);
-        let ap = a.as_ptr() as *const f64;
-        let bp = b.as_ptr() as *const f64;
-        // Four independent 2-complex accumulator pairs (8 complexes per
-        // iteration) — reassociated by construction. The `a·b.re` and
-        // `a_swapped·b.im` halves of each complex product accumulate in
-        // separate FMA chains; one addsub at the end combines them with
-        // the complex-multiply sign pattern (even: p − s, odd: p + s).
-        let mut acc_p = [_mm256_setzero_pd(); 4];
-        let mut acc_s = [_mm256_setzero_pd(); 4];
-        let mut k = 0;
-        while k + 8 <= n {
-            for (l, (p, s)) in acc_p.iter_mut().zip(acc_s.iter_mut()).enumerate() {
-                let av = _mm256_loadu_pd(ap.add(2 * (k + 2 * l)));
-                let bv = _mm256_xor_pd(_mm256_loadu_pd(bp.add(2 * (k + 2 * l))), conj_mask);
-                let br = _mm256_movedup_pd(bv);
-                let bi = _mm256_permute_pd(bv, 0b1111);
-                let asw = _mm256_permute_pd(av, 0b0101);
-                *p = _mm256_fmadd_pd(av, br, *p);
-                *s = _mm256_fmadd_pd(asw, bi, *s);
-            }
-            k += 8;
-        }
-        let psum = _mm256_add_pd(
-            _mm256_add_pd(acc_p[0], acc_p[1]),
-            _mm256_add_pd(acc_p[2], acc_p[3]),
-        );
-        let ssum = _mm256_add_pd(
-            _mm256_add_pd(acc_s[0], acc_s[1]),
-            _mm256_add_pd(acc_s[2], acc_s[3]),
-        );
-        let acc = _mm256_addsub_pd(psum, ssum);
-        let lo = _mm256_castpd256_pd128(acc);
-        let hi = _mm256_extractf128_pd(acc, 1);
-        let sum2 = _mm_add_pd(lo, hi);
-        let mut pair = [0.0f64; 2];
-        _mm_storeu_pd(pair.as_mut_ptr(), sum2);
-        let mut total = Complex64::new(pair[0], pair[1]);
-        while k < n {
-            total += *a.get_unchecked(k) * b.get_unchecked(k).conj();
-            k += 1;
-        }
-        total
-    }
-}
-
-// ---------------------------------------------------------------------------
-// AVX-512 implementations
-// ---------------------------------------------------------------------------
-
-#[cfg(target_arch = "x86_64")]
-mod avx512 {
-    use super::Complex64;
-    use std::arch::x86_64::*;
-
-    /// `[w.re, w.im]` repeated to all four complex slots.
-    // SAFETY: register-only intrinsic arithmetic, no memory access;
-    // every caller runs inside an AVX-512 target_feature context that
-    // the level() dispatch proved at runtime.
-    #[inline]
-    unsafe fn broadcast512(w: Complex64) -> __m512d {
-        _mm512_set4_pd(w.im, w.re, w.im, w.re)
-    }
-
-    /// `addsub` (even lanes `a − b`, odd lanes `a + b`) emulated for
-    /// zmm: one add, one sub, one lane blend — each lane still exactly
-    /// one IEEE operation, so it is bitwise equal to
-    /// `_mm256_addsub_pd` on the corresponding halves.
-    // SAFETY: register-only intrinsic arithmetic, no memory access;
-    // every caller runs inside an AVX-512 target_feature context that
-    // the level() dispatch proved at runtime.
-    #[inline]
-    unsafe fn addsub512(a: __m512d, b: __m512d) -> __m512d {
-        let dif = _mm512_sub_pd(a, b);
-        let sum = _mm512_add_pd(a, b);
-        _mm512_mask_blend_pd(0b1010_1010, dif, sum)
-    }
-
-    /// Per-slot complex multiply of four interleaved complexes — the
-    /// 512-bit analogue of the AVX2 `cmul`, same operand order and
-    /// rounding points, no FMA.
-    // SAFETY: register-only intrinsic arithmetic, no memory access;
-    // every caller runs inside an AVX-512 target_feature context that
-    // the level() dispatch proved at runtime.
-    #[inline]
-    unsafe fn cmul512(x: __m512d, w: __m512d) -> __m512d {
-        let wr = _mm512_movedup_pd(w);
-        let wi = _mm512_permute_pd(w, 0xFF);
-        let xs = _mm512_permute_pd(x, 0x55);
-        addsub512(_mm512_mul_pd(x, wr), _mm512_mul_pd(xs, wi))
-    }
-
-    // SAFETY: callable only with AVX-512 F/DQ present — the level()
-    // dispatch proves that at runtime. Every pointer offset below
-    // stays inside the argument slices: the vector body covers whole
-    // quads of complexes and the tail is handled separately.
-    #[target_feature(enable = "avx512f", enable = "avx512dq")]
-    pub(super) unsafe fn givens_rotate(
-        x: &mut [Complex64],
-        y: &mut [Complex64],
-        c: f64,
-        s: f64,
-        e: Complex64,
-    ) {
-        let n = x.len();
-        let cv = _mm512_set1_pd(c);
-        let sv = _mm512_set1_pd(s);
-        let ev = broadcast512(e);
-        let ecv = broadcast512(e.conj());
-        let xp = x.as_mut_ptr() as *mut f64;
-        let yp = y.as_mut_ptr() as *mut f64;
-        let quads = n / 4;
-        for k in 0..quads {
-            let xv = _mm512_loadu_pd(xp.add(8 * k));
-            let yv = _mm512_loadu_pd(yp.add(8 * k));
-            let m = cmul512(yv, ev); //  e·y
-            let w = cmul512(xv, ecv); // ē·x
-            let xn = _mm512_sub_pd(_mm512_mul_pd(xv, cv), _mm512_mul_pd(m, sv));
-            let yn = _mm512_add_pd(_mm512_mul_pd(w, sv), _mm512_mul_pd(yv, cv));
-            _mm512_storeu_pd(xp.add(8 * k), xn);
-            _mm512_storeu_pd(yp.add(8 * k), yn);
-        }
-        let done = quads * 4;
-        if done < n {
-            super::givens_rotate_scalar(&mut x[done..], &mut y[done..], c, s, e);
-        }
-    }
-
-    // SAFETY: callable only with AVX-512 F/DQ present — the level()
-    // dispatch proves that at runtime. Every pointer offset below
-    // stays inside the argument slices: the vector body covers whole
-    // quads of complexes and the tail is handled separately.
-    #[target_feature(enable = "avx512f", enable = "avx512dq")]
-    pub(super) unsafe fn rotate_rows_mirror(
-        data: &mut [Complex64],
-        stride: usize,
-        p: usize,
-        q: usize,
-        c: f64,
-        s: f64,
-        e: Complex64,
-    ) {
-        let cv = _mm512_set1_pd(c);
-        let sv = _mm512_set1_pd(s);
-        let ev = broadcast512(e);
-        let ecv = broadcast512(e.conj());
-        let ec = e.conj();
-        let conj_mask = _mm512_set4_pd(-0.0, 0.0, -0.0, 0.0);
-        // SAFETY: identical argument to the AVX2 version — rotation
-        // touches only rows p and q, mirror writes only rows
-        // k ∉ {p, q}.
-        let base = data.as_mut_ptr();
-        let xp = base.add(p * stride) as *mut f64;
-        let yp = base.add(q * stride) as *mut f64;
-        // Mirror straight from registers (see the AVX2 version for why
-        // re-loading the stored rows would stall).
-        let mirror = |j: usize, xcj: __m128d, ycj: __m128d| {
-            if j != p && j != q {
-                _mm_storeu_pd(base.add(j * stride + p) as *mut f64, xcj);
-                _mm_storeu_pd(base.add(j * stride + q) as *mut f64, ycj);
-            }
-        };
-        let mut k = 0;
-        while k + 4 <= stride {
-            let xv = _mm512_loadu_pd(xp.add(2 * k));
-            let yv = _mm512_loadu_pd(yp.add(2 * k));
-            let m = cmul512(yv, ev);
-            let w = cmul512(xv, ecv);
-            let xn = _mm512_sub_pd(_mm512_mul_pd(xv, cv), _mm512_mul_pd(m, sv));
-            let yn = _mm512_add_pd(_mm512_mul_pd(w, sv), _mm512_mul_pd(yv, cv));
-            _mm512_storeu_pd(xp.add(2 * k), xn);
-            _mm512_storeu_pd(yp.add(2 * k), yn);
-            let xc = _mm512_xor_pd(xn, conj_mask);
-            let yc = _mm512_xor_pd(yn, conj_mask);
-            mirror(
-                k,
-                _mm512_extractf64x2_pd(xc, 0),
-                _mm512_extractf64x2_pd(yc, 0),
-            );
-            mirror(
-                k + 1,
-                _mm512_extractf64x2_pd(xc, 1),
-                _mm512_extractf64x2_pd(yc, 1),
-            );
-            mirror(
-                k + 2,
-                _mm512_extractf64x2_pd(xc, 2),
-                _mm512_extractf64x2_pd(yc, 2),
-            );
-            mirror(
-                k + 3,
-                _mm512_extractf64x2_pd(xc, 3),
-                _mm512_extractf64x2_pd(yc, 3),
-            );
-            k += 4;
-        }
-        while k < stride {
-            let x0 = *base.add(p * stride + k);
-            let y0 = *base.add(q * stride + k);
-            let xn = x0.scale(c) - (e * y0).scale(s);
-            let yn = (ec * x0).scale(s) + y0.scale(c);
-            *base.add(p * stride + k) = xn;
-            *base.add(q * stride + k) = yn;
-            if k != p && k != q {
-                *base.add(k * stride + p) = xn.conj();
-                *base.add(k * stride + q) = yn.conj();
-            }
-            k += 1;
-        }
-    }
-
-    // SAFETY: callable only with AVX-512 F/DQ present — the level()
-    // dispatch proves that at runtime. Every pointer offset below
-    // stays inside the argument slices: the vector body covers whole
-    // quads of complexes and the tail is handled separately.
-    #[target_feature(enable = "avx512f", enable = "avx512dq")]
-    pub(super) unsafe fn caxpy(acc: &mut [Complex64], x: &[Complex64], a: Complex64) {
-        let n = acc.len();
-        let av = broadcast512(a);
-        let ap = acc.as_mut_ptr() as *mut f64;
-        let xp = x.as_ptr() as *const f64;
-        let quads = n / 4;
-        for k in 0..quads {
-            let xv = _mm512_loadu_pd(xp.add(8 * k));
-            let av0 = _mm512_loadu_pd(ap.add(8 * k));
-            _mm512_storeu_pd(ap.add(8 * k), _mm512_add_pd(av0, cmul512(xv, av)));
-        }
-        for k in quads * 4..n {
-            acc[k] += a * x[k];
-        }
-    }
-
-    // SAFETY: callable only with AVX-512 F/DQ present — the level()
-    // dispatch proves that at runtime. Every pointer offset below
-    // stays inside the argument slices: the vector body covers whole
-    // quads of complexes and the tail is handled separately.
-    #[target_feature(enable = "avx512f", enable = "avx512dq")]
-    pub(super) unsafe fn accumulate_outer_row(
-        row: &mut [Complex64],
-        v: &[Complex64],
-        x: Complex64,
-        s: f64,
-    ) {
-        let n = row.len();
-        let xb = broadcast512(x);
-        let sv = _mm512_set1_pd(s);
-        // Conjugation = flipping the imaginary sign bits (IEEE negation).
-        let conj_mask = _mm512_set4_pd(-0.0, 0.0, -0.0, 0.0);
-        let rp = row.as_mut_ptr() as *mut f64;
-        let vp = v.as_ptr() as *const f64;
-        let quads = n / 4;
-        for k in 0..quads {
-            let vv = _mm512_xor_pd(_mm512_loadu_pd(vp.add(8 * k)), conj_mask);
-            let prod = _mm512_mul_pd(cmul512(vv, xb), sv);
-            let r0 = _mm512_loadu_pd(rp.add(8 * k));
-            _mm512_storeu_pd(rp.add(8 * k), _mm512_add_pd(r0, prod));
-        }
-        for k in quads * 4..n {
-            row[k] += (x * v[k].conj()).scale(s);
-        }
-    }
 }
 
 #[cfg(test)]
@@ -1195,7 +769,7 @@ mod tests {
     use crate::rng::Rng64;
     use std::sync::{Mutex, MutexGuard};
 
-    /// `FORCED` is process-global; tests that mutate it serialize here
+    /// `FORCE_SCALAR` is process-global; tests that mutate it serialize here
     /// (and restore auto-detection on drop via [`forced_guard`]).
     static FORCE_LOCK: Mutex<()> = Mutex::new(());
 
@@ -1215,9 +789,6 @@ mod tests {
         let mut levels = vec![SimdLevel::Scalar];
         if avx2_supported() {
             levels.push(SimdLevel::Avx2);
-        }
-        if avx512_supported() {
-            levels.push(SimdLevel::Avx512);
         }
         levels
     }
@@ -1242,13 +813,12 @@ mod tests {
             set_forced(Some(want));
             assert_eq!(level(), want.min(auto), "forcing {:?}", want);
         }
-        set_forced(Some(SimdLevel::Avx512));
+        set_forced(Some(SimdLevel::Avx2));
         assert!(level() <= auto, "forced level must clamp to hardware");
         set_forced(None);
         assert_eq!(SimdLevel::Scalar.name(), "scalar");
         assert_eq!(SimdLevel::Avx2.name(), "avx2");
-        assert_eq!(SimdLevel::Avx512.name(), "avx512");
-        assert!(SimdLevel::Scalar < SimdLevel::Avx2 && SimdLevel::Avx2 < SimdLevel::Avx512);
+        assert!(SimdLevel::Scalar < SimdLevel::Avx2);
     }
 
     #[test]
@@ -1259,9 +829,8 @@ mod tests {
         let _guard = forced_guard();
         for forced in available_levels() {
             set_forced(Some(forced));
-            // 625 > AVX512_MIN_N exercises the length-routed 512-bit
-            // arms; the small sizes cover remainders and the 256-bit
-            // routes.
+            // The small sizes cover the odd tails; 50, 181 and 625 are
+            // the Jacobi rows, the MUSIC angle grid and the aperture.
             for n in [1usize, 2, 3, 4, 5, 7, 8, 16, 50, 63, 100, 181, 625] {
                 let (x, y) = vecs(n, 1000 + n as u64);
                 let e = Complex64::cis(0.7);
@@ -1325,9 +894,9 @@ mod tests {
         let _guard = forced_guard();
         for forced in available_levels() {
             set_forced(Some(forced));
-            // Square sizes spanning remainder classes for both vector
-            // widths, with pivot pairs that sit inside, straddle, and
-            // bound the vector chunks.
+            // Square sizes spanning both remainder classes, with pivot
+            // pairs that sit inside, straddle, and bound the vector
+            // chunks.
             for n in [2usize, 3, 4, 5, 7, 8, 13, 50] {
                 let (data, _) = vecs(n * n, 4242 + n as u64);
                 for (p, q) in [(0usize, 1usize), (0, n - 1), (n / 2, n - 1)] {
@@ -1343,17 +912,6 @@ mod tests {
                     assert_bits(&expect, &got, "fused rotate+mirror");
                 }
             }
-        }
-    }
-
-    #[test]
-    fn cdot_reassociation_stays_within_epsilon() {
-        for n in [1usize, 3, 8, 17, 64, 625] {
-            let (a, b) = vecs(n, 777 + n as u64);
-            let exact = cdot_scalar(&a, &b);
-            let fast = cdot(&a, &b);
-            let err = (exact - fast).abs() / exact.abs().max(1e-30);
-            assert!(err <= 1e-12, "n={n}: relative error {err}");
         }
     }
 
