@@ -14,9 +14,7 @@
 //! at 312.5 Hz, so the per-call trigonometry and the bit-reversal index
 //! arithmetic are worth hoisting: [`FftPlan`] precomputes both once and
 //! then transforms in place with **zero per-call heap allocation**. The
-//! plan evaluates its twiddle tables with the same repeated-multiplication
-//! recurrence as the free functions, so planned and unplanned transforms
-//! agree bit-for-bit.
+//! free functions are convenience wrappers that plan on every call.
 
 use crate::Complex64;
 
@@ -66,8 +64,6 @@ impl FftPlan {
             while len <= n {
                 let ang = sign * 2.0 * std::f64::consts::PI / len as f64;
                 let wlen = Complex64::cis(ang);
-                // The same `w *= wlen` recurrence the unplanned transform
-                // uses, so planned results are bitwise identical.
                 let mut w = Complex64::ONE;
                 for _ in 0..len / 2 {
                     table.push(w);
@@ -160,7 +156,7 @@ pub fn is_power_of_two(n: usize) -> bool {
 /// # Panics
 /// Panics if `data.len()` is not a power of two.
 pub fn fft(data: &mut [Complex64]) {
-    transform(data, false);
+    FftPlan::new(data.len()).forward(data);
 }
 
 /// In-place inverse DFT (including the `1/N` normalization).
@@ -168,11 +164,7 @@ pub fn fft(data: &mut [Complex64]) {
 /// # Panics
 /// Panics if `data.len()` is not a power of two.
 pub fn ifft(data: &mut [Complex64]) {
-    transform(data, true);
-    let scale = 1.0 / data.len() as f64;
-    for z in data.iter_mut() {
-        *z = z.scale(scale);
-    }
+    FftPlan::new(data.len()).inverse(data);
 }
 
 /// Convenience wrapper: forward DFT of a borrowed slice into a new vector.
@@ -187,45 +179,6 @@ pub fn ifft_owned(data: &[Complex64]) -> Vec<Complex64> {
     let mut buf = data.to_vec();
     ifft(&mut buf);
     buf
-}
-
-fn transform(data: &mut [Complex64], inverse: bool) {
-    let n = data.len();
-    assert!(
-        is_power_of_two(n),
-        "FFT length must be a power of two, got {n}"
-    );
-    if n <= 1 {
-        return;
-    }
-
-    // Bit-reversal permutation.
-    let bits = n.trailing_zeros();
-    for i in 0..n {
-        let j = i.reverse_bits() >> (usize::BITS - bits);
-        if j > i {
-            data.swap(i, j);
-        }
-    }
-
-    // Butterfly passes.
-    let sign = if inverse { 1.0 } else { -1.0 };
-    let mut len = 2;
-    while len <= n {
-        let ang = sign * 2.0 * std::f64::consts::PI / len as f64;
-        let wlen = Complex64::cis(ang);
-        for start in (0..n).step_by(len) {
-            let mut w = Complex64::ONE;
-            for k in 0..len / 2 {
-                let u = data[start + k];
-                let v = data[start + k + len / 2] * w;
-                data[start + k] = u + v;
-                data[start + k + len / 2] = u - v;
-                w *= wlen;
-            }
-        }
-        len <<= 1;
-    }
 }
 
 #[cfg(test)]
@@ -315,26 +268,6 @@ mod tests {
     fn rejects_non_power_of_two() {
         let mut x = vec![Complex64::ZERO; 12];
         fft(&mut x);
-    }
-
-    #[test]
-    fn plan_matches_free_functions_bitwise() {
-        for n in [1usize, 2, 8, 16, 64] {
-            let plan = FftPlan::new(n);
-            let x: Vec<Complex64> = (0..n)
-                .map(|i| Complex64::new((i as f64 * 0.61).sin(), (i as f64 * 1.7).cos()))
-                .collect();
-
-            let mut planned = x.clone();
-            plan.forward(&mut planned);
-            let legacy = fft_owned(&x);
-            assert_eq!(planned, legacy, "forward mismatch at n={n}");
-
-            plan.inverse(&mut planned);
-            let mut legacy_rt = legacy;
-            ifft(&mut legacy_rt);
-            assert_eq!(planned, legacy_rt, "inverse mismatch at n={n}");
-        }
     }
 
     #[test]
