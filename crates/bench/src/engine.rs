@@ -18,6 +18,7 @@
 //!   workload's ground truth and metrics.
 
 use wivi_core::WiViConfig;
+use wivi_num::hash::{fnv1a, fnv1a_more};
 use wivi_num::rng::Rng64;
 use wivi_rf::{BodyConfig, Material, Mover, Point, Scene, WaypointWalker};
 
@@ -96,19 +97,11 @@ impl ScenarioSpec {
     /// coordinates. Depends only on *what the trial is*, never on where it
     /// sits in the grid or which thread runs it.
     pub fn seed(&self) -> u64 {
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        let mut eat = |bytes: &[u8]| {
-            for &b in bytes {
-                h ^= u64::from(b);
-                h = h.wrapping_mul(0x0000_0100_0000_01B3);
-            }
-        };
-        eat(room_tag(self.room).as_bytes());
-        eat(material_tag(self.material).as_bytes());
-        eat(&(self.n_humans as u64).to_le_bytes());
-        eat(self.motion.tag().as_bytes());
-        eat(&self.trial.to_le_bytes());
-        h
+        let h = fnv1a(room_tag(self.room).as_bytes());
+        let h = fnv1a_more(h, material_tag(self.material).as_bytes());
+        let h = fnv1a_more(h, &(self.n_humans as u64).to_le_bytes());
+        let h = fnv1a_more(h, self.motion.tag().as_bytes());
+        fnv1a_more(h, &self.trial.to_le_bytes())
     }
 
     /// Builds the trial's scene: clutter, wall material, and `n_humans`

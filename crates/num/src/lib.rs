@@ -20,6 +20,7 @@
 //!   runs over its (θ, θ̇) ridge state.
 //! * [`merge`] — the deterministic timestamp-ordered k-way merge the
 //!   serving engine uses to unify per-session event streams.
+//! * [`hash`] — the FNV-1a byte hash behind shard routing and seeds.
 //! * [`grid2d`] and [`cfar`] — row-major image-buffer indexing and the
 //!   cell-averaging CFAR detector of the 2-D imaging pipeline.
 //! * [`stats`] — means, variances, percentiles, empirical CDFs and the
@@ -39,6 +40,7 @@ pub mod complex;
 pub mod eig;
 pub mod fft;
 pub mod grid2d;
+pub mod hash;
 pub mod kalman;
 pub mod matrix;
 pub mod merge;

@@ -233,12 +233,7 @@ impl ServeReport {
 /// load — so a given deployment shape always places a session
 /// identically.
 pub fn shard_of(id: SessionId, n_shards: usize) -> usize {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in id.to_le_bytes() {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    (h % n_shards as u64) as usize
+    (wivi_num::hash::fnv1a(&id.to_le_bytes()) % n_shards as u64) as usize
 }
 
 /// Finished sessions, delivered live. Shards push a clone of each

@@ -52,6 +52,7 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use wivi_core::WiViConfig;
+use wivi_num::hash::{fnv1a, fnv1a_more};
 use wivi_obs::{
     fmt_trace, Incident, SpanRecord, TraceIdGen, WindowedCounter, WINDOW_10S_NS, WINDOW_60S_NS,
 };
@@ -866,22 +867,6 @@ fn find_blank_line(buf: &[u8], from: usize) -> Option<usize> {
         .map(|i| from + i + 4)
 }
 
-/// FNV-1a over arbitrary bytes — the client's trace-seed derivation
-/// (same constants as [`crate::engine::shard_of`]).
-fn fnv1a(bytes: &[u8]) -> u64 {
-    fnv1a_more(0xcbf2_9ce4_8422_2325, bytes)
-}
-
-/// Continues an FNV-1a stream, so independent fields fold into one
-/// seed without string concatenation.
-fn fnv1a_more(mut h: u64, bytes: &[u8]) -> u64 {
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    h
-}
-
 // ------------------------------------------------------------- client
 
 /// Client-side failures.
@@ -1089,18 +1074,5 @@ impl WireClient {
                 _ => return Err(ClientError::Protocol("unexpected frame during drain")),
             }
         }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn fnv1a_matches_the_standard_vectors() {
-        assert_eq!(fnv1a(b""), 0xcbf2_9ce4_8422_2325);
-        assert_eq!(fnv1a(b"a"), 0xaf63_dc4c_8601_ec8c);
-        assert_eq!(fnv1a(b"foobar"), 0x8594_4171_f739_67e8);
-        assert_eq!(fnv1a_more(fnv1a(b"foo"), b"bar"), fnv1a(b"foobar"));
     }
 }
