@@ -490,6 +490,13 @@ impl Reactor {
                 self.handle_open(slot, &token, req);
             }
             (ConnState::Active { .. }, Frame::Close { id }) => {
+                // Only the connection that opened a session may close
+                // it. Other ids draw no ERROR, as the shard ignores
+                // unknown and finished ids: an owner's CLOSE that races
+                // its session's completion lands here too.
+                if self.owner.get(&id) != Some(&slot) {
+                    return;
+                }
                 if let Err(e) = self.engine.close(id) {
                     let conn = self.conns[slot].as_mut().expect("slot live");
                     conn.queue_error(e.tag(), id, e.to_string());

@@ -484,3 +484,70 @@ fn smoke_eight_sessions_zero_shed_clean_shutdown() {
     assert_eq!(report.shed, 0, "smoke must not shed");
     assert_eq!(report.report.outputs.len(), 8);
 }
+
+/// A one-shard server for the CLOSE tests.
+fn close_test_server() -> WireServer {
+    let mut cfg = WireServerConfig::new(ServeConfig::with_shards_workers(1, 1));
+    cfg.scenes.push(("room".into(), simple_scene().into()));
+    cfg.configs.push(("fast".into(), WiViConfig::fast_test()));
+    WireServer::start(cfg).expect("bind")
+}
+
+/// A session long enough to still be streaming when a CLOSE sent right
+/// after its OPEN_OK lands.
+fn long_session(id: u64) -> OpenRequest {
+    OpenRequest {
+        id,
+        seed: 9,
+        duration_s: 60.0,
+        start_s: 0.0,
+        mode: "count".into(),
+        scene: "room".into(),
+        config: "fast".into(),
+        trace: None,
+    }
+}
+
+#[test]
+fn wire_close_ends_the_senders_own_session_early() {
+    let server = close_test_server();
+    let mut client = WireClient::connect(server.addr(), "owner").expect("connect");
+    client.open(long_session(1)).expect("admit");
+    client.close_session(1).expect("send CLOSE");
+    let served = client.finish().expect("drain");
+
+    assert_eq!(served.outputs.len(), 1);
+    let out = &served.outputs[0];
+    assert!(out.closed_early, "the owner's CLOSE must end its session");
+    assert!(
+        out.n_samples < out.n_requested,
+        "closed early yet streamed {} of {} samples",
+        out.n_samples,
+        out.n_requested
+    );
+    server.shutdown().expect("shutdown");
+}
+
+#[test]
+fn wire_close_of_another_connections_session_is_ignored() {
+    let server = close_test_server();
+    let mut owner = WireClient::connect(server.addr(), "owner").expect("connect");
+    owner.open(long_session(1)).expect("admit");
+
+    // Another tenant names the same id. Its BYE arrives only after the
+    // reactor has handled its CLOSE, so the CLOSE has landed while the
+    // owner's session is still streaming.
+    let mut intruder = WireClient::connect(server.addr(), "intruder").expect("connect");
+    intruder.close_session(1).expect("send CLOSE");
+    let theirs = intruder
+        .finish()
+        .expect("a CLOSE for a foreign id draws no ERROR");
+    assert!(theirs.outputs.is_empty());
+
+    let served = owner.finish().expect("drain");
+    assert_eq!(served.outputs.len(), 1);
+    let out = &served.outputs[0];
+    assert!(!out.closed_early, "a foreign CLOSE must not end the session");
+    assert_eq!(out.n_samples, out.n_requested);
+    server.shutdown().expect("shutdown");
+}
