@@ -78,10 +78,10 @@ pub fn level() -> SimdLevel {
 }
 
 /// Overrides dispatch at runtime: `Some(Scalar)` forces the reference
-/// path; `Some(Avx2)` requests AVX2 (clamped to hardware support and
-/// `WIVI_NO_SIMD`, exactly what auto-detection resolves to), as does
-/// `None`. Intended for the kernels bench and the scalar-vs-SIMD
-/// property tests; affects all threads.
+/// path; `Some(Avx2)` and `None` restore auto-detection, which is AVX2
+/// wherever the CPU supports it and `WIVI_NO_SIMD` is unset. Intended
+/// for the kernels bench and the scalar-vs-SIMD property tests; affects
+/// all threads.
 pub fn set_forced(level: Option<SimdLevel>) {
     // ordering: Relaxed — see level().
     FORCE_SCALAR.store(level == Some(SimdLevel::Scalar), Ordering::Relaxed);

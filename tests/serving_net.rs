@@ -547,7 +547,10 @@ fn wire_close_of_another_connections_session_is_ignored() {
     let served = owner.finish().expect("drain");
     assert_eq!(served.outputs.len(), 1);
     let out = &served.outputs[0];
-    assert!(!out.closed_early, "a foreign CLOSE must not end the session");
+    assert!(
+        !out.closed_early,
+        "a foreign CLOSE must not end the session"
+    );
     assert_eq!(out.n_samples, out.n_requested);
     server.shutdown().expect("shutdown");
 }
