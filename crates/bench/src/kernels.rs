@@ -5,10 +5,9 @@
 //! (scalar reference, AVX2), on the buffer sizes the pipeline actually
 //! uses: length-50 Jacobi rows, the 50×50 correlation matrix, the
 //! 181-angle MUSIC grid, the 625-sample imaging aperture, the 64-point
-//! OFDM FFT. The levels
-//! are forced through [`wivi_num::simd::set_forced`], so one process
-//! measures all paths. `cargo bench -p wivi-bench` prints the resulting
-//! per-level table.
+//! OFDM FFT. The levels are forced through
+//! [`wivi_num::simd::set_forced`], so one process measures all paths.
+//! `cargo bench -p wivi-bench` prints the resulting per-level table.
 
 use std::hint::black_box;
 use std::time::Instant;

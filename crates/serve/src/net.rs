@@ -1047,7 +1047,8 @@ impl WireClient {
         }
     }
 
-    /// Requests an early close for `id`.
+    /// Requests an early close of `id`, a session this connection
+    /// opened; the server ignores any other id.
     pub fn close_session(&mut self, id: SessionId) -> Result<(), ClientError> {
         self.send(&Frame::Close { id })
     }

@@ -36,7 +36,8 @@
 //!   ◀───────────────────────── HELLO_OK ──
 //!   ── OPEN(id, scene, config, mode, …) ──▶   admission → shard queue
 //!   ◀───────────────── OPEN_OK(id, shard)──       (or ERROR(code, id))
-//!   ── CLOSE(id) ─────────────────────────▶   early close (optional)
+//!   ── CLOSE(id) ─────────────────────────▶   early close of a session
+//!                                            opened here (optional)
 //!   ── FINISH ────────────────────────────▶   no more commands
 //!   ◀──────────────── EVENT × n (merged) ──   when all sessions drain:
 //!   ◀──────────────── OUTPUT × m (id order)
