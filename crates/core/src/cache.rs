@@ -1,24 +1,38 @@
-//! The keyed engine registry serving shards hold their per-window
-//! scratch in.
+//! Where engines and their immutable tables live: the keyed engine
+//! registry every engine owner borrows per-window scratch from, and the
+//! process-wide table store the engines take their steering tables from.
 //!
-//! A serving shard multiplexes many sessions, and all sessions with the
-//! same configuration share one resident engine — one steering table,
-//! one correlation matrix, one eigendecomposition workspace (the PR-1
-//! zero-allocation design extended from per-device to per-shard). The
-//! original cache hard-coded one accessor per engine type, which made
-//! the serving layer a closed shop: a new sensing mode with its own
-//! engine meant editing the cache. [`EngineCache`] is the open
-//! replacement — a registry keyed by *engine type* and *configuration
-//! value*, so any crate can teach shards to host its engine by
-//! implementing [`ShardEngine`] and calling
+//! An engine is two things with different lifetimes. Its *tables* —
+//! angle grids, steering vectors, per-cell cross terms — are pure
+//! functions of the configuration and never change after they are
+//! built. Its *scratch* — the correlation matrix, the eigendecomposition
+//! workspace, projection accumulators, the focused image, the centred
+//! window — is overwritten by every window. Scratch is per engine;
+//! tables come from a [`TableStore`], one `static` per table type, so a
+//! process builds each configuration's tables once no matter how many
+//! engines it opens: every standalone stage, every
+//! [`WiViDevice::run_session`](crate::WiViDevice::run_session) call, and
+//! every worker of every serving shard shares one `Arc` of them.
+//!
+//! A serving shard worker multiplexes many sessions, and all sessions
+//! with the same configuration borrow one resident engine from the
+//! worker's [`EngineCache`] — one correlation matrix, one
+//! eigendecomposition workspace (the zero-allocation design extended
+//! from per-device to per-worker). The registry is keyed by
+//! *engine type* and *configuration value*, so any crate can teach
+//! shards to host its engine by implementing [`ShardEngine`] and calling
 //! [`EngineCache::engine::<E>(&cfg)`](EngineCache::engine).
 //!
 //! Engines must hold no cross-window state (the serving determinism
 //! contract): an engine borrowed per batch by interleaved sessions must
 //! produce, for each session, exactly what a privately owned engine
-//! would. Every engine registered here honours that.
+//! would. Every engine registered here honours that, and a shared table
+//! is read-only, so sharing it is bitwise-invisible too.
 
 use std::any::{Any, TypeId};
+use std::sync::{Arc, Mutex, OnceLock, PoisonError};
+
+use wivi_obs::Counter;
 
 use crate::isar::{BeamformEngine, IsarConfig};
 use crate::music::{MusicConfig, MusicEngine};
@@ -35,8 +49,8 @@ pub trait ShardEngine: Send + 'static {
     /// cached per distinct configuration *value*.
     type Config: PartialEq + Clone + Send + 'static;
 
-    /// Builds the engine for `cfg` (the expensive step the cache
-    /// amortizes across sessions).
+    /// Builds the engine for `cfg`: its own scratch, plus an `Arc` of
+    /// its tables from the engine type's [`TableStore`].
     fn build(cfg: &Self::Config) -> Self;
 }
 
@@ -79,11 +93,14 @@ impl<E: ShardEngine> EngineSlot for SlotVec<E> {
     }
 }
 
-/// Configuration-keyed engine pool, one per serving shard (and one
+/// Configuration-keyed engine pool, one per serving-shard worker (a
+/// shard with `workers_per_shard > 1` holds one per worker) and one
 /// private pool per [`WiViDevice::run_session`](crate::WiViDevice::run_session)
-/// call): any number of engine types, any number of configurations per
+/// call: any number of engine types, any number of configurations per
 /// type, each engine built on first use and shared by every session that
-/// asks for the same `(type, configuration)` pair thereafter.
+/// asks for the same `(type, configuration)` pair thereafter. The pool
+/// holds engines, and so their scratch; their tables live in the
+/// engine types' [`TableStore`]s, shared across pools.
 #[derive(Default)]
 pub struct EngineCache {
     slots: Vec<(TypeId, Box<dyn EngineSlot>)>,
@@ -97,7 +114,7 @@ impl EngineCache {
 
     /// The resident engine of type `E` for `cfg`, building it on first
     /// use. Same-configuration callers share one engine — N
-    /// same-config sessions on a shard mean one steering table, not N.
+    /// same-config sessions on a worker mean one set of scratch, not N.
     pub fn engine<E: ShardEngine>(&mut self, cfg: &E::Config) -> &mut E {
         let tid = TypeId::of::<E>();
         let slot = match self.slots.iter().position(|(t, _)| *t == tid) {
@@ -115,11 +132,13 @@ impl EngineCache {
             .0;
         match vec.iter().position(|(c, _)| c == cfg) {
             Some(i) => {
-                hooks::cache_hit();
+                static HITS: OnceLock<Counter> = OnceLock::new();
+                count(&HITS, || "core.engine_cache.hits".into());
                 &mut vec[i].1
             }
             None => {
-                hooks::cache_miss();
+                static MISSES: OnceLock<Counter> = OnceLock::new();
+                count(&MISSES, || "core.engine_cache.misses".into());
                 vec.push((cfg.clone(), E::build(cfg)));
                 &mut vec.last_mut().unwrap().1
             }
@@ -139,33 +158,114 @@ impl EngineCache {
     }
 }
 
-/// Hit/miss counters on the global obs registry, `WIVI_OBS`-gated.
-/// Handles are built once (registration takes a lock) and the gated
-/// fast path is a static load + branch when observability is off.
-mod hooks {
-    use std::sync::OnceLock;
-    use wivi_obs::Counter;
+/// Entries each [`TableStore`] keeps: the number of distinct
+/// configurations whose tables stay built after their last engine is
+/// dropped. At the paper's configuration an imaging table is
+/// 8 967 168 bytes (two 448-cell × 625-sample steering tables plus the
+/// cross terms), so the imaging store retains at most
+/// 35 868 672 bytes (34.2 MiB); a MUSIC table is 146 272 bytes and a
+/// beamforming table 291 048 bytes.
+pub const TABLE_STORE_CAPACITY: usize = 4;
 
-    fn counter(which: &str) -> wivi_obs::Counter {
-        wivi_obs::global().counter(&format!("core.engine_cache.{which}"))
+/// A process-wide, configuration-keyed store of immutable engine
+/// tables, meant to live in a `static` — one per table type.
+///
+/// [`Self::get_or_build`] returns the table for a key as an `Arc`,
+/// building it on first use. The build runs under the store's lock, so
+/// threads racing for one configuration (shard workers opening the same
+/// mode at once) build it once and all receive the same `Arc`. The
+/// store keeps at most its capacity ([`TABLE_STORE_CAPACITY`] for
+/// [`Self::new`]) of entries and evicts the least recently used one; an
+/// engine still holding an evicted table keeps it alive, and the next
+/// request for that key builds a fresh copy (same bits: tables are pure
+/// functions of their key). So a table outlives its last engine, up to
+/// the store's capacity.
+///
+/// Lookups are a linear scan over a handful of keys, and happen when an
+/// engine is built — never per window. Hits and misses count on the
+/// global obs registry as `core.table_store.<name>.{hits,misses}`.
+pub struct TableStore<K, T> {
+    name: &'static str,
+    capacity: usize,
+    /// Least recently used first.
+    entries: Mutex<Vec<(K, Arc<T>)>>,
+    hits: OnceLock<Counter>,
+    misses: OnceLock<Counter>,
+}
+
+impl<K: PartialEq + Clone, T> TableStore<K, T> {
+    /// An empty store of [`TABLE_STORE_CAPACITY`] entries whose metrics
+    /// are named after `name`.
+    pub const fn new(name: &'static str) -> Self {
+        Self::with_capacity(name, TABLE_STORE_CAPACITY)
     }
 
-    #[inline]
-    pub(super) fn cache_hit() {
-        if !wivi_obs::enabled() {
-            return;
+    /// An empty store of `capacity` entries.
+    ///
+    /// # Panics
+    /// Panics if `capacity` is zero.
+    pub const fn with_capacity(name: &'static str, capacity: usize) -> Self {
+        assert!(capacity >= 1, "a table store needs room for one table");
+        Self {
+            name,
+            capacity,
+            entries: Mutex::new(Vec::new()),
+            hits: OnceLock::new(),
+            misses: OnceLock::new(),
         }
-        static HITS: OnceLock<Counter> = OnceLock::new();
-        HITS.get_or_init(|| counter("hits")).inc();
     }
 
-    #[inline]
-    pub(super) fn cache_miss() {
-        if !wivi_obs::enabled() {
-            return;
+    /// The table for `key`, built by `build` if the store does not hold
+    /// one. Callers validate the configuration before calling, so a
+    /// `build` panic is a bug; it still leaves the store usable, because
+    /// an entry is pushed only once its build has returned.
+    pub fn get_or_build(&self, key: &K, build: impl FnOnce(&K) -> T) -> Arc<T> {
+        // A poisoned lock only means a build panicked: every update of
+        // `entries` below completes before anything else can panic, so
+        // the list is valid whatever the poison says.
+        let mut entries = self.entries.lock().unwrap_or_else(PoisonError::into_inner);
+        if let Some(i) = entries.iter().position(|(k, _)| k == key) {
+            // Move the hit to the most-recently-used end.
+            let entry = entries.remove(i);
+            let table = Arc::clone(&entry.1);
+            entries.push(entry);
+            count(&self.hits, || self.metric("hits"));
+            return table;
         }
-        static MISSES: OnceLock<Counter> = OnceLock::new();
-        MISSES.get_or_init(|| counter("misses")).inc();
+        count(&self.misses, || self.metric("misses"));
+        let table = Arc::new(build(key));
+        if entries.len() >= self.capacity {
+            entries.remove(0);
+        }
+        entries.push((key.clone(), Arc::clone(&table)));
+        table
+    }
+
+    /// Tables currently held.
+    pub fn len(&self) -> usize {
+        self.entries
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .len()
+    }
+
+    /// `true` if the store holds no table.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    fn metric(&self, which: &str) -> String {
+        format!("core.table_store.{}.{which}", self.name)
+    }
+}
+
+/// Bumps the global-registry counter behind `cell`, `WIVI_OBS`-gated:
+/// with observability off this is a static load and a branch, and the
+/// handle is registered (which takes a lock) only once.
+fn count(cell: &OnceLock<Counter>, name: impl FnOnce() -> String) {
+    if wivi_obs::enabled() {
+        cell.get_or_init(|| wivi_obs::global().counter(&name()))
+            .inc();
     }
 }
 
@@ -208,5 +308,91 @@ mod tests {
         assert_eq!(cache.engine::<Counter>(&7).built_for, 7);
         assert_eq!(cache.engine::<Counter>(&9).built_for, 9);
         assert_eq!(cache.len(), 4);
+    }
+
+    /// A local store per test (never the engines' statics), so tests
+    /// running in parallel cannot evict each other's entries.
+    fn local_store(capacity: usize) -> TableStore<u32, Vec<u32>> {
+        TableStore::with_capacity("test", capacity)
+    }
+
+    #[test]
+    fn equal_keys_share_one_table_and_distinct_keys_do_not() {
+        let store = local_store(TABLE_STORE_CAPACITY);
+        assert!(store.is_empty());
+        let a = store.get_or_build(&1, |k| vec![*k; 3]);
+        let b = store.get_or_build(&1, |_| unreachable!("second request must hit"));
+        let c = store.get_or_build(&2, |k| vec![*k; 3]);
+        assert!(Arc::ptr_eq(&a, &b));
+        assert!(!Arc::ptr_eq(&a, &c));
+        assert_eq!(*c, vec![2; 3]);
+        assert_eq!(store.len(), 2);
+    }
+
+    #[test]
+    fn least_recently_used_entry_is_evicted_and_held_tables_stay_valid() {
+        let store = local_store(2);
+        let builds = std::cell::Cell::new(0);
+        let get = |k: u32| {
+            store.get_or_build(&k, |k| {
+                builds.set(builds.get() + 1);
+                vec![*k; 4]
+            })
+        };
+        let one = get(1);
+        let two = get(2);
+        get(1); // 2 is now the least recently used
+        get(3); // capacity + 1 keys: evicts 2
+        assert_eq!((store.len(), builds.get()), (2, 3));
+        assert!(Arc::ptr_eq(&one, &get(1)), "1 was used recently");
+        assert_eq!(builds.get(), 3);
+        // The caller's Arc keeps the evicted table alive and intact…
+        assert_eq!(*two, vec![2; 4]);
+        // …and the store rebuilds the key afresh.
+        let two_again = get(2);
+        assert_eq!(builds.get(), 4);
+        assert!(!Arc::ptr_eq(&two, &two_again));
+        assert_eq!(*two_again, *two);
+    }
+
+    #[test]
+    fn racing_threads_build_one_configuration_once() {
+        const THREADS: usize = 8;
+        let store = local_store(TABLE_STORE_CAPACITY);
+        let builds = std::sync::atomic::AtomicUsize::new(0);
+        let barrier = std::sync::Barrier::new(THREADS);
+        let tables: Vec<Arc<Vec<u32>>> = std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..THREADS)
+                .map(|_| {
+                    scope.spawn(|| {
+                        barrier.wait();
+                        store.get_or_build(&7, |k| {
+                            builds.fetch_add(1, std::sync::atomic::Ordering::SeqCst);
+                            vec![*k; 16]
+                        })
+                    })
+                })
+                .collect();
+            handles
+                .into_iter()
+                .map(|h| h.join().expect("worker panicked"))
+                .collect()
+        });
+        assert_eq!(builds.into_inner(), 1);
+        assert!(tables.iter().all(|t| Arc::ptr_eq(t, &tables[0])));
+    }
+
+    #[test]
+    fn a_panicking_build_leaves_the_store_usable() {
+        let store = local_store(TABLE_STORE_CAPACITY);
+        let kept = store.get_or_build(&1, |k| vec![*k]);
+        let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            store.get_or_build(&2, |_| panic!("build failed"))
+        }));
+        assert!(r.is_err());
+        assert_eq!(store.len(), 1, "a failed build adds no entry");
+        assert!(Arc::ptr_eq(&kept, &store.get_or_build(&1, |_| vec![])));
+        assert_eq!(*store.get_or_build(&2, |k| vec![*k]), vec![2]);
+        assert_eq!(store.len(), 2);
     }
 }

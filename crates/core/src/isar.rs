@@ -19,8 +19,11 @@
 //! environment (or the residual DC after nulling) accumulates coherently
 //! only at `θ = 0` — the paper's "zero line".
 
+use std::sync::Arc;
+
 use wivi_num::Complex64;
 
+use crate::cache::TableStore;
 use crate::spectrogram::AngleSpectrogram;
 use crate::stage::{Stage, StreamingBeamform};
 
@@ -121,33 +124,53 @@ impl IsarConfig {
     }
 }
 
-/// The reusable per-window Bartlett beamformer (Eq. 5.1): precomputed
-/// steering vectors applied to one emulated-array window at a time. Shared
-/// by the offline [`beamform_spectrum`], the incremental
-/// [`StreamingBeamform`] stage, and served gesture sessions.
+/// The configuration-only state of a [`BeamformEngine`]: the angle grid
+/// and its window-length steering vectors, built once per configuration
+/// per process and shared through a process-wide
+/// [`TableStore`](crate::cache::TableStore).
+pub struct BeamformTables {
+    thetas: Vec<f64>,
+    /// Per-angle steering vectors of window length, angle-major
+    /// (`n_angles × window`).
+    steering: Vec<Complex64>,
+}
+
+impl BeamformTables {
+    /// Builds the tables for `cfg`, bypassing the store. Expects a
+    /// validated configuration.
+    pub fn build(cfg: &IsarConfig) -> Self {
+        let thetas = cfg.thetas_deg();
+        let steering = thetas
+            .iter()
+            .flat_map(|&th| cfg.steering_vector(th, cfg.window))
+            .collect();
+        Self { thetas, steering }
+    }
+}
+
+/// The process-wide store of [`BeamformTables`].
+static BEAMFORM_TABLES: TableStore<IsarConfig, BeamformTables> = TableStore::new("beamform");
+
+/// The reusable per-window Bartlett beamformer (Eq. 5.1): shared
+/// steering vectors ([`BeamformTables`]) applied to one emulated-array
+/// window at a time. Shared by the offline [`beamform_spectrum`], the
+/// incremental [`StreamingBeamform`] stage, and served gesture sessions.
 pub struct BeamformEngine {
     cfg: IsarConfig,
-    thetas: Vec<f64>,
-    /// Per-angle steering vectors of window length.
-    steering: Vec<Vec<Complex64>>,
+    tables: Arc<BeamformTables>,
 }
 
 impl BeamformEngine {
-    /// Builds an engine for `cfg`.
+    /// Builds an engine for `cfg` over the configuration's tables from
+    /// the process-wide store (built there on first use).
     ///
     /// # Panics
     /// Panics on an invalid configuration (see [`IsarConfig::validate`]).
     pub fn new(cfg: IsarConfig) -> Self {
         cfg.validate();
-        let thetas = cfg.thetas_deg();
-        let steering: Vec<Vec<Complex64>> = thetas
-            .iter()
-            .map(|&th| cfg.steering_vector(th, cfg.window))
-            .collect();
         Self {
             cfg,
-            thetas,
-            steering,
+            tables: BEAMFORM_TABLES.get_or_build(&cfg, BeamformTables::build),
         }
     }
 
@@ -158,7 +181,7 @@ impl BeamformEngine {
 
     /// The angle grid shared by every emitted row.
     pub fn thetas_deg(&self) -> &[f64] {
-        &self.thetas
+        &self.tables.thetas
     }
 
     /// Beamforms one window into a `|A[θ, n]|²` row.
@@ -168,8 +191,9 @@ impl BeamformEngine {
     pub fn process_window(&mut self, window: &[Complex64]) -> Vec<f64> {
         assert_eq!(window.len(), self.cfg.window, "window length mismatch");
         let _span = wivi_obs::span("beamform.window");
-        self.steering
-            .iter()
+        self.tables
+            .steering
+            .chunks_exact(self.cfg.window)
             .map(|s| {
                 let a: Complex64 = window.iter().zip(s).map(|(h, e)| *h * e.conj()).sum();
                 a.norm_sqr() / self.cfg.window as f64

@@ -52,10 +52,10 @@ pub mod session;
 pub mod spectrogram;
 pub mod stage;
 
-pub use cache::{EngineCache, ShardEngine};
+pub use cache::{EngineCache, ShardEngine, TableStore, TABLE_STORE_CAPACITY};
 pub use device::{WiViConfig, WiViDevice};
-pub use isar::{BeamformEngine, IsarConfig};
-pub use music::{MusicConfig, MusicEngine};
+pub use isar::{BeamformEngine, BeamformTables, IsarConfig};
+pub use music::{MusicConfig, MusicEngine, MusicTables};
 pub use nulling::{NullingConfig, NullingReport};
 pub use session::{CountSession, GestureSession, Session, TrackSession};
 pub use spectrogram::AngleSpectrogram;

@@ -20,9 +20,12 @@
 //! space, `‖U_N^H e‖² = ‖e‖² − ‖U_S^H e‖²`, which needs only
 //! `k_signal ≪ w′` inner products per angle.
 
+use std::sync::Arc;
+
 use wivi_num::eig::{hermitian_eig_in, EigWorkspace};
 use wivi_num::{simd, CMatrix, Complex64};
 
+use crate::cache::TableStore;
 use crate::isar::IsarConfig;
 use crate::spectrogram::AngleSpectrogram;
 use crate::stage::{Stage, StreamingMusic};
@@ -132,24 +135,55 @@ pub fn smoothed_correlation_into(window: &[Complex64], subarray: usize, r: &mut 
     }
 }
 
-/// The reusable per-window smoothed-MUSIC processor: precomputed steering
-/// vectors plus correlation/eigendecomposition scratch. Every MUSIC
-/// read-out — [`music_spectrum`], the [`StreamingMusic`] stage, and the
-/// per-session [`SharedStreaming`](crate::stage::SharedStreaming) state a
-/// serving shard borrows it from — runs its windows through this engine;
-/// window-rate processing performs no heap allocation beyond the emitted
-/// row and eigenvalue list.
-pub struct MusicEngine {
-    cfg: MusicConfig,
+/// The configuration-only half of a [`MusicEngine`]: the angle grid and
+/// the steering table, built once per configuration per process and
+/// shared by every engine through a process-wide
+/// [`TableStore`](crate::cache::TableStore).
+pub struct MusicTables {
     thetas: Vec<f64>,
-    /// The steering table transposed to antenna-major order: row `i`
-    /// holds element `i` of every angle's steering vector
-    /// (`sub × n_angles`). Angle-contiguous rows let the projection run
-    /// as one [`simd::caxpy`] per (eigenvector, antenna) pair instead of
-    /// an angle-at-a-time scalar dot; the per-angle accumulation order
+    /// The steering table in antenna-major order: row `i` holds element
+    /// `i` of every angle's steering vector (`sub × n_angles`).
+    /// Angle-contiguous rows let the projection run as one
+    /// [`simd::caxpy`] per (eigenvector, antenna) pair instead of an
+    /// angle-at-a-time scalar dot; the per-angle accumulation order
     /// (over `i`, then over signal index `j`) is unchanged, so the row
     /// is bitwise identical to the historical nested loop.
     steer_flat: Vec<Complex64>,
+}
+
+impl MusicTables {
+    /// Builds the tables for `cfg`, bypassing the store — the cold cost
+    /// the first engine per configuration pays. Expects a validated
+    /// configuration.
+    pub fn build(cfg: &MusicConfig) -> Self {
+        let thetas = cfg.isar.thetas_deg();
+        let n_angles = thetas.len();
+        let mut steer_flat = vec![Complex64::ZERO; cfg.subarray * n_angles];
+        for (ang, &th) in thetas.iter().enumerate() {
+            let e = cfg.isar.steering_vector(th, cfg.subarray);
+            for (i, ei) in e.into_iter().enumerate() {
+                steer_flat[i * n_angles + ang] = ei;
+            }
+        }
+        Self { thetas, steer_flat }
+    }
+}
+
+/// The process-wide store of [`MusicTables`], keyed by the full MUSIC
+/// configuration.
+static MUSIC_TABLES: TableStore<MusicConfig, MusicTables> = TableStore::new("music");
+
+/// The reusable per-window smoothed-MUSIC processor: shared
+/// configuration tables ([`MusicTables`]) plus correlation /
+/// eigendecomposition scratch of its own. Every MUSIC read-out —
+/// [`music_spectrum`], the [`StreamingMusic`] stage, and the
+/// per-session [`SharedStreaming`](crate::stage::SharedStreaming) state
+/// an engine cache lends it to — runs its windows through this engine;
+/// window-rate processing performs no heap allocation beyond the
+/// emitted row and eigenvalue list.
+pub struct MusicEngine {
+    cfg: MusicConfig,
+    tables: Arc<MusicTables>,
     /// `‖e‖²` for the unit-modulus steering vectors.
     e_norm_sqr: f64,
     corr: CMatrix,
@@ -162,29 +196,18 @@ pub struct MusicEngine {
 }
 
 impl MusicEngine {
-    /// Builds an engine for `cfg`.
+    /// Builds an engine for `cfg`: fresh scratch, and the configuration's
+    /// tables from the process-wide store (built there on first use).
     ///
     /// # Panics
     /// Panics on an invalid configuration (see [`MusicConfig::validate`]).
     pub fn new(cfg: MusicConfig) -> Self {
         cfg.validate();
-        let thetas = cfg.isar.thetas_deg();
-        let steering: Vec<Vec<Complex64>> = thetas
-            .iter()
-            .map(|&th| cfg.isar.steering_vector(th, cfg.subarray))
-            .collect();
-        // Transpose to antenna-major (see the field docs).
-        let n_angles = thetas.len();
-        let mut steer_flat = vec![Complex64::ZERO; cfg.subarray * n_angles];
-        for (ang, e) in steering.iter().enumerate() {
-            for (i, &ei) in e.iter().enumerate() {
-                steer_flat[i * n_angles + ang] = ei;
-            }
-        }
+        let tables = MUSIC_TABLES.get_or_build(&cfg, MusicTables::build);
+        let n_angles = tables.thetas.len();
         Self {
             cfg,
-            thetas,
-            steer_flat,
+            tables,
             e_norm_sqr: cfg.subarray as f64,
             corr: CMatrix::zeros(cfg.subarray, cfg.subarray),
             eig_ws: EigWorkspace::new(cfg.subarray),
@@ -200,7 +223,7 @@ impl MusicEngine {
 
     /// The angle grid shared by every emitted row.
     pub fn thetas_deg(&self) -> &[f64] {
-        &self.thetas
+        &self.tables.thetas
     }
 
     /// Processes one analysis window into a pseudospectrum row (Eq. 5.3)
@@ -227,13 +250,14 @@ impl MusicEngine {
         // (eigenvector, antenna) pair over the angle-contiguous steering
         // row. Each angle still sums its terms in the historical
         // `i`-then-`j` order, so the row is bitwise unchanged.
-        let n_angles = self.thetas.len();
+        let n_angles = self.tables.thetas.len();
         let sub = self.cfg.subarray;
+        let steer_flat = &self.tables.steer_flat;
         self.sig_proj.iter_mut().for_each(|s| *s = 0.0);
         for j in 0..n_signal {
             self.proj.iter_mut().for_each(|p| *p = Complex64::ZERO);
             for i in 0..sub {
-                let x = &self.steer_flat[i * n_angles..(i + 1) * n_angles];
+                let x = &steer_flat[i * n_angles..(i + 1) * n_angles];
                 simd::caxpy(&mut self.proj, x, u[(i, j)].conj());
             }
             for (sp, pj) in self.sig_proj.iter_mut().zip(&self.proj) {

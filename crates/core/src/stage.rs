@@ -19,8 +19,10 @@
 //!
 //! Windowing and column retention exist once, in [`SharedStreaming`]:
 //! per-session state that *borrows* its [`ColumnEngine`] at every push,
-//! so a serving shard shares one engine (steering tables, correlation
-//! matrix, eig workspace) across every same-configuration session. The
+//! so a serving shard worker shares one engine (correlation matrix, eig
+//! workspace) across every same-configuration session, and every engine
+//! shares its configuration's steering tables through a process-wide
+//! [`TableStore`](crate::cache::TableStore). The
 //! owned stages the offline helpers and benchmarks use —
 //! [`StreamingMusic`], [`StreamingBeamform`] — are that state plus one
 //! private engine, so there is no second windowing path to keep in step.

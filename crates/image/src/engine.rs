@@ -1,5 +1,5 @@
-//! The resident backprojection engine: per-cell steering tables, the
-//! reused image buffer, and the CFAR fix extractor.
+//! The resident backprojection engine: shared per-cell steering tables,
+//! the reused image buffer, and the CFAR fix extractor.
 //!
 //! # The holographic matched filter
 //!
@@ -40,17 +40,26 @@
 //!
 //! # Residency contract
 //!
-//! Mirroring [`wivi_core::MusicEngine`]: all heavy state — two steering
-//! tables (one per TX path), the per-cell normalization terms, the
-//! image buffer, the mean-removal scratch — is allocated once at
-//! construction and reused every window; window-rate processing
-//! allocates nothing beyond the emitted fix list. One engine serves the
-//! offline entry points, the streaming stage, and (shared across
-//! sessions) the serving shards, so all three are bitwise identical by
-//! construction: the output depends only on the configuration, the
-//! window contents, and the nulling weight.
+//! Mirroring [`wivi_core::MusicEngine`], an engine is shared tables
+//! plus scratch of its own. The tables ([`ImagingTables`]: two steering
+//! tables, one per TX path, and the per-cell cross terms) are a pure
+//! function of the configuration and come from a process-wide
+//! [`TableStore`], so a process builds them once per configuration
+//! however many engines it opens, and a table outlives its last engine
+//! while the store holds it (up to [`wivi_core::TABLE_STORE_CAPACITY`]
+//! configurations, 8 967 168 bytes each at the paper's configuration).
+//! The scratch — the image buffer, the per-cell directions, the
+//! mean-removal window — is allocated once per engine and reused every
+//! window; window-rate processing allocates nothing beyond the emitted
+//! fix list. One engine type serves the offline entry points, the
+//! streaming stage, and (lent to sessions by an engine cache) the
+//! serving shards, so all three are bitwise identical by construction:
+//! the output depends only on the configuration, the window contents,
+//! and the nulling weight.
 
-use wivi_core::ShardEngine;
+use std::sync::Arc;
+
+use wivi_core::{ShardEngine, TableStore};
 use wivi_num::{ca_cfar_2d, simd, Complex64, Grid2d};
 use wivi_rf::Point;
 
@@ -71,15 +80,69 @@ pub struct ImageFix {
     pub iy: usize,
 }
 
-/// The reusable per-window backprojector.
-pub struct ImagingEngine {
-    cfg: ImageConfig,
-    grid: Grid2d,
+/// The configuration-only half of an [`ImagingEngine`]: both TX paths'
+/// steering tables and the per-cell cross terms, built once per
+/// configuration per process and shared through a process-wide
+/// [`TableStore`].
+pub struct ImagingTables {
     /// Per-TX-path conjugated steering tables, cell-major:
     /// `steer[k][c·window + i] = e^{+j·(2π/λ)·Rₖ(p_c, i)}`.
     steer: [Vec<Complex64>; 2],
     /// Per-cell `Σ_i s²_i·conj(s¹_i)` — the cross term of `‖q‖²`.
     cross: Vec<Complex64>,
+}
+
+impl ImagingTables {
+    /// Builds the tables for `cfg` (`2 × cells × window` phasors),
+    /// bypassing the store — the cold cost the first engine per
+    /// configuration pays. Expects a validated configuration.
+    pub fn build(cfg: &ImageConfig) -> Self {
+        let grid = cfg.grid.grid2d();
+        let n_cells = grid.len();
+        let w = cfg.window;
+        let k_wave = std::f64::consts::TAU / cfg.wavelength;
+        let half = (w as f64 - 1.0) / 2.0;
+        let spacing = cfg.element_spacing();
+
+        let mut steer = [
+            Vec::with_capacity(n_cells * w),
+            Vec::with_capacity(n_cells * w),
+        ];
+        let mut cross = Vec::with_capacity(n_cells);
+        for c in 0..n_cells {
+            let (ix, iy) = grid.coords(c);
+            let center = cfg.grid.cell_center(ix, iy);
+            let mut x = Complex64::ZERO;
+            for i in 0..w {
+                let p_i = Point::new(center.x + (i as f64 - half) * spacing, center.y);
+                let mut s = [Complex64::ZERO; 2];
+                for (k, sk) in s.iter_mut().enumerate() {
+                    let r = cfg.tx[k].distance(p_i) + p_i.distance(cfg.rx);
+                    // conj of the steering phasor, ready for `h·t`.
+                    *sk = Complex64::cis(k_wave * r);
+                }
+                // The model cross term s²_i·conj(s¹_i) = conj(t²)·t¹
+                // in terms of the stored conjugates.
+                x += s[1].conj() * s[0];
+                steer[0].push(s[0]);
+                steer[1].push(s[1]);
+            }
+            cross.push(x);
+        }
+        Self { steer, cross }
+    }
+}
+
+/// The process-wide store of [`ImagingTables`], keyed by the full
+/// imaging configuration.
+static IMAGING_TABLES: TableStore<ImageConfig, ImagingTables> = TableStore::new("imaging");
+
+/// The reusable per-window backprojector: shared [`ImagingTables`] plus
+/// the image, direction and centred-window scratch of its own.
+pub struct ImagingEngine {
+    cfg: ImageConfig,
+    grid: Grid2d,
+    tables: Arc<ImagingTables>,
     /// The focused image, reused every window.
     image: Vec<f64>,
     /// Per-cell winning traversal direction (`true` = forward).
@@ -116,8 +179,8 @@ fn default_focus_threads() -> usize {
 /// Serving shards host imaging engines through the generic engine
 /// registry: the engine is a pure function of (configuration, window,
 /// nulling weight) — the weight is a per-push runtime parameter — so
-/// same-configuration sessions share one steering table even when their
-/// nulling converged differently.
+/// same-configuration sessions share one engine even when their nulling
+/// converged differently.
 impl ShardEngine for ImagingEngine {
     type Config = ImageConfig;
 
@@ -127,8 +190,8 @@ impl ShardEngine for ImagingEngine {
 }
 
 impl ImagingEngine {
-    /// Builds an engine for `cfg`, precomputing the steering tables
-    /// (`2 × cells × window` phasors).
+    /// Builds an engine for `cfg`: fresh scratch, and the configuration's
+    /// tables from the process-wide store (built there on first use).
     ///
     /// # Panics
     /// Panics on an invalid configuration.
@@ -136,45 +199,13 @@ impl ImagingEngine {
         cfg.validate();
         let grid = cfg.grid.grid2d();
         let n_cells = grid.len();
-        let w = cfg.window;
-        let k_wave = std::f64::consts::TAU / cfg.wavelength;
-        let half = (w as f64 - 1.0) / 2.0;
-        let spacing = cfg.element_spacing();
-
-        let mut steer = [
-            Vec::with_capacity(n_cells * w),
-            Vec::with_capacity(n_cells * w),
-        ];
-        let mut cross = Vec::with_capacity(n_cells);
-        for c in 0..n_cells {
-            let (ix, iy) = grid.coords(c);
-            let center = cfg.grid.cell_center(ix, iy);
-            let mut x = Complex64::ZERO;
-            for i in 0..w {
-                let p_i = Point::new(center.x + (i as f64 - half) * spacing, center.y);
-                let mut s = [Complex64::ZERO; 2];
-                for (k, sk) in s.iter_mut().enumerate() {
-                    let r = cfg.tx[k].distance(p_i) + p_i.distance(cfg.rx);
-                    // conj of the steering phasor, ready for `h·t`.
-                    *sk = Complex64::cis(k_wave * r);
-                }
-                // The model cross term s²_i·conj(s¹_i) = conj(t²)·t¹
-                // in terms of the stored conjugates.
-                x += s[1].conj() * s[0];
-                steer[0].push(s[0]);
-                steer[1].push(s[1]);
-            }
-            cross.push(x);
-        }
-
         Self {
             cfg,
             grid,
-            steer,
-            cross,
+            tables: IMAGING_TABLES.get_or_build(&cfg, ImagingTables::build),
             image: vec![0.0; n_cells],
             dirs: vec![true; n_cells],
-            centered: vec![Complex64::ZERO; w],
+            centered: vec![Complex64::ZERO; cfg.window],
             focus_threads: default_focus_threads(),
         }
     }
@@ -242,10 +273,9 @@ impl ImagingEngine {
         let wt_conj = wt.conj();
         let wt_sq = wt.norm_sqr();
         let n_cells = self.grid.len();
-        let steer0 = &self.steer[0];
-        let steer1 = &self.steer[1];
+        let [steer0, steer1] = &self.tables.steer;
         let centered = &self.centered;
-        let cross = &self.cross;
+        let cross = &self.tables.cross;
         // One cell: the dispatched four-accumulator correlation (two TX
         // paths × two walking directions — the reversed aperture is the
         // same table backwards), then the direction pick.
@@ -312,7 +342,8 @@ impl ImagingEngine {
     fn model_at(&self, c: usize, forward: bool, wt: Complex64, j: usize) -> Complex64 {
         let w = self.cfg.window;
         let idx = if forward { j } else { w - 1 - j };
-        self.steer[0][c * w + idx].conj() + wt * self.steer[1][c * w + idx].conj()
+        let [t1, t2] = &self.tables.steer;
+        t1[c * w + idx].conj() + wt * t2[c * w + idx].conj()
     }
 
     /// Mirror cell across the `x = 0` axis (the grid is symmetric about
@@ -379,7 +410,7 @@ impl ImagingEngine {
             r2 += self.centered[j] * q2.conj();
         }
         let qn = |cell: usize| {
-            (w as f64 * (1.0 + wt.norm_sqr()) + 2.0 * (wt * self.cross[cell]).re).max(1e-12)
+            (w as f64 * (1.0 + wt.norm_sqr()) + 2.0 * (wt * self.tables.cross[cell]).re).max(1e-12)
         };
         let (g11, g22) = (qn(c), qn(m));
         let det = g11 * g22 - g12.norm_sqr();
@@ -403,8 +434,8 @@ impl ImagingEngine {
     /// sidelobes.
     fn subtract_cell(&mut self, c: usize, tx_weight: Complex64) {
         let w = self.cfg.window;
-        let t1 = &self.steer[0][c * w..(c + 1) * w];
-        let t2 = &self.steer[1][c * w..(c + 1) * w];
+        let t1 = &self.tables.steer[0][c * w..(c + 1) * w];
+        let t2 = &self.tables.steer[1][c * w..(c + 1) * w];
         let forward = self.dirs[c];
         let wt = tx_weight;
         let mut r = Complex64::ZERO;
@@ -413,7 +444,8 @@ impl ImagingEngine {
             // ⟨h, q⟩ with q_j = conj(t1[idx]) + wt·conj(t2[idx]).
             r += self.centered[j] * (t1[idx] + wt.conj() * t2[idx]);
         }
-        let qn = (w as f64 * (1.0 + wt.norm_sqr()) + 2.0 * (wt * self.cross[c]).re).max(1e-12);
+        let qn =
+            (w as f64 * (1.0 + wt.norm_sqr()) + 2.0 * (wt * self.tables.cross[c]).re).max(1e-12);
         let a = r / qn;
         for j in 0..w {
             let idx = if forward { j } else { w - 1 - j };

@@ -3,10 +3,10 @@
 //! [`ImageSession`] is the mode's one per-session implementation: only
 //! the genuinely per-session state lives in it (window buffer, nulling
 //! weight, position tracker, retained fixes) while the heavy engine —
-//! steering tables, image buffer — is borrowed per batch, from a serving
-//! shard's cache or from the private cache of
-//! [`WiViDevice::run_session`]. [`StreamingImage`] is the same session
-//! plus one owned engine. Frames depend only on the configuration, the
+//! image scratch over the process-wide steering tables — is borrowed per
+//! batch, from a serving shard worker's cache or from the private cache
+//! of [`WiViDevice::run_session`]. [`StreamingImage`] is the same
+//! session plus one owned engine. Frames depend only on the configuration, the
 //! window contents, and the nulling weight
 //! ([`ImagingEngine::process_window_fixes`]), so every drive emits the
 //! same bits.

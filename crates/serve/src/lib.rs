@@ -25,10 +25,13 @@
 //!   ([`wivi_num::merge_streams`]) and per-shard utilization / batch
 //!   latency telemetry.
 //!
-//! Shards extend the PR-1 zero-allocation design from per-device to
-//! per-shard: all sessions on a shard share one set of per-window
-//! engines (steering tables, correlation matrix, eig workspace) through
-//! the keyed [`EngineCache`](wivi_core::EngineCache).
+//! Shards extend the zero-allocation design from per-device to
+//! per-worker: all sessions on a shard worker share one set of
+//! per-window engines (correlation matrix, eig workspace, image scratch)
+//! through the keyed [`EngineCache`](wivi_core::EngineCache), and every
+//! engine in the process takes its steering tables from one
+//! [`TableStore`](wivi_core::TableStore) per table type, so S shards ×
+//! W workers hold one table per configuration, not S·W.
 //!
 //! **The serving contract is bitwise.** A served session runs the same
 //! per-mode session type as the device's own entry points (see

@@ -10,9 +10,11 @@
 //!
 //! The per-session streaming state (`ActiveSession`, crate-private) is
 //! deliberately thin: the mode's session holds only per-session data, and
-//! the heavy per-window scratch (steering tables, FFT plans, the
-//! eigendecomposition workspace) lives once per *shard* in the keyed
-//! [`EngineCache`] and is borrowed per batch — see [`crate::shard`].
+//! the heavy per-window scratch (the correlation matrix, the
+//! eigendecomposition workspace, the image buffer) lives once per
+//! shard *worker* in the keyed [`EngineCache`] and is borrowed per batch
+//! — see [`crate::shard`]; the engines' steering tables are shared by
+//! the whole process through [`wivi_core::TableStore`].
 
 use wivi_core::{EngineCache, WiViConfig, WiViDevice};
 use wivi_num::Complex64;

@@ -1,5 +1,5 @@
-//! Worker shards: each owns a set of live sessions and one set of
-//! per-window engines.
+//! Worker shards: each owns a set of live sessions and, per worker
+//! thread, one set of per-window engines.
 //!
 //! A shard is a plain `std::thread` (the same scoped-worker machinery the
 //! bench runner uses, grown a command queue) looping over rounds: drain
@@ -16,13 +16,16 @@
 //! owning a private engine cache and scratch. Outputs stay bit-identical
 //! for every worker count — parallelism only changes wall-clock.
 //!
-//! The PR-1 zero-allocation design extends here from per-device to
-//! per-shard: all sessions on a shard that share a configuration share
-//! one resident engine — one steering table, one correlation matrix,
+//! The zero-allocation design extends here from per-device to
+//! per-worker: all sessions on a shard worker that share a
+//! configuration share one resident engine — one correlation matrix,
 //! one eigendecomposition workspace — borrowed per batch through the
-//! `Shared*` streaming stages. The engines live in the shard's keyed
-//! [`EngineCache`] (see [`wivi_core::ShardEngine`]): a shard serving N
-//! same-config sessions holds one engine, not N.
+//! `Shared*` streaming stages. The engines live in each worker's keyed
+//! [`EngineCache`] (see [`wivi_core::ShardEngine`]): a worker serving N
+//! same-config sessions holds one engine, not N. Engines take their
+//! steering tables from the process-wide
+//! [`TableStore`](wivi_core::TableStore)s, so every shard and worker
+//! shares one table per configuration.
 
 use std::collections::VecDeque;
 use std::sync::{Arc, Condvar, Mutex};
