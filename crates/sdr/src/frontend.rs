@@ -113,7 +113,7 @@ impl Observation {
     /// of noise gain at 64 subcarriers at the cost of a small coherence
     /// loss from the delay spread across the 5 MHz band.
     pub fn combined(&self) -> Complex64 {
-        self.h.iter().copied().sum::<Complex64>() / self.h.len() as f64
+        combine(&self.h)
     }
 
     /// `true` if the ADC clipped during this measurement.
@@ -125,6 +125,13 @@ impl Observation {
     pub fn mean_power(&self) -> f64 {
         self.h.iter().map(|z| z.norm_sqr()).sum::<f64>() / self.h.len() as f64
     }
+}
+
+/// The subcarrier average behind [`Observation::combined`]: one left
+/// fold and one division, shared with the allocation-free
+/// [`MimoFrontend::record_trace_into`] so both give the same bits.
+fn combine(h: &[Complex64]) -> Complex64 {
+    h.iter().copied().sum::<Complex64>() / h.len() as f64
 }
 
 /// Which antennas drive one transmission block (see
@@ -163,7 +170,8 @@ pub struct MimoFrontend {
     /// The sounding preamble, computed once.
     preamble: Vec<Complex64>,
     /// Scratch: one OFDM block, reused by the per-antenna PA round trip and
-    /// the receiver chain.
+    /// the receiver chain; after [`Self::transmit`] it holds the
+    /// per-subcarrier channel estimate.
     scratch_block: Vec<Complex64>,
     /// Scratch: the superposed received spectrum.
     scratch_rx: Vec<Complex64>,
@@ -302,9 +310,10 @@ impl MimoFrontend {
     /// sounding dwell.
     pub fn sound(&mut self, tx_idx: usize) -> Observation {
         assert!(tx_idx < 2, "Wi-Vi has exactly two transmit antennas");
-        let obs = self.transmit(TxMode::Sound(tx_idx));
+        let time = self.now;
+        let outcome = self.transmit(TxMode::Sound(tx_idx));
         self.advance_clock(self.cfg.sounding_dwell_s);
-        obs
+        self.observation(outcome, time)
     }
 
     /// Transmits concurrently on both antennas — antenna 1 sends the
@@ -315,13 +324,22 @@ impl MimoFrontend {
     /// # Panics
     /// Panics if no precoder is installed.
     pub fn observe(&mut self) -> Observation {
+        let time = self.now;
+        let outcome = self.observe_in_place();
+        self.observation(outcome, time)
+    }
+
+    /// [`Self::observe`] without the [`Observation`]: the channel
+    /// estimate stays in `scratch_block`, so the per-sample loop of
+    /// [`Self::record_trace_into`] allocates nothing.
+    fn observe_in_place(&mut self) -> QuantizeOutcome {
         assert!(
             self.precoder.is_some(),
             "observe() requires a precoder; call set_precoder first"
         );
-        let obs = self.transmit(TxMode::Observe);
+        let outcome = self.transmit(TxMode::Observe);
         self.advance_clock(1.0 / self.cfg.channel_rate_hz);
-        obs
+        outcome
     }
 
     /// Records a trace of `n` residual-channel samples at the channel
@@ -335,12 +353,14 @@ impl MimoFrontend {
     /// Appends `n` subcarrier-combined residual-channel samples to `out`
     /// without allocating beyond the output's own growth — the batch
     /// streaming path calls this once per fixed-size batch into a reused
-    /// buffer.
+    /// buffer. Each sample is combined straight from the front end's
+    /// per-subcarrier buffer, with the same bits as
+    /// `observe().combined()`.
     pub fn record_trace_into(&mut self, n: usize, out: &mut Vec<Complex64>) {
         out.reserve(n);
         for _ in 0..n {
-            let s = self.observe().combined();
-            out.push(s);
+            self.observe_in_place();
+            out.push(combine(&self.scratch_block));
         }
     }
 
@@ -366,8 +386,19 @@ impl MimoFrontend {
         }
     }
 
-    /// Full TX→RX simulation of one OFDM block.
-    fn transmit(&mut self, mode: TxMode) -> Observation {
+    /// The last [`Self::transmit`]'s channel estimate as an
+    /// [`Observation`] taken at scene time `time` (its one allocation).
+    fn observation(&self, outcome: QuantizeOutcome, time: f64) -> Observation {
+        Observation {
+            h: self.scratch_block.clone(),
+            outcome,
+            time,
+        }
+    }
+
+    /// Full TX→RX simulation of one OFDM block, leaving the normalized
+    /// per-subcarrier channel estimate `ĥ[k]` in `scratch_block`.
+    fn transmit(&mut self, mode: TxMode) -> QuantizeOutcome {
         let k = self.cfg.ofdm.n_subcarriers;
         let tx_scale = self.cfg.tx_amplitude * self.tx_boost;
 
@@ -419,14 +450,10 @@ impl MimoFrontend {
 
         // Normalize back to channel units.
         let norm = tx_scale * self.rx_gain;
-        let h = (0..k)
-            .map(|i| self.scratch_block[i] / self.preamble[i] / norm)
-            .collect();
-        Observation {
-            h,
-            outcome,
-            time: self.now,
+        for (h, x) in self.scratch_block.iter_mut().zip(&self.preamble) {
+            *h = *h / *x / norm;
         }
+        outcome
     }
 }
 
