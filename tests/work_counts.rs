@@ -1,0 +1,161 @@
+//! Deterministic work counts: exact heap-allocation counts for the
+//! serving sample loop, engine construction and one front-end
+//! observation.
+//!
+//! Wall time drifts from run to run; allocation counts of a fixed
+//! `fast_test` scenario do not, so they are pinned exactly. A counting
+//! global allocator tallies allocations per thread, so tests running in
+//! parallel cannot pollute each other's counts. Observability is
+//! switched off around every measurement (its first span on a thread
+//! allocates a ring), which keeps the counts equal under `WIVI_OBS=1`,
+//! and the SIMD tier allocates nothing, so they hold under
+//! `WIVI_NO_SIMD=1` too.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+use std::sync::{Mutex, MutexGuard, PoisonError};
+
+use wivi::core::{MusicConfig, MusicEngine, WiViConfig, WiViDevice};
+use wivi::image::{ImageConfig, ImagingEngine};
+use wivi::num::Complex64;
+use wivi::rf::{Material, Mover, Point, Scene, WaypointWalker};
+
+/// `System`, plus a per-thread count of allocation calls (`alloc`,
+/// `alloc_zeroed` and `realloc`; frees are not counted).
+struct Counting;
+
+thread_local! {
+    static ALLOCS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn note_alloc() {
+    // `try_with`: a thread being torn down may still free and allocate.
+    let _ = ALLOCS.try_with(|n| n.set(n.get() + 1));
+}
+
+// SAFETY: every method forwards its arguments unchanged to `System`,
+// which upholds the `GlobalAlloc` contract, and returns what `System`
+// returned. The only other work is bumping a const-initialized
+// thread-local `Cell`, which has no destructor to register and so never
+// allocates or re-enters the allocator.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        note_alloc();
+        // SAFETY: the caller's `layout` obligations pass straight through.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        note_alloc();
+        // SAFETY: as for `alloc`.
+        unsafe { System.alloc_zeroed(layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        note_alloc();
+        // SAFETY: `ptr` came from this allocator, which is `System`
+        // underneath, with `layout`; the caller guarantees the rest.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: `ptr` was allocated by `System` with `layout`.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+}
+
+#[global_allocator]
+static GLOBAL: Counting = Counting;
+
+/// Serializes the measurements: the observability switch is
+/// process-wide, so one test restoring it must not turn it back on in
+/// the middle of another's count.
+static OBS_OFF: Mutex<()> = Mutex::new(());
+
+/// Holds observability off until dropped, then restores the
+/// `WIVI_OBS` default.
+struct ObsOff(#[allow(dead_code)] MutexGuard<'static, ()>);
+
+impl ObsOff {
+    fn new() -> Self {
+        let guard = OBS_OFF.lock().unwrap_or_else(PoisonError::into_inner);
+        wivi::obs::set_enabled(Some(false));
+        Self(guard)
+    }
+}
+
+impl Drop for ObsOff {
+    fn drop(&mut self) {
+        wivi::obs::set_enabled(None);
+    }
+}
+
+/// Allocations `f` makes on this thread.
+fn allocations<R>(f: impl FnOnce() -> R) -> (u64, R) {
+    let before = ALLOCS.with(Cell::get);
+    let r = f();
+    (ALLOCS.with(Cell::get) - before, r)
+}
+
+/// A calibrated `fast_test` device watching one walker cross the small
+/// conference room.
+fn walker_device() -> WiViDevice {
+    let scene = Scene::new(Material::HollowWall6In)
+        .with_office_clutter(Scene::conference_room_small())
+        .with_mover(Mover::human(WaypointWalker::new(
+            vec![Point::new(-1.5, 4.0), Point::new(1.5, 2.0)],
+            1.0,
+        )));
+    let mut dev = WiViDevice::new(scene, WiViConfig::fast_test(), 7);
+    dev.calibrate();
+    dev
+}
+
+#[test]
+fn serving_sample_loop_allocates_nothing_once_warm() {
+    let mut dev = walker_device();
+    let _obs = ObsOff::new();
+    let mut batch: Vec<Complex64> = Vec::new();
+    dev.observe_batch_into(64, &mut batch); // warm-up: the buffer grows
+    for _ in 0..3 {
+        let (n, ()) = allocations(|| dev.observe_batch_into(64, &mut batch));
+        assert_eq!(n, 0, "observe_batch_into(64) allocated {n} times");
+        assert_eq!(batch.len(), 64);
+    }
+}
+
+#[test]
+fn front_end_observe_allocates_its_observation_only() {
+    let mut dev = walker_device();
+    let _obs = ObsOff::new();
+    let fe = dev.frontend_mut();
+    fe.observe(); // warm-up
+    let (n, subcarriers) = allocations(|| {
+        let mut subcarriers = 0;
+        for _ in 0..16 {
+            subcarriers += fe.observe().h.len();
+        }
+        subcarriers
+    });
+    assert_eq!(n, 16, "16 observe() calls allocated {n} times");
+    assert_eq!(subcarriers, 16 * 16);
+}
+
+#[test]
+fn a_second_engine_for_a_built_configuration_allocates_only_its_scratch() {
+    let _obs = ObsOff::new();
+    let image_cfg = ImageConfig::fast_test();
+    let music_cfg = MusicConfig::fast_test();
+    // The first engines build (or find) the tables.
+    let first = (ImagingEngine::new(image_cfg), MusicEngine::new(music_cfg));
+
+    // Imaging scratch: the image, the per-cell directions and the
+    // centred window.
+    let (n, image) = allocations(|| ImagingEngine::new(image_cfg));
+    assert_eq!(n, 1 + 1 + 1, "ImagingEngine::new allocated {n} times");
+    // MUSIC scratch: the correlation matrix (1), the eigen workspace
+    // (3 matrices, 3 vectors) and the two per-angle accumulators (2).
+    let (n, music) = allocations(|| MusicEngine::new(music_cfg));
+    assert_eq!(n, 1 + 6 + 2, "MusicEngine::new allocated {n} times");
+    drop((first, image, music));
+}
