@@ -6,7 +6,9 @@
 //! (median of repeated batches) — criterion is not available offline.
 //! Each row also contrasts the planned / workspace-reuse hot path against
 //! the allocating convenience API, so the zero-allocation refactor's
-//! payoff stays measured.
+//! payoff stays measured, and the engine rows split what the first
+//! engine per configuration pays (the cold table build) from what every
+//! later one pays (a warm `new`: scratch only).
 
 use std::hint::black_box;
 use std::time::Instant;
@@ -15,8 +17,12 @@ use wivi_bench::kernels::run_kernels_bench;
 use wivi_bench::report;
 use wivi_core::gesture::matched_filter;
 use wivi_core::isar::{beamform_spectrum, synthetic_target_trace, IsarConfig};
-use wivi_core::music::{music_spectrum, smoothed_correlation, MusicConfig, MusicEngine};
+use wivi_core::music::{
+    music_spectrum, smoothed_correlation, MusicConfig, MusicEngine, MusicTables,
+};
 use wivi_core::nulling::iterate_nulling_ideal;
+use wivi_image::engine::ImagingTables;
+use wivi_image::{ImageConfig, ImagingEngine};
 use wivi_num::eig::{hermitian_eig_in, EigWorkspace};
 use wivi_num::{fft, hermitian_eig, Complex64, FftPlan};
 
@@ -120,6 +126,27 @@ fn main() {
     let mut engine = MusicEngine::new(one_win);
     bench("music_window_w100_sub50_engine", 5, || {
         black_box(engine.process_window(&win_trace).0[90]);
+    });
+
+    // Engine construction: the cold table build that the first engine
+    // per configuration per process pays (bypassing the store), then a
+    // warm `new` that takes the tables from the store and allocates
+    // only its scratch.
+    let music = MusicConfig::wivi_default();
+    bench("music_tables_build_cold", 20, || {
+        black_box(MusicTables::build(&music));
+    });
+    let _resident = MusicEngine::new(music);
+    bench("music_engine_new_warm", 200, || {
+        black_box(MusicEngine::new(music));
+    });
+    let img = ImageConfig::wivi_default();
+    bench("imaging_tables_build_cold", 2, || {
+        black_box(ImagingTables::build(&img));
+    });
+    let _resident = ImagingEngine::new(img);
+    bench("imaging_engine_new_warm", 200, || {
+        black_box(ImagingEngine::new(img));
     });
 
     let bf = IsarConfig {

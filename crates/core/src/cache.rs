@@ -163,7 +163,7 @@ impl EngineCache {
 /// dropped. At the paper's configuration an imaging table is
 /// 8 967 168 bytes (two 448-cell × 625-sample steering tables plus the
 /// cross terms), so the imaging store retains at most
-/// 35 868 672 bytes (34.2 MiB); a MUSIC table is 146 272 bytes and a
+/// 35 868 672 bytes (34.2 MiB); a MUSIC table is 146 248 bytes and a
 /// beamforming table 291 048 bytes.
 pub const TABLE_STORE_CAPACITY: usize = 4;
 
@@ -174,19 +174,17 @@ pub const TABLE_STORE_CAPACITY: usize = 4;
 /// building it on first use. The build runs under the store's lock, so
 /// threads racing for one configuration (shard workers opening the same
 /// mode at once) build it once and all receive the same `Arc`. The
-/// store keeps at most its capacity ([`TABLE_STORE_CAPACITY`] for
-/// [`Self::new`]) of entries and evicts the least recently used one; an
-/// engine still holding an evicted table keeps it alive, and the next
-/// request for that key builds a fresh copy (same bits: tables are pure
-/// functions of their key). So a table outlives its last engine, up to
-/// the store's capacity.
+/// store keeps at most [`TABLE_STORE_CAPACITY`] entries and evicts the
+/// least recently used one; an engine still holding an evicted table
+/// keeps it alive, and the next request for that key builds a fresh
+/// copy (same bits: tables are pure functions of their key). So a table
+/// outlives its last engine, up to the store's capacity.
 ///
 /// Lookups are a linear scan over a handful of keys, and happen when an
 /// engine is built — never per window. Hits and misses count on the
 /// global obs registry as `core.table_store.<name>.{hits,misses}`.
 pub struct TableStore<K, T> {
     name: &'static str,
-    capacity: usize,
     /// Least recently used first.
     entries: Mutex<Vec<(K, Arc<T>)>>,
     hits: OnceLock<Counter>,
@@ -194,21 +192,10 @@ pub struct TableStore<K, T> {
 }
 
 impl<K: PartialEq + Clone, T> TableStore<K, T> {
-    /// An empty store of [`TABLE_STORE_CAPACITY`] entries whose metrics
-    /// are named after `name`.
+    /// An empty store whose metrics are named after `name`.
     pub const fn new(name: &'static str) -> Self {
-        Self::with_capacity(name, TABLE_STORE_CAPACITY)
-    }
-
-    /// An empty store of `capacity` entries.
-    ///
-    /// # Panics
-    /// Panics if `capacity` is zero.
-    pub const fn with_capacity(name: &'static str, capacity: usize) -> Self {
-        assert!(capacity >= 1, "a table store needs room for one table");
         Self {
             name,
-            capacity,
             entries: Mutex::new(Vec::new()),
             hits: OnceLock::new(),
             misses: OnceLock::new(),
@@ -234,7 +221,7 @@ impl<K: PartialEq + Clone, T> TableStore<K, T> {
         }
         count(&self.misses, || self.metric("misses"));
         let table = Arc::new(build(key));
-        if entries.len() >= self.capacity {
+        if entries.len() == TABLE_STORE_CAPACITY {
             entries.remove(0);
         }
         entries.push((key.clone(), Arc::clone(&table)));
@@ -242,16 +229,12 @@ impl<K: PartialEq + Clone, T> TableStore<K, T> {
     }
 
     /// Tables currently held.
-    pub fn len(&self) -> usize {
+    #[cfg(test)]
+    fn len(&self) -> usize {
         self.entries
             .lock()
             .unwrap_or_else(PoisonError::into_inner)
             .len()
-    }
-
-    /// `true` if the store holds no table.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
     }
 
     fn metric(&self, which: &str) -> String {
@@ -312,14 +295,13 @@ mod tests {
 
     /// A local store per test (never the engines' statics), so tests
     /// running in parallel cannot evict each other's entries.
-    fn local_store(capacity: usize) -> TableStore<u32, Vec<u32>> {
-        TableStore::with_capacity("test", capacity)
+    fn local_store() -> TableStore<usize, Vec<usize>> {
+        TableStore::new("test")
     }
 
     #[test]
     fn equal_keys_share_one_table_and_distinct_keys_do_not() {
-        let store = local_store(TABLE_STORE_CAPACITY);
-        assert!(store.is_empty());
+        let store = local_store();
         let a = store.get_or_build(&1, |k| vec![*k; 3]);
         let b = store.get_or_build(&1, |_| unreachable!("second request must hit"));
         let c = store.get_or_build(&2, |k| vec![*k; 3]);
@@ -331,37 +313,37 @@ mod tests {
 
     #[test]
     fn least_recently_used_entry_is_evicted_and_held_tables_stay_valid() {
-        let store = local_store(2);
+        let store = local_store();
         let builds = std::cell::Cell::new(0);
-        let get = |k: u32| {
+        let get = |k: usize| {
             store.get_or_build(&k, |k| {
                 builds.set(builds.get() + 1);
                 vec![*k; 4]
             })
         };
-        let one = get(1);
-        let two = get(2);
-        get(1); // 2 is now the least recently used
-        get(3); // capacity + 1 keys: evicts 2
-        assert_eq!((store.len(), builds.get()), (2, 3));
-        assert!(Arc::ptr_eq(&one, &get(1)), "1 was used recently");
-        assert_eq!(builds.get(), 3);
+        let held: Vec<Arc<Vec<usize>>> = (0..TABLE_STORE_CAPACITY).map(&get).collect();
+        get(0); // 1 is now the least recently used
+        get(TABLE_STORE_CAPACITY); // capacity + 1 keys: evicts 1
+        assert_eq!(store.len(), TABLE_STORE_CAPACITY);
+        assert_eq!(builds.get(), TABLE_STORE_CAPACITY + 1);
+        assert!(Arc::ptr_eq(&held[0], &get(0)), "0 was used recently");
+        assert_eq!(builds.get(), TABLE_STORE_CAPACITY + 1);
         // The caller's Arc keeps the evicted table alive and intact…
-        assert_eq!(*two, vec![2; 4]);
+        assert_eq!(*held[1], vec![1; 4]);
         // …and the store rebuilds the key afresh.
-        let two_again = get(2);
-        assert_eq!(builds.get(), 4);
-        assert!(!Arc::ptr_eq(&two, &two_again));
-        assert_eq!(*two_again, *two);
+        let one_again = get(1);
+        assert_eq!(builds.get(), TABLE_STORE_CAPACITY + 2);
+        assert!(!Arc::ptr_eq(&held[1], &one_again));
+        assert_eq!(*one_again, *held[1]);
     }
 
     #[test]
     fn racing_threads_build_one_configuration_once() {
         const THREADS: usize = 8;
-        let store = local_store(TABLE_STORE_CAPACITY);
+        let store = local_store();
         let builds = std::sync::atomic::AtomicUsize::new(0);
         let barrier = std::sync::Barrier::new(THREADS);
-        let tables: Vec<Arc<Vec<u32>>> = std::thread::scope(|scope| {
+        let tables: Vec<Arc<Vec<usize>>> = std::thread::scope(|scope| {
             let handles: Vec<_> = (0..THREADS)
                 .map(|_| {
                     scope.spawn(|| {
@@ -384,7 +366,7 @@ mod tests {
 
     #[test]
     fn a_panicking_build_leaves_the_store_usable() {
-        let store = local_store(TABLE_STORE_CAPACITY);
+        let store = local_store();
         let kept = store.get_or_build(&1, |k| vec![*k]);
         let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             store.get_or_build(&2, |_| panic!("build failed"))

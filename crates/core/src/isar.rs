@@ -126,9 +126,8 @@ impl IsarConfig {
 
 /// The configuration-only state of a [`BeamformEngine`]: the angle grid
 /// and its window-length steering vectors, built once per configuration
-/// per process and shared through a process-wide
-/// [`TableStore`](crate::cache::TableStore).
-pub struct BeamformTables {
+/// per process and shared through a process-wide [`TableStore`].
+struct BeamformTables {
     thetas: Vec<f64>,
     /// Per-angle steering vectors of window length, angle-major
     /// (`n_angles × window`).
@@ -136,9 +135,8 @@ pub struct BeamformTables {
 }
 
 impl BeamformTables {
-    /// Builds the tables for `cfg`, bypassing the store. Expects a
-    /// validated configuration.
-    pub fn build(cfg: &IsarConfig) -> Self {
+    /// Builds the tables for `cfg`. Expects a validated configuration.
+    fn build(cfg: &IsarConfig) -> Self {
         let thetas = cfg.thetas_deg();
         let steering = thetas
             .iter()
@@ -151,9 +149,9 @@ impl BeamformTables {
 /// The process-wide store of [`BeamformTables`].
 static BEAMFORM_TABLES: TableStore<IsarConfig, BeamformTables> = TableStore::new("beamform");
 
-/// The reusable per-window Bartlett beamformer (Eq. 5.1): shared
-/// steering vectors ([`BeamformTables`]) applied to one emulated-array
-/// window at a time. Shared by the offline [`beamform_spectrum`], the
+/// The reusable per-window Bartlett beamformer (Eq. 5.1): steering
+/// vectors shared process-wide, applied to one emulated-array window at
+/// a time. Shared by the offline [`beamform_spectrum`], the
 /// incremental [`StreamingBeamform`] stage, and served gesture sessions.
 pub struct BeamformEngine {
     cfg: IsarConfig,

@@ -54,8 +54,8 @@ pub mod stage;
 
 pub use cache::{EngineCache, ShardEngine, TableStore, TABLE_STORE_CAPACITY};
 pub use device::{WiViConfig, WiViDevice};
-pub use isar::{BeamformEngine, BeamformTables, IsarConfig};
-pub use music::{MusicConfig, MusicEngine, MusicTables};
+pub use isar::{BeamformEngine, IsarConfig};
+pub use music::{MusicConfig, MusicEngine};
 pub use nulling::{NullingConfig, NullingReport};
 pub use session::{CountSession, GestureSession, Session, TrackSession};
 pub use spectrogram::AngleSpectrogram;

@@ -137,8 +137,7 @@ pub fn smoothed_correlation_into(window: &[Complex64], subarray: usize, r: &mut 
 
 /// The configuration-only half of a [`MusicEngine`]: the angle grid and
 /// the steering table, built once per configuration per process and
-/// shared by every engine through a process-wide
-/// [`TableStore`](crate::cache::TableStore).
+/// shared by every engine through a process-wide [`TableStore`].
 pub struct MusicTables {
     thetas: Vec<f64>,
     /// The steering table in antenna-major order: row `i` holds element

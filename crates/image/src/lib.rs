@@ -11,10 +11,11 @@
 //! * [`ImageConfig`] / [`GridSpec`] — the room grid and the aperture
 //!   geometry (window, hop, assumed speed, device antenna positions).
 //! * [`ImagingEngine`] — the resident backprojector: per-cell two-path
-//!   round-trip steering tables ([`ImagingTables`], built once per
-//!   configuration per process and shared), a reused image buffer, CA-CFAR detection ([`wivi_num::cfar`]) with sub-cell
-//!   parabolic refinement and mirror-ghost suppression, emitting
-//!   per-window [`ImageFix`]es.
+//!   round-trip steering tables ([`engine::ImagingTables`], built once
+//!   per configuration per process and shared), a reused image buffer,
+//!   CA-CFAR detection ([`wivi_num::cfar`]) with sub-cell parabolic
+//!   refinement and mirror-ghost suppression, emitting per-window
+//!   [`ImageFix`]es.
 //! * [`ImageSession`] — the mode's one per-session implementation
 //!   (windowing over a borrowed engine, fixes, position tracking), run
 //!   by the device entry points and the serving engine alike;
@@ -36,7 +37,7 @@ pub mod track2d;
 
 pub use config::{GridSpec, ImageConfig};
 pub use device_ext::{nulling_tx_weight, ImageThroughWall};
-pub use engine::{ImageFix, ImagingEngine, ImagingTables};
+pub use engine::{ImageFix, ImagingEngine};
 pub use stage::{ImageSession, ImagingReport, StreamingImage};
 pub use track2d::{
     MirrorVote, PositionTrack, PositionTracker, PositionTrackerConfig, PositionTrackingSummary,
