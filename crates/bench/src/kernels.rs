@@ -4,10 +4,10 @@
 //! Each kernel is timed at every dispatch level the running CPU supports
 //! (scalar reference, AVX2), on the buffer sizes the pipeline actually
 //! uses: length-50 Jacobi rows, the 50×50 correlation matrix, the
-//! 181-angle MUSIC grid, the 625-sample imaging aperture, the 64-point
-//! OFDM FFT. The levels are forced through
-//! [`wivi_num::simd::set_forced`], so one process measures all paths.
-//! `cargo bench -p wivi-bench` prints the resulting per-level table.
+//! 181-angle MUSIC grid, the 625-sample imaging aperture. The levels are
+//! forced through [`wivi_num::simd::set_forced`], so one process measures
+//! all paths. `cargo bench -p wivi-bench` prints the resulting per-level
+//! table.
 
 use std::hint::black_box;
 use std::time::Instant;
@@ -15,14 +15,12 @@ use std::time::Instant;
 use wivi_core::isar::IsarConfig;
 use wivi_num::eig::{hermitian_eig_in, EigWorkspace};
 use wivi_num::rng::Rng64;
-use wivi_num::{simd, CMatrix, Complex64, FftPlan};
+use wivi_num::{simd, CMatrix, Complex64};
 
 /// Side of the Jacobi working matrix (the MUSIC subarray dimension).
 pub const EIG_N: usize = 50;
 /// Imaging aperture length (focus correlation window).
 pub const APERTURE: usize = 625;
-/// OFDM FFT size.
-pub const FFT_N: usize = 64;
 
 /// ns/op of one kernel at every level measured, in measurement order
 /// (scalar first).
@@ -122,8 +120,6 @@ pub fn run_kernels_bench(quick: bool) -> KernelsReport {
         let v = cvec(EIG_N, &mut rng);
         corr.add_outer(&v, 1.0 / (3 * EIG_N) as f64);
     }
-    let plan = FftPlan::new(FFT_N);
-    let fft_buf = cvec(FFT_N, &mut rng);
 
     let mut timings: Vec<KernelTiming> = Vec::new();
     let mut bench = |kernel: &str, reps: usize, run: &mut dyn FnMut()| {
@@ -173,16 +169,6 @@ pub fn run_kernels_bench(quick: bool) -> KernelsReport {
         let (mut row, v) = (row_a.clone(), row_b.clone());
         move || {
             simd::accumulate_outer_row(black_box(&mut row), black_box(&v), a, 0.25);
-        }
-    });
-
-    // Planned 64-point FFT round trip (forward + normalized inverse keeps
-    // the buffer bounded across reps).
-    bench(&format!("fft_roundtrip_{FFT_N}"), 100_000, &mut {
-        let mut buf = fft_buf.clone();
-        move || {
-            plan.forward(black_box(&mut buf));
-            plan.inverse(black_box(&mut buf));
         }
     });
 

@@ -133,11 +133,14 @@ impl FftPlan {
         while len <= n {
             let stage = &twiddles[offset..offset + len / 2];
             for start in (0..n).step_by(len) {
-                // Each block's butterflies pair its low and high halves;
-                // the dispatched kernel is bitwise-pinned to the scalar
-                // `u ± v·w` sequence this loop always computed.
+                // Each block's butterflies pair its low and high halves.
                 let (lo, hi) = data[start..start + len].split_at_mut(len / 2);
-                crate::simd::butterflies(lo, hi, stage);
+                for ((l, h), &w) in lo.iter_mut().zip(hi.iter_mut()).zip(stage) {
+                    let u = *l;
+                    let v = *h * w;
+                    *l = u + v;
+                    *h = u - v;
+                }
             }
             offset += len / 2;
             len <<= 1;

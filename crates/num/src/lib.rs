@@ -26,7 +26,7 @@
 //! * [`stats`] — means, variances, percentiles, empirical CDFs and the
 //!   dB conversions used throughout the evaluation harness.
 //! * [`simd`] — runtime-dispatched AVX2 kernels for the complex inner
-//!   loops (Givens rotations, butterflies, axpy, backprojection focus),
+//!   loops (Givens rotations, axpy, backprojection focus),
 //!   bitwise-pinned to their scalar references (DESIGN.md §12).
 //! * [`par`] — the order-preserving, thread-count-invariant parallel
 //!   map the bench runner, imaging sweep, and serving shards share.

@@ -221,7 +221,7 @@ pub fn count_fft_plan() {
 
 /// Records one planned transform execution of `butterflies` butterfly
 /// pairs (the plan-hit counter: `fft_runs / fft_plans` is the reuse
-/// degree).
+/// degree). Butterflies always run scalar, so they book at that level.
 #[inline]
 pub fn count_fft_run(butterflies: u64) {
     if !enabled() {
@@ -229,7 +229,7 @@ pub fn count_fft_run(butterflies: u64) {
     }
     bump(IDX_FFT_RUNS, 1);
     bump(
-        Kernel::Butterflies as usize * N_LEVELS + crate::simd::level() as usize,
+        Kernel::Butterflies as usize * N_LEVELS + crate::simd::SimdLevel::Scalar as usize,
         butterflies,
     );
 }

@@ -2,8 +2,9 @@
 //!
 //! The whole pipeline funnels into a handful of inner loops — the Jacobi
 //! eigensolver's Givens rotations, the correlation outer-product
-//! accumulation, the FFT butterflies, the MUSIC steering projection, and
-//! the imaging focus sweep. This module vectorizes exactly those, with a
+//! accumulation, the MUSIC steering projection, and the imaging focus
+//! sweep. This module vectorizes exactly those (the FFT butterflies stay
+//! scalar in [`crate::fft`]: an AVX2 body measured no faster), with a
 //! dispatch contract the golden-trace suite depends on:
 //!
 //! **Bitwise pinning.** Every kernel in this module produces output
@@ -372,40 +373,6 @@ pub fn accumulate_outer_row_scalar(row: &mut [Complex64], v: &[Complex64], x: Co
 }
 
 // ---------------------------------------------------------------------------
-// FFT butterflies
-// ---------------------------------------------------------------------------
-
-/// One radix-2 butterfly stage over a block split into its low and high
-/// halves: `lo[k], hi[k] ← lo[k] + hi[k]·w[k], lo[k] − hi[k]·w[k]`.
-/// Bitwise pinned to [`butterflies_scalar`].
-///
-/// # Panics
-/// Panics if the three slices differ in length.
-pub fn butterflies(lo: &mut [Complex64], hi: &mut [Complex64], w: &[Complex64]) {
-    assert!(
-        lo.len() == hi.len() && lo.len() == w.len(),
-        "butterfly length mismatch"
-    );
-    #[cfg(target_arch = "x86_64")]
-    if level() == SimdLevel::Avx2 {
-        // SAFETY: level() reports AVX2 only after runtime CPU detection
-        // confirmed it.
-        return unsafe { avx2::butterflies(lo, hi, w) };
-    }
-    butterflies_scalar(lo, hi, w);
-}
-
-/// Scalar reference for [`butterflies`].
-pub fn butterflies_scalar(lo: &mut [Complex64], hi: &mut [Complex64], w: &[Complex64]) {
-    for ((l, h), &wk) in lo.iter_mut().zip(hi.iter_mut()).zip(w) {
-        let u = *l;
-        let v = *h * wk;
-        *l = u + v;
-        *h = u - v;
-    }
-}
-
-// ---------------------------------------------------------------------------
 // Imaging focus accumulation
 // ---------------------------------------------------------------------------
 
@@ -707,33 +674,6 @@ mod avx2 {
     // the argument slices: the vector body covers whole pairs of
     // complexes and the odd tail is handled separately.
     #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn butterflies(lo: &mut [Complex64], hi: &mut [Complex64], w: &[Complex64]) {
-        let n = lo.len();
-        let lp = lo.as_mut_ptr() as *mut f64;
-        let hp = hi.as_mut_ptr() as *mut f64;
-        let wp = w.as_ptr() as *const f64;
-        let pairs = n / 2;
-        for k in 0..pairs {
-            let u = _mm256_loadu_pd(lp.add(4 * k));
-            let hv = _mm256_loadu_pd(hp.add(4 * k));
-            let wv = _mm256_loadu_pd(wp.add(4 * k));
-            let v = cmul(hv, wv);
-            _mm256_storeu_pd(lp.add(4 * k), _mm256_add_pd(u, v));
-            _mm256_storeu_pd(hp.add(4 * k), _mm256_sub_pd(u, v));
-        }
-        if n % 2 == 1 {
-            let u = lo[n - 1];
-            let v = hi[n - 1] * w[n - 1];
-            lo[n - 1] = u + v;
-            hi[n - 1] = u - v;
-        }
-    }
-
-    // SAFETY: callable only with AVX2 present — the level() dispatch
-    // proves that at runtime. Every pointer offset below stays inside
-    // the argument slices: the vector body covers whole pairs of
-    // complexes and the odd tail is handled separately.
-    #[target_feature(enable = "avx2")]
     pub(super) unsafe fn focus_accumulate(
         h: &[Complex64],
         t1: &[Complex64],
@@ -857,13 +797,6 @@ mod tests {
                 assert_bits(&rows, &rowv, "outer row");
 
                 let (w, _) = vecs(n, 2000 + n as u64);
-                let (mut los, mut his) = (x.clone(), y.clone());
-                butterflies_scalar(&mut los, &mut his, &w);
-                let (mut lov, mut hiv) = (x.clone(), y.clone());
-                butterflies(&mut lov, &mut hiv, &w);
-                assert_bits(&los, &lov, "butterfly lo");
-                assert_bits(&his, &hiv, "butterfly hi");
-
                 let fs = focus_accumulate_scalar(&x, &y, &w);
                 let fv = focus_accumulate(&x, &y, &w);
                 assert_bits(&fs, &fv, "focus");

@@ -7,9 +7,8 @@
 //! sweep. Every dispatched kernel is exercised at every SIMD level the
 //! host supports, across odd lengths, unaligned sub-slices, and
 //! denormal-adjacent magnitudes, and must match its scalar reference
-//! **bitwise**: rotations, caxpy, outer-product rows, butterflies,
-//! focus sums, the fused rotate-and-mirror, and the whole eigensolver
-//! end to end.
+//! **bitwise**: rotations, caxpy, outer-product rows, focus sums, the
+//! fused rotate-and-mirror, and the whole eigensolver end to end.
 //!
 //! Forcing a SIMD level mutates process-global state, so every test
 //! serializes on one mutex and restores auto-detection on drop.
@@ -150,25 +149,17 @@ fn caxpy_and_outer_row_are_bitwise_scalar_at_every_level() {
 }
 
 #[test]
-fn butterflies_and_focus_are_bitwise_scalar_at_every_level() {
+fn focus_is_bitwise_scalar_at_every_level() {
     let _l = force_lock();
     sweep(|level, len, scale, offset, rng| {
-        let lo0 = signal(rng, len + offset, scale);
-        let hi0 = signal(rng, len + offset, scale);
-        let w = signal(rng, len + offset, 1.0);
+        let h = signal(rng, len + offset, scale);
+        let t1 = signal(rng, len + offset, 1.0);
         let t2 = signal(rng, len + offset, 1.0);
-
-        let (mut lo_s, mut hi_s) = (lo0.clone(), hi0.clone());
-        simd::butterflies_scalar(&mut lo_s[offset..], &mut hi_s[offset..], &w[offset..]);
-        let focus_s = simd::focus_accumulate_scalar(&lo0[offset..], &w[offset..], &t2[offset..]);
+        let focus_s = simd::focus_accumulate_scalar(&h[offset..], &t1[offset..], &t2[offset..]);
 
         let _g = force(level);
-        let (mut lo_v, mut hi_v) = (lo0.clone(), hi0.clone());
-        simd::butterflies(&mut lo_v[offset..], &mut hi_v[offset..], &w[offset..]);
-        let focus_v = simd::focus_accumulate(&lo0[offset..], &w[offset..], &t2[offset..]);
+        let focus_v = simd::focus_accumulate(&h[offset..], &t1[offset..], &t2[offset..]);
         let what = format!("{} n={len} scale={scale:e} off={offset}", level.name());
-        assert_bits_eq(&lo_v, &lo_s, &format!("butterflies lo {what}"));
-        assert_bits_eq(&hi_v, &hi_s, &format!("butterflies hi {what}"));
         assert_bits_eq(&focus_v, &focus_s, &format!("focus_accumulate {what}"));
     });
 }
