@@ -16,7 +16,7 @@
 use std::time::Instant;
 
 use wivi_core::{WiViConfig, WiViDevice};
-use wivi_image::{nulling_tx_weight, ImageConfig, ImagingReport, StreamingImage};
+use wivi_image::{nulling_tx_weight, ImageConfig, ImageSession, ImagingReport};
 use wivi_num::stats;
 use wivi_rf::{Material, Mover, Point, Scene, WaypointWalker};
 
@@ -294,8 +294,8 @@ impl ImagingTrialResult {
 
 /// Runs one imaging trial: calibrate, record, focus window-by-window
 /// (timing each), score against ground truth. The window-by-window
-/// drive pushes hop-sized chunks through the same [`StreamingImage`]
-/// stage the device entry points use, so fixes are bitwise identical to
+/// drive pushes hop-sized chunks through the same [`ImageSession`] the
+/// device entry points use, so fixes are bitwise identical to
 /// `WiViDevice::image_with` (batch-shape invariance).
 pub fn run_imaging_trial(
     spec: &ImagingTrialSpec,
@@ -308,7 +308,7 @@ pub fn run_imaging_trial(
     dev.calibrate();
     let trace = dev.record_trace(spec.duration_s);
 
-    let mut stage = StreamingImage::new(*img, nulling_tx_weight(&dev));
+    let mut stage = ImageSession::new(*img, nulling_tx_weight(&dev));
     let mut window_latencies_s = Vec::new();
     let mut image_s = 0.0f64;
     for chunk in trace.chunks(img.hop.max(1)) {

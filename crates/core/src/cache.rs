@@ -1,162 +1,25 @@
-//! Where engines and their immutable tables live: the keyed engine
-//! registry every engine owner borrows per-window scratch from, and the
-//! process-wide table store the engines take their steering tables from.
+//! Where engines take their immutable tables from: the process-wide
+//! table store.
 //!
 //! An engine is two things with different lifetimes. Its *tables* —
 //! angle grids, steering vectors, per-cell cross terms — are pure
 //! functions of the configuration and never change after they are
 //! built. Its *scratch* — the correlation matrix, the eigendecomposition
 //! workspace, projection accumulators, the focused image, the centred
-//! window — is overwritten by every window. Scratch is per engine;
-//! tables come from a [`TableStore`], one `static` per table type, so a
-//! process builds each configuration's tables once no matter how many
-//! engines it opens: every standalone stage, every
+//! window — is overwritten by every window. Scratch belongs to the one
+//! stage or session that owns the engine; tables come from a
+//! [`TableStore`], one `static` per table type, so a process builds each
+//! configuration's tables once no matter how many engines it opens:
+//! every standalone stage, every
 //! [`WiViDevice::run_session`](crate::WiViDevice::run_session) call, and
-//! every worker of every serving shard shares one `Arc` of them.
+//! every session on every serving shard shares one `Arc` of them.
 //!
-//! A serving shard worker multiplexes many sessions, and all sessions
-//! with the same configuration borrow one resident engine from the
-//! worker's [`EngineCache`] — one correlation matrix, one
-//! eigendecomposition workspace (the zero-allocation design extended
-//! from per-device to per-worker). The registry is keyed by
-//! *engine type* and *configuration value*, so any crate can teach
-//! shards to host its engine by implementing [`ShardEngine`] and calling
-//! [`EngineCache::engine::<E>(&cfg)`](EngineCache::engine).
-//!
-//! Engines must hold no cross-window state (the serving determinism
-//! contract): an engine borrowed per batch by interleaved sessions must
-//! produce, for each session, exactly what a privately owned engine
-//! would. Every engine registered here honours that, and a shared table
-//! is read-only, so sharing it is bitwise-invisible too.
+//! A shared table is read-only and an engine carries no state from one
+//! window to the next, so sharing tables is bitwise-invisible.
 
-use std::any::{Any, TypeId};
 use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 
 use wivi_obs::Counter;
-
-use crate::isar::{BeamformEngine, IsarConfig};
-use crate::music::{MusicConfig, MusicEngine};
-
-/// A heavy per-window engine that serving shards may host and share
-/// across same-configuration sessions.
-///
-/// Implementors promise the engine is a pure function of
-/// (configuration, window contents, per-call runtime parameters): no
-/// state survives from one window to the next, so borrowing one engine
-/// from many interleaved sessions is bitwise-invisible.
-pub trait ShardEngine: Send + 'static {
-    /// The configuration that fully determines the engine. Engines are
-    /// cached per distinct configuration *value*.
-    type Config: PartialEq + Clone + Send + 'static;
-
-    /// Builds the engine for `cfg`: its own scratch, plus an `Arc` of
-    /// its tables from the engine type's [`TableStore`].
-    fn build(cfg: &Self::Config) -> Self;
-}
-
-impl ShardEngine for MusicEngine {
-    type Config = MusicConfig;
-
-    fn build(cfg: &MusicConfig) -> Self {
-        MusicEngine::new(*cfg)
-    }
-}
-
-impl ShardEngine for BeamformEngine {
-    type Config = IsarConfig;
-
-    fn build(cfg: &IsarConfig) -> Self {
-        BeamformEngine::new(*cfg)
-    }
-}
-
-/// One cache slot: every engine of a single concrete type, keyed by
-/// configuration. Object-safe so the cache can hold slots for engine
-/// types it has never heard of.
-trait EngineSlot: Send {
-    fn as_any_mut(&mut self) -> &mut dyn Any;
-    /// Engines resident in this slot.
-    fn count(&self) -> usize;
-}
-
-/// The typed storage behind a slot: a linear scan over configuration
-/// keys (shards see a handful of distinct configurations at most).
-struct SlotVec<E: ShardEngine>(Vec<(E::Config, E)>);
-
-impl<E: ShardEngine> EngineSlot for SlotVec<E> {
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
-    }
-
-    fn count(&self) -> usize {
-        self.0.len()
-    }
-}
-
-/// Configuration-keyed engine pool, one per serving-shard worker (a
-/// shard with `workers_per_shard > 1` holds one per worker) and one
-/// private pool per [`WiViDevice::run_session`](crate::WiViDevice::run_session)
-/// call: any number of engine types, any number of configurations per
-/// type, each engine built on first use and shared by every session that
-/// asks for the same `(type, configuration)` pair thereafter. The pool
-/// holds engines, and so their scratch; their tables live in the
-/// engine types' [`TableStore`]s, shared across pools.
-#[derive(Default)]
-pub struct EngineCache {
-    slots: Vec<(TypeId, Box<dyn EngineSlot>)>,
-}
-
-impl EngineCache {
-    /// An empty cache.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// The resident engine of type `E` for `cfg`, building it on first
-    /// use. Same-configuration callers share one engine — N
-    /// same-config sessions on a worker mean one set of scratch, not N.
-    pub fn engine<E: ShardEngine>(&mut self, cfg: &E::Config) -> &mut E {
-        let tid = TypeId::of::<E>();
-        let slot = match self.slots.iter().position(|(t, _)| *t == tid) {
-            Some(i) => i,
-            None => {
-                self.slots.push((tid, Box::new(SlotVec::<E>(Vec::new()))));
-                self.slots.len() - 1
-            }
-        };
-        let vec = &mut self.slots[slot]
-            .1
-            .as_any_mut()
-            .downcast_mut::<SlotVec<E>>()
-            .expect("slot type pinned by TypeId")
-            .0;
-        match vec.iter().position(|(c, _)| c == cfg) {
-            Some(i) => {
-                static HITS: OnceLock<Counter> = OnceLock::new();
-                count(&HITS, || "core.engine_cache.hits".into());
-                &mut vec[i].1
-            }
-            None => {
-                static MISSES: OnceLock<Counter> = OnceLock::new();
-                count(&MISSES, || "core.engine_cache.misses".into());
-                vec.push((cfg.clone(), E::build(cfg)));
-                &mut vec.last_mut().unwrap().1
-            }
-        }
-    }
-
-    /// Number of distinct engines currently resident, across all engine
-    /// types — the shard's sharing-degree telemetry (N same-config
-    /// sessions still mean one engine).
-    pub fn len(&self) -> usize {
-        self.slots.iter().map(|(_, s)| s.count()).sum()
-    }
-
-    /// `true` if no engine has been built yet.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-}
 
 /// Entries each [`TableStore`] keeps: the number of distinct
 /// configurations whose tables stay built after their last engine is
@@ -172,8 +35,8 @@ pub const TABLE_STORE_CAPACITY: usize = 4;
 ///
 /// [`Self::get_or_build`] returns the table for a key as an `Arc`,
 /// building it on first use. The build runs under the store's lock, so
-/// threads racing for one configuration (shard workers opening the same
-/// mode at once) build it once and all receive the same `Arc`. The
+/// threads racing for one configuration (shards opening the same mode
+/// at once) build it once and all receive the same `Arc`. The
 /// store keeps at most [`TABLE_STORE_CAPACITY`] entries and evicts the
 /// least recently used one; an engine still holding an evicted table
 /// keeps it alive, and the next request for that key builds a fresh
@@ -255,43 +118,6 @@ fn count(cell: &OnceLock<Counter>, name: impl FnOnce() -> String) {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    /// A toy engine: proves the registry is open to engine types this
-    /// crate has never heard of.
-    struct Counter {
-        built_for: u32,
-    }
-
-    impl ShardEngine for Counter {
-        type Config = u32;
-
-        fn build(cfg: &u32) -> Self {
-            Counter { built_for: *cfg }
-        }
-    }
-
-    #[test]
-    fn same_config_shares_one_engine() {
-        let mut cache = EngineCache::new();
-        assert!(cache.is_empty());
-        let cfg = MusicConfig::fast_test();
-        let a = cache.engine::<MusicEngine>(&cfg) as *mut MusicEngine;
-        let b = cache.engine::<MusicEngine>(&cfg) as *mut MusicEngine;
-        assert_eq!(a, b, "same configuration must yield the same engine");
-        assert_eq!(cache.len(), 1);
-    }
-
-    #[test]
-    fn distinct_configs_and_types_get_distinct_engines() {
-        let mut cache = EngineCache::new();
-        let cfg = MusicConfig::fast_test();
-        cache.engine::<MusicEngine>(&cfg);
-        cache.engine::<BeamformEngine>(&cfg.isar);
-        cache.engine::<Counter>(&7);
-        assert_eq!(cache.engine::<Counter>(&7).built_for, 7);
-        assert_eq!(cache.engine::<Counter>(&9).built_for, 9);
-        assert_eq!(cache.len(), 4);
-    }
 
     /// A local store per test (never the engines' statics), so tests
     /// running in parallel cannot evict each other's entries.

@@ -9,18 +9,16 @@
 //! Every read-out is a [`Session`] (see [`crate::session`]), and every
 //! device method runs its session through one batch loop,
 //! [`WiViDevice::run_session`]: observations arrive from the front-end
-//! in `batch_len`-sample batches and the session windows them through an
-//! engine from a private [`EngineCache`]. The `*_streaming` methods pick
-//! the batch length; the offline one-shot methods
-//! ([`WiViDevice::track`], [`WiViDevice::decode_gestures`], …) are the
-//! same loop with a single batch. A serving shard runs the same session
-//! types with its shared cache.
+//! in `batch_len`-sample batches and the session windows them through the
+//! per-window engine it owns. The `*_streaming` methods pick the batch
+//! length; the offline one-shot methods ([`WiViDevice::track`],
+//! [`WiViDevice::decode_gestures`], …) are the same loop with a single
+//! batch. A serving shard runs the same session types.
 
 use wivi_num::Complex64;
 use wivi_rf::SceneHandle;
 use wivi_sdr::{MimoFrontend, RadioConfig};
 
-use crate::cache::EngineCache;
 use crate::gesture::{GestureDecode, GestureDecoderConfig};
 use crate::music::MusicConfig;
 use crate::nulling::{run_nulling, NullingConfig, NullingReport};
@@ -171,8 +169,8 @@ impl WiViDevice {
     /// in `batch_len`-sample batches ([`ONE_BATCH`] for the offline
     /// shape) and drains it into its payload — the one batch loop behind
     /// every device read-out, including the `wivi-track` and
-    /// `wivi-image` extension traits. Engines come from a private
-    /// [`EngineCache`], so the output equals a served session's bit for
+    /// `wivi-image` extension traits. A served session runs the same
+    /// session type, so the output equals a served session's bit for
     /// bit.
     ///
     /// # Panics
@@ -188,13 +186,12 @@ impl WiViDevice {
             self.report.is_some(),
             "call calibrate() before recording traces"
         );
-        let mut engines = EngineCache::new();
         let mut samples = Vec::new();
         let mut remaining = self.trace_len(duration_s);
         while remaining > 0 {
             let n = remaining.min(batch_len);
             self.observe_batch_into(n, &mut samples);
-            session.step(&mut engines, &samples);
+            session.step(&samples);
             remaining -= n;
         }
         session.finish()

@@ -172,11 +172,6 @@ impl BeamformEngine {
         }
     }
 
-    /// The engine's configuration.
-    pub fn cfg(&self) -> &IsarConfig {
-        &self.cfg
-    }
-
     /// The angle grid shared by every emitted row.
     pub fn thetas_deg(&self) -> &[f64] {
         &self.tables.thetas

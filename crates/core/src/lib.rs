@@ -21,17 +21,15 @@
 //! * [`gesture`] — the through-wall gesture channel (Ch. 6): matched
 //!   filters, peak detection with the 3 dB SNR rule, and bit decoding
 //!   with erasures.
-//! * [`stage`] — the composable streaming pipeline: per-session
-//!   windowing over a borrowed per-window engine ([`SharedStreaming`]),
-//!   emitting `A′[θ, n]` columns as analysis windows complete, and the
-//!   owned [`Stage`]s built from it.
+//! * [`stage`] — the composable streaming pipeline: the [`Stage`]
+//!   trait and [`Streaming`], which windows samples through the
+//!   per-window engine it owns and emits `A′[θ, n]` columns as analysis
+//!   windows complete.
 //! * [`session`] — one [`Session`] type per read-out
 //!   ([`TrackSession`], [`CountSession`], [`GestureSession`]): the code
 //!   every entry point — offline, streaming, served — runs.
-//! * [`cache`] — the keyed engine registry serving shards share their
-//!   per-window engines through: any crate registers its engine type via
-//!   [`ShardEngine`], and same-configuration sessions share one resident
-//!   engine.
+//! * [`cache`] — the process-wide [`TableStore`] every engine takes its
+//!   immutable steering tables from, built once per configuration.
 //! * [`device`] — [`WiViDevice`], the end-to-end device tying all stages
 //!   together in the paper's two operating modes; one batch loop
 //!   ([`WiViDevice::run_session`]) drives every read-out, one-shot or
@@ -52,13 +50,11 @@ pub mod session;
 pub mod spectrogram;
 pub mod stage;
 
-pub use cache::{EngineCache, ShardEngine, TableStore, TABLE_STORE_CAPACITY};
+pub use cache::{TableStore, TABLE_STORE_CAPACITY};
 pub use device::{WiViConfig, WiViDevice};
 pub use isar::{BeamformEngine, IsarConfig};
 pub use music::{MusicConfig, MusicEngine};
 pub use nulling::{NullingConfig, NullingReport};
 pub use session::{CountSession, GestureSession, Session, TrackSession};
 pub use spectrogram::AngleSpectrogram;
-pub use stage::{
-    ColumnEngine, SharedStreaming, Stage, StreamingBeamform, StreamingMusic, WindowBuffer,
-};
+pub use stage::{ColumnEngine, Stage, Streaming, StreamingBeamform, StreamingMusic, WindowBuffer};

@@ -175,11 +175,10 @@ static MUSIC_TABLES: TableStore<MusicConfig, MusicTables> = TableStore::new("mus
 /// The reusable per-window smoothed-MUSIC processor: shared
 /// configuration tables ([`MusicTables`]) plus correlation /
 /// eigendecomposition scratch of its own. Every MUSIC read-out —
-/// [`music_spectrum`], the [`StreamingMusic`] stage, and the
-/// per-session [`SharedStreaming`](crate::stage::SharedStreaming) state
-/// an engine cache lends it to — runs its windows through this engine;
-/// window-rate processing performs no heap allocation beyond the
-/// emitted row and eigenvalue list.
+/// [`music_spectrum`] and the [`StreamingMusic`] stage every MUSIC
+/// session owns — runs its windows through this engine; window-rate
+/// processing performs no heap allocation beyond the emitted row and
+/// eigenvalue list.
 pub struct MusicEngine {
     cfg: MusicConfig,
     tables: Arc<MusicTables>,

@@ -2,14 +2,15 @@
 //! point.
 //!
 //! Wi-Vi is one radio pipeline with several read-outs. Each read-out is
-//! a [`Session`]: it windows nulled residual samples through an engine
-//! *borrowed* from an [`EngineCache`] and folds each completed column
-//! into its sink, then [`finish`](Session::finish)es into the mode's
-//! payload. The device's offline and streaming methods run a session
-//! through [`WiViDevice::run_session`](crate::WiViDevice::run_session)
-//! with a private cache (offline is the same loop with a single batch);
-//! a serving shard runs the same session type with its shared cache.
-//! There is no second copy of a mode's column folding to keep in step.
+//! a [`Session`]: it windows nulled residual samples through a
+//! [`Streaming`] stage that owns its per-window engine and folds each
+//! completed column into its sink, then [`finish`](Session::finish)es
+//! into the mode's payload. The device's offline and streaming methods
+//! run a session through
+//! [`WiViDevice::run_session`](crate::WiViDevice::run_session) (offline
+//! is the same loop with a single batch); a serving shard runs the same
+//! session type. There is no second copy of a mode's column folding to
+//! keep in step.
 //!
 //! | session | payload | sink |
 //! |---------|---------|------|
@@ -24,26 +25,24 @@
 
 use wivi_num::Complex64;
 
-use crate::cache::EngineCache;
 use crate::counting::StreamingVariance;
 use crate::device::WiViConfig;
 use crate::gesture::{decode, GestureDecode, GestureDecoderConfig, MIN_DECODE_WINDOWS};
 use crate::isar::BeamformEngine;
 use crate::music::MusicEngine;
 use crate::spectrogram::AngleSpectrogram;
-use crate::stage::SharedStreaming;
+use crate::stage::{Stage, Streaming};
 
 /// One sensing session: advance it batch by batch, then drain it into
 /// its payload. Output must be a pure function of the configuration the
 /// session was built from and the sample sequence — never of the batch
-/// split or of which sessions share the cache.
+/// split or of which other sessions run beside it.
 pub trait Session {
     /// The mode's payload.
     type Output;
 
-    /// Consumes one batch of nulled residual-channel samples, borrowing
-    /// the per-window engine from `engines`.
-    fn step(&mut self, engines: &mut EngineCache, samples: &[Complex64]);
+    /// Consumes one batch of nulled residual-channel samples.
+    fn step(&mut self, samples: &[Complex64]);
 
     /// Analysis windows completed so far.
     fn columns(&self) -> usize;
@@ -55,14 +54,14 @@ pub trait Session {
 /// Mode 1, imaging: retains every smoothed-MUSIC column and finishes
 /// into the full `A′[θ, n]` (`None` if no window completed).
 pub struct TrackSession {
-    stage: SharedStreaming<MusicEngine>,
+    stage: Streaming<MusicEngine>,
 }
 
 impl TrackSession {
     /// Opens a session for the device's effective configuration.
     pub fn new(cfg: &WiViConfig) -> Self {
         Self {
-            stage: SharedStreaming::new(&cfg.music),
+            stage: Streaming::new(cfg.music),
         }
     }
 }
@@ -70,8 +69,8 @@ impl TrackSession {
 impl Session for TrackSession {
     type Output = Option<AngleSpectrogram>;
 
-    fn step(&mut self, engines: &mut EngineCache, samples: &[Complex64]) {
-        self.stage.step(engines, samples, |_, _| {});
+    fn step(&mut self, samples: &[Complex64]) {
+        self.stage.push(samples);
     }
 
     fn columns(&self) -> usize {
@@ -88,7 +87,7 @@ impl Session for TrackSession {
 /// analysis window. Finishes into the mean (`None` if no window
 /// completed).
 pub struct CountSession {
-    stage: SharedStreaming<MusicEngine>,
+    stage: Streaming<MusicEngine>,
     sink: StreamingVariance,
 }
 
@@ -96,7 +95,7 @@ impl CountSession {
     /// Opens a session for the device's effective configuration.
     pub fn new(cfg: &WiViConfig) -> Self {
         Self {
-            stage: SharedStreaming::sink_only(&cfg.music),
+            stage: Streaming::sink_only(cfg.music),
             sink: StreamingVariance::new(),
         }
     }
@@ -105,11 +104,10 @@ impl CountSession {
 impl Session for CountSession {
     type Output = Option<f64>;
 
-    fn step(&mut self, engines: &mut EngineCache, samples: &[Complex64]) {
+    fn step(&mut self, samples: &[Complex64]) {
         let sink = &mut self.sink;
-        self.stage.step(engines, samples, |thetas, row| {
-            sink.push_column(thetas, row)
-        });
+        self.stage
+            .push_with(samples, &mut |thetas, row| sink.push_column(thetas, row));
     }
 
     fn columns(&self) -> usize {
@@ -126,7 +124,7 @@ impl Session for CountSession {
 /// needs the whole track for its noise reference). Finishes with `None`
 /// below [`MIN_DECODE_WINDOWS`] windows.
 pub struct GestureSession {
-    stage: SharedStreaming<BeamformEngine>,
+    stage: Streaming<BeamformEngine>,
     gesture: GestureDecoderConfig,
 }
 
@@ -134,7 +132,7 @@ impl GestureSession {
     /// Opens a session for the device's effective configuration.
     pub fn new(cfg: &WiViConfig) -> Self {
         Self {
-            stage: SharedStreaming::new(&cfg.music.isar),
+            stage: Streaming::new(cfg.music.isar),
             gesture: cfg.gesture,
         }
     }
@@ -143,8 +141,8 @@ impl GestureSession {
 impl Session for GestureSession {
     type Output = Option<GestureDecode>;
 
-    fn step(&mut self, engines: &mut EngineCache, samples: &[Complex64]) {
-        self.stage.step(engines, samples, |_, _| {});
+    fn step(&mut self, samples: &[Complex64]) {
+        self.stage.push(samples);
     }
 
     fn columns(&self) -> usize {

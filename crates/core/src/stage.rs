@@ -12,31 +12,28 @@
 //! ```text
 //! nulling (calibration)            wivi_core::nulling::run_nulling
 //!   → batches of residual samples  WiViDevice::observe_batch_into
-//!     → windowing + retention      SharedStreaming<E> over a borrowed engine
+//!     → windowing + retention      Streaming<E>, which owns its engine
 //!       → per-window compute       MusicEngine / BeamformEngine (ColumnEngine)
 //!         → the mode's sink        crate::session (spectrogram, counting, gestures)
 //! ```
 //!
-//! Windowing and column retention exist once, in [`SharedStreaming`]:
-//! per-session state that *borrows* its [`ColumnEngine`] at every push,
-//! so a serving shard worker shares one engine (correlation matrix, eig
-//! workspace) across every same-configuration session, and every engine
-//! shares its configuration's steering tables through a process-wide
-//! [`TableStore`](crate::cache::TableStore). The
-//! owned stages the offline helpers and benchmarks use —
-//! [`StreamingMusic`], [`StreamingBeamform`] — are that state plus one
-//! private engine, so there is no second windowing path to keep in step.
-//! Window-rate processing reuses the engine's scratch with zero heap
-//! allocation beyond the emitted rows, and the sample buffer is trimmed
-//! as windows complete. Retention is the caller's choice: a tracking run
-//! keeps the columns for the final spectrogram, while a pure sink
-//! pipeline ([`SharedStreaming::sink_only`] / [`StreamingMusic::sink_only`])
-//! keeps nothing, so its memory stays bounded by the window length — not
-//! the trial length.
+//! Windowing and column retention exist once, in [`Streaming`], the
+//! stage every entry point runs — offline helpers, benchmarks, and the
+//! sessions of [`crate::session`] that every device method and serving
+//! shard drives. Each stage owns its [`ColumnEngine`] and so its
+//! per-window scratch (correlation matrix, eig workspace); the engine's
+//! steering tables come from a process-wide
+//! [`TableStore`](crate::cache::TableStore), so a stage built for an
+//! already-seen configuration allocates only that scratch.
+//! Window-rate processing reuses the scratch with zero heap allocation
+//! beyond the emitted rows, and the sample buffer is trimmed as windows
+//! complete. Retention is the caller's choice: a tracking run keeps the
+//! columns for the final spectrogram, while a pure sink pipeline
+//! ([`Streaming::sink_only`]) keeps nothing, so its memory stays bounded
+//! by the window length — not the trial length.
 
 use wivi_num::Complex64;
 
-use crate::cache::{EngineCache, ShardEngine};
 use crate::isar::{BeamformEngine, IsarConfig};
 use crate::music::{MusicConfig, MusicEngine};
 use crate::spectrogram::AngleSpectrogram;
@@ -158,29 +155,35 @@ impl WindowBuffer {
 
 /// A per-window engine that turns one analysis window into one
 /// angle-spectrum column — the shape both trackers share. Column output
-/// must depend only on the configuration and the window contents (the
-/// [`ShardEngine`] contract), so borrowing one engine from many
-/// interleaved sessions is bitwise-invisible.
-pub trait ColumnEngine: ShardEngine {
+/// depends only on the configuration and the window contents: an engine
+/// carries no state from one window to the next.
+pub trait ColumnEngine: Sized {
+    /// The configuration that fully determines the engine.
+    type Config;
+
     /// Validates `cfg` (panicking on a degenerate one) and returns its
     /// windowing geometry.
     fn windowing(cfg: &Self::Config) -> IsarConfig;
 
-    /// The configuration this engine was built for.
-    fn config(&self) -> &Self::Config;
+    /// Builds the engine for `cfg`: its own scratch, plus an `Arc` of
+    /// its tables from the engine type's
+    /// [`TableStore`](crate::cache::TableStore).
+    fn build(cfg: &Self::Config) -> Self;
 
     /// Processes one analysis window into a spectrogram column.
     fn column(&mut self, window: &[Complex64]) -> Vec<f64>;
 }
 
 impl ColumnEngine for MusicEngine {
+    type Config = MusicConfig;
+
     fn windowing(cfg: &MusicConfig) -> IsarConfig {
         cfg.validate();
         cfg.isar
     }
 
-    fn config(&self) -> &MusicConfig {
-        self.cfg()
+    fn build(cfg: &MusicConfig) -> Self {
+        MusicEngine::new(*cfg)
     }
 
     fn column(&mut self, window: &[Complex64]) -> Vec<f64> {
@@ -189,13 +192,15 @@ impl ColumnEngine for MusicEngine {
 }
 
 impl ColumnEngine for BeamformEngine {
+    type Config = IsarConfig;
+
     fn windowing(cfg: &IsarConfig) -> IsarConfig {
         cfg.validate();
         *cfg
     }
 
-    fn config(&self) -> &IsarConfig {
-        self.cfg()
+    fn build(cfg: &IsarConfig) -> Self {
+        BeamformEngine::new(*cfg)
     }
 
     fn column(&mut self, window: &[Complex64]) -> Vec<f64> {
@@ -203,43 +208,41 @@ impl ColumnEngine for BeamformEngine {
     }
 }
 
-/// Per-session windowing state over a *borrowed* [`ColumnEngine`]: the
+/// A streaming stage over its own [`ColumnEngine`]: the engine, the
 /// sliding [`WindowBuffer`], the column counter, and (unless built
 /// [`sink_only`](Self::sink_only)) the retained columns and their window
-/// centre times. The engine is passed in at every push, so a serving
-/// shard keeps one engine per configuration for all its sessions while
-/// a standalone run owns one privately ([`Streaming`]).
-///
-/// # Panics
-/// [`Self::push_with`] panics if the borrowed engine's configuration
-/// does not match the one this state was built for.
-pub struct SharedStreaming<E: ColumnEngine> {
-    /// The full configuration this session expects of its engine — not
-    /// just the windowing: a MUSIC column also depends on subarray,
-    /// thresholds, and the noise floor, so a mismatched engine must
-    /// panic rather than silently emit different columns.
-    cfg: E::Config,
+/// centre times.
+pub struct Streaming<E: ColumnEngine> {
+    engine: E,
     isar: IsarConfig,
     /// Own copy of the angle grid (columns are handed to observers while
     /// the engine is mutably borrowed).
     thetas: Vec<f64>,
     wb: WindowBuffer,
-    /// Whether emitted columns are stored for [`Self::finish`].
+    /// Whether emitted columns are stored for [`Stage::finish`].
     retain: bool,
     emitted: usize,
     rows: Vec<Vec<f64>>,
     times: Vec<f64>,
 }
 
-impl<E: ColumnEngine> SharedStreaming<E> {
-    /// Creates column-retaining state for engines built from `cfg`.
+/// The smoothed-MUSIC tracker as a streaming stage (mode 1).
+pub type StreamingMusic = Streaming<MusicEngine>;
+
+/// The classic-beamforming (Eq. 5.1) tracker as a streaming stage — the
+/// amplitude-bearing spectrum the gesture decoder consumes (mode 2), and
+/// the §5.2 baseline.
+pub type StreamingBeamform = Streaming<BeamformEngine>;
+
+impl<E: ColumnEngine> Streaming<E> {
+    /// Creates the stage (column-retaining: [`Stage::finish`] available).
     ///
     /// # Panics
     /// Panics on an invalid configuration.
-    pub fn new(cfg: &E::Config) -> Self {
-        let isar = E::windowing(cfg);
+    pub fn new(cfg: E::Config) -> Self {
+        let isar = E::windowing(&cfg);
         Self {
-            cfg: cfg.clone(),
+            engine: E::build(&cfg),
             isar,
             thetas: isar.thetas_deg(),
             wb: WindowBuffer::new(isar.window, isar.hop),
@@ -250,43 +253,29 @@ impl<E: ColumnEngine> SharedStreaming<E> {
         }
     }
 
-    /// Creates non-retaining state for pure sink pipelines: columns are
-    /// only handed to [`Self::push_with`]'s observer, never stored, so a
+    /// Creates a non-retaining stage for pure sink pipelines: columns are
+    /// only handed to [`Stage::push_with`]'s observer, never stored, so a
     /// monitoring run of any length holds one analysis window of samples
-    /// and nothing else. [`Self::finish`] is unavailable on such a state.
+    /// and nothing else. [`Stage::finish`] is unavailable on such a stage.
     ///
     /// # Panics
     /// Panics on an invalid configuration.
-    pub fn sink_only(cfg: &E::Config) -> Self {
+    pub fn sink_only(cfg: E::Config) -> Self {
         Self {
             retain: false,
             ..Self::new(cfg)
         }
     }
+}
 
-    /// The configuration this state expects of its engine.
-    pub fn cfg(&self) -> &E::Config {
-        &self.cfg
-    }
-
-    /// Feeds a batch of nulled channel samples through `engine`,
-    /// invoking `on_column(thetas_deg, row)` for each newly completed
-    /// window before it is (optionally) retained. Returns the number of
-    /// new columns.
-    ///
-    /// # Panics
-    /// Panics if `engine` was built for a different configuration.
-    pub fn push_with(
+impl<E: ColumnEngine> Stage for Streaming<E> {
+    fn push_with(
         &mut self,
-        engine: &mut E,
         samples: &[Complex64],
-        mut on_column: impl FnMut(&[f64], &[f64]),
+        on_column: &mut dyn FnMut(&[f64], &[f64]),
     ) -> usize {
-        assert!(
-            *engine.config() == self.cfg,
-            "shared engine built for a different configuration"
-        );
         let Self {
+            engine,
             isar,
             thetas,
             wb,
@@ -307,49 +296,23 @@ impl<E: ColumnEngine> SharedStreaming<E> {
         n
     }
 
-    /// [`Self::push_with`] through the shard-style cache: borrows the
-    /// resident engine for this state's configuration.
-    pub fn step(
-        &mut self,
-        engines: &mut EngineCache,
-        samples: &[Complex64],
-        on_column: impl FnMut(&[f64], &[f64]),
-    ) -> usize {
-        let engine = engines.engine::<E>(&self.cfg);
-        self.push_with(engine, samples, on_column)
-    }
-
-    /// Columns emitted so far.
-    pub fn n_columns(&self) -> usize {
+    fn n_columns(&self) -> usize {
         self.emitted
     }
 
-    /// Total samples pushed so far.
-    pub fn n_seen(&self) -> usize {
-        self.wb.n_seen()
-    }
-
-    /// The angle grid shared by all columns.
-    pub fn thetas_deg(&self) -> &[f64] {
+    fn thetas_deg(&self) -> &[f64] {
         &self.thetas
     }
 
-    /// The retained columns so far (empty on a sink-only state).
-    pub fn rows(&self) -> &[Vec<f64>] {
+    fn rows(&self) -> &[Vec<f64>] {
         &self.rows
     }
 
-    /// Centre times of the retained columns, seconds.
-    pub fn times_s(&self) -> &[f64] {
+    fn times_s(&self) -> &[f64] {
         &self.times
     }
 
-    /// Drains the retained columns into a spectrogram (the state is
-    /// empty afterwards).
-    ///
-    /// # Panics
-    /// Panics on a sink-only state, or if no window completed.
-    pub fn finish(&mut self) -> AngleSpectrogram {
+    fn finish(&mut self) -> AngleSpectrogram {
         assert!(
             self.retain,
             "finish() requires a column-retaining stage; this one was built sink_only()"
@@ -366,78 +329,6 @@ impl<E: ColumnEngine> SharedStreaming<E> {
             std::mem::take(&mut self.times),
             std::mem::take(&mut self.rows),
         )
-    }
-}
-
-/// A [`SharedStreaming`] state that owns its engine — the standalone
-/// [`Stage`] shape.
-pub struct Streaming<E: ColumnEngine> {
-    engine: E,
-    state: SharedStreaming<E>,
-}
-
-/// The smoothed-MUSIC tracker as an owned streaming stage (mode 1).
-pub type StreamingMusic = Streaming<MusicEngine>;
-
-/// The classic-beamforming (Eq. 5.1) tracker as an owned streaming stage
-/// — the amplitude-bearing spectrum the gesture decoder consumes
-/// (mode 2), and the §5.2 baseline.
-pub type StreamingBeamform = Streaming<BeamformEngine>;
-
-impl<E: ColumnEngine> Streaming<E> {
-    /// Creates the stage (column-retaining: [`Stage::finish`] available).
-    ///
-    /// # Panics
-    /// Panics on an invalid configuration.
-    pub fn new(cfg: E::Config) -> Self {
-        Self::from_state(SharedStreaming::new(&cfg))
-    }
-
-    /// Creates a non-retaining stage for pure sink pipelines (see
-    /// [`SharedStreaming::sink_only`]). [`Stage::finish`] is unavailable
-    /// on such a stage.
-    ///
-    /// # Panics
-    /// Panics on an invalid configuration.
-    pub fn sink_only(cfg: E::Config) -> Self {
-        Self::from_state(SharedStreaming::sink_only(&cfg))
-    }
-
-    fn from_state(state: SharedStreaming<E>) -> Self {
-        Self {
-            engine: E::build(state.cfg()),
-            state,
-        }
-    }
-}
-
-impl<E: ColumnEngine> Stage for Streaming<E> {
-    fn push_with(
-        &mut self,
-        samples: &[Complex64],
-        on_column: &mut dyn FnMut(&[f64], &[f64]),
-    ) -> usize {
-        self.state.push_with(&mut self.engine, samples, on_column)
-    }
-
-    fn n_columns(&self) -> usize {
-        self.state.n_columns()
-    }
-
-    fn thetas_deg(&self) -> &[f64] {
-        self.state.thetas_deg()
-    }
-
-    fn rows(&self) -> &[Vec<f64>] {
-        self.state.rows()
-    }
-
-    fn times_s(&self) -> &[f64] {
-        self.state.times_s()
-    }
-
-    fn finish(&mut self) -> AngleSpectrogram {
-        self.state.finish()
     }
 }
 
@@ -561,58 +452,6 @@ mod tests {
         assert_eq!(sink.n_columns(), stored.len());
         assert!(sink.rows().is_empty(), "sink_only stage retained rows");
         assert!(sink.times_s().is_empty());
-    }
-
-    #[test]
-    fn shared_music_equals_owned_stage_even_interleaved() {
-        // Two "sessions" with different traces share ONE engine, their
-        // pushes interleaved in awkward chunks — exactly the serving
-        // shard's shape. Each must still produce the columns it produces
-        // alone, bit for bit.
-        let cfg = MusicConfig::fast_test();
-        let traces = [noisy_trace(130, 21), noisy_trace(130, 22)];
-
-        let alone: Vec<StreamingMusic> = traces
-            .iter()
-            .map(|t| {
-                let mut stage = StreamingMusic::new(cfg);
-                stage.push(t);
-                stage
-            })
-            .collect();
-
-        let mut engine = MusicEngine::new(cfg);
-        let mut shared = [
-            SharedStreaming::<MusicEngine>::new(&cfg),
-            SharedStreaming::<MusicEngine>::new(&cfg),
-        ];
-        for lo in (0..130).step_by(7) {
-            let hi = (lo + 7).min(130);
-            for s in 0..2 {
-                shared[s].push_with(&mut engine, &traces[s][lo..hi], |thetas, _| {
-                    assert_eq!(thetas, cfg.isar.thetas_deg());
-                });
-            }
-        }
-        for s in 0..2 {
-            assert_eq!(shared[s].rows(), alone[s].rows(), "session {s} diverged");
-            assert_eq!(shared[s].times_s(), alone[s].times_s());
-            assert_eq!(shared[s].n_columns(), alone[s].n_columns());
-            assert_eq!(shared[s].n_seen(), 130);
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "different configuration")]
-    fn shared_music_rejects_mismatched_engine() {
-        // A *non-windowing* mismatch: the noise floor changes the
-        // signal-subspace split, so columns would silently differ if
-        // only the window geometry were guarded.
-        let mut engine = MusicEngine::new(MusicConfig::fast_test());
-        let mut cfg = MusicConfig::fast_test();
-        cfg.noise_floor_power = Some(1e-6);
-        let mut shared = SharedStreaming::<MusicEngine>::new(&cfg);
-        shared.push_with(&mut engine, &[Complex64::ZERO], |_, _| {});
     }
 
     #[test]

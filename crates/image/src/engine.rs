@@ -51,15 +51,14 @@
 //! The scratch — the image buffer, the per-cell directions, the
 //! mean-removal window — is allocated once per engine and reused every
 //! window; window-rate processing allocates nothing beyond the emitted
-//! fix list. One engine type serves the offline entry points, the
-//! streaming stage, and (lent to sessions by an engine cache) the
-//! serving shards, so all three are bitwise identical by construction:
-//! the output depends only on the configuration, the window contents,
-//! and the nulling weight.
+//! fix list. Every imaging session owns one engine, whether the device
+//! entry points, a benchmark or a serving shard drives it, so all are
+//! bitwise identical by construction: the output depends only on the
+//! configuration, the window contents, and the nulling weight.
 
 use std::sync::Arc;
 
-use wivi_core::{ShardEngine, TableStore};
+use wivi_core::TableStore;
 use wivi_num::{ca_cfar_2d, simd, Complex64, Grid2d};
 use wivi_rf::Point;
 
@@ -174,19 +173,6 @@ fn default_focus_threads() -> usize {
             .filter(|&n| n >= 1)
             .unwrap_or(1)
     })
-}
-
-/// Serving shards host imaging engines through the generic engine
-/// registry: the engine is a pure function of (configuration, window,
-/// nulling weight) — the weight is a per-push runtime parameter — so
-/// same-configuration sessions share one engine even when their nulling
-/// converged differently.
-impl ShardEngine for ImagingEngine {
-    type Config = ImageConfig;
-
-    fn build(cfg: &ImageConfig) -> Self {
-        ImagingEngine::new(*cfg)
-    }
 }
 
 impl ImagingEngine {

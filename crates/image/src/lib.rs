@@ -17,9 +17,9 @@
 //!   refinement and mirror-ghost suppression, emitting per-window
 //!   [`ImageFix`]es.
 //! * [`ImageSession`] — the mode's one per-session implementation
-//!   (windowing over a borrowed engine, fixes, position tracking), run
-//!   by the device entry points and the serving engine alike;
-//!   [`StreamingImage`] is the same session with an owned engine.
+//!   (windowing over the engine it owns, fixes, position tracking), run
+//!   by the device entry points, the benchmarks and the serving engine
+//!   alike; [`StreamingImage`] is another name for it.
 //! * [`PositionTracker`] — per-axis constant-velocity Kalman filtering
 //!   over the fixes, as a policy over `wivi-track`'s shared track
 //!   lifecycle ([`wivi_track::lifecycle`]), so tracks carry `(x, y)` in

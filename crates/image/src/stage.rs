@@ -1,17 +1,16 @@
 //! The imaging read-out as a sensing session.
 //!
-//! [`ImageSession`] is the mode's one per-session implementation: only
-//! the genuinely per-session state lives in it (window buffer, nulling
-//! weight, position tracker, retained fixes) while the heavy engine —
-//! image scratch over the process-wide steering tables — is borrowed per
-//! batch, from a serving shard worker's cache or from the private cache
-//! of [`WiViDevice::run_session`]. [`StreamingImage`] is the same
-//! session plus one owned engine. Frames depend only on the configuration, the
+//! [`ImageSession`] is the mode's one per-session implementation: it
+//! owns its engine — image scratch over the process-wide steering
+//! tables — beside the per-session state (window buffer, nulling
+//! weight, position tracker, retained fixes). The device entry points
+//! ([`WiViDevice::run_session`]), the benchmarks and served `image`
+//! sessions all run it. Frames depend only on the configuration, the
 //! window contents, and the nulling weight
 //! ([`ImagingEngine::process_window_fixes`]), so every drive emits the
 //! same bits.
 
-use wivi_core::{EngineCache, Session, WiViDevice, WindowBuffer};
+use wivi_core::{Session, WiViDevice, WindowBuffer};
 use wivi_num::Complex64;
 
 use crate::config::{GridSpec, ImageConfig};
@@ -96,14 +95,13 @@ impl ImagingReport {
 }
 
 /// One imaging session — the mode's single per-session implementation,
-/// run by the device entry points and by served `image` sessions alike.
-/// Windows samples through a *borrowed* [`ImagingEngine`], focuses each
-/// completed aperture with the session's own nulling weight, and folds
-/// the per-window CFAR fixes into a [`PositionTracker`]. Finishes into
-/// the [`ImagingReport`] (empty if no aperture filled).
+/// run by the device entry points, the benchmarks and served `image`
+/// sessions alike. Windows samples through its own [`ImagingEngine`],
+/// focuses each completed aperture with the session's nulling weight,
+/// and folds the per-window CFAR fixes into a [`PositionTracker`].
+/// Finishes into the [`ImagingReport`] (empty if no aperture filled).
 pub struct ImageSession {
-    /// The full configuration this session expects of its engine.
-    cfg: ImageConfig,
+    engine: ImagingEngine,
     tx_weight: Complex64,
     wb: WindowBuffer,
     /// Boxed: live position tracks carry whole histories.
@@ -111,19 +109,22 @@ pub struct ImageSession {
     fixes: Vec<Vec<ImageFix>>,
 }
 
+/// The imaging session under the name the offline benchmarks use for
+/// the standalone stage.
+pub type StreamingImage = ImageSession;
+
 impl ImageSession {
     /// Opens a session for `cfg`, focusing with the nulling weight
     /// `tx_weight` on the second transmit path.
     ///
     /// # Panics
     /// Panics on an invalid configuration.
-    pub fn new(cfg: &ImageConfig, tx_weight: Complex64) -> Self {
-        cfg.validate();
+    pub fn new(cfg: ImageConfig, tx_weight: Complex64) -> Self {
         Self {
-            cfg: *cfg,
+            engine: ImagingEngine::new(cfg),
             tx_weight,
             wb: WindowBuffer::new(cfg.window, cfg.hop),
-            tracker: Box::new(PositionTracker::new(PositionTrackerConfig::for_image(cfg))),
+            tracker: Box::new(PositionTracker::new(PositionTrackerConfig::for_image(&cfg))),
             fixes: Vec::new(),
         }
     }
@@ -144,26 +145,18 @@ impl ImageSession {
             (cfg.tx, cfg.rx),
             "imaging configuration's antenna geometry does not match the device's scene layout"
         );
-        Self::new(cfg, nulling_tx_weight(dev))
+        Self::new(*cfg, nulling_tx_weight(dev))
     }
 
-    /// Feeds a batch of nulled channel samples through `engine`.
-    /// Returns the number of new frames.
-    ///
-    /// # Panics
-    /// Panics if `engine` was built for a different configuration.
-    pub fn push(&mut self, engine: &mut ImagingEngine, samples: &[Complex64]) -> usize {
-        assert_eq!(
-            *engine.cfg(),
-            self.cfg,
-            "shared engine built for a different configuration"
-        );
+    /// Feeds a batch of nulled channel samples (any length). Returns the
+    /// number of new frames.
+    pub fn push(&mut self, samples: &[Complex64]) -> usize {
         let Self {
+            engine,
             tx_weight,
             wb,
             tracker,
             fixes,
-            ..
         } = self;
         wb.push(samples, |_start, win| {
             let frame = engine.process_window_fixes(win, *tx_weight);
@@ -171,14 +164,18 @@ impl ImageSession {
             fixes.push(frame);
         })
     }
+
+    /// Drains the session into its report.
+    pub fn finish(self) -> ImagingReport {
+        ImagingReport::assemble(self.engine.cfg().grid, self.fixes, self.tracker.finish())
+    }
 }
 
 impl Session for ImageSession {
     type Output = ImagingReport;
 
-    fn step(&mut self, engines: &mut EngineCache, samples: &[Complex64]) {
-        let engine = engines.engine::<ImagingEngine>(&self.cfg);
-        self.push(engine, samples);
+    fn step(&mut self, samples: &[Complex64]) {
+        self.push(samples);
     }
 
     fn columns(&self) -> usize {
@@ -186,54 +183,7 @@ impl Session for ImageSession {
     }
 
     fn finish(self) -> ImagingReport {
-        ImagingReport::assemble(self.cfg.grid, self.fixes, self.tracker.finish())
-    }
-}
-
-/// An [`ImageSession`] that owns its engine — the standalone stage the
-/// offline benchmarks push traces through.
-pub struct StreamingImage {
-    engine: ImagingEngine,
-    /// `None` once finished.
-    session: Option<ImageSession>,
-}
-
-impl StreamingImage {
-    /// Creates the stage for `cfg`, focusing with the session's nulling
-    /// weight `tx_weight` on the second transmit path.
-    ///
-    /// # Panics
-    /// Panics on an invalid configuration.
-    pub fn new(cfg: ImageConfig, tx_weight: Complex64) -> Self {
-        let session = ImageSession::new(&cfg, tx_weight);
-        Self {
-            engine: ImagingEngine::new(cfg),
-            session: Some(session),
-        }
-    }
-
-    /// Imaging windows completed so far.
-    pub fn n_frames(&self) -> usize {
-        self.session.as_ref().map_or(0, Session::columns)
-    }
-
-    /// Feeds a batch of nulled channel samples (any length). Returns the
-    /// number of new frames.
-    ///
-    /// # Panics
-    /// Panics if the stage was already finished.
-    pub fn push(&mut self, samples: &[Complex64]) -> usize {
-        let session = self.session.as_mut().expect("stage already finished");
-        session.push(&mut self.engine, samples)
-    }
-
-    /// Finalizes the stage into a report (the stage must not be pushed
-    /// again).
-    ///
-    /// # Panics
-    /// Panics if called twice.
-    pub fn finish(&mut self) -> ImagingReport {
-        self.session.take().expect("finish() called twice").finish()
+        ImageSession::finish(self)
     }
 }
 
@@ -259,13 +209,13 @@ mod tests {
         let wt = Complex64::new(-0.8, 0.4);
         let trace = pacer_trace(&cfg, cfg.window + 3 * cfg.hop, wt);
 
-        let mut offline = StreamingImage::new(cfg, wt);
+        let mut offline = ImageSession::new(cfg, wt);
         offline.push(&trace);
         let reference = offline.finish();
         assert_eq!(reference.n_windows(), 4);
 
         for batch in [1usize, 17, 160, trace.len()] {
-            let mut stage = StreamingImage::new(cfg, wt);
+            let mut stage = ImageSession::new(cfg, wt);
             let mut produced = 0;
             for chunk in trace.chunks(batch) {
                 produced += stage.push(chunk);
@@ -281,58 +231,12 @@ mod tests {
         let cfg = ImageConfig::fast_test();
         let wt = Complex64::ONE;
         let trace = pacer_trace(&cfg, cfg.window + cfg.hop, wt);
-        let mut stage = StreamingImage::new(cfg, wt);
+        let mut stage = ImageSession::new(cfg, wt);
         assert_eq!(stage.push(&trace[..cfg.window - 1]), 0);
-        assert_eq!(stage.n_frames(), 0);
+        assert_eq!(stage.columns(), 0);
         assert_eq!(stage.push(&trace[cfg.window - 1..cfg.window]), 1);
         assert_eq!(stage.push(&trace[cfg.window..]), 1);
-        assert_eq!(stage.n_frames(), 2);
-    }
-
-    #[test]
-    fn shared_stage_equals_owned_even_interleaved() {
-        let cfg = ImageConfig::fast_test();
-        let wts = [Complex64::new(0.9, -0.2), Complex64::new(-1.1, 0.3)];
-        let n = cfg.window + 2 * cfg.hop;
-        let traces = [pacer_trace(&cfg, n, wts[0]), {
-            ImagingEngine::synthetic_subject_trace(
-                &cfg,
-                n,
-                Point::new(1.9, 3.4),
-                Vec2::new(-1.0, 0.0),
-                0.7,
-                wts[1],
-            )
-        }];
-
-        let owned: Vec<Vec<Vec<ImageFix>>> = (0..2)
-            .map(|s| {
-                let mut stage = StreamingImage::new(cfg, wts[s]);
-                stage.push(&traces[s]);
-                stage.finish().fixes
-            })
-            .collect();
-
-        let mut engine = ImagingEngine::new(cfg);
-        let mut shared = [
-            ImageSession::new(&cfg, wts[0]),
-            ImageSession::new(&cfg, wts[1]),
-        ];
-        let chunk = 23;
-        for lo in (0..n).step_by(chunk) {
-            let hi = (lo + chunk).min(n);
-            for s in 0..2 {
-                shared[s].push(&mut engine, &traces[s][lo..hi]);
-            }
-        }
-        for (s, session) in shared.into_iter().enumerate() {
-            assert_eq!(session.columns(), owned[s].len());
-            assert_eq!(
-                session.finish().fixes,
-                owned[s],
-                "session {s} frames diverged"
-            );
-        }
+        assert_eq!(stage.columns(), 2);
     }
 
     #[test]
@@ -389,25 +293,5 @@ mod tests {
                 "window {w} lost its real fix"
             );
         }
-    }
-
-    #[test]
-    #[should_panic(expected = "different configuration")]
-    fn shared_stage_rejects_mismatched_engine() {
-        let mut engine = ImagingEngine::new(ImageConfig::fast_test());
-        let mut cfg = ImageConfig::fast_test();
-        cfg.cfar.threshold_db += 1.0; // a non-windowing mismatch
-        let mut session = ImageSession::new(&cfg, Complex64::ONE);
-        session.push(&mut engine, &[Complex64::ZERO]);
-    }
-
-    #[test]
-    #[should_panic(expected = "finished")]
-    fn push_after_finish_panics() {
-        let cfg = ImageConfig::fast_test();
-        let mut stage = StreamingImage::new(cfg, Complex64::ONE);
-        stage.push(&pacer_trace(&cfg, cfg.window, Complex64::ONE));
-        let _ = stage.finish();
-        stage.push(&[Complex64::ZERO]);
     }
 }

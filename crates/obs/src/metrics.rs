@@ -594,8 +594,7 @@ impl Snapshot {
 }
 
 /// The process-wide default registry (kernel-adjacent hooks:
-/// `EngineCache` and `TableStore` hit/miss, imaging focus chunk
-/// timings).
+/// `TableStore` hit/miss, imaging focus chunk timings).
 pub fn global() -> &'static Registry {
     static GLOBAL: OnceLock<Registry> = OnceLock::new();
     GLOBAL.get_or_init(Registry::new)

@@ -11,10 +11,9 @@
 //! [`ServeEngine::finish`] drains everything into a [`ServeReport`].
 //!
 //! **Determinism.** Each session's output depends only on its spec:
-//! sessions own their scene, device, and RNG; the per-shard engines they
-//! share hold no cross-window state; and the merged event stream orders
-//! by `(timestamp, session id, emission order)` through
-//! [`wivi_num::merge_streams`]. Shard count, submission order, and
+//! sessions own their scene, device, RNG and per-window engine; and the
+//! merged event stream orders by `(timestamp, session id, emission
+//! order)` through [`wivi_num::merge_streams`]. Shard count, submission order, and
 //! scheduling therefore cannot change a single bit of the report's
 //! outputs or events — the `serving_equivalence` and determinism-matrix
 //! integration tests pin this.
@@ -43,11 +42,10 @@ pub struct ServeConfig {
     pub n_shards: usize,
     /// Worker threads *inside* each shard: every round, the shard
     /// round-robin partitions its id-sorted live sessions across this
-    /// many scoped threads, each owning a private engine cache and
-    /// scratch buffer. Sessions share no mutable state, so outputs and
-    /// the merged event stream are bit-identical for every worker
-    /// count; only wall-clock changes. `1` is the classic
-    /// single-threaded shard.
+    /// many scoped threads, each owning a private sample buffer.
+    /// Sessions share no mutable state, so outputs and the merged event
+    /// stream are bit-identical for every worker count; only wall-clock
+    /// changes. `1` is the classic single-threaded shard.
     pub workers_per_shard: usize,
     /// Channel samples each session advances per turn — the serving
     /// analogue of the UHD frame chunk.
@@ -327,7 +325,7 @@ pub struct ServeEngine {
 
 impl ServeEngine {
     /// Starts the engine: spawns `cfg.n_shards` worker threads, each
-    /// with its own bounded command queue and engine cache.
+    /// with its own bounded command queue.
     ///
     /// # Panics
     /// Panics on an invalid configuration.

@@ -25,20 +25,18 @@
 //!   ([`wivi_num::merge_streams`]) and per-shard utilization / batch
 //!   latency telemetry.
 //!
-//! Shards extend the zero-allocation design from per-device to
-//! per-worker: all sessions on a shard worker share one set of
-//! per-window engines (correlation matrix, eig workspace, image scratch)
-//! through the keyed [`EngineCache`](wivi_core::EngineCache), and every
-//! engine in the process takes its steering tables from one
-//! [`TableStore`](wivi_core::TableStore) per table type, so S shards ×
-//! W workers hold one table per configuration, not S·W.
+//! Every session owns its per-window engine (correlation matrix, eig
+//! workspace, image scratch), exactly as a standalone run does, and
+//! every engine in the process takes its steering tables from one
+//! [`TableStore`](wivi_core::TableStore) per table type, so N live
+//! sessions hold N sets of scratch but one table per configuration.
 //!
 //! **The serving contract is bitwise.** A served session runs the same
 //! per-mode session type as the device's own entry points (see
 //! [`mode`]), so it produces exactly the standalone output for every
 //! shard count and submission order (`tests/serving_equivalence.rs` and
 //! the determinism matrix pin this). Determinism is inherited, not
-//! re-proven: sessions own all their state, shared engines hold no
+//! re-proven: sessions own all their state, engines hold no
 //! cross-window state, and the event merge is a deterministic function
 //! of the output set.
 //!

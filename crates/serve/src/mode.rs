@@ -26,14 +26,13 @@
 //!
 //! **Determinism contract.** A session's output must be a pure function
 //! of `(effective config, sample stream)`: state lives in the session,
-//! shard engines hold no cross-window state, and nothing may read
+//! engines hold no cross-window state, and nothing may read
 //! clocks, thread ids, or global state. The serving engine inherits its
 //! bitwise shard-count/submission-order invariance from this.
 
 use wivi_core::gesture::GestureDecode;
 use wivi_core::{
-    AngleSpectrogram, CountSession, EngineCache, GestureSession, Session, TrackSession, WiViConfig,
-    WiViDevice,
+    AngleSpectrogram, CountSession, GestureSession, Session, TrackSession, WiViConfig, WiViDevice,
 };
 use wivi_image::{ImageConfig, ImageSession, ImagingReport};
 use wivi_num::Complex64;
@@ -137,7 +136,7 @@ impl ModeOutput {
 /// Object-safe view of a session being served: what a shard needs to
 /// advance and drain it without knowing its mode.
 pub(crate) trait ModeSession: Send {
-    fn step(&mut self, engines: &mut EngineCache, samples: &[Complex64]);
+    fn step(&mut self, samples: &[Complex64]);
     fn columns(&self) -> usize;
     fn finish(self: Box<Self>) -> ModeOutput;
 }
@@ -156,8 +155,8 @@ impl<S: Session + Send + 'static> Served<S> {
 }
 
 impl<S: Session + Send> ModeSession for Served<S> {
-    fn step(&mut self, engines: &mut EngineCache, samples: &[Complex64]) {
-        self.session.step(engines, samples);
+    fn step(&mut self, samples: &[Complex64]) {
+        self.session.step(samples);
     }
 
     fn columns(&self) -> usize {

@@ -9,14 +9,12 @@
 //! → close) and produces a [`SessionOutput`].
 //!
 //! The per-session streaming state (`ActiveSession`, crate-private) is
-//! deliberately thin: the mode's session holds only per-session data, and
-//! the heavy per-window scratch (the correlation matrix, the
-//! eigendecomposition workspace, the image buffer) lives once per
-//! shard *worker* in the keyed [`EngineCache`] and is borrowed per batch
-//! — see [`crate::shard`]; the engines' steering tables are shared by
-//! the whole process through [`wivi_core::TableStore`].
+//! the device plus the mode's session, which owns its per-window engine
+//! and so its scratch (the correlation matrix, the eigendecomposition
+//! workspace, the image buffer); the engines' steering tables are shared
+//! by the whole process through [`wivi_core::TableStore`].
 
-use wivi_core::{EngineCache, WiViConfig, WiViDevice};
+use wivi_core::{WiViConfig, WiViDevice};
 use wivi_num::Complex64;
 use wivi_rf::SceneHandle;
 
@@ -315,15 +313,9 @@ impl ActiveSession {
         self.remaining == 0 || self.closing
     }
 
-    /// Advances the session by one batch of at most `batch_len` samples,
-    /// borrowing the shard's engine cache for the per-window compute.
-    /// `scratch` is the shard's reused sample buffer.
-    pub(crate) fn step(
-        &mut self,
-        engines: &mut EngineCache,
-        batch_len: usize,
-        scratch: &mut Vec<Complex64>,
-    ) {
+    /// Advances the session by one batch of at most `batch_len` samples.
+    /// `scratch` is the shard worker's reused sample buffer.
+    pub(crate) fn step(&mut self, batch_len: usize, scratch: &mut Vec<Complex64>) {
         let n = batch_len.min(self.remaining);
         if n == 0 {
             return;
@@ -331,7 +323,7 @@ impl ActiveSession {
         let _span = wivi_obs::span_traced("session.step", self.id, self.trace);
         self.dev.observe_batch_into(n, scratch);
         self.remaining -= n;
-        self.session.step(engines, scratch);
+        self.session.step(scratch);
     }
 
     /// Drains the session into its output (the close step of the

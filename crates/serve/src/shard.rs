@@ -1,5 +1,5 @@
-//! Worker shards: each owns a set of live sessions and, per worker
-//! thread, one set of per-window engines.
+//! Worker shards: each owns a set of live sessions, and each session
+//! owns its per-window engine.
 //!
 //! A shard is a plain `std::thread` (the same scoped-worker machinery the
 //! bench runner uses, grown a command queue) looping over rounds: drain
@@ -13,25 +13,19 @@
 //! With `workers_per_shard > 1` (see [`crate::ServeConfig`]) the shard
 //! becomes a coordinator: each round it round-robin partitions the
 //! id-sorted live sessions across that many scoped worker threads, each
-//! owning a private engine cache and scratch. Outputs stay bit-identical
-//! for every worker count — parallelism only changes wall-clock.
+//! owning only a reused sample buffer. Outputs stay bit-identical for
+//! every worker count — parallelism only changes wall-clock.
 //!
-//! The zero-allocation design extends here from per-device to
-//! per-worker: all sessions on a shard worker that share a
-//! configuration share one resident engine — one correlation matrix,
-//! one eigendecomposition workspace — borrowed per batch through the
-//! `Shared*` streaming stages. The engines live in each worker's keyed
-//! [`EngineCache`] (see [`wivi_core::ShardEngine`]): a worker serving N
-//! same-config sessions holds one engine, not N. Engines take their
-//! steering tables from the process-wide
-//! [`TableStore`](wivi_core::TableStore)s, so every shard and worker
-//! shares one table per configuration.
+//! A session builds its engine when it opens and drops it when it
+//! drains, so a shard holds one set of per-window scratch per live
+//! session. Engines take their steering tables from the process-wide
+//! [`TableStore`](wivi_core::TableStore)s, so every session on every
+//! shard shares one table per configuration.
 
 use std::collections::VecDeque;
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::Instant;
 
-use wivi_core::EngineCache;
 use wivi_num::Complex64;
 use wivi_obs::{
     Counter, Gauge, Histogram, HistogramSnapshot, Registry, WindowedCounter, WindowedHistogram,
@@ -185,7 +179,8 @@ pub(crate) struct ShardMetrics {
     busy_ns: Counter,
     /// Wall-clock nanoseconds from shard start to exit.
     alive_ns: Counter,
-    /// Distinct engines resident at exit, summed over workers.
+    /// Most engines resident at once: the peak live-session count, since
+    /// each live session owns one engine.
     engines: Gauge,
     /// Per-batch processing wall-clock, nanoseconds.
     batch_latency_ns: Histogram,
@@ -261,9 +256,8 @@ pub struct ShardSnapshot {
     pub busy_s: f64,
     /// Wall-clock from shard start to shard exit, seconds.
     pub alive_s: f64,
-    /// Distinct engines resident at exit, summed over workers (the
-    /// per-worker sharing degree: N same-config sessions on one worker
-    /// still mean one engine).
+    /// Most engines resident on the shard at once: its peak number of
+    /// live sessions, each of which owns one engine.
     pub engines: usize,
     /// Per-batch processing latency, nanoseconds — the mergeable
     /// histogram that replaced the raw latency vector.
@@ -396,10 +390,9 @@ impl SloSummary {
     }
 }
 
-/// One worker thread's private compute state: its own engine cache and
-/// per-batch scratch, so workers of one shard share no mutable state.
+/// One worker thread's private sample buffer, so workers of one shard
+/// share no mutable state.
 struct WorkerState {
-    engines: EngineCache,
     scratch: Vec<Complex64>,
 }
 
@@ -413,7 +406,7 @@ impl WorkerState {
             return;
         }
         let t0 = Instant::now();
-        s.step(&mut self.engines, batch_len, &mut self.scratch);
+        s.step(batch_len, &mut self.scratch);
         let d = t0.elapsed();
         s.stream_s += d.as_secs_f64();
         metrics.record_step(d);
@@ -428,8 +421,7 @@ impl WorkerState {
 /// empty. With `workers > 1` each round's live sessions are round-robin
 /// partitioned (by position in the id-sorted list) across that many
 /// scoped threads; outputs are bit-identical for every worker count
-/// because sessions own all their streaming state and the per-worker
-/// engines hold no cross-window state.
+/// because sessions own all their streaming state, engines included.
 pub(crate) fn run_shard(
     shard_idx: usize,
     chan: std::sync::Arc<ShardChannel>,
@@ -442,7 +434,6 @@ pub(crate) fn run_shard(
     let started = Instant::now();
     let mut worker_states: Vec<WorkerState> = (0..workers)
         .map(|_| WorkerState {
-            engines: EngineCache::new(),
             scratch: Vec::with_capacity(batch_len),
         })
         .collect();
@@ -481,6 +472,7 @@ pub(crate) fn run_shard(
             }
             continue;
         }
+        metrics.engines.set_max(active.len() as f64);
         if workers == 1 || active.len() == 1 {
             let ws = &mut worker_states[0];
             for s in active.iter_mut() {
@@ -488,10 +480,8 @@ pub(crate) fn run_shard(
             }
         } else {
             // Round-robin partition of the id-sorted list: worker w
-            // advances sessions at positions w, w + workers, ... —
-            // stable while the active prefix is stable, so a session
-            // usually keeps hitting the same worker's warm engine
-            // cache. Workers record telemetry straight into the shared
+            // advances sessions at positions w, w + workers, ....
+            // Workers record telemetry straight into the shared
             // metric cells; histogram merging is order-invariant by
             // construction, so telemetry stays schedule-independent
             // without the old end-of-round merge in worker order.
@@ -539,9 +529,6 @@ pub(crate) fn run_shard(
         }
     }
 
-    metrics
-        .engines
-        .set(worker_states.iter().map(|w| w.engines.len()).sum::<usize>() as f64);
     metrics
         .alive_ns
         .add(u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX));

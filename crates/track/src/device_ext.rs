@@ -7,15 +7,15 @@
 //! crate's prelude) and every device can `track_targets(..)`.
 //!
 //! [`TrackTargetsSession`] is the one implementation of the mode: a
-//! sink-only MUSIC windowing state whose columns fold straight into the
-//! tracker as each analysis window completes — no trace, no spectrogram
-//! is ever materialized. The device methods run it through
+//! sink-only MUSIC stage whose columns fold straight into the tracker
+//! as each analysis window completes — no trace, no spectrogram is ever
+//! materialized. The device methods run it through
 //! [`WiViDevice::run_session`] (offline is a single batch), and the
 //! serving engine's `track_targets` mode runs the same type on its
 //! shards.
 
 use wivi_core::device::ONE_BATCH;
-use wivi_core::{EngineCache, MusicEngine, Session, SharedStreaming, WiViConfig, WiViDevice};
+use wivi_core::{Session, Stage, StreamingMusic, WiViConfig, WiViDevice};
 use wivi_num::Complex64;
 
 use crate::tracker::{MultiTargetTracker, TrackerConfig, TrackingReport};
@@ -25,7 +25,7 @@ use crate::tracker::{MultiTargetTracker, TrackerConfig, TrackingReport};
 /// for the device's MUSIC settings. Finishes into the
 /// [`TrackingReport`] (empty if no window completed).
 pub struct TrackTargetsSession {
-    stage: SharedStreaming<MusicEngine>,
+    stage: StreamingMusic,
     /// Boxed: the tracker (live tracks, histories) dwarfs the stage.
     tracker: Box<MultiTargetTracker>,
 }
@@ -34,7 +34,7 @@ impl TrackTargetsSession {
     /// Opens a session for the device's effective configuration.
     pub fn new(cfg: &WiViConfig) -> Self {
         Self {
-            stage: SharedStreaming::sink_only(&cfg.music),
+            stage: StreamingMusic::sink_only(cfg.music),
             tracker: Box::new(MultiTargetTracker::new(TrackerConfig::for_music(
                 &cfg.music,
             ))),
@@ -45,11 +45,10 @@ impl TrackTargetsSession {
 impl Session for TrackTargetsSession {
     type Output = TrackingReport;
 
-    fn step(&mut self, engines: &mut EngineCache, samples: &[Complex64]) {
+    fn step(&mut self, samples: &[Complex64]) {
         let tracker = &mut self.tracker;
-        self.stage.step(engines, samples, |thetas, row| {
-            tracker.push_column(thetas, row);
-        });
+        self.stage
+            .push_with(samples, &mut |thetas, row| tracker.push_column(thetas, row));
     }
 
     fn columns(&self) -> usize {
