@@ -1,6 +1,6 @@
 //! Deterministic work counts: exact heap-allocation counts for the
-//! serving sample loop, engine construction and one front-end
-//! observation.
+//! serving sample loop, engine and session construction, session steps
+//! and one front-end observation.
 //!
 //! Wall time drifts from run to run; allocation counts of a fixed
 //! `fast_test` scenario do not, so they are pinned exactly. A counting
@@ -15,8 +15,11 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::sync::{Mutex, MutexGuard, PoisonError};
 
-use wivi::core::{MusicConfig, MusicEngine, WiViConfig, WiViDevice};
-use wivi::image::{ImageConfig, ImagingEngine};
+use wivi::core::{
+    CountSession, GestureSession, MusicConfig, MusicEngine, Session, TrackSession, WiViConfig,
+    WiViDevice,
+};
+use wivi::image::{ImageConfig, ImageSession, ImagingEngine};
 use wivi::num::Complex64;
 use wivi::rf::{Material, Mover, Point, Scene, WaypointWalker};
 
@@ -158,4 +161,56 @@ fn a_second_engine_for_a_built_configuration_allocates_only_its_scratch() {
     let (n, music) = allocations(|| MusicEngine::new(music_cfg));
     assert_eq!(n, 1 + 6 + 2, "MusicEngine::new allocated {n} times");
     drop((first, image, music));
+}
+
+#[test]
+fn sessions_allocate_their_engine_at_open_and_nothing_per_idle_step() {
+    let mut dev = walker_device();
+    let cfg = *dev.config();
+    let image_cfg = ImageConfig::for_wivi(&cfg);
+    let _obs = ObsOff::new();
+    // The first sessions build (or find) every table they use, and one
+    // window through the first resolves the process's one-time SIMD
+    // detection (reading `WIVI_NO_SIMD` allocates when it is set).
+    let mut first = (
+        CountSession::new(&cfg),
+        GestureSession::new(&cfg),
+        ImageSession::for_device(&dev, &image_cfg),
+    );
+    let mut batch: Vec<Complex64> = Vec::new();
+    dev.observe_batch_into(40, &mut batch);
+    first.0.step(&batch);
+
+    // A MUSIC session: the engine's 9 scratch buffers, the angle grid
+    // and the window buffer.
+    let (n, mut count) = allocations(|| CountSession::new(&cfg));
+    assert_eq!(n, 9 + 1 + 1, "CountSession::new allocated {n} times");
+    let (n, mut track) = allocations(|| TrackSession::new(&cfg));
+    assert_eq!(n, 9 + 1 + 1, "TrackSession::new allocated {n} times");
+    // The beamformer has no scratch: the angle grid and window buffer.
+    let (n, mut gesture) = allocations(|| GestureSession::new(&cfg));
+    assert_eq!(n, 1 + 1, "GestureSession::new allocated {n} times");
+    // Imaging: the engine's 3 scratch buffers, the window buffer and
+    // the boxed position tracker.
+    let (n, mut image) = allocations(|| ImageSession::for_device(&dev, &image_cfg));
+    assert_eq!(n, 3 + 1 + 1, "ImageSession::for_device allocated {n} times");
+
+    // fast_test MUSIC windows are 40 samples with an 8-sample hop (the
+    // imaging window is longer): a 16-sample batch completes no window
+    // anywhere, and 24 more complete exactly one MUSIC window.
+    dev.observe_batch_into(16, &mut batch);
+    let idle = [
+        allocations(|| count.step(&batch)).0,
+        allocations(|| track.step(&batch)).0,
+        allocations(|| gesture.step(&batch)).0,
+        allocations(|| image.step(&batch)).0,
+    ];
+    assert_eq!(idle, [0; 4], "steps that complete no window allocated");
+    assert_eq!(count.columns() + image.columns(), 0);
+    dev.observe_batch_into(24, &mut batch);
+    // One window: the spectrum row and the eigenvalue list.
+    let (n, ()) = allocations(|| count.step(&batch));
+    assert_eq!(n, 2, "a one-window CountSession step allocated {n} times");
+    assert_eq!(count.columns(), 1);
+    drop((first, count, track, gesture, image));
 }
