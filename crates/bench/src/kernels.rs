@@ -172,14 +172,15 @@ pub fn run_kernels_bench(quick: bool) -> KernelsReport {
         }
     });
 
-    // The imaging focus correlation (4 accumulators over the aperture).
+    // The imaging focus correlation (4 accumulators over the aperture;
+    // the TX-2 row is the mirror cell's row read backwards).
     bench(&format!("focus_accumulate_{APERTURE}"), 100_000, &mut {
-        let (h, t1, t2) = (ap_a.clone(), ap_b.clone(), ap_c.clone());
+        let (h, t1, m) = (ap_a.clone(), ap_b.clone(), ap_c.clone());
         move || {
             black_box(simd::focus_accumulate(
                 black_box(&h),
                 black_box(&t1),
-                black_box(&t2),
+                black_box(&m),
             ));
         }
     });

@@ -103,9 +103,8 @@ impl GridSpec {
 }
 
 /// Full imaging configuration. Geometry only — the per-session nulling
-/// weight is a *runtime* parameter of the engine, so shards can share
-/// one precomputed engine across sessions whose nulling converged
-/// differently.
+/// weight is a *runtime* parameter of the engine, so sessions whose
+/// nulling converged differently share one set of precomputed tables.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct ImageConfig {
     /// The imaged region.
@@ -213,8 +212,15 @@ impl ImageConfig {
 
     /// Validates the configuration.
     ///
+    /// The engine stores one steering table, TX 1's, and reads TX 2's as
+    /// its mirror image across `x = 0`. That needs the receive antenna
+    /// on `x = 0`, the transmit pair mirrored across it and cell centres
+    /// that mirror exactly, as [`Self::for_wivi`]'s standard layout over
+    /// the small conference room has; anything else is rejected.
+    ///
     /// # Panics
-    /// Panics on degenerate parameters.
+    /// Panics on degenerate parameters or a geometry without that
+    /// mirror symmetry.
     pub fn validate(&self) {
         self.grid.validate();
         self.cfar.validate();
@@ -232,6 +238,25 @@ impl ImageConfig {
         assert!(
             2 * self.edge_guard_cells < self.grid.ny,
             "edge guard swallows the whole grid"
+        );
+        assert!(
+            self.rx.x == 0.0,
+            "imaging RX must sit on x = 0, midway between the TX pair (got x = {})",
+            self.rx.x
+        );
+        let [t1, t2] = self.tx;
+        assert!(
+            t2.x == -t1.x && t2.y == t1.y,
+            "imaging TX pair must mirror across x = 0 (got {t1:?} and {t2:?})"
+        );
+        let g = &self.grid;
+        assert!(
+            (0..g.nx).all(|ix| g.cell_center(g.nx - 1 - ix, 0).x == -g.cell_center(ix, 0).x),
+            "imaging grid cell centres must mirror exactly across x = 0 \
+             (x0 = {}, {} cells of {} m)",
+            g.x0,
+            g.nx,
+            g.cell_x_m
         );
     }
 }
@@ -278,6 +303,30 @@ mod tests {
     fn validate_rejects_tiny_window() {
         let mut img = ImageConfig::fast_test();
         img.window = 4;
+        img.validate();
+    }
+
+    #[test]
+    #[should_panic(expected = "imaging RX must sit on x = 0")]
+    fn validate_rejects_an_off_axis_rx() {
+        let mut img = ImageConfig::fast_test();
+        img.rx.x = 0.05;
+        img.validate();
+    }
+
+    #[test]
+    #[should_panic(expected = "imaging TX pair must mirror across x = 0")]
+    fn validate_rejects_an_unmirrored_tx_pair() {
+        let mut img = ImageConfig::fast_test();
+        img.tx[1].x += 0.01;
+        img.validate();
+    }
+
+    #[test]
+    #[should_panic(expected = "imaging grid cell centres must mirror exactly")]
+    fn validate_rejects_a_shifted_grid() {
+        let mut img = ImageConfig::fast_test();
+        img.grid.x0 += 0.01;
         img.validate();
     }
 }

@@ -1,5 +1,5 @@
-//! The resident backprojection engine: shared per-cell steering tables,
-//! the reused image buffer, and the CFAR fix extractor.
+//! The resident backprojection engine: the shared per-cell steering
+//! table, the reused image buffer, and the CFAR fix extractor.
 //!
 //! # The holographic matched filter
 //!
@@ -41,13 +41,18 @@
 //! # Residency contract
 //!
 //! Mirroring [`wivi_core::MusicEngine`], an engine is shared tables
-//! plus scratch of its own. The tables ([`ImagingTables`]: two steering
-//! tables, one per TX path, and the per-cell cross terms) are a pure
-//! function of the configuration and come from a process-wide
-//! [`TableStore`], so a process builds them once per configuration
-//! however many engines it opens, and a table outlives its last engine
-//! while the store holds it (up to [`wivi_core::TABLE_STORE_CAPACITY`]
-//! configurations, 8 967 168 bytes each at the paper's configuration).
+//! plus scratch of its own. The tables ([`ImagingTables`]: one steering
+//! table, TX 1's, and the per-cell cross terms) are a pure function of
+//! the configuration and come from a process-wide [`TableStore`], so a
+//! process builds them once per configuration however many engines it
+//! opens, and a table outlives its last engine while the store holds it
+//! (up to [`wivi_core::TABLE_STORE_CAPACITY`] configurations, 4 487 168
+//! bytes each at the paper's configuration). TX 2's table is not
+//! stored: the receive antenna sits midway between the transmit pair
+//! (§3.1), so TX 2's phasor at element `i` of cell `c` is bit for bit
+//! TX 1's at element `window − 1 − i` of the mirror cell across `x = 0`
+//! ([`ImageConfig::validate`] rejects configurations without that
+//! symmetry).
 //! The scratch — the image buffer, the per-cell directions, the
 //! mean-removal window — is allocated once per engine and reused every
 //! window; window-rate processing allocates nothing beyond the emitted
@@ -79,22 +84,43 @@ pub struct ImageFix {
     pub iy: usize,
 }
 
-/// The configuration-only half of an [`ImagingEngine`]: both TX paths'
-/// steering tables and the per-cell cross terms, built once per
+/// The configuration-only half of an [`ImagingEngine`]: TX 1's
+/// steering table and the per-cell cross terms, built once per
 /// configuration per process and shared through a process-wide
-/// [`TableStore`].
+/// [`TableStore`]. TX 2's table is TX 1's mirror image (see the module
+/// docs) and is never stored.
 pub struct ImagingTables {
-    /// Per-TX-path conjugated steering tables, cell-major:
-    /// `steer[k][c·window + i] = e^{+j·(2π/λ)·Rₖ(p_c, i)}`.
-    steer: [Vec<Complex64>; 2],
+    /// TX 1's conjugated steering table, cell-major:
+    /// `steer[c·window + i] = e^{+j·(2π/λ)·R₁(p_c, i)}`. TX 2's entry is
+    /// `steer[mirror(c)·window + (window − 1 − i)]`.
+    steer: Vec<Complex64>,
     /// Per-cell `Σ_i s²_i·conj(s¹_i)` — the cross term of `‖q‖²`.
     cross: Vec<Complex64>,
+    /// The table's layout: cells, and phasors per cell.
+    grid: Grid2d,
+    window: usize,
+}
+
+/// The cell mirrored across `x = 0`: the same row, the column counted
+/// from the other edge. [`ImageConfig::validate`] requires cell centres
+/// that mirror exactly, so this is the geometric mirror, and the cell
+/// the mirror ambiguity couples.
+fn mirror_cell(grid: Grid2d, c: usize) -> usize {
+    let (ix, iy) = grid.coords(c);
+    grid.idx(grid.nx - 1 - ix, iy)
 }
 
 impl ImagingTables {
-    /// Builds the tables for `cfg` (`2 × cells × window` phasors),
-    /// bypassing the store — the cold cost the first engine per
-    /// configuration pays. Expects a validated configuration.
+    /// Builds the tables for `cfg` (`cells × window` phasors), bypassing
+    /// the store — the cold cost the first engine per configuration
+    /// pays. Expects a validated configuration.
+    ///
+    /// TX 2's phasors are computed only to fold the cross terms, in the
+    /// same order as TX 1's, and never stored.
+    ///
+    /// # Panics
+    /// Panics if a TX-2 phasor differs in any bit from the mirrored TX-1
+    /// entry that stands in for it.
     pub fn build(cfg: &ImageConfig) -> Self {
         let grid = cfg.grid.grid2d();
         let n_cells = grid.len();
@@ -102,33 +128,56 @@ impl ImagingTables {
         let k_wave = std::f64::consts::TAU / cfg.wavelength;
         let half = (w as f64 - 1.0) / 2.0;
         let spacing = cfg.element_spacing();
-
-        let mut steer = [
-            Vec::with_capacity(n_cells * w),
-            Vec::with_capacity(n_cells * w),
-        ];
-        let mut cross = Vec::with_capacity(n_cells);
-        for c in 0..n_cells {
+        // The conjugated steering phasor from `tx` at element `i` of the
+        // aperture centred on cell `c`, ready for `h·t`.
+        let phasor = |tx: Point, c: usize, i: usize| {
             let (ix, iy) = grid.coords(c);
             let center = cfg.grid.cell_center(ix, iy);
+            let p_i = Point::new(center.x + (i as f64 - half) * spacing, center.y);
+            Complex64::cis(k_wave * (tx.distance(p_i) + p_i.distance(cfg.rx)))
+        };
+
+        let mut steer = Vec::with_capacity(n_cells * w);
+        for c in 0..n_cells {
+            for i in 0..w {
+                steer.push(phasor(cfg.tx[0], c, i));
+            }
+        }
+        let mut cross = Vec::with_capacity(n_cells);
+        for c in 0..n_cells {
+            let m = mirror_cell(grid, c);
             let mut x = Complex64::ZERO;
             for i in 0..w {
-                let p_i = Point::new(center.x + (i as f64 - half) * spacing, center.y);
-                let mut s = [Complex64::ZERO; 2];
-                for (k, sk) in s.iter_mut().enumerate() {
-                    let r = cfg.tx[k].distance(p_i) + p_i.distance(cfg.rx);
-                    // conj of the steering phasor, ready for `h·t`.
-                    *sk = Complex64::cis(k_wave * r);
-                }
+                let s2 = phasor(cfg.tx[1], c, i);
+                let stored = steer[m * w + (w - 1 - i)];
+                assert!(
+                    s2.re.to_bits() == stored.re.to_bits()
+                        && s2.im.to_bits() == stored.im.to_bits(),
+                    "TX-2 phasor of cell {c} element {i} is not the mirrored TX-1 entry"
+                );
                 // The model cross term s²_i·conj(s¹_i) = conj(t²)·t¹
                 // in terms of the stored conjugates.
-                x += s[1].conj() * s[0];
-                steer[0].push(s[0]);
-                steer[1].push(s[1]);
+                x += s2.conj() * steer[c * w + i];
             }
             cross.push(x);
         }
-        Self { steer, cross }
+        Self {
+            steer,
+            cross,
+            grid,
+            window: w,
+        }
+    }
+
+    /// Cell `c`'s TX-1 steering row and its mirror cell's, which read
+    /// backwards is cell `c`'s TX-2 row.
+    fn rows(&self, c: usize) -> (&[Complex64], &[Complex64]) {
+        let w = self.window;
+        let m = mirror_cell(self.grid, c);
+        (
+            &self.steer[c * w..(c + 1) * w],
+            &self.steer[m * w..(m + 1) * w],
+        )
     }
 }
 
@@ -259,23 +308,22 @@ impl ImagingEngine {
         let wt_conj = wt.conj();
         let wt_sq = wt.norm_sqr();
         let n_cells = self.grid.len();
-        let [steer0, steer1] = &self.tables.steer;
+        let tables: &ImagingTables = &self.tables;
         let centered = &self.centered;
-        let cross = &self.tables.cross;
         // One cell: the dispatched four-accumulator correlation (two TX
         // paths × two walking directions — the reversed aperture is the
-        // same table backwards), then the direction pick.
+        // same row backwards; TX 2's row is the mirror cell's TX-1 row
+        // backwards), then the direction pick.
         let focus_range = |c0: usize, image: &mut [f64], dirs: &mut [bool]| {
             for (off, (img, dir)) in image.iter_mut().zip(dirs.iter_mut()).enumerate() {
                 let c = c0 + off;
-                let t1 = &steer0[c * w..(c + 1) * w];
-                let t2 = &steer1[c * w..(c + 1) * w];
-                let [a1f, a2f, a1r, a2r] = simd::focus_accumulate(centered, t1, t2);
+                let (t1, m) = tables.rows(c);
+                let [a1f, a2f, a1r, a2r] = simd::focus_accumulate(centered, t1, m);
                 let fwd = (a1f + wt_conj * a2f).norm_sqr();
                 let rev = (a1r + wt_conj * a2r).norm_sqr();
                 // ‖q‖² = w·(1 + |wt|²) + 2·Re(wt·Σ s²conj(s¹)); identical
                 // for both traversal directions (the sum just reorders).
-                let qn = (w as f64 * (1.0 + wt_sq) + 2.0 * (wt * cross[c]).re).max(1e-12);
+                let qn = (w as f64 * (1.0 + wt_sq) + 2.0 * (wt * tables.cross[c]).re).max(1e-12);
                 *img = fwd.max(rev) / qn;
                 *dir = fwd >= rev;
             }
@@ -328,17 +376,8 @@ impl ImagingEngine {
     fn model_at(&self, c: usize, forward: bool, wt: Complex64, j: usize) -> Complex64 {
         let w = self.cfg.window;
         let idx = if forward { j } else { w - 1 - j };
-        let [t1, t2] = &self.tables.steer;
-        t1[c * w + idx].conj() + wt * t2[c * w + idx].conj()
-    }
-
-    /// Mirror cell across the `x = 0` axis (the grid is symmetric about
-    /// the receive antenna's axis for every `cover`-built room grid; for
-    /// an asymmetric grid this is the index mirror, which is what the
-    /// ambiguity actually couples).
-    fn mirror_cell(&self, c: usize) -> usize {
-        let (ix, iy) = self.grid.coords(c);
-        self.grid.idx(self.grid.nx - 1 - ix, iy)
+        let (t1, m) = self.tables.rows(c);
+        t1[idx].conj() + wt * m[w - 1 - idx].conj()
     }
 
     /// Resolves the mirror ambiguity of a candidate at cell `c` by
@@ -360,8 +399,8 @@ impl ImagingEngine {
         let in_range_rows =
             |iy: isize| iy >= guard as isize && (iy as usize) < self.grid.ny - guard;
         let m = {
-            let (mx, my) = self.grid.coords(self.mirror_cell(c));
-            let mut best = self.mirror_cell(c);
+            let mut best = mirror_cell(self.grid, c);
+            let (mx, my) = self.grid.coords(best);
             for dy in -1isize..=1 {
                 for dx in -2isize..=2 {
                     let (jx, jy) = (mx as isize + dx, my as isize + dy);
@@ -420,22 +459,22 @@ impl ImagingEngine {
     /// sidelobes.
     fn subtract_cell(&mut self, c: usize, tx_weight: Complex64) {
         let w = self.cfg.window;
-        let t1 = &self.tables.steer[0][c * w..(c + 1) * w];
-        let t2 = &self.tables.steer[1][c * w..(c + 1) * w];
+        let (t1, m) = self.tables.rows(c);
         let forward = self.dirs[c];
         let wt = tx_weight;
         let mut r = Complex64::ZERO;
         for j in 0..w {
             let idx = if forward { j } else { w - 1 - j };
-            // ⟨h, q⟩ with q_j = conj(t1[idx]) + wt·conj(t2[idx]).
-            r += self.centered[j] * (t1[idx] + wt.conj() * t2[idx]);
+            // ⟨h, q⟩ with q_j = conj(t1[idx]) + wt·conj(t2[idx]), where
+            // t2[idx] = m[w − 1 − idx].
+            r += self.centered[j] * (t1[idx] + wt.conj() * m[w - 1 - idx]);
         }
         let qn =
             (w as f64 * (1.0 + wt.norm_sqr()) + 2.0 * (wt * self.tables.cross[c]).re).max(1e-12);
         let a = r / qn;
         for j in 0..w {
             let idx = if forward { j } else { w - 1 - j };
-            let q = t1[idx].conj() + wt * t2[idx].conj();
+            let q = t1[idx].conj() + wt * m[w - 1 - idx].conj();
             self.centered[j] -= a * q;
         }
     }
@@ -809,6 +848,40 @@ mod tests {
                 assert_eq!(x.to_bits(), y.to_bits(), "{threads} threads");
             }
             assert_eq!(reference.dirs, engine.dirs, "{threads} threads dirs");
+        }
+    }
+
+    #[test]
+    fn tx2_steering_is_the_mirrored_tx1_table_bitwise() {
+        // Re-derive TX 2's phasors the way a two-table build stored them
+        // and compare each with the TX-1 entry the engine reads instead.
+        for cfg in [ImageConfig::wivi_default(), ImageConfig::fast_test()] {
+            cfg.validate();
+            let tables = ImagingTables::build(&cfg);
+            let grid = cfg.grid.grid2d();
+            let w = cfg.window;
+            assert_eq!(tables.steer.len(), grid.len() * w);
+            let k_wave = std::f64::consts::TAU / cfg.wavelength;
+            let half = (w as f64 - 1.0) / 2.0;
+            for c in 0..grid.len() {
+                let (ix, iy) = grid.coords(c);
+                let center = cfg.grid.cell_center(ix, iy);
+                let (_, m) = tables.rows(c);
+                for i in 0..w {
+                    let p_i = Point::new(
+                        center.x + (i as f64 - half) * cfg.element_spacing(),
+                        center.y,
+                    );
+                    let r = cfg.tx[1].distance(p_i) + p_i.distance(cfg.rx);
+                    let t2 = Complex64::cis(k_wave * r);
+                    let got = m[w - 1 - i];
+                    assert_eq!(
+                        (t2.re.to_bits(), t2.im.to_bits()),
+                        (got.re.to_bits(), got.im.to_bits()),
+                        "cell {c} element {i}"
+                    );
+                }
+            }
         }
     }
 

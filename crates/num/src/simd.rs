@@ -377,12 +377,15 @@ pub fn accumulate_outer_row_scalar(row: &mut [Complex64], v: &[Complex64], x: Co
 // ---------------------------------------------------------------------------
 
 /// The per-cell backprojection inner loop: correlates the centred
-/// window `h` against the two TX steering tables `t1`, `t2`, traversed
-/// forward and reversed, returning `[a1f, a2f, a1r, a2r]` where
+/// window `h` against a cell's two TX steering rows, traversed forward
+/// and reversed, returning `[a1f, a2f, a1r, a2r]`. `t1` is the cell's
+/// TX-1 row; the TX-2 row is the mirror cell's TX-1 row `m` read
+/// backwards (the receive antenna sits midway between the transmit
+/// pair, so `t2[i] = m[n−1−i]` bit for bit):
 ///
 /// ```text
-/// a1f = Σ_i h[i]·t1[i]          a2f = Σ_i h[i]·t2[i]
-/// a1r = Σ_i h[n−1−i]·t1[i]      a2r = Σ_i h[n−1−i]·t2[i]
+/// a1f = Σ_i h[i]·t1[i]          a2f = Σ_i h[i]·m[n−1−i]
+/// a1r = Σ_i h[n−1−i]·t1[i]      a2r = Σ_i h[n−1−i]·m[n−1−i]
 /// ```
 ///
 /// Each accumulator's addition sequence is the scalar loop's, so the
@@ -390,9 +393,9 @@ pub fn accumulate_outer_row_scalar(row: &mut [Complex64], v: &[Complex64], x: Co
 ///
 /// # Panics
 /// Panics if the slices differ in length.
-pub fn focus_accumulate(h: &[Complex64], t1: &[Complex64], t2: &[Complex64]) -> [Complex64; 4] {
+pub fn focus_accumulate(h: &[Complex64], t1: &[Complex64], m: &[Complex64]) -> [Complex64; 4] {
     assert!(
-        h.len() == t1.len() && h.len() == t2.len(),
+        h.len() == t1.len() && h.len() == m.len(),
         "focus length mismatch"
     );
     crate::probe::count_kernel(crate::probe::Kernel::Focus, 1);
@@ -400,16 +403,16 @@ pub fn focus_accumulate(h: &[Complex64], t1: &[Complex64], t2: &[Complex64]) -> 
     if level() == SimdLevel::Avx2 {
         // SAFETY: level() reports AVX2 only after runtime CPU detection
         // confirmed it.
-        return unsafe { avx2::focus_accumulate(h, t1, t2) };
+        return unsafe { avx2::focus_accumulate(h, t1, m) };
     }
-    focus_accumulate_scalar(h, t1, t2)
+    focus_accumulate_scalar(h, t1, m)
 }
 
 /// Scalar reference for [`focus_accumulate`].
 pub fn focus_accumulate_scalar(
     h: &[Complex64],
     t1: &[Complex64],
-    t2: &[Complex64],
+    m: &[Complex64],
 ) -> [Complex64; 4] {
     let n = h.len();
     let mut a1f = Complex64::ZERO;
@@ -419,10 +422,11 @@ pub fn focus_accumulate_scalar(
     for i in 0..n {
         let hf = h[i];
         let hr = h[n - 1 - i];
+        let t2 = m[n - 1 - i];
         a1f += hf * t1[i];
-        a2f += hf * t2[i];
+        a2f += hf * t2;
         a1r += hr * t1[i];
-        a2r += hr * t2[i];
+        a2r += hr * t2;
     }
     [a1f, a2f, a1r, a2r]
 }
@@ -677,7 +681,7 @@ mod avx2 {
     pub(super) unsafe fn focus_accumulate(
         h: &[Complex64],
         t1: &[Complex64],
-        t2: &[Complex64],
+        m: &[Complex64],
     ) -> [Complex64; 4] {
         let n = h.len();
         // accf = [a1f, a2f], accr = [a1r, a2r]: lane pairing keeps each
@@ -685,11 +689,15 @@ mod avx2 {
         let mut accf = _mm256_setzero_pd();
         let mut accr = _mm256_setzero_pd();
         let t1p = t1.as_ptr() as *const f64;
-        let t2p = t2.as_ptr() as *const f64;
+        let mp = m.as_ptr() as *const f64;
         for i in 0..n {
             let hf = broadcast(*h.get_unchecked(i));
             let hr = broadcast(*h.get_unchecked(n - 1 - i));
-            let tv = _mm256_set_m128d(_mm_loadu_pd(t2p.add(2 * i)), _mm_loadu_pd(t1p.add(2 * i)));
+            // [t1[i], t2[i]] with t2[i] = m[n−1−i].
+            let tv = _mm256_set_m128d(
+                _mm_loadu_pd(mp.add(2 * (n - 1 - i))),
+                _mm_loadu_pd(t1p.add(2 * i)),
+            );
             accf = _mm256_add_pd(accf, cmul(tv, hf));
             accr = _mm256_add_pd(accr, cmul(tv, hr));
         }

@@ -8,7 +8,8 @@
 //! host supports, across odd lengths, unaligned sub-slices, and
 //! denormal-adjacent magnitudes, and must match its scalar reference
 //! **bitwise**: rotations, caxpy, outer-product rows, focus sums, the
-//! fused rotate-and-mirror, and the whole eigensolver end to end.
+//! fused rotate-and-mirror, and the whole eigensolver end to end. The
+//! focus sums are also pinned to the two-table formula they replaced.
 //!
 //! Forcing a SIMD level mutates process-global state, so every test
 //! serializes on one mutex and restores auto-detection on drop.
@@ -148,18 +149,41 @@ fn caxpy_and_outer_row_are_bitwise_scalar_at_every_level() {
     });
 }
 
+/// The two-table focus loop the kernel replaced: both TX rows stored,
+/// read forward.
+fn two_table_focus(h: &[Complex64], t1: &[Complex64], t2: &[Complex64]) -> [Complex64; 4] {
+    let n = h.len();
+    let mut acc = [Complex64::ZERO; 4];
+    for i in 0..n {
+        let (hf, hr) = (h[i], h[n - 1 - i]);
+        acc[0] += hf * t1[i];
+        acc[1] += hf * t2[i];
+        acc[2] += hr * t1[i];
+        acc[3] += hr * t2[i];
+    }
+    acc
+}
+
 #[test]
 fn focus_is_bitwise_scalar_at_every_level() {
     let _l = force_lock();
     sweep(|level, len, scale, offset, rng| {
         let h = signal(rng, len + offset, scale);
         let t1 = signal(rng, len + offset, 1.0);
-        let t2 = signal(rng, len + offset, 1.0);
-        let focus_s = simd::focus_accumulate_scalar(&h[offset..], &t1[offset..], &t2[offset..]);
+        let m = signal(rng, len + offset, 1.0);
+        let focus_s = simd::focus_accumulate_scalar(&h[offset..], &t1[offset..], &m[offset..]);
+        // Reading the mirror row backwards is the two-table formula on
+        // the reversed row, bit for bit.
+        let t2: Vec<Complex64> = m[offset..].iter().rev().copied().collect();
+        let what = format!("{} n={len} scale={scale:e} off={offset}", level.name());
+        assert_bits_eq(
+            &focus_s,
+            &two_table_focus(&h[offset..], &t1[offset..], &t2),
+            &format!("two-table focus {what}"),
+        );
 
         let _g = force(level);
-        let focus_v = simd::focus_accumulate(&h[offset..], &t1[offset..], &t2[offset..]);
-        let what = format!("{} n={len} scale={scale:e} off={offset}", level.name());
+        let focus_v = simd::focus_accumulate(&h[offset..], &t1[offset..], &m[offset..]);
         assert_bits_eq(&focus_v, &focus_s, &format!("focus_accumulate {what}"));
     });
 }
