@@ -30,8 +30,8 @@ use wivi_track::TrackEvent;
 use crate::error::ServeError;
 use crate::session::{SessionId, SessionOutput, SessionSpec};
 use crate::shard::{
-    run_shard, Command, ShardChannel, ShardMetrics, ShardSnapshot, SloMetrics, SloSummary,
-    TryPushError,
+    run_shard, Command, SessionMetrics, ShardChannel, ShardMetrics, ShardSnapshot, SloMetrics,
+    SloSummary, TryPushError,
 };
 
 /// Engine sizing.
@@ -351,8 +351,17 @@ impl ServeEngine {
             .map(|_| Arc::new(ShardChannel::new(cfg.queue_capacity)))
             .collect();
         let slo = SloMetrics::register(&registry, cfg.slo_budget_ns);
+        let session = SessionMetrics::register(&registry);
         let metrics: Vec<ShardMetrics> = (0..cfg.n_shards)
-            .map(|i| ShardMetrics::register(&registry, i, cfg.workers_per_shard, slo.clone()))
+            .map(|i| {
+                ShardMetrics::register(
+                    &registry,
+                    i,
+                    cfg.workers_per_shard,
+                    slo.clone(),
+                    session.clone(),
+                )
+            })
             .collect();
         let workers = channels
             .iter()

@@ -14,11 +14,14 @@
 //! workspace, the image buffer); the engines' steering tables are shared
 //! by the whole process through [`wivi_core::TableStore`].
 
+use std::time::Duration;
+
 use wivi_core::{WiViConfig, WiViDevice};
 use wivi_num::Complex64;
 use wivi_rf::SceneHandle;
 
 use crate::mode::{Mode, ModeOutput, ModeSession};
+use crate::shard::SessionMetrics;
 
 /// Session identity. Must be unique across the engine's lifetime; ties
 /// in the merged event stream break by it, and shard routing hashes it.
@@ -229,8 +232,9 @@ pub(crate) struct ActiveSession {
     n_requested: usize,
     remaining: usize,
     nulling_db: f64,
-    calibrate_s: f64,
-    pub(crate) stream_s: f64,
+    calibrate: Duration,
+    /// Summed per-batch processing wall-clock.
+    pub(crate) stream: Duration,
     /// Set by an external close: drain at the next batch boundary.
     pub(crate) closing: bool,
     /// Request trace id carried into every lifecycle span (0 =
@@ -286,7 +290,7 @@ impl ActiveSession {
         let mut dev = WiViDevice::new(scene, config, seed);
         let t0 = std::time::Instant::now();
         let nulling_db = dev.calibrate().nulling_db();
-        let calibrate_s = t0.elapsed().as_secs_f64();
+        let calibrate = t0.elapsed();
         let eff = *dev.config();
         let session = mode.open(&dev, &eff);
         let n_requested = dev.trace_len(duration_s);
@@ -299,8 +303,8 @@ impl ActiveSession {
             n_requested,
             remaining: n_requested,
             nulling_db,
-            calibrate_s,
-            stream_s: 0.0,
+            calibrate,
+            stream: Duration::ZERO,
             closing: false,
             trace,
             slo: SessionSlo::default(),
@@ -327,9 +331,11 @@ impl ActiveSession {
     }
 
     /// Drains the session into its output (the close step of the
-    /// lifecycle). Consumes the session; the device is dropped here.
-    pub(crate) fn finalize(self, shard: usize) -> SessionOutput {
+    /// lifecycle) and records it in the engine's per-session
+    /// histograms. Consumes the session; the device is dropped here.
+    pub(crate) fn finalize(self, shard: usize, metrics: &SessionMetrics) -> SessionOutput {
         let _span = wivi_obs::span_traced("session.drain", self.id, self.trace);
+        metrics.record(self.mode, self.calibrate, self.stream, self.nulling_db);
         let n_samples = self.n_requested - self.remaining;
         let closed_early = self.remaining > 0;
         let n_columns = self.session.columns();
@@ -345,8 +351,8 @@ impl ActiveSession {
             closed_early,
             nulling_db: self.nulling_db,
             result,
-            calibrate_s: self.calibrate_s,
-            stream_s: self.stream_s,
+            calibrate_s: self.calibrate.as_secs_f64(),
+            stream_s: self.stream.as_secs_f64(),
         }
     }
 }

@@ -24,13 +24,14 @@
 
 use std::collections::VecDeque;
 use std::sync::{Arc, Condvar, Mutex};
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use wivi_num::Complex64;
 use wivi_obs::{
     Counter, Gauge, Histogram, HistogramSnapshot, Registry, WindowedCounter, WindowedHistogram,
 };
 
+use crate::mode::Mode;
 use crate::session::{ActiveSession, SessionId, SessionOutput, SessionSpec};
 
 /// A command routed to a shard.
@@ -191,11 +192,19 @@ pub(crate) struct ShardMetrics {
     /// Engine-wide SLO accounting the shard's workers tally into after
     /// every batch step.
     pub(crate) slo: SloMetrics,
+    /// Engine-wide per-session histograms, recorded as sessions drain.
+    session: SessionMetrics,
 }
 
 impl ShardMetrics {
     /// Registers (or re-attaches to) shard `shard`'s metrics in `reg`.
-    pub(crate) fn register(reg: &Registry, shard: usize, workers: usize, slo: SloMetrics) -> Self {
+    pub(crate) fn register(
+        reg: &Registry,
+        shard: usize,
+        workers: usize,
+        slo: SloMetrics,
+        session: SessionMetrics,
+    ) -> Self {
         let name = |metric: &str| format!("serve.shard{shard}.{metric}");
         let batch_latency_ns = reg.histogram(&name("batch_latency_ns"));
         Self {
@@ -208,6 +217,7 @@ impl ShardMetrics {
             batch_window: Arc::new(WindowedHistogram::new(batch_latency_ns.clone())),
             batch_latency_ns,
             slo,
+            session,
         }
     }
 
@@ -361,6 +371,56 @@ impl SloMetrics {
     }
 }
 
+/// Engine-wide per-session histograms, recorded once per session as it
+/// drains: calibration time, nulling depth and stream time per mode.
+/// Registered once per engine, as [`SloMetrics`] is, and cloned into
+/// every shard's [`ShardMetrics`]. They live only in the registry —
+/// `/metrics` exports their `_sum` and `_count` — and are not copied
+/// into [`ServeSnapshot`](crate::ServeSnapshot), which callers keep one
+/// of per run.
+#[derive(Clone)]
+pub(crate) struct SessionMetrics {
+    /// Calibration wall-clock at open (`serve.session.calibrate_ns`).
+    calibrate_ns: Histogram,
+    /// Nulling depth at open in milli-dB, clamped at 0
+    /// (`serve.session.nulling_mdb`).
+    nulling_mdb: Histogram,
+    /// Summed batch wall-clock of one session, one histogram per mode in
+    /// [`Mode::ALL`] order (`serve.session.stream_ns.<tag>`).
+    stream_ns: [Histogram; Mode::ALL.len()],
+}
+
+impl SessionMetrics {
+    /// Registers the engine-wide `serve.session.*` histograms in `reg`.
+    pub(crate) fn register(reg: &Registry) -> Self {
+        Self {
+            calibrate_ns: reg.histogram("serve.session.calibrate_ns"),
+            nulling_mdb: reg.histogram("serve.session.nulling_mdb"),
+            stream_ns: Mode::ALL
+                .map(|m| reg.histogram(&format!("serve.session.stream_ns.{}", m.tag()))),
+        }
+    }
+
+    /// Records one drained session of `mode`.
+    pub(crate) fn record(
+        &self,
+        mode: Mode,
+        calibrate: Duration,
+        stream: Duration,
+        nulling_db: f64,
+    ) {
+        self.calibrate_ns.record_duration(calibrate);
+        // `as` saturates, and `max` maps NaN to 0.
+        self.nulling_mdb
+            .record((nulling_db * 1e3).round().max(0.0) as u64);
+        let k = Mode::ALL
+            .iter()
+            .position(|&m| m == mode)
+            .expect("every mode is in Mode::ALL");
+        self.stream_ns[k].record_duration(stream);
+    }
+}
+
 /// The engine's SLO accounting, aggregated: how the serving run did
 /// against its hop budget.
 #[derive(Clone, Copy, Debug, Default)]
@@ -408,7 +468,7 @@ impl WorkerState {
         let t0 = Instant::now();
         s.step(batch_len, &mut self.scratch);
         let d = t0.elapsed();
-        s.stream_s += d.as_secs_f64();
+        s.stream += d;
         metrics.record_step(d);
         metrics
             .slo
@@ -515,7 +575,7 @@ pub(crate) fn run_shard(
         if active.iter().any(ActiveSession::done_streaming) {
             for s in active.drain(..) {
                 if s.done_streaming() {
-                    let out = s.finalize(shard_idx);
+                    let out = s.finalize(shard_idx, &metrics.session);
                     metrics.sessions.inc();
                     if let Some(q) = &completions {
                         q.push(out.clone());

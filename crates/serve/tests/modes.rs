@@ -1,7 +1,8 @@
 //! Mode coverage: every [`Mode`] actually serves end-to-end and returns
 //! its own [`ModeOutput`] variant. The `match` below pairs each mode
 //! with its payload and has no fallback arm, so a new mode does not
-//! compile here until its payload check is spelled out.
+//! compile here until its payload check is spelled out. Each mode's
+//! sessions are also counted in the engine's per-session histograms.
 
 use wivi_core::WiViConfig;
 use wivi_rf::{Material, Mover, Point, Scene, WaypointWalker};
@@ -51,5 +52,62 @@ fn every_registered_mode_serves_and_returns_its_own_payload() {
                 panic!("mode '{}' returned another mode's payload", mode.tag())
             }
         }
+    }
+}
+
+/// A duration in seconds as whole nanoseconds. Exact for the
+/// `Duration::as_secs_f64` values sessions report: their relative error
+/// is far below half a nanosecond at these magnitudes.
+fn ns(seconds: f64) -> u64 {
+    (seconds * 1e9).round() as u64
+}
+
+#[test]
+fn per_session_histograms_count_each_mode_once_and_sum_the_outputs() {
+    let mut engine = ServeEngine::start(ServeConfig::with_shards(2));
+    let registry = engine.registry().clone();
+    for (i, mode) in Mode::ALL.into_iter().enumerate() {
+        engine
+            .open(
+                SessionSpec::builder(i as u64)
+                    .scene(scene())
+                    .config(WiViConfig::fast_test())
+                    .seed(200 + i as u64)
+                    .duration_s(1.0)
+                    .mode(mode)
+                    .build(),
+            )
+            .unwrap();
+    }
+    let report = engine.finish();
+    let snap = registry.snapshot(false);
+    let hist = |name: &str| {
+        snap.histogram(name)
+            .unwrap_or_else(|| panic!("{name} is not registered"))
+            .clone()
+    };
+
+    // The engine-wide histograms: one sample per session, summing the
+    // durations each output reports in seconds.
+    let calibrate = hist("serve.session.calibrate_ns");
+    assert_eq!(calibrate.count, Mode::ALL.len() as u64);
+    let want: u64 = report.outputs.iter().map(|o| ns(o.calibrate_s)).sum();
+    assert_eq!(calibrate.sum, want, "calibration sum");
+    let nulling = hist("serve.session.nulling_mdb");
+    assert_eq!(nulling.count, Mode::ALL.len() as u64);
+    let want: u64 = report
+        .outputs
+        .iter()
+        .map(|o| (o.nulling_db * 1e3).round().max(0.0) as u64)
+        .sum();
+    assert_eq!(nulling.sum, want, "nulling sum");
+    assert!(nulling.sum > 0, "calibration nulled nothing");
+
+    // One stream histogram per mode, each holding its one session.
+    for (i, mode) in Mode::ALL.into_iter().enumerate() {
+        let stream = hist(&format!("serve.session.stream_ns.{}", mode.tag()));
+        let out = report.output(i as u64).expect("session served");
+        assert_eq!(stream.count, 1, "{} sessions", mode.tag());
+        assert_eq!(stream.sum, ns(out.stream_s), "{} stream sum", mode.tag());
     }
 }

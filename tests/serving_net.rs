@@ -253,6 +253,49 @@ fn metrics_endpoint_shares_the_wire_port() {
     server.shutdown().expect("shutdown");
 }
 
+#[test]
+fn metrics_endpoint_exports_per_session_histograms() {
+    let mut cfg = WireServerConfig::new(ServeConfig::with_shards_workers(1, 1));
+    cfg.scenes.push(("room".into(), simple_scene().into()));
+    cfg.configs.push(("fast".into(), WiViConfig::fast_test()));
+    let server = WireServer::start(cfg).expect("bind");
+
+    let mut client = WireClient::connect(server.addr(), "scraper").expect("connect");
+    for id in 0..2u64 {
+        client
+            .open(OpenRequest {
+                id,
+                seed: 60 + id,
+                duration_s: 0.25,
+                start_s: 0.0,
+                mode: "count".into(),
+                scene: "room".into(),
+                config: "fast".into(),
+                trace: None,
+            })
+            .expect("admit");
+    }
+    assert_eq!(client.finish().expect("drain").outputs.len(), 2);
+
+    // Sessions are recorded as they drain, before their outputs leave,
+    // so a scrape after the drain sees both.
+    let metrics = http_get(server.addr(), "/metrics");
+    assert!(metrics.starts_with("HTTP/1.1 200 OK"), "got: {metrics}");
+    for line in [
+        "wivi_serve_session_calibrate_ns_count 2\n",
+        "wivi_serve_session_nulling_mdb_count 2\n",
+        "wivi_serve_session_stream_ns_count_count 2\n",
+    ] {
+        assert!(metrics.contains(line), "missing {line:?} in: {metrics}");
+    }
+    for mode in Mode::ALL.into_iter().filter(|&m| m != Mode::Count) {
+        let line = format!("wivi_serve_session_stream_ns_{}_count 0\n", mode.tag());
+        assert!(metrics.contains(&line), "missing {line:?} in: {metrics}");
+    }
+    assert!(metrics.contains("wivi_serve_session_calibrate_ns_sum "));
+    server.shutdown().expect("shutdown");
+}
+
 /// One HTTP GET against the wire port, full response as a string.
 fn http_get(addr: std::net::SocketAddr, path: &str) -> String {
     let mut sock = std::net::TcpStream::connect(addr).expect("connect");
