@@ -1,6 +1,7 @@
 //! Deterministic work counts: exact heap-allocation counts for the
-//! serving sample loop, engine and session construction, session steps
-//! and one front-end observation.
+//! serving sample loop, engine, table and session construction, session
+//! steps and one front-end observation, and the bytes an imaging table
+//! build requests.
 //!
 //! Wall time drifts from run to run; allocation counts of a fixed
 //! `fast_test` scenario do not, so they are pinned exactly. A counting
@@ -19,43 +20,47 @@ use wivi::core::{
     CountSession, GestureSession, MusicConfig, MusicEngine, Session, TrackSession, WiViConfig,
     WiViDevice,
 };
+use wivi::image::engine::ImagingTables;
 use wivi::image::{ImageConfig, ImageSession, ImagingEngine};
 use wivi::num::Complex64;
 use wivi::rf::{Material, Mover, Point, Scene, WaypointWalker};
 
 /// `System`, plus a per-thread count of allocation calls (`alloc`,
-/// `alloc_zeroed` and `realloc`; frees are not counted).
+/// `alloc_zeroed` and `realloc`; frees are not counted) and of the
+/// bytes they request (a `realloc` counts its new size).
 struct Counting;
 
 thread_local! {
     static ALLOCS: Cell<u64> = const { Cell::new(0) };
+    static BYTES: Cell<u64> = const { Cell::new(0) };
 }
 
-fn note_alloc() {
+fn note_alloc(bytes: usize) {
     // `try_with`: a thread being torn down may still free and allocate.
     let _ = ALLOCS.try_with(|n| n.set(n.get() + 1));
+    let _ = BYTES.try_with(|n| n.set(n.get() + bytes as u64));
 }
 
 // SAFETY: every method forwards its arguments unchanged to `System`,
 // which upholds the `GlobalAlloc` contract, and returns what `System`
-// returned. The only other work is bumping a const-initialized
-// thread-local `Cell`, which has no destructor to register and so never
-// allocates or re-enters the allocator.
+// returned. The only other work is bumping two const-initialized
+// thread-local `Cell`s, which have no destructor to register and so
+// never allocate or re-enter the allocator.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        note_alloc();
+        note_alloc(layout.size());
         // SAFETY: the caller's `layout` obligations pass straight through.
         unsafe { System.alloc(layout) }
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        note_alloc();
+        note_alloc(layout.size());
         // SAFETY: as for `alloc`.
         unsafe { System.alloc_zeroed(layout) }
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        note_alloc();
+        note_alloc(new_size);
         // SAFETY: `ptr` came from this allocator, which is `System`
         // underneath, with `layout`; the caller guarantees the rest.
         unsafe { System.realloc(ptr, layout, new_size) }
@@ -93,11 +98,21 @@ impl Drop for ObsOff {
     }
 }
 
+/// Allocations `f` makes on this thread, and the bytes they request.
+fn heap_use<R>(f: impl FnOnce() -> R) -> (u64, u64, R) {
+    let (calls, bytes) = (ALLOCS.with(Cell::get), BYTES.with(Cell::get));
+    let r = f();
+    (
+        ALLOCS.with(Cell::get) - calls,
+        BYTES.with(Cell::get) - bytes,
+        r,
+    )
+}
+
 /// Allocations `f` makes on this thread.
 fn allocations<R>(f: impl FnOnce() -> R) -> (u64, R) {
-    let before = ALLOCS.with(Cell::get);
-    let r = f();
-    (ALLOCS.with(Cell::get) - before, r)
+    let (n, _, r) = heap_use(f);
+    (n, r)
 }
 
 /// A calibrated `fast_test` device watching one walker cross the small
@@ -142,6 +157,17 @@ fn front_end_observe_allocates_its_observation_only() {
     });
     assert_eq!(n, 16, "16 observe() calls allocated {n} times");
     assert_eq!(subcarriers, 16 * 16);
+}
+
+#[test]
+fn an_imaging_table_build_allocates_one_steering_table() {
+    let _obs = ObsOff::new();
+    // TX 1's steering table (448 cells × 625 phasors) and the 448 cross
+    // terms, 16 B each; TX 2's table is TX 1's mirror image and is never
+    // allocated, not even while the cross terms are folded.
+    let (n, bytes, _tables) = heap_use(|| ImagingTables::build(&ImageConfig::fast_test()));
+    assert_eq!(n, 2, "ImagingTables::build allocated {n} times");
+    assert_eq!(bytes, 4_487_168, "ImagingTables::build requested {bytes} B");
 }
 
 #[test]
