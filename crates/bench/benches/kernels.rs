@@ -8,11 +8,13 @@
 //! the allocating convenience API, so the zero-allocation refactor's
 //! payoff stays measured, and the engine rows split what the first
 //! engine per configuration pays (the cold table build) from what every
-//! later one pays (a warm `new`: scratch only).
+//! later one pays (a warm `new`: scratch only). `observe_batch_into_64`
+//! times the simulator: one 64-sample batch of a calibrated device.
 
 use std::hint::black_box;
 use std::time::Instant;
 
+use wivi_bench::engine::ScenarioGrid;
 use wivi_bench::kernels::run_kernels_bench;
 use wivi_bench::report;
 use wivi_core::gesture::matched_filter;
@@ -21,6 +23,7 @@ use wivi_core::music::{
     music_spectrum, smoothed_correlation, MusicConfig, MusicEngine, MusicTables,
 };
 use wivi_core::nulling::iterate_nulling_ideal;
+use wivi_core::{WiViConfig, WiViDevice};
 use wivi_image::engine::ImagingTables;
 use wivi_image::{ImageConfig, ImagingEngine};
 use wivi_num::eig::{hermitian_eig_in, EigWorkspace};
@@ -97,6 +100,26 @@ fn main() {
         plan.forward(&mut buf);
         plan.inverse(&mut buf);
         black_box(buf[0]);
+    });
+
+    // The simulator: one 64-sample serving batch at the paper
+    // configuration, over the tracking grid's one-walker scene (small
+    // room, office clutter), from a calibrated device.
+    let walker = ScenarioGrid::tracking()
+        .specs()
+        .into_iter()
+        .find(|s| s.n_humans == 1)
+        .expect("the tracking grid has a one-walker trial");
+    let mut dev = WiViDevice::new(
+        walker.build_scene(),
+        WiViConfig::paper_default(),
+        walker.seed(),
+    );
+    dev.calibrate();
+    let mut samples = Vec::new();
+    bench("observe_batch_into_64", 20, || {
+        dev.observe_batch_into(64, &mut samples);
+        black_box(samples[0]);
     });
 
     // Eigendecomposition: fresh allocation vs workspace reuse.

@@ -128,7 +128,8 @@ impl IsarConfig {
 /// and its window-length steering vectors, built once per configuration
 /// per process and shared through a process-wide [`TableStore`].
 struct BeamformTables {
-    thetas: Vec<f64>,
+    /// The angle grid, shared with every spectrogram the engines emit.
+    thetas: Arc<[f64]>,
     /// Per-angle steering vectors of window length, angle-major
     /// (`n_angles × window`).
     steering: Vec<Complex64>,
@@ -142,7 +143,10 @@ impl BeamformTables {
             .iter()
             .flat_map(|&th| cfg.steering_vector(th, cfg.window))
             .collect();
-        Self { thetas, steering }
+        Self {
+            thetas: thetas.into(),
+            steering,
+        }
     }
 }
 
@@ -172,8 +176,9 @@ impl BeamformEngine {
         }
     }
 
-    /// The angle grid shared by every emitted row.
-    pub fn thetas_deg(&self) -> &[f64] {
+    /// The angle grid shared by every emitted row (and, through an
+    /// `Arc`, by every spectrogram built from them).
+    pub fn thetas_deg(&self) -> &Arc<[f64]> {
         &self.tables.thetas
     }
 

@@ -139,7 +139,8 @@ pub fn smoothed_correlation_into(window: &[Complex64], subarray: usize, r: &mut 
 /// the steering table, built once per configuration per process and
 /// shared by every engine through a process-wide [`TableStore`].
 pub struct MusicTables {
-    thetas: Vec<f64>,
+    /// The angle grid, shared with every spectrogram the engines emit.
+    thetas: Arc<[f64]>,
     /// The steering table in antenna-major order: row `i` holds element
     /// `i` of every angle's steering vector (`sub × n_angles`).
     /// Angle-contiguous rows let the projection run as one
@@ -164,7 +165,10 @@ impl MusicTables {
                 steer_flat[i * n_angles + ang] = ei;
             }
         }
-        Self { thetas, steer_flat }
+        Self {
+            thetas: thetas.into(),
+            steer_flat,
+        }
     }
 }
 
@@ -219,8 +223,9 @@ impl MusicEngine {
         &self.cfg
     }
 
-    /// The angle grid shared by every emitted row.
-    pub fn thetas_deg(&self) -> &[f64] {
+    /// The angle grid shared by every emitted row (and, through an
+    /// `Arc`, by every spectrogram built from them).
+    pub fn thetas_deg(&self) -> &Arc<[f64]> {
         &self.tables.thetas
     }
 

@@ -6,6 +6,8 @@
 //! are heatmaps of this object; [`AngleSpectrogram::render_ascii`]
 //! reproduces them in a terminal.
 
+use std::sync::Arc;
+
 /// Absolute dB of a linear power, clamped away from `log(0)`:
 /// `10·log₁₀(max(p, 1e−30))`. The one conversion shared by the ridge
 /// maps, the counting statistic and the tracker's detector, so their
@@ -103,8 +105,10 @@ pub fn ridge_peaks(
 /// Power (linear) over a grid of spatial angles × time windows.
 #[derive(Clone, Debug)]
 pub struct AngleSpectrogram {
-    /// Angle grid in degrees, ascending (typically −90 ..= +90).
-    pub thetas_deg: Vec<f64>,
+    /// Angle grid in degrees, ascending (typically −90 ..= +90). A
+    /// spectrogram from an engine shares its configuration's grid with
+    /// the engine's tables rather than owning a copy.
+    pub thetas_deg: Arc<[f64]>,
     /// Centre time of each analysis window, seconds.
     pub times_s: Vec<f64>,
     /// `power[t][a]`: linear power at `times_s[t]`, `thetas_deg[a]`.
@@ -112,11 +116,13 @@ pub struct AngleSpectrogram {
 }
 
 impl AngleSpectrogram {
-    /// Creates a spectrogram, validating shapes.
+    /// Creates a spectrogram, validating shapes. The angle grid may be
+    /// an owned `Vec` or a shared `Arc<[f64]>`.
     ///
     /// # Panics
     /// Panics on inconsistent dimensions or empty grids.
-    pub fn new(thetas_deg: Vec<f64>, times_s: Vec<f64>, power: Vec<Vec<f64>>) -> Self {
+    pub fn new(thetas_deg: impl Into<Arc<[f64]>>, times_s: Vec<f64>, power: Vec<Vec<f64>>) -> Self {
+        let thetas_deg = thetas_deg.into();
         assert!(!thetas_deg.is_empty() && !times_s.is_empty());
         assert_eq!(power.len(), times_s.len(), "one power row per time window");
         for row in &power {

@@ -32,6 +32,8 @@
 //! ([`Streaming::sink_only`]) keeps nothing, so its memory stays bounded
 //! by the window length — not the trial length.
 
+use std::sync::Arc;
+
 use wivi_num::Complex64;
 
 use crate::isar::{BeamformEngine, IsarConfig};
@@ -172,6 +174,9 @@ pub trait ColumnEngine: Sized {
 
     /// Processes one analysis window into a spectrogram column.
     fn column(&mut self, window: &[Complex64]) -> Vec<f64>;
+
+    /// The angle grid of every column, shared with the engine's tables.
+    fn thetas_deg(&self) -> &Arc<[f64]>;
 }
 
 impl ColumnEngine for MusicEngine {
@@ -188,6 +193,10 @@ impl ColumnEngine for MusicEngine {
 
     fn column(&mut self, window: &[Complex64]) -> Vec<f64> {
         self.process_window(window).0
+    }
+
+    fn thetas_deg(&self) -> &Arc<[f64]> {
+        MusicEngine::thetas_deg(self)
     }
 }
 
@@ -206,18 +215,19 @@ impl ColumnEngine for BeamformEngine {
     fn column(&mut self, window: &[Complex64]) -> Vec<f64> {
         self.process_window(window)
     }
+
+    fn thetas_deg(&self) -> &Arc<[f64]> {
+        BeamformEngine::thetas_deg(self)
+    }
 }
 
 /// A streaming stage over its own [`ColumnEngine`]: the engine, the
 /// sliding [`WindowBuffer`], the column counter, and (unless built
 /// [`sink_only`](Self::sink_only)) the retained columns and their window
-/// centre times.
+/// centre times. The angle grid is the engine's, shared with its tables.
 pub struct Streaming<E: ColumnEngine> {
     engine: E,
     isar: IsarConfig,
-    /// Own copy of the angle grid (columns are handed to observers while
-    /// the engine is mutably borrowed).
-    thetas: Vec<f64>,
     wb: WindowBuffer,
     /// Whether emitted columns are stored for [`Stage::finish`].
     retain: bool,
@@ -244,7 +254,6 @@ impl<E: ColumnEngine> Streaming<E> {
         Self {
             engine: E::build(&cfg),
             isar,
-            thetas: isar.thetas_deg(),
             wb: WindowBuffer::new(isar.window, isar.hop),
             retain: true,
             emitted: 0,
@@ -277,7 +286,6 @@ impl<E: ColumnEngine> Stage for Streaming<E> {
         let Self {
             engine,
             isar,
-            thetas,
             wb,
             retain,
             rows,
@@ -286,7 +294,7 @@ impl<E: ColumnEngine> Stage for Streaming<E> {
         } = self;
         let n = wb.push(samples, |start, win| {
             let row = engine.column(win);
-            on_column(thetas, &row);
+            on_column(engine.thetas_deg(), &row);
             if *retain {
                 rows.push(row);
                 times.push(isar.window_center_s(start));
@@ -301,7 +309,7 @@ impl<E: ColumnEngine> Stage for Streaming<E> {
     }
 
     fn thetas_deg(&self) -> &[f64] {
-        &self.thetas
+        self.engine.thetas_deg()
     }
 
     fn rows(&self) -> &[Vec<f64>] {
@@ -325,7 +333,7 @@ impl<E: ColumnEngine> Stage for Streaming<E> {
         );
         self.emitted = 0;
         AngleSpectrogram::new(
-            self.thetas.clone(),
+            Arc::clone(self.engine.thetas_deg()),
             std::mem::take(&mut self.times),
             std::mem::take(&mut self.rows),
         )

@@ -209,8 +209,10 @@ struct HistShard {
     count: PaddedU64,
     sum: AtomicU64,
     /// Separate allocation per shard, so two shards' bucket arrays
-    /// never share a line even at allocation edges.
-    buckets: Box<[AtomicU64]>,
+    /// never share a line even at allocation edges. Allocated by the
+    /// stripe's first record: a histogram pays 7 808 B per stripe that
+    /// a thread records into, not 16 stripes' worth at registration.
+    buckets: OnceLock<Box<[AtomicU64]>>,
 }
 
 impl HistShard {
@@ -218,8 +220,13 @@ impl HistShard {
         Self {
             count: PaddedU64::new(),
             sum: AtomicU64::new(0),
-            buckets: (0..N_BUCKETS).map(|_| AtomicU64::new(0)).collect(),
+            buckets: OnceLock::new(),
         }
+    }
+
+    fn buckets(&self) -> &[AtomicU64] {
+        self.buckets
+            .get_or_init(|| (0..N_BUCKETS).map(|_| AtomicU64::new(0)).collect())
     }
 }
 
@@ -230,9 +237,10 @@ struct HistogramInner {
 
 /// A log-linear-bucket histogram of `u64` samples (typically
 /// nanoseconds). Recording is three relaxed `fetch_add`s on a
-/// thread-striped shard; snapshots merge across shards (and across
-/// histograms) by bucket addition, so quantiles are independent of the
-/// recording thread count and of merge order.
+/// thread-striped shard (the stripe's first record allocates its
+/// buckets); snapshots merge across shards (and across histograms) by
+/// bucket addition, so quantiles are independent of the recording
+/// thread count and of merge order.
 #[derive(Clone)]
 pub struct Histogram(Arc<HistogramInner>);
 
@@ -257,7 +265,7 @@ impl Histogram {
         // are independent tallies; a scraper may see them mid-update
         // (count ahead of sum) and the snapshot merge tolerates that
         // skew, so no release/acquire pairing buys anything here.
-        shard.buckets[bucket_of(v)].fetch_add(1, Ordering::Relaxed);
+        shard.buckets()[bucket_of(v)].fetch_add(1, Ordering::Relaxed);
         shard.count.0.fetch_add(1, Ordering::Relaxed); // ordering: see above
         shard.sum.fetch_add(v, Ordering::Relaxed); // ordering: see above
     }
@@ -288,7 +296,12 @@ impl Histogram {
         for s in &self.0.shards {
             out.count = out.count.wrapping_add(s.count.0.load(Ordering::Relaxed));
             out.sum = out.sum.wrapping_add(s.sum.load(Ordering::Relaxed));
-            for (acc, b) in out.buckets.iter_mut().zip(s.buckets.iter()) {
+            // A stripe no thread has recorded into has no buckets yet,
+            // which reads the same as all-zero buckets.
+            let Some(buckets) = s.buckets.get() else {
+                continue;
+            };
+            for (acc, b) in out.buckets.iter_mut().zip(buckets.iter()) {
                 *acc = acc.wrapping_add(b.load(Ordering::Relaxed));
             }
         }
@@ -698,6 +711,35 @@ mod tests {
         assert_eq!(snap.quantile(0.0), 0.0 + snap.quantile(0.0)); // finite
         let empty = HistogramSnapshot::empty();
         assert_eq!(empty.quantile(50.0), 0.0);
+    }
+
+    #[test]
+    fn histogram_stripes_allocate_on_their_first_record() {
+        let h = Histogram::new("lazy");
+        let allocated = |h: &Histogram| {
+            h.0.shards
+                .iter()
+                .filter(|s| s.buckets.get().is_some())
+                .count()
+        };
+        assert_eq!(allocated(&h), 0);
+        assert_eq!(h.snapshot(), HistogramSnapshot::empty());
+        h.record(7);
+        h.record(700);
+        assert_eq!(allocated(&h), 1);
+        let other = std::thread::scope(|s| {
+            s.spawn(|| {
+                h.record(70);
+                my_stripe()
+            })
+            .join()
+            .unwrap()
+        });
+        let expect = if other == my_stripe() { 1 } else { 2 };
+        assert_eq!(allocated(&h), expect, "a thread allocates only its stripe");
+        let snap = h.snapshot();
+        assert_eq!((snap.count, snap.sum), (3, 777));
+        assert_eq!(snap.nonzero_buckets().len(), 3);
     }
 
     #[test]

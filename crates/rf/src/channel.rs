@@ -16,8 +16,11 @@
 //! Geometry is frequency-independent, so paths are traced once per
 //! (TX antenna, time) as `(amplitude, length)` pairs ([`Path`]) and then
 //! evaluated at each OFDM subcarrier frequency by phase rotation
-//! ([`gain_from_paths`]); the per-subcarrier loop in `wivi-sdr` reuses the
-//! traced set.
+//! ([`gain_from_paths`]). Static paths come first in every path set and
+//! never change, so the front end in `wivi-sdr` sums them once per
+//! subcarrier ([`Scene::static_gains_into`]) and per sample traces and
+//! folds in only the movers ([`Scene::trace_mover_paths_into`],
+//! [`continue_gain`]), with the same bits as summing the whole set.
 
 use wivi_num::Complex64;
 
@@ -63,9 +66,19 @@ impl Path {
     }
 }
 
-/// Sums a traced path set at one frequency.
+/// Sums a traced path set at one frequency: a left fold from zero, in
+/// path order.
 pub fn gain_from_paths(paths: &[Path], freq_hz: f64) -> Complex64 {
-    paths.iter().map(|p| p.gain(freq_hz)).sum()
+    continue_gain(Complex64::ZERO, paths, freq_hz)
+}
+
+/// Continues [`gain_from_paths`]'s fold from `partial`, the sum of the
+/// paths that precede `paths`. For any split of a path set into `a`
+/// then `b`, `continue_gain(gain_from_paths(a, f), b, f)` adds the same
+/// terms in the same order as `gain_from_paths` over the whole set, so
+/// the two agree bit for bit.
+pub fn continue_gain(partial: Complex64, paths: &[Path], freq_hz: f64) -> Complex64 {
+    paths.iter().fold(partial, |acc, p| acc + p.gain(freq_hz))
 }
 
 /// Number of wall crossings of the straight segment `a → b` (0 or 1: the
@@ -76,38 +89,48 @@ fn wall_crossings(a: Point, b: Point) -> u32 {
 
 impl Scene {
     /// Traces every path from TX antenna `tx_idx` to the RX antenna at
-    /// scene time `t` (static paths plus the movers' body scatterers at
-    /// their time-`t` positions).
+    /// scene time `t`: the static paths (direct, flash, clutter), then
+    /// the movers' body scatterers at their time-`t` positions.
     ///
     /// # Panics
     /// Panics if `tx_idx >= 2`.
     pub fn trace_paths(&self, tx_idx: usize, t: f64) -> Vec<Path> {
-        let mut out = Vec::with_capacity(2 + self.clutter.len());
-        self.trace_paths_into(tx_idx, t, &mut out);
+        let mut out = self.trace_static_paths(tx_idx);
+        self.append_mover_paths(tx_idx, t, &mut out);
         out
-    }
-
-    /// Traces every path into a caller-provided buffer (cleared first).
-    /// The streaming front-end calls this at the channel rate; reusing one
-    /// buffer keeps the per-sample radio path allocation-free.
-    ///
-    /// # Panics
-    /// Panics if `tx_idx >= 2`.
-    pub fn trace_paths_into(&self, tx_idx: usize, t: f64, out: &mut Vec<Path>) {
-        out.clear();
-        self.append_static_paths(tx_idx, out);
-        self.append_mover_paths(tx_idx, t, out);
     }
 
     /// Only the static paths (direct + flash + clutter). These are what
     /// MIMO nulling cancels; tests use this to verify the residual.
     pub fn trace_static_paths(&self, tx_idx: usize) -> Vec<Path> {
         let mut out = Vec::with_capacity(2 + self.clutter.len());
-        self.append_static_paths(tx_idx, &mut out);
+        self.for_each_static_path(tx_idx, |p| out.push(p));
         out
     }
 
-    fn append_static_paths(&self, tx_idx: usize, out: &mut Vec<Path>) {
+    /// Fills `out[i]` with [`gain_from_paths`] over
+    /// [`Self::trace_static_paths`] at `freq_hz(i)`, bit for bit, without
+    /// materializing the paths: each entry starts at zero and adds the
+    /// static paths' gains in trace order. The front end's static-path
+    /// cache is this, once per TX antenna.
+    ///
+    /// # Panics
+    /// Panics if `tx_idx >= 2`.
+    pub fn static_gains_into(
+        &self,
+        tx_idx: usize,
+        freq_hz: impl Fn(usize) -> f64,
+        out: &mut [Complex64],
+    ) {
+        out.fill(Complex64::ZERO);
+        self.for_each_static_path(tx_idx, |p| {
+            for (i, g) in out.iter_mut().enumerate() {
+                *g += p.gain(freq_hz(i));
+            }
+        });
+    }
+
+    fn for_each_static_path(&self, tx_idx: usize, mut visit: impl FnMut(Path)) {
         assert!(tx_idx < 2, "Wi-Vi has exactly two transmit antennas");
         let tx = self.device.tx[tx_idx];
         let rx = self.device.rx;
@@ -118,7 +141,7 @@ impl Scene {
             let d = tx.distance(rx).max(lambda);
             let g_tx = self.device.tx_antenna.amplitude_gain(rx - tx);
             let g_rx = self.device.rx_antenna.amplitude_gain(tx - rx);
-            out.push(Path {
+            visit(Path {
                 amplitude: g_tx * g_rx * lambda / (4.0 * std::f64::consts::PI * d),
                 length_m: d,
                 kind: PathKind::Direct,
@@ -135,7 +158,7 @@ impl Scene {
             // reflection point, i.e. along (rx − tx_img).
             let g_tx = self.device.tx_antenna.amplitude_gain(rx_img - tx);
             let g_rx = self.device.rx_antenna.amplitude_gain(tx_img - rx);
-            out.push(Path {
+            visit(Path {
                 amplitude: gamma * g_tx * g_rx * lambda / (4.0 * std::f64::consts::PI * d),
                 length_m: d,
                 kind: PathKind::Flash,
@@ -144,7 +167,7 @@ impl Scene {
 
         // 3. Static clutter.
         for (i, s) in self.clutter.iter().enumerate() {
-            out.push(self.scatter_path(tx, rx, s, PathKind::Clutter(i)));
+            visit(self.scatter_path(tx, rx, s, PathKind::Clutter(i)));
         }
     }
 
@@ -153,6 +176,17 @@ impl Scene {
         let mut out = Vec::new();
         self.append_mover_paths(tx_idx, t, &mut out);
         out
+    }
+
+    /// [`Self::trace_mover_paths`] into a caller-provided buffer (cleared
+    /// first). The front end calls this at the channel rate; reusing one
+    /// buffer keeps the per-sample radio path allocation-free.
+    ///
+    /// # Panics
+    /// Panics if `tx_idx >= 2`.
+    pub fn trace_mover_paths_into(&self, tx_idx: usize, t: f64, out: &mut Vec<Path>) {
+        out.clear();
+        self.append_mover_paths(tx_idx, t, out);
     }
 
     fn append_mover_paths(&self, tx_idx: usize, t: f64, out: &mut Vec<Path>) {
@@ -371,6 +405,48 @@ mod tests {
         let a = scene.channel_gain(1, f, 0.5);
         let b = gain_from_paths(&scene.trace_paths(1, 0.5), f);
         assert!((a - b).abs() < 1e-15);
+    }
+
+    #[test]
+    fn static_partial_sums_continued_over_movers_keep_every_bit() {
+        // The front end's static-path cache: per (antenna, subcarrier),
+        // the static paths' sum, continued over the movers only, must be
+        // the whole path set's sum bit for bit at every sample.
+        let room = Scene::conference_room_small();
+        let scene = Scene::new(Material::HollowWall6In)
+            .with_office_clutter(room)
+            .with_mover(Mover::human(WaypointWalker::new(
+                vec![Point::new(-2.0, 3.0), Point::new(2.0, 1.5)],
+                1.0,
+            )))
+            .with_mover(Mover::human(crate::ConfinedRandomWalk::new(
+                room, 5, 1.2, 4.0,
+            )))
+            .with_mover(human_at(Point::new(-1.0, 2.5)));
+        // The 64 subcarriers of the paper's 5 MHz band.
+        let freq = |i: usize| CARRIER_HZ + (i as f64 - 32.0) * 5e6 / 64.0;
+        let bits = |z: Complex64| (z.re.to_bits(), z.im.to_bits());
+        let mut statics = [Complex64::ONE; 64];
+        let mut movers = Vec::new();
+        for tx in 0..2 {
+            scene.static_gains_into(tx, freq, &mut statics);
+            let static_paths = scene.trace_static_paths(tx);
+            for (i, &s) in statics.iter().enumerate() {
+                assert_eq!(bits(s), bits(gain_from_paths(&static_paths, freq(i))));
+            }
+            for n in 0..400 {
+                let t = n as f64 / 100.0;
+                scene.trace_mover_paths_into(tx, t, &mut movers);
+                assert!(movers.len() >= 3, "every mover contributes paths");
+                let all = scene.trace_paths(tx, t);
+                assert_eq!(all.len(), static_paths.len() + movers.len());
+                for (i, &s) in statics.iter().enumerate() {
+                    let cached = continue_gain(s, &movers, freq(i));
+                    let whole = gain_from_paths(&all, freq(i));
+                    assert_eq!(bits(cached), bits(whole), "tx {tx}, t {t}, subcarrier {i}");
+                }
+            }
+        }
     }
 
     #[test]

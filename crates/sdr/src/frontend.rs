@@ -22,7 +22,7 @@
 use wivi_num::fft::FftPlan;
 use wivi_num::rng::{complex_gaussian, Rng64};
 use wivi_num::Complex64;
-use wivi_rf::channel::{gain_from_paths, Path};
+use wivi_rf::channel::{continue_gain, Path};
 use wivi_rf::{Scene, SceneHandle};
 
 use crate::adc::{clip_tx, Adc, QuantizeOutcome};
@@ -151,6 +151,13 @@ enum TxMode {
 /// than each owning a copy, and [`Self::scene_mut`] is copy-on-write —
 /// mutating a shared scene clones a private copy first, so no radio can
 /// perturb another's world.
+///
+/// The static paths (direct, flash, clutter) do not change while the
+/// scene does not, so the radio sums them once per TX antenna and
+/// subcarrier, on its first transmission, and every transmission after
+/// that traces only the movers and continues the sum over them
+/// ([`continue_gain`]): the same left fold in the same order, so every
+/// channel estimate keeps its bits. [`Self::scene_mut`] drops the sums.
 pub struct MimoFrontend {
     scene: SceneHandle,
     cfg: RadioConfig,
@@ -175,7 +182,11 @@ pub struct MimoFrontend {
     scratch_block: Vec<Complex64>,
     /// Scratch: the superposed received spectrum.
     scratch_rx: Vec<Complex64>,
-    /// Scratch: traced propagation paths.
+    /// Static-path cache: entry `a·k + i` is the static paths' summed
+    /// gain from TX antenna `a` at subcarrier `i` (`k` subcarriers).
+    /// Empty until the first transmission and after [`Self::scene_mut`].
+    static_gains: Vec<Complex64>,
+    /// Scratch: the movers' traced propagation paths.
     scratch_paths: Vec<Path>,
 }
 
@@ -202,6 +213,7 @@ impl MimoFrontend {
             preamble: cfg.ofdm.preamble(),
             scratch_block: vec![Complex64::ZERO; k],
             scratch_rx: vec![Complex64::ZERO; k],
+            static_gains: Vec::new(),
             scratch_paths: Vec::new(),
         }
     }
@@ -224,8 +236,11 @@ impl MimoFrontend {
     /// Mutable access to the scene (e.g. to add movers between stages).
     /// Copy-on-write: if other radios share this scene through the same
     /// [`SceneHandle`], a private copy is cloned first and only this
-    /// radio sees the change.
+    /// radio sees the change. The caller may change static paths too, so
+    /// the static-path cache is dropped and rebuilt (in place) at the
+    /// next transmission.
     pub fn scene_mut(&mut self) -> &mut Scene {
+        self.static_gains.clear();
         self.scene.make_mut()
     }
 
@@ -399,8 +414,16 @@ impl MimoFrontend {
     /// Full TX→RX simulation of one OFDM block, leaving the normalized
     /// per-subcarrier channel estimate `ĥ[k]` in `scratch_block`.
     fn transmit(&mut self, mode: TxMode) -> QuantizeOutcome {
-        let k = self.cfg.ofdm.n_subcarriers;
+        let ofdm = self.cfg.ofdm;
+        let k = ofdm.n_subcarriers;
         let tx_scale = self.cfg.tx_amplitude * self.tx_boost;
+        if self.static_gains.is_empty() {
+            self.static_gains.resize(2 * k, Complex64::ZERO);
+            for (ant, gains) in self.static_gains.chunks_exact_mut(k).enumerate() {
+                self.scene
+                    .static_gains_into(ant, |i| ofdm.subcarrier_freq(i), gains);
+            }
+        }
 
         // Superpose the active antennas' contributions per subcarrier.
         self.scratch_rx.fill(Complex64::ZERO);
@@ -432,9 +455,10 @@ impl MimoFrontend {
             demodulate_in_place(&self.plan, &mut self.scratch_block);
 
             self.scene
-                .trace_paths_into(ant, self.now, &mut self.scratch_paths);
-            for i in 0..k {
-                let h = gain_from_paths(&self.scratch_paths, self.cfg.ofdm.subcarrier_freq(i));
+                .trace_mover_paths_into(ant, self.now, &mut self.scratch_paths);
+            let statics = &self.static_gains[ant * k..(ant + 1) * k];
+            for (i, &partial) in statics.iter().enumerate() {
+                let h = continue_gain(partial, &self.scratch_paths, ofdm.subcarrier_freq(i));
                 self.scratch_rx[i] += h * self.scratch_block[i];
             }
         }
@@ -514,7 +538,7 @@ impl Iterator for ObservationStream<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use wivi_rf::{Material, Mover, Point, Scene, Stationary, WaypointWalker};
+    use wivi_rf::{Material, Mover, Point, Scatterer, Scene, Stationary, WaypointWalker};
 
     fn quiet_cfg() -> RadioConfig {
         RadioConfig {
@@ -714,6 +738,61 @@ mod tests {
             / clean.mean_power()
             / cfg.ofdm.n_subcarriers as f64;
         assert!(err > 1e-4, "clipping caused no distortion (err {err:.2e})");
+    }
+
+    #[test]
+    fn scene_mut_drops_the_static_path_cache() {
+        // A quiet radio draws no noise, so what it observes depends only
+        // on its scene, its settings and the scene time.
+        let cfg = quiet_cfg();
+        let dt = 1.0 / cfg.channel_rate_hz;
+        let walker = || {
+            Mover::human(WaypointWalker::new(
+                vec![Point::new(-2.0, 3.0), Point::new(2.0, 3.0)],
+                1.0,
+            ))
+        };
+        let radio = |scene: Scene, seed: u64| {
+            let mut fe = MimoFrontend::new(scene, cfg, seed);
+            fe.set_rx_gain(30.0);
+            fe.set_precoder(vec![Complex64::new(-0.5, 0.25); cfg.ofdm.n_subcarriers]);
+            fe
+        };
+        let chair = Scatterer {
+            position: Point::new(1.5, 2.0),
+            sqrt_rcs: 0.4,
+        };
+        let bits = |o: &Observation| -> Vec<(u64, u64)> {
+            o.h.iter()
+                .map(|z| (z.re.to_bits(), z.im.to_bits()))
+                .collect()
+        };
+
+        // Observe (building the cache), then add a chair.
+        let mut fe = radio(test_scene().with_mover(walker()), 31);
+        for _ in 0..8 {
+            fe.observe();
+        }
+        fe.scene_mut().clutter.push(chair);
+        let after = fe.observe();
+
+        // A fresh radio that has only ever seen the chair.
+        let mut with_chair = test_scene().with_mover(walker());
+        with_chair.clutter.push(chair);
+        let mut fresh = radio(with_chair, 32);
+        for _ in 0..8 {
+            fresh.advance(dt);
+        }
+        let expect = fresh.observe();
+        assert_eq!(after.time, expect.time);
+        assert_eq!(bits(&after), bits(&expect), "a stale static-path cache");
+
+        // The chair is visible, so a stale cache could not pass.
+        let mut without = radio(test_scene().with_mover(walker()), 33);
+        for _ in 0..8 {
+            without.advance(dt);
+        }
+        assert_ne!(bits(&without.observe()), bits(&expect));
     }
 
     #[test]

@@ -515,11 +515,22 @@ impl ServeEngine {
         for chan in &self.channels {
             chan.shutdown();
         }
-        let mut outputs: Vec<SessionOutput> = Vec::new();
-        for w in self.workers {
-            outputs.extend(w.join().expect("shard worker panicked"));
+        // Extend the first shard's vector with the others' outputs
+        // rather than copy every shard's into a fresh one.
+        let mut joined = self
+            .workers
+            .into_iter()
+            .map(|w| w.join().expect("shard worker panicked"));
+        let mut outputs: Vec<SessionOutput> = joined.next().unwrap_or_default();
+        for shard_outputs in joined {
+            outputs.extend(shard_outputs);
         }
-        outputs.sort_by_key(|o| o.id);
+        // `check_unique` refuses an id already opened, so ids are unique
+        // and an unstable sort gives the stable sort's order without its
+        // scratch buffer (up to the size of the whole output array, taken
+        // while every output is resident). If ids may ever be reused,
+        // this must become a stable sort again.
+        outputs.sort_unstable_by_key(|o| o.id);
         let events = merge_session_events(&outputs);
         // Shards have exited, so the registry is quiescent: the
         // snapshot rows are final (and already in shard order).

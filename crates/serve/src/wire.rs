@@ -1030,7 +1030,7 @@ mod tests {
     fn option_payloads_encode_to_pinned_bytes() {
         use wivi_core::gesture::DetectedGesture;
         let spec = AngleSpectrogram {
-            thetas_deg: vec![-90.0, 0.0, 90.0],
+            thetas_deg: vec![-90.0, 0.0, 90.0].into(),
             times_s: vec![0.5, 1.0],
             power: vec![vec![1.0, 2.0, 4.0], vec![0.25, 0.5, 8.0]],
         };

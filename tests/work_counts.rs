@@ -1,7 +1,8 @@
 //! Deterministic work counts: exact heap-allocation counts for the
 //! serving sample loop, engine, table and session construction, session
-//! steps and one front-end observation, and the bytes an imaging table
-//! build requests.
+//! steps, one front-end observation and a front end's static-path
+//! cache, and the bytes an imaging table build and a histogram's
+//! registration and first record request.
 //!
 //! Wall time drifts from run to run; allocation counts of a fixed
 //! `fast_test` scenario do not, so they are pinned exactly. A counting
@@ -23,7 +24,9 @@ use wivi::core::{
 use wivi::image::engine::ImagingTables;
 use wivi::image::{ImageConfig, ImageSession, ImagingEngine};
 use wivi::num::Complex64;
+use wivi::obs::{Registry, N_BUCKETS};
 use wivi::rf::{Material, Mover, Point, Scene, WaypointWalker};
+use wivi::sdr::{MimoFrontend, RadioConfig};
 
 /// `System`, plus a per-thread count of allocation calls (`alloc`,
 /// `alloc_zeroed` and `realloc`; frees are not counted) and of the
@@ -160,6 +163,59 @@ fn front_end_observe_allocates_its_observation_only() {
 }
 
 #[test]
+fn a_front_end_sums_its_static_paths_once_in_one_allocation() {
+    let _obs = ObsOff::new();
+    let cfg = RadioConfig::fast_test();
+    let k = cfg.ofdm.n_subcarriers as u64;
+    let observation = 16 * k;
+    // Clutter and no movers, so no transmission traces a path into the
+    // mover scratch buffer.
+    let scene =
+        Scene::new(Material::HollowWall6In).with_office_clutter(Scene::conference_room_small());
+    let mut fe = MimoFrontend::new(scene, cfg, 7);
+    // The first transmission sums the static paths of both antennas at
+    // every subcarrier into one 2 × k cache, beside its observation.
+    let (n, bytes, _) = heap_use(|| fe.sound(0));
+    assert_eq!(n, 1 + 1, "the first sound() allocated {n} times");
+    assert_eq!(
+        bytes,
+        2 * 16 * k + observation,
+        "the first sound() requested {bytes} B"
+    );
+    // Every later transmission, on either antenna, reads the cache.
+    for tx in [1, 0] {
+        let (n, bytes, _) = heap_use(|| fe.sound(tx));
+        assert_eq!((n, bytes), (1, observation), "sound({tx}) after the first");
+    }
+    // A scene change drops the sums; they are rebuilt in place.
+    fe.scene_mut().clutter.pop();
+    let (n, bytes, _) = heap_use(|| fe.sound(0));
+    assert_eq!((n, bytes), (1, observation), "sound(0) after scene_mut");
+}
+
+#[test]
+fn a_histogram_allocates_a_bucket_stripe_per_recording_thread() {
+    let _obs = ObsOff::new();
+    let registry = Registry::new();
+    let stripe = 8 * N_BUCKETS as u64;
+    assert_eq!(stripe, 7_808);
+    // Registration allocates the handle, its name and the registry's
+    // slot; any bucket stripe alone would be 7 808 B.
+    let (_, bytes, hist) = heap_use(|| registry.histogram("serve.session.calibrate_ns"));
+    assert!(
+        bytes < stripe,
+        "registering a histogram requested {bytes} B"
+    );
+    // This thread's first record allocates its stripe; later ones
+    // allocate nothing.
+    let (n, bytes, ()) = heap_use(|| hist.record(1_234));
+    assert_eq!((n, bytes), (1, stripe), "the first record");
+    let (n, ()) = allocations(|| hist.record(5_678));
+    assert_eq!(n, 0, "a second record allocated {n} times");
+    assert_eq!(hist.count(), 2);
+}
+
+#[test]
 fn an_imaging_table_build_allocates_one_steering_table() {
     let _obs = ObsOff::new();
     // TX 1's steering table (448 cells × 625 phasors) and the 448 cross
@@ -207,15 +263,15 @@ fn sessions_allocate_their_engine_at_open_and_nothing_per_idle_step() {
     dev.observe_batch_into(40, &mut batch);
     first.0.step(&batch);
 
-    // A MUSIC session: the engine's 9 scratch buffers, the angle grid
-    // and the window buffer.
+    // A MUSIC session: the engine's 9 scratch buffers and the window
+    // buffer. The angle grid is the tables', shared, not copied.
     let (n, mut count) = allocations(|| CountSession::new(&cfg));
-    assert_eq!(n, 9 + 1 + 1, "CountSession::new allocated {n} times");
+    assert_eq!(n, 9 + 1, "CountSession::new allocated {n} times");
     let (n, mut track) = allocations(|| TrackSession::new(&cfg));
-    assert_eq!(n, 9 + 1 + 1, "TrackSession::new allocated {n} times");
-    // The beamformer has no scratch: the angle grid and window buffer.
+    assert_eq!(n, 9 + 1, "TrackSession::new allocated {n} times");
+    // The beamformer has no scratch: the window buffer.
     let (n, mut gesture) = allocations(|| GestureSession::new(&cfg));
-    assert_eq!(n, 1 + 1, "GestureSession::new allocated {n} times");
+    assert_eq!(n, 1, "GestureSession::new allocated {n} times");
     // Imaging: the engine's 3 scratch buffers, the window buffer and
     // the boxed position tracker.
     let (n, mut image) = allocations(|| ImageSession::for_device(&dev, &image_cfg));
