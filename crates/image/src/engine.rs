@@ -198,30 +198,6 @@ pub struct ImagingEngine {
     /// Mean-removed window scratch (the CLEAN loop subtracts detected
     /// targets from it in place).
     centered: Vec<Complex64>,
-    /// Worker threads for the per-cell focus sweep (cells are
-    /// independent, so the partition cannot change any cell's bits).
-    /// Defaults to `WIVI_FOCUS_THREADS` (1 when unset).
-    focus_threads: usize,
-}
-
-/// The global-registry histogram of focus-sweep chunk wall times
-/// (callers only record when `WIVI_OBS` is on).
-fn focus_chunk_hist() -> &'static wivi_obs::Histogram {
-    static H: std::sync::OnceLock<wivi_obs::Histogram> = std::sync::OnceLock::new();
-    H.get_or_init(|| wivi_obs::global().histogram("image.focus_chunk_ns"))
-}
-
-/// Parses `WIVI_FOCUS_THREADS` once per process (≥ 1; 1 when unset or
-/// malformed).
-fn default_focus_threads() -> usize {
-    static N: std::sync::OnceLock<usize> = std::sync::OnceLock::new();
-    *N.get_or_init(|| {
-        std::env::var("WIVI_FOCUS_THREADS")
-            .ok()
-            .and_then(|v| v.parse::<usize>().ok())
-            .filter(|&n| n >= 1)
-            .unwrap_or(1)
-    })
 }
 
 impl ImagingEngine {
@@ -241,25 +217,12 @@ impl ImagingEngine {
             image: vec![0.0; n_cells],
             dirs: vec![true; n_cells],
             centered: vec![Complex64::ZERO; cfg.window],
-            focus_threads: default_focus_threads(),
         }
     }
 
     /// The engine's configuration.
     pub fn cfg(&self) -> &ImageConfig {
         &self.cfg
-    }
-
-    /// Sets the focus-sweep worker count (clamped to ≥ 1). The image is
-    /// bitwise identical for every thread count — the sweep only
-    /// partitions independent cells.
-    pub fn set_focus_threads(&mut self, n: usize) {
-        self.focus_threads = n.max(1);
-    }
-
-    /// The configured focus-sweep worker count.
-    pub fn focus_threads(&self) -> usize {
-        self.focus_threads
     }
 
     /// The flat-buffer shape of the focused image.
@@ -298,76 +261,29 @@ impl ImagingEngine {
     }
 
     /// Backprojects the resident (centred) window onto the grid,
-    /// filling the image and per-cell direction buffers. Cells are
-    /// independent, so the sweep splits into contiguous chunks across
-    /// [`Self::focus_threads`] workers; every thread count produces the
-    /// same bits.
+    /// filling the image and per-cell direction buffers, one cell after
+    /// another.
     fn focus(&mut self, tx_weight: Complex64) {
         let w = self.cfg.window;
         let wt = tx_weight;
         let wt_conj = wt.conj();
         let wt_sq = wt.norm_sqr();
-        let n_cells = self.grid.len();
         let tables: &ImagingTables = &self.tables;
-        let centered = &self.centered;
         // One cell: the dispatched four-accumulator correlation (two TX
         // paths × two walking directions — the reversed aperture is the
         // same row backwards; TX 2's row is the mirror cell's TX-1 row
         // backwards), then the direction pick.
-        let focus_range = |c0: usize, image: &mut [f64], dirs: &mut [bool]| {
-            for (off, (img, dir)) in image.iter_mut().zip(dirs.iter_mut()).enumerate() {
-                let c = c0 + off;
-                let (t1, m) = tables.rows(c);
-                let [a1f, a2f, a1r, a2r] = simd::focus_accumulate(centered, t1, m);
-                let fwd = (a1f + wt_conj * a2f).norm_sqr();
-                let rev = (a1r + wt_conj * a2r).norm_sqr();
-                // ‖q‖² = w·(1 + |wt|²) + 2·Re(wt·Σ s²conj(s¹)); identical
-                // for both traversal directions (the sum just reorders).
-                let qn = (w as f64 * (1.0 + wt_sq) + 2.0 * (wt * tables.cross[c]).re).max(1e-12);
-                *img = fwd.max(rev) / qn;
-                *dir = fwd >= rev;
-            }
-        };
-        let threads = self.focus_threads.min(n_cells.max(1));
-        // Per-chunk wall-time histogram (`WIVI_OBS`-gated): chunk skew
-        // is the signal that the contiguous split needs rebalancing as
-        // grids grow (ROADMAP item 2).
-        let timing = wivi_obs::enabled();
-        if threads <= 1 {
-            // wivi-lint: allow(D001): obs-gated wall-time histogram —
-            // feeds a diagnostic only; the focused image is computed
-            // identically with WIVI_OBS off.
-            let t0 = timing.then(std::time::Instant::now);
-            focus_range(0, &mut self.image, &mut self.dirs);
-            if let Some(t0) = t0 {
-                focus_chunk_hist().record_duration(t0.elapsed());
-            }
-            return;
+        for (c, (img, dir)) in self.image.iter_mut().zip(&mut self.dirs).enumerate() {
+            let (t1, m) = tables.rows(c);
+            let [a1f, a2f, a1r, a2r] = simd::focus_accumulate(&self.centered, t1, m);
+            let fwd = (a1f + wt_conj * a2f).norm_sqr();
+            let rev = (a1r + wt_conj * a2r).norm_sqr();
+            // ‖q‖² = w·(1 + |wt|²) + 2·Re(wt·Σ s²conj(s¹)); identical
+            // for both traversal directions (the sum just reorders).
+            let qn = (w as f64 * (1.0 + wt_sq) + 2.0 * (wt * tables.cross[c]).re).max(1e-12);
+            *img = fwd.max(rev) / qn;
+            *dir = fwd >= rev;
         }
-        let chunk = n_cells.div_ceil(threads);
-        std::thread::scope(|scope| {
-            let mut img_rest: &mut [f64] = &mut self.image;
-            let mut dir_rest: &mut [bool] = &mut self.dirs;
-            let mut c0 = 0;
-            while !img_rest.is_empty() {
-                let take = chunk.min(img_rest.len());
-                let (img_chunk, ir) = img_rest.split_at_mut(take);
-                let (dir_chunk, dr) = dir_rest.split_at_mut(take);
-                img_rest = ir;
-                dir_rest = dr;
-                let fr = &focus_range;
-                scope.spawn(move || {
-                    // wivi-lint: allow(D001): obs-gated chunk-skew
-                    // timing — diagnostic only, never in the output.
-                    let t0 = timing.then(std::time::Instant::now);
-                    fr(c0, img_chunk, dir_chunk);
-                    if let Some(t0) = t0 {
-                        focus_chunk_hist().record_duration(t0.elapsed());
-                    }
-                });
-                c0 += take;
-            }
-        });
     }
 
     /// The model vector element `q_j` for cell `c` traversed in
@@ -819,35 +735,6 @@ mod tests {
         let b1 = fresh.process_window(&t1, wt).to_vec();
         for (x, y) in a1.iter().zip(&b1) {
             assert_eq!(x.to_bits(), y.to_bits());
-        }
-    }
-
-    #[test]
-    fn focus_is_thread_count_invariant_bitwise() {
-        let cfg = test_cfg();
-        let wt = Complex64::new(0.4, 0.9);
-        let half_t = (cfg.window as f64 - 1.0) / 2.0 * cfg.sample_period_s;
-        let trace = ImagingEngine::synthetic_subject_trace(
-            &cfg,
-            cfg.window,
-            Point::new(-2.0 - half_t, 1.2),
-            Vec2::new(1.0, 0.0),
-            1.0,
-            wt,
-        );
-        let mut reference = ImagingEngine::new(cfg);
-        reference.set_focus_threads(1);
-        let want = reference.process_window(&trace, wt).to_vec();
-        // More workers than cells is legal too (clamped internally).
-        for threads in [2usize, 3, 7, 10_000] {
-            let mut engine = ImagingEngine::new(cfg);
-            engine.set_focus_threads(threads);
-            assert_eq!(engine.focus_threads(), threads);
-            let got = engine.process_window(&trace, wt);
-            for (x, y) in want.iter().zip(got) {
-                assert_eq!(x.to_bits(), y.to_bits(), "{threads} threads");
-            }
-            assert_eq!(reference.dirs, engine.dirs, "{threads} threads dirs");
         }
     }
 

@@ -1,15 +1,15 @@
 //! Order-preserving parallel map over scoped OS threads.
 //!
-//! Every parallel consumer in the workspace — a scenario grid's
-//! trials, the imaging engine's row-parallel focus sweep, the serving
-//! shards' intra-shard workers — needs the same primitive: map a
+//! Its consumers are the figure and table binaries, which sweep a
+//! scenario grid's independent trials, and the determinism tests,
+//! which pin that sweep bitwise at 1, 2 and 8 threads. They map a
 //! function over independent items on `std::thread`s and get the
-//! results back **in input order**, so the output is independent of the
-//! thread count and of scheduling. Workers pull item indices from an
-//! atomic counter and write into per-slot cells; determinism lives in
-//! the items, not the executor. (This lived in `wivi-bench` originally;
-//! it sits here so the library crates can share it without depending on
-//! the bench harness.)
+//! results back **in input order**, so the output is independent of
+//! the thread count and of scheduling. Workers pull item indices from
+//! an atomic counter and write into per-slot cells; determinism lives
+//! in the items, not the executor. The library crates do not use it: a
+//! serving shard advances its sessions on its own thread, and the
+//! imaging focus sweep is one loop.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;

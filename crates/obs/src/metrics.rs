@@ -27,7 +27,7 @@ use wivi_num::probe::thread_slot;
 /// Stripes per sharded metric. Power of two; slot index is masked.
 /// 16 stripes × 64-byte padding keeps a counter at 1 KiB while giving
 /// every thread slot its own stripe up to 16 concurrent recorders —
-/// the shard×worker counts we run never collide on a stripe, so the
+/// the shard counts we run never collide on a stripe, so the
 /// recording path is contention-free by construction (widened from 8
 /// after the obs bench flagged multi-thread event costs).
 const N_STRIPES: usize = 16;
@@ -142,7 +142,7 @@ impl Gauge {
     /// Raises the gauge to `v` if `v` is larger — an atomic max, so
     /// concurrent writers cannot lose a larger value the way a
     /// read-then-`set` can (high-water marks like `serve.slo.worst_ns`
-    /// are recorded from every shard worker).
+    /// are recorded from every shard).
     pub fn set_max(&self, v: f64) {
         // ordering: Relaxed/Relaxed — only this one word is contended;
         // the CAS loop inside fetch_update already guarantees the max

@@ -15,7 +15,7 @@
 //! math — recording stays the untouched three-`fetch_add` hot path and
 //! only the ~1 Hz tick takes a snapshot.
 //!
-//! Ticking is cooperative: shard workers call
+//! Ticking is cooperative: shards call
 //! [`maybe_tick`](WindowedHistogram::maybe_tick) once per batch round
 //! (a cheap atomic compare against the last tick time when it is not
 //! due). If ticks stall — an idle server records nothing anyway — the
@@ -113,8 +113,8 @@ impl WindowedHistogram {
     }
 
     /// Takes a cumulative snapshot if one is due; cheap no-op
-    /// otherwise. Call from any periodic loop (shard workers call it
-    /// once per batch round).
+    /// otherwise. Call from any periodic loop (shards call it once per
+    /// batch round).
     pub fn maybe_tick(&self) {
         self.maybe_tick_at(clock_ns());
     }

@@ -284,7 +284,7 @@ mod tests {
             AdmissionConfig::with_tokens(vec![TokenSpec::new("alice", 2)]),
             &reg,
         );
-        let mut engine = ServeEngine::start(ServeConfig::with_shards_workers(1, 1));
+        let mut engine = ServeEngine::start(ServeConfig::with_shards(1));
         assert!(gate.admit("alice", &mut engine, spec(1)).is_ok());
         assert!(gate.admit("alice", &mut engine, spec(2)).is_ok());
         assert_eq!(
@@ -306,7 +306,7 @@ mod tests {
         let mut gate = Admission::new(AdmissionConfig::open_access(), &reg);
         // One shard, queue bound 1, and sessions long enough that the
         // queue cannot drain between admits.
-        let mut cfg = ServeConfig::with_shards_workers(1, 1);
+        let mut cfg = ServeConfig::with_shards(1);
         cfg.queue_capacity = 1;
         let mut engine = ServeEngine::start(cfg);
         let mut shed = 0usize;
@@ -332,7 +332,7 @@ mod tests {
     fn duplicates_and_shutdown_surface_with_stable_codes() {
         let reg = Registry::new();
         let mut gate = Admission::new(AdmissionConfig::open_access(), &reg);
-        let mut engine = ServeEngine::start(ServeConfig::with_shards_workers(1, 1));
+        let mut engine = ServeEngine::start(ServeConfig::with_shards(1));
         gate.admit("t", &mut engine, spec(7)).unwrap();
         let err = gate.admit("t", &mut engine, spec(7)).unwrap_err();
         assert_eq!(err, AdmitError::Duplicate(7));

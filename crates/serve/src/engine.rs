@@ -35,18 +35,12 @@ use crate::shard::{
 };
 
 /// Engine sizing.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct ServeConfig {
-    /// Worker shards. Sessions hash-route here; more shards than cores
-    /// is legal (they time-share).
+    /// Worker shards, one thread each: sessions hash-route here, and a
+    /// shard advances its live sessions one after another. More shards
+    /// than cores is legal (they time-share).
     pub n_shards: usize,
-    /// Worker threads *inside* each shard: every round, the shard
-    /// round-robin partitions its id-sorted live sessions across this
-    /// many scoped threads, each owning a private sample buffer.
-    /// Sessions share no mutable state, so outputs and the merged event
-    /// stream are bit-identical for every worker count; only wall-clock
-    /// changes. `1` is the classic single-threaded shard.
-    pub workers_per_shard: usize,
     /// Channel samples each session advances per turn — the serving
     /// analogue of the UHD frame chunk.
     pub batch_len: usize,
@@ -65,57 +59,38 @@ pub struct ServeConfig {
 pub const DEFAULT_SLO_BUDGET_NS: u64 = 400_000_000;
 
 impl ServeConfig {
-    /// `n_shards` shards with the device's default batching, a
-    /// 32-command queue bound, and the `WIVI_SERVE_WORKERS` worker
-    /// count (default 1).
+    /// `n_shards` shards with the device's default batching and a
+    /// 32-command queue bound.
     pub fn with_shards(n_shards: usize) -> Self {
-        Self::with_shards_workers(n_shards, default_workers_per_shard())
-    }
-
-    /// `n_shards` shards × `workers_per_shard` threads, with the
-    /// device's default batching and a 32-command queue bound.
-    pub fn with_shards_workers(n_shards: usize, workers_per_shard: usize) -> Self {
         Self {
             n_shards,
-            workers_per_shard,
             batch_len: wivi_core::device::DEFAULT_BATCH_LEN,
             queue_capacity: 32,
             slo_budget_ns: DEFAULT_SLO_BUDGET_NS,
         }
     }
 
-    /// Total worker threads this configuration spins up.
-    pub fn threads(&self) -> usize {
-        self.n_shards * self.workers_per_shard
+    /// [`Self::with_shards`] under the name the benchmark
+    /// (`perfbench/`) calls; it exists only because that caller names it.
+    ///
+    /// # Panics
+    /// Panics unless `workers` is 1: a shard is one thread.
+    pub fn with_shards_workers(n_shards: usize, workers: usize) -> Self {
+        assert_eq!(workers, 1, "a shard is one thread");
+        Self::with_shards(n_shards)
     }
 
     /// Validates the configuration.
     ///
     /// # Panics
-    /// Panics on zero shards, workers, batch length, or queue capacity.
+    /// Panics on zero shards, batch length, queue capacity or SLO
+    /// budget.
     pub fn validate(&self) {
         assert!(self.n_shards >= 1, "need at least one shard");
-        assert!(
-            self.workers_per_shard >= 1,
-            "need at least one worker per shard"
-        );
         assert!(self.batch_len >= 1, "batch length must be positive");
         assert!(self.queue_capacity >= 1, "queue capacity must be positive");
         assert!(self.slo_budget_ns >= 1, "SLO budget must be positive");
     }
-}
-
-/// The `WIVI_SERVE_WORKERS` default worker count, read once per
-/// process: unset, unparsable, or zero mean 1 worker per shard.
-pub fn default_workers_per_shard() -> usize {
-    static WORKERS: std::sync::OnceLock<usize> = std::sync::OnceLock::new();
-    *WORKERS.get_or_init(|| {
-        std::env::var("WIVI_SERVE_WORKERS")
-            .ok()
-            .and_then(|v| v.trim().parse::<usize>().ok())
-            .filter(|&n| n >= 1)
-            .unwrap_or(1)
-    })
 }
 
 /// One event of the engine's unified stream: a tracker event stamped
@@ -134,17 +109,9 @@ pub struct ServeEvent {
 
 /// Engine-wide serving telemetry, assembled from the engine's obs
 /// registry ([`ServeEngine::registry`]) at [`ServeEngine::finish`]: one
-/// [`ShardSnapshot`] row per shard plus the machine-level context
-/// (threads spun up, cores available) that used to be scattered across
-/// callers.
+/// [`ShardSnapshot`] row per shard plus the SLO summary.
 #[derive(Clone, Debug)]
 pub struct ServeSnapshot {
-    /// Total worker threads that executed session batches: the sum of
-    /// every shard's worker count.
-    pub threads_used: usize,
-    /// Logical cores the host reports
-    /// ([`std::thread::available_parallelism`]).
-    pub cores_available: usize,
     /// Per-shard serving telemetry, in shard order.
     pub shards: Vec<ShardSnapshot>,
     /// How the run did against its SLO hop budget.
@@ -172,7 +139,7 @@ pub struct ServeReport {
     /// The unified cross-session event stream, ordered by
     /// `(time, session id, emission order)`.
     pub events: Vec<ServeEvent>,
-    /// Engine-wide telemetry: per-shard rows plus thread/core context.
+    /// Engine-wide telemetry: per-shard rows plus the SLO summary.
     pub snapshot: ServeSnapshot,
     /// Engine wall-clock from start to finish, seconds.
     pub wall_s: f64,
@@ -209,12 +176,6 @@ impl ServeReport {
     /// Per-shard telemetry rows, in shard order.
     pub fn shards(&self) -> &[ShardSnapshot] {
         &self.snapshot.shards
-    }
-
-    /// Total worker threads that executed session batches: the sum of
-    /// every shard's worker count.
-    pub fn threads_used(&self) -> usize {
-        self.snapshot.threads_used
     }
 
     /// The `p`-th percentile (0–100) of per-batch processing latency
@@ -353,15 +314,7 @@ impl ServeEngine {
         let slo = SloMetrics::register(&registry, cfg.slo_budget_ns);
         let session = SessionMetrics::register(&registry);
         let metrics: Vec<ShardMetrics> = (0..cfg.n_shards)
-            .map(|i| {
-                ShardMetrics::register(
-                    &registry,
-                    i,
-                    cfg.workers_per_shard,
-                    slo.clone(),
-                    session.clone(),
-                )
-            })
+            .map(|i| ShardMetrics::register(&registry, i, slo.clone(), session.clone()))
             .collect();
         let workers = channels
             .iter()
@@ -534,11 +487,8 @@ impl ServeEngine {
         let events = merge_session_events(&outputs);
         // Shards have exited, so the registry is quiescent: the
         // snapshot rows are final (and already in shard order).
-        let shards: Vec<ShardSnapshot> = self.metrics.iter().map(|m| m.snapshot()).collect();
         let snapshot = ServeSnapshot {
-            threads_used: shards.iter().map(|s| s.workers).sum(),
-            cores_available: std::thread::available_parallelism().map_or(1, |n| n.get()),
-            shards,
+            shards: self.metrics.iter().map(|m| m.snapshot()).collect(),
             slo: self.slo.summary(),
         };
         ServeReport {
@@ -612,6 +562,17 @@ mod tests {
         cfg.validate();
         let bad = ServeConfig { n_shards: 0, ..cfg };
         assert!(std::panic::catch_unwind(|| bad.validate()).is_err());
+    }
+
+    /// The benchmark's worker-count constructor is `with_shards` at one
+    /// worker, and refuses any other count.
+    #[test]
+    fn with_shards_workers_is_with_shards_at_one_worker() {
+        assert_eq!(
+            ServeConfig::with_shards_workers(3, 1),
+            ServeConfig::with_shards(3)
+        );
+        assert!(std::panic::catch_unwind(|| ServeConfig::with_shards_workers(1, 2)).is_err());
     }
 
     fn tiny_spec(id: SessionId) -> SessionSpec {

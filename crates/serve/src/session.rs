@@ -242,7 +242,7 @@ pub(crate) struct ActiveSession {
     pub(crate) trace: u64,
     /// Hop-budget accounting: batch windows that stayed under the SLO
     /// budget, windows that went over, and the worst window seen.
-    /// Updated by the shard worker after each step.
+    /// Updated by the shard after each step.
     pub(crate) slo: SessionSlo,
 }
 
@@ -318,7 +318,7 @@ impl ActiveSession {
     }
 
     /// Advances the session by one batch of at most `batch_len` samples.
-    /// `scratch` is the shard worker's reused sample buffer.
+    /// `scratch` is the shard's reused sample buffer.
     pub(crate) fn step(&mut self, batch_len: usize, scratch: &mut Vec<Complex64>) {
         let n = batch_len.min(self.remaining);
         if n == 0 {

@@ -1,20 +1,15 @@
 //! Worker shards: each owns a set of live sessions, and each session
 //! owns its per-window engine.
 //!
-//! A shard is a plain `std::thread` (the same scoped-worker machinery the
-//! bench runner uses, grown a command queue) looping over rounds: drain
-//! the bounded command queue, then advance every live session by one
-//! fixed-size batch, in ascending session-id order. Ordering by id — not
-//! by arrival — plus the fact that sessions share no mutable state makes
-//! every session's output independent of submission order and shard
-//! count; the id order exists so the *wall-clock interleave* is
-//! reproducible too, not just the outputs.
-//!
-//! With `workers_per_shard > 1` (see [`crate::ServeConfig`]) the shard
-//! becomes a coordinator: each round it round-robin partitions the
-//! id-sorted live sessions across that many scoped worker threads, each
-//! owning only a reused sample buffer. Outputs stay bit-identical for
-//! every worker count — parallelism only changes wall-clock.
+//! A shard is one plain `std::thread` looping over rounds: drain the
+//! bounded command queue, then advance every live session by one
+//! fixed-size batch, in ascending session-id order, through one reused
+//! sample buffer. Ordering by id — not by arrival — plus the fact that
+//! sessions share no mutable state makes every session's output
+//! independent of submission order and shard count; the id order exists
+//! so the *wall-clock interleave* is reproducible too, not just the
+//! outputs. Sessions spread over shards are the engine's only parallel
+//! unit: one core keeps a session well ahead of the channel rate.
 //!
 //! A session builds its engine when it opens and drops it when it
 //! drains, so a shard holds one set of per-window scratch per live
@@ -166,17 +161,15 @@ impl ShardChannel {
 
 /// The obs-registry handles one shard records its serving telemetry
 /// into: always on (the bench suite reads them with `WIVI_OBS` off
-/// too), and shared by value between the shard's workers and the
-/// engine — metrics are `Arc`-backed atomics, so workers record
-/// *directly* and there is no end-of-round merge to get wrong.
+/// too), and shared by value between the shard thread and the engine —
+/// metrics are `Arc`-backed atomics, so the shard records *directly*
+/// while the engine reads them live.
 #[derive(Clone)]
 pub(crate) struct ShardMetrics {
     pub(crate) shard: usize,
-    pub(crate) workers: usize,
     /// Sessions served to completion.
     sessions: Counter,
-    /// CPU-nanoseconds computing (calibration + batch steps), summed
-    /// across workers.
+    /// Nanoseconds computing (calibration + batch steps).
     busy_ns: Counter,
     /// Wall-clock nanoseconds from shard start to exit.
     alive_ns: Counter,
@@ -187,10 +180,10 @@ pub(crate) struct ShardMetrics {
     batch_latency_ns: Histogram,
     /// Rolling view over `batch_latency_ns` (~1 s ticks): what the
     /// `/metrics` rolling p50/p99 lines read. `Arc`: the window's tick
-    /// ring is shared between the shard's workers and the engine.
+    /// ring is shared between the shard and the engine.
     batch_window: Arc<WindowedHistogram>,
-    /// Engine-wide SLO accounting the shard's workers tally into after
-    /// every batch step.
+    /// Engine-wide SLO accounting the shard tallies into after every
+    /// batch step.
     pub(crate) slo: SloMetrics,
     /// Engine-wide per-session histograms, recorded as sessions drain.
     session: SessionMetrics,
@@ -201,7 +194,6 @@ impl ShardMetrics {
     pub(crate) fn register(
         reg: &Registry,
         shard: usize,
-        workers: usize,
         slo: SloMetrics,
         session: SessionMetrics,
     ) -> Self {
@@ -209,7 +201,6 @@ impl ShardMetrics {
         let batch_latency_ns = reg.histogram(&name("batch_latency_ns"));
         Self {
             shard,
-            workers,
             sessions: reg.counter(&name("sessions")),
             busy_ns: reg.counter(&name("busy_ns")),
             alive_ns: reg.counter(&name("alive_ns")),
@@ -239,7 +230,6 @@ impl ShardMetrics {
         let batch_latency_ns = self.batch_latency_ns.snapshot();
         ShardSnapshot {
             shard: self.shard,
-            workers: self.workers,
             sessions: self.sessions.value() as usize,
             batches: batch_latency_ns.count as usize,
             busy_s: self.busy_ns.value() as f64 / 1e9,
@@ -254,15 +244,11 @@ impl ShardMetrics {
 #[derive(Clone, Debug)]
 pub struct ShardSnapshot {
     pub shard: usize,
-    /// Worker threads this shard advanced sessions on.
-    pub workers: usize,
     /// Sessions this shard served to completion.
     pub sessions: usize,
     /// Batch steps executed (the latency histogram's sample count).
     pub batches: usize,
-    /// CPU-seconds spent computing (calibration + batch steps), summed
-    /// across the shard's workers — may exceed `alive_s` when
-    /// `workers > 1`.
+    /// Seconds spent computing (calibration + batch steps).
     pub busy_s: f64,
     /// Wall-clock from shard start to shard exit, seconds.
     pub alive_s: f64,
@@ -275,13 +261,11 @@ pub struct ShardSnapshot {
 }
 
 impl ShardSnapshot {
-    /// Busy fraction of the shard's worker threads over the shard's
-    /// lifetime: `busy_s / (alive_s × workers)` — per-core occupancy,
-    /// not a single-thread duty cycle.
+    /// Busy fraction of the shard thread over its lifetime:
+    /// `busy_s / alive_s`.
     pub fn utilization(&self) -> f64 {
-        let capacity = self.alive_s * self.workers.max(1) as f64;
-        if capacity > 0.0 {
-            (self.busy_s / capacity).min(1.0)
+        if self.alive_s > 0.0 {
+            (self.busy_s / self.alive_s).min(1.0)
         } else {
             0.0
         }
@@ -336,7 +320,7 @@ impl SloMetrics {
         self.windows.counter().inc();
         // Worst window over ALL measured windows (matching the
         // SloSummary docs), breached or not; atomic max so concurrent
-        // shard workers cannot lose a larger value.
+        // shards cannot lose a larger value.
         self.worst.set_max(d_ns as f64);
         if s.slo.note(d_ns, self.budget_ns) {
             self.windows_over.counter().inc();
@@ -450,38 +434,32 @@ impl SloSummary {
     }
 }
 
-/// One worker thread's private sample buffer, so workers of one shard
-/// share no mutable state.
-struct WorkerState {
-    scratch: Vec<Complex64>,
-}
-
-impl WorkerState {
-    /// Advances `s` by one batch unless it is done streaming, then
-    /// records the step's wall-clock: session stream time, shard busy
-    /// time and batch latency, and the SLO tally. The one step path of
-    /// every shard worker.
-    fn step(&mut self, s: &mut ActiveSession, batch_len: usize, metrics: &ShardMetrics) {
-        if s.done_streaming() {
-            return;
-        }
-        let t0 = Instant::now();
-        s.step(batch_len, &mut self.scratch);
-        let d = t0.elapsed();
-        s.stream += d;
-        metrics.record_step(d);
-        metrics
-            .slo
-            .note_step(s, u64::try_from(d.as_nanos()).unwrap_or(u64::MAX));
+/// Advances `s` by one batch through the shard's sample buffer
+/// `scratch` unless it is done streaming, then records the step's
+/// wall-clock: session stream time, shard busy time and batch latency,
+/// and the SLO tally. The shard's one step path.
+fn step(
+    s: &mut ActiveSession,
+    batch_len: usize,
+    scratch: &mut Vec<Complex64>,
+    metrics: &ShardMetrics,
+) {
+    if s.done_streaming() {
+        return;
     }
+    let t0 = Instant::now();
+    s.step(batch_len, scratch);
+    let d = t0.elapsed();
+    s.stream += d;
+    metrics.record_step(d);
+    metrics
+        .slo
+        .note_step(s, u64::try_from(d.as_nanos()).unwrap_or(u64::MAX));
 }
 
 /// The shard thread body: rounds of (drain commands → advance each live
-/// session one batch → drain finished sessions), until shutdown and
-/// empty. With `workers > 1` each round's live sessions are round-robin
-/// partitioned (by position in the id-sorted list) across that many
-/// scoped threads; outputs are bit-identical for every worker count
-/// because sessions own all their streaming state, engines included.
+/// session one batch, in id order → drain finished sessions), until
+/// shutdown and empty.
 pub(crate) fn run_shard(
     shard_idx: usize,
     chan: std::sync::Arc<ShardChannel>,
@@ -489,14 +467,8 @@ pub(crate) fn run_shard(
     metrics: ShardMetrics,
     completions: Option<crate::engine::CompletionQueue>,
 ) -> Vec<SessionOutput> {
-    let workers = metrics.workers;
-    assert!(workers >= 1, "a shard needs at least one worker");
     let started = Instant::now();
-    let mut worker_states: Vec<WorkerState> = (0..workers)
-        .map(|_| WorkerState {
-            scratch: Vec::with_capacity(batch_len),
-        })
-        .collect();
+    let mut scratch: Vec<Complex64> = Vec::with_capacity(batch_len);
     let mut active: Vec<ActiveSession> = Vec::new();
     let mut outputs: Vec<SessionOutput> = Vec::new();
     // Reused across rounds by the finished-session partition pass, so
@@ -533,40 +505,8 @@ pub(crate) fn run_shard(
             continue;
         }
         metrics.engines.set_max(active.len() as f64);
-        if workers == 1 || active.len() == 1 {
-            let ws = &mut worker_states[0];
-            for s in active.iter_mut() {
-                ws.step(s, batch_len, &metrics);
-            }
-        } else {
-            // Round-robin partition of the id-sorted list: worker w
-            // advances sessions at positions w, w + workers, ....
-            // Workers record telemetry straight into the shared
-            // metric cells; histogram merging is order-invariant by
-            // construction, so telemetry stays schedule-independent
-            // without the old end-of-round merge in worker order.
-            let mut parts: Vec<Vec<&mut ActiveSession>> =
-                (0..workers).map(|_| Vec::new()).collect();
-            for (i, s) in active.iter_mut().enumerate() {
-                parts[i % workers].push(s);
-            }
-            std::thread::scope(|scope| {
-                let handles: Vec<_> = parts
-                    .into_iter()
-                    .zip(worker_states.iter_mut())
-                    .map(|(part, ws)| {
-                        let metrics = &metrics;
-                        scope.spawn(move || {
-                            for s in part {
-                                ws.step(s, batch_len, metrics);
-                            }
-                        })
-                    })
-                    .collect();
-                for h in handles {
-                    h.join().expect("shard worker thread panicked");
-                }
-            });
+        for s in active.iter_mut() {
+            step(s, batch_len, &mut scratch, &metrics);
         }
         // Drain: move finished sessions out in a single order-preserving
         // partition pass (the old `remove(i)`-in-a-loop was O(n²) per

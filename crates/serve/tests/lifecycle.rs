@@ -190,7 +190,7 @@ fn full_queue_backpressures_and_loses_nothing() {
     let mut engine = ServeEngine::start(ServeConfig {
         queue_capacity: 1,
         batch_len: 16,
-        ..ServeConfig::with_shards_workers(1, 1)
+        ..ServeConfig::with_shards(1)
     });
     engine.open(spec(0, 0.5, Mode::Count)).unwrap();
     engine.open(spec(1, 0.5, Mode::Count)).unwrap();

@@ -95,18 +95,13 @@ fn tracking_runner_is_identical_at_1_2_and_8_threads() {
 }
 
 /// Runs the standard mixed-mode session set through an engine with
-/// `shards` shards of `workers` threads each, submitting in the order
-/// given by `order`.
-fn run_engine_workers(shards: usize, workers: usize, order: &[usize]) -> wivi::serve::ServeReport {
-    let mut engine = ServeEngine::start(ServeConfig::with_shards_workers(shards, workers));
+/// `shards` shards, submitting in the order given by `order`.
+fn run_engine(shards: usize, order: &[usize]) -> wivi::serve::ServeReport {
+    let mut engine = ServeEngine::start(ServeConfig::with_shards(shards));
     for &i in order {
         engine.open(session(i)).unwrap();
     }
     engine.finish()
-}
-
-fn run_engine(shards: usize, order: &[usize]) -> wivi::serve::ServeReport {
-    run_engine_workers(shards, 1, order)
 }
 
 #[test]
@@ -156,41 +151,5 @@ fn serve_engine_is_identical_at_1_2_and_8_shards_and_any_submission_order() {
                 "merged stream drifted at {shards} shards, order {order:?}"
             );
         }
-    }
-}
-
-#[test]
-fn serve_engine_is_identical_under_multi_threaded_shards() {
-    // The worker-thread axis of the matrix: shards that advance their
-    // sessions on 1, 2, or 4 scoped worker threads must produce the
-    // same outputs and the same merged stream, bit for bit — true
-    // multi-core execution may only change wall-clock.
-    let in_order: Vec<usize> = (0..N_SESSIONS).collect();
-    let baseline = run_engine_workers(2, 1, &in_order);
-    assert_eq!(baseline.outputs.len(), N_SESSIONS);
-    for (shards, workers) in [(1usize, 2usize), (2, 2), (2, 4), (8, 2)] {
-        let report = run_engine_workers(shards, workers, &in_order);
-        assert_eq!(report.threads_used(), shards * workers);
-        assert_eq!(report.outputs.len(), baseline.outputs.len());
-        for (a, b) in baseline.outputs.iter().zip(&report.outputs) {
-            assert_eq!(a.id, b.id, "output order must be id-sorted");
-            assert_eq!(a.n_samples, b.n_samples);
-            assert_eq!(a.n_columns, b.n_columns);
-            assert_eq!(
-                a.result.events(),
-                b.result.events(),
-                "session {} events drifted",
-                a.id
-            );
-            assert_result_eq(
-                &a.result,
-                &b.result,
-                &format!("session {} at {shards} shards x {workers} workers", a.id),
-            );
-        }
-        assert_eq!(
-            report.events, baseline.events,
-            "merged stream drifted at {shards} shards x {workers} workers"
-        );
     }
 }

@@ -3,9 +3,9 @@
 //! write-only telemetry — counters, histograms, and span rings that
 //! nothing on the compute path ever reads — so the standard mixed-mode
 //! session set must produce identical outputs and an identical merged
-//! event stream with observability enabled, across the full determinism
-//! matrix (1/2/8 shards × 1/2/4 workers). The CI `WIVI_OBS=1` leg
-//! additionally replays the golden traces with the switch on.
+//! event stream with observability enabled, at 1, 2 and 8 shards. The
+//! CI `WIVI_OBS=1` leg additionally replays the golden traces with the
+//! switch on.
 
 mod common;
 
@@ -21,8 +21,8 @@ fn guard() -> MutexGuard<'static, ()> {
     LOCK.lock().unwrap_or_else(|p| p.into_inner())
 }
 
-fn run_engine(shards: usize, workers: usize) -> wivi::serve::ServeReport {
-    let mut engine = ServeEngine::start(ServeConfig::with_shards_workers(shards, workers));
+fn run_engine(shards: usize) -> wivi::serve::ServeReport {
+    let mut engine = ServeEngine::start(ServeConfig::with_shards(shards));
     for i in 0..N_SESSIONS {
         engine.open(session(i)).unwrap();
     }
@@ -33,38 +33,33 @@ fn run_engine(shards: usize, workers: usize) -> wivi::serve::ServeReport {
 fn serving_is_bitwise_invariant_under_observability() {
     let _g = guard();
     wivi_obs::set_enabled(Some(false));
-    let baseline = run_engine(1, 1);
+    let baseline = run_engine(1);
     assert_eq!(baseline.outputs.len(), N_SESSIONS);
 
     wivi_obs::set_enabled(Some(true));
     for shards in [1usize, 2, 8] {
-        for workers in [1usize, 2, 4] {
-            let report = run_engine(shards, workers);
-            assert_eq!(report.outputs.len(), baseline.outputs.len());
-            for (a, b) in baseline.outputs.iter().zip(&report.outputs) {
-                assert_eq!(a.id, b.id, "output order must be id-sorted");
-                assert_eq!(a.n_samples, b.n_samples);
-                assert_eq!(a.n_columns, b.n_columns);
-                assert_eq!(
-                    a.result.events(),
-                    b.result.events(),
-                    "session {} events drifted with obs on",
-                    a.id
-                );
-                assert_result_eq(
-                    &a.result,
-                    &b.result,
-                    &format!(
-                        "session {} with obs on at {shards} shards x {workers} workers",
-                        a.id
-                    ),
-                );
-            }
+        let report = run_engine(shards);
+        assert_eq!(report.outputs.len(), baseline.outputs.len());
+        for (a, b) in baseline.outputs.iter().zip(&report.outputs) {
+            assert_eq!(a.id, b.id, "output order must be id-sorted");
+            assert_eq!(a.n_samples, b.n_samples);
+            assert_eq!(a.n_columns, b.n_columns);
             assert_eq!(
-                report.events, baseline.events,
-                "merged stream drifted with obs on at {shards} shards x {workers} workers"
+                a.result.events(),
+                b.result.events(),
+                "session {} events drifted with obs on",
+                a.id
+            );
+            assert_result_eq(
+                &a.result,
+                &b.result,
+                &format!("session {} with obs on at {shards} shards", a.id),
             );
         }
+        assert_eq!(
+            report.events, baseline.events,
+            "merged stream drifted with obs on at {shards} shards"
+        );
     }
     wivi_obs::set_enabled(None);
     let _ = wivi_obs::drain();
@@ -76,7 +71,7 @@ fn spans_record_when_enabled_and_stay_silent_when_disabled() {
 
     wivi_obs::set_enabled(Some(false));
     let _ = wivi_obs::drain();
-    let off = run_engine(2, 2);
+    let off = run_engine(2);
     assert_eq!(off.outputs.len(), N_SESSIONS);
     assert!(
         wivi_obs::drain().is_empty(),
@@ -84,7 +79,7 @@ fn spans_record_when_enabled_and_stay_silent_when_disabled() {
     );
 
     wivi_obs::set_enabled(Some(true));
-    let on = run_engine(2, 2);
+    let on = run_engine(2);
     assert_eq!(on.outputs.len(), N_SESSIONS);
     let records = wivi_obs::drain();
     wivi_obs::set_enabled(None);

@@ -109,7 +109,7 @@ fn undersized_queue_sheds_with_errors_not_panics() {
     // The correct behavior is an `overloaded` ERROR per shed session —
     // the listener never blocks, never panics, and every admitted
     // session still completes.
-    let mut serve = ServeConfig::with_shards_workers(1, 1);
+    let mut serve = ServeConfig::with_shards(1);
     serve.queue_capacity = 1;
     let mut cfg = WireServerConfig::new(serve);
     cfg.scenes.push(("room".into(), simple_scene().into()));
@@ -160,7 +160,7 @@ fn undersized_queue_sheds_with_errors_not_panics() {
 
 #[test]
 fn wire_admission_errors_have_stable_codes() {
-    let mut cfg = WireServerConfig::new(ServeConfig::with_shards_workers(1, 1));
+    let mut cfg = WireServerConfig::new(ServeConfig::with_shards(1));
     cfg.admission = AdmissionConfig::with_tokens(vec![TokenSpec::new("alice", 1)]);
     cfg.scenes.push(("room".into(), simple_scene().into()));
     cfg.configs.push(("fast".into(), WiViConfig::fast_test()));
@@ -221,7 +221,7 @@ fn wire_admission_errors_have_stable_codes() {
 
 #[test]
 fn metrics_endpoint_shares_the_wire_port() {
-    let mut cfg = WireServerConfig::new(ServeConfig::with_shards_workers(1, 1));
+    let mut cfg = WireServerConfig::new(ServeConfig::with_shards(1));
     cfg.scenes.push(("room".into(), simple_scene().into()));
     cfg.configs.push(("fast".into(), WiViConfig::fast_test()));
     let server = WireServer::start(cfg).expect("bind");
@@ -255,7 +255,7 @@ fn metrics_endpoint_shares_the_wire_port() {
 
 #[test]
 fn metrics_endpoint_exports_per_session_histograms() {
-    let mut cfg = WireServerConfig::new(ServeConfig::with_shards_workers(1, 1));
+    let mut cfg = WireServerConfig::new(ServeConfig::with_shards(1));
     cfg.scenes.push(("room".into(), simple_scene().into()));
     cfg.configs.push(("fast".into(), WiViConfig::fast_test()));
     let server = WireServer::start(cfg).expect("bind");
@@ -308,7 +308,7 @@ fn http_get(addr: std::net::SocketAddr, path: &str) -> String {
 
 #[test]
 fn healthz_and_tracez_answer_on_the_wire_port() {
-    let mut cfg = WireServerConfig::new(ServeConfig::with_shards_workers(2, 1));
+    let mut cfg = WireServerConfig::new(ServeConfig::with_shards(2));
     cfg.scenes.push(("room".into(), simple_scene().into()));
     cfg.configs.push(("fast".into(), WiViConfig::fast_test()));
     let server = WireServer::start(cfg).expect("bind");
@@ -338,7 +338,7 @@ fn healthz_and_tracez_answer_on_the_wire_port() {
 /// split between them — still gets the full JSON answer.
 #[test]
 fn healthz_answers_a_head_written_one_byte_at_a_time() {
-    let mut cfg = WireServerConfig::new(ServeConfig::with_shards_workers(1, 1));
+    let mut cfg = WireServerConfig::new(ServeConfig::with_shards(1));
     cfg.scenes.push(("room".into(), simple_scene().into()));
     cfg.configs.push(("fast".into(), WiViConfig::fast_test()));
     let server = WireServer::start(cfg).expect("bind");
@@ -375,7 +375,7 @@ fn healthz_answers_a_head_written_one_byte_at_a_time() {
 fn traced_session_links_client_and_server_and_stays_bitwise() {
     wivi::obs::set_enabled(Some(true));
 
-    let mut cfg = WireServerConfig::new(ServeConfig::with_shards_workers(1, 1));
+    let mut cfg = WireServerConfig::new(ServeConfig::with_shards(1));
     let n = 3usize;
     let requests: Vec<OpenRequest> = (0..n).map(|i| register(&mut cfg, i, &session(i))).collect();
     let server = WireServer::start(cfg).expect("bind");
@@ -402,7 +402,7 @@ fn traced_session_links_client_and_server_and_stays_bitwise() {
     // Wire bytes vs the in-process run of the SAME sessions (which
     // carry trace 0): tracing must be invisible in the payload.
     let served = client.finish().expect("drain");
-    let mut engine = ServeEngine::start(ServeConfig::with_shards_workers(1, 1));
+    let mut engine = ServeEngine::start(ServeConfig::with_shards(1));
     for i in 0..n {
         engine.open(session(i)).unwrap();
     }
@@ -530,7 +530,7 @@ fn smoke_eight_sessions_zero_shed_clean_shutdown() {
 
 /// A one-shard server for the CLOSE tests.
 fn close_test_server() -> WireServer {
-    let mut cfg = WireServerConfig::new(ServeConfig::with_shards_workers(1, 1));
+    let mut cfg = WireServerConfig::new(ServeConfig::with_shards(1));
     cfg.scenes.push(("room".into(), simple_scene().into()));
     cfg.configs.push(("fast".into(), WiViConfig::fast_test()));
     WireServer::start(cfg).expect("bind")

@@ -1,8 +1,8 @@
 //! Deterministic work counts: exact heap-allocation counts for the
 //! serving sample loop, engine, table and session construction, session
-//! steps, one front-end observation and a front end's static-path
-//! cache, and the bytes an imaging table build and a histogram's
-//! registration and first record request.
+//! steps, a warm imaging window, one front-end observation and a front
+//! end's static-path cache, and the bytes an imaging table build and a
+//! histogram's registration and first record request.
 //!
 //! Wall time drifts from run to run; allocation counts of a fixed
 //! `fast_test` scenario do not, so they are pinned exactly. A counting
@@ -23,9 +23,9 @@ use wivi::core::{
 };
 use wivi::image::engine::ImagingTables;
 use wivi::image::{ImageConfig, ImageSession, ImagingEngine};
-use wivi::num::Complex64;
+use wivi::num::{simd, Complex64};
 use wivi::obs::{Registry, N_BUCKETS};
-use wivi::rf::{Material, Mover, Point, Scene, WaypointWalker};
+use wivi::rf::{Material, Mover, Point, Scene, Vec2, WaypointWalker};
 use wivi::sdr::{MimoFrontend, RadioConfig};
 
 /// `System`, plus a per-thread count of allocation calls (`alloc`,
@@ -243,6 +243,32 @@ fn a_second_engine_for_a_built_configuration_allocates_only_its_scratch() {
     let (n, music) = allocations(|| MusicEngine::new(music_cfg));
     assert_eq!(n, 1 + 6 + 2, "MusicEngine::new allocated {n} times");
     drop((first, image, music));
+}
+
+#[test]
+fn a_warm_imaging_window_allocates_nothing() {
+    let cfg = ImageConfig::fast_test();
+    let _obs = ObsOff::new();
+    // The process's one-time SIMD detection allocates when
+    // `WIVI_NO_SIMD` is set; resolve it before counting.
+    simd::level();
+    let wt = Complex64::new(0.4, 0.9);
+    let window = ImagingEngine::synthetic_subject_trace(
+        &cfg,
+        cfg.window,
+        Point::new(-2.0, 1.2),
+        Vec2::new(1.0, 0.0),
+        1.0,
+        wt,
+    );
+    let mut engine = ImagingEngine::new(cfg);
+    engine.process_window(&window, wt);
+    // The focus sweep writes only the engine's own buffers.
+    for _ in 0..3 {
+        let (n, cells) = allocations(|| engine.process_window(&window, wt).len());
+        assert_eq!(n, 0, "a warm process_window allocated {n} times");
+        assert_eq!(cells, engine.grid().len());
+    }
 }
 
 #[test]
