@@ -113,8 +113,8 @@ pub fn run_kernels_bench(quick: bool) -> KernelsReport {
     let e = Complex64::cis(0.7);
     let a = Complex64::new(0.3, -1.2);
 
-    // A bit-Hermitian correlation matrix (the mirror fast path) built the
-    // way the pipeline builds one: rank-1 outer-product accumulation.
+    // A correlation matrix built the way the pipeline builds one: rank-1
+    // outer-product accumulation, Hermitian to the bit.
     let mut corr = CMatrix::zeros(EIG_N, EIG_N);
     for _ in 0..3 * EIG_N {
         let v = cvec(EIG_N, &mut rng);

@@ -95,16 +95,6 @@ impl MusicConfig {
     }
 }
 
-/// One analysis window's eigen-structure (exposed for diagnostics and the
-/// ablation benches).
-#[derive(Clone, Debug)]
-pub struct WindowEigen {
-    /// Eigenvalues, descending.
-    pub eigenvalues: Vec<f64>,
-    /// Estimated signal-subspace dimension.
-    pub n_signal: usize,
-}
-
 /// Computes the smoothed correlation matrix of one window (Eq. 5.2 with
 /// the §5.2 smoothing step).
 pub fn smoothed_correlation(window: &[Complex64], subarray: usize) -> CMatrix {
@@ -230,11 +220,11 @@ impl MusicEngine {
     }
 
     /// Processes one analysis window into a pseudospectrum row (Eq. 5.3)
-    /// plus its eigen-structure.
+    /// plus its estimated signal-subspace dimension.
     ///
     /// # Panics
     /// Panics if `window.len()` differs from the configured window.
-    pub fn process_window(&mut self, window: &[Complex64]) -> (Vec<f64>, WindowEigen) {
+    pub fn process_window(&mut self, window: &[Complex64]) -> (Vec<f64>, usize) {
         assert_eq!(window.len(), self.cfg.isar.window, "window length mismatch");
         let _span = wivi_obs::span("music.window");
         smoothed_correlation_into(window, self.cfg.subarray, &mut self.corr);
@@ -281,12 +271,7 @@ impl MusicEngine {
                 e_norm_sqr / noise_norm
             })
             .collect();
-
-        let eigen = WindowEigen {
-            eigenvalues: self.eig_ws.values().to_vec(),
-            n_signal,
-        };
-        (row, eigen)
+        (row, n_signal)
     }
 }
 
@@ -422,7 +407,7 @@ mod tests {
             let starts: Vec<usize> = (0..=trace.len() - w).step_by(cfg.isar.hop).collect();
             let total: usize = starts
                 .iter()
-                .map(|&s| engine.process_window(&trace[s..s + w]).1.n_signal)
+                .map(|&s| engine.process_window(&trace[s..s + w]).1)
                 .sum();
             total as f64 / starts.len() as f64
         };

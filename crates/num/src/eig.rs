@@ -18,6 +18,12 @@
 //!
 //! where `t = tan θ` solves `t² + 2τt − 1 = 0`, `τ = (A[q,q] − A[p,p])/(2r)`
 //! — the textbook real-Jacobi angle applied to the off-diagonal *magnitude*.
+//!
+//! The solver reads one triangle, as LAPACK's `zheev` with `UPLO = 'U'`
+//! does: its working copy keeps the input's diagonal and strictly upper
+//! triangle and sets each strictly lower entry to the conjugate of its
+//! upper mirror. Matrices accumulated through [`CMatrix::add_outer`] are
+//! already Hermitian to the bit, so for them the copy changes nothing.
 
 use crate::{simd, CMatrix, Complex64};
 
@@ -135,7 +141,9 @@ impl EigWorkspace {
 ///
 /// The input is **assumed Hermitian**; only numerical (rounding-level)
 /// deviation is tolerated. Use [`CMatrix::hermitian_deviation`] upstream if
-/// the provenance of the matrix is in doubt.
+/// the provenance of the matrix is in doubt. Within that tolerance only
+/// the diagonal and the strictly upper triangle are read: inputs that
+/// share them give the same bits.
 ///
 /// # Panics
 /// Panics if `a` is not square, if its dimension differs from the
@@ -154,6 +162,11 @@ pub fn hermitian_eig_in(a: &CMatrix, ws: &mut EigWorkspace) {
     );
 
     ws.m.copy_from(a);
+    for r in 1..n {
+        for c in 0..r {
+            ws.m[(r, c)] = ws.m[(c, r)].conj();
+        }
+    }
     ws.u.set_identity();
     jacobi_diagonalize(&mut ws.m, &mut ws.u, scale);
 
@@ -195,26 +208,6 @@ pub fn hermitian_eig(a: &CMatrix) -> HermitianEig {
     }
 }
 
-/// `true` if the strictly-off-diagonal part of `m` is Hermitian in
-/// *bits*: `m[(c,r)]` is exactly the sign-flipped-imaginary image of
-/// `m[(r,c)]`. Correlation matrices accumulated through
-/// [`CMatrix::add_outer`] have this property exactly (each step writes
-/// literal conjugate pairs); it is what licenses the mirrored fast path
-/// in [`jacobi_diagonalize`].
-fn bit_hermitian_off_diagonal(m: &CMatrix) -> bool {
-    let n = m.rows();
-    for r in 0..n {
-        for c in (r + 1)..n {
-            let a = m[(r, c)];
-            let b = m[(c, r)];
-            if a.re.to_bits() != b.re.to_bits() || a.im.to_bits() != (-b.im).to_bits() {
-                return false;
-            }
-        }
-    }
-    true
-}
-
 /// The cyclic-Jacobi sweep loop shared by the planned and unplanned entry
 /// points: diagonalizes `m` in place, accumulating rotations into `ut` —
 /// the **transpose** of the unitary (row `i` of `ut` is eigenvector `i`),
@@ -223,21 +216,21 @@ fn bit_hermitian_off_diagonal(m: &CMatrix) -> bool {
 ///
 /// Every update funnels through the bitwise-pinned kernels in
 /// [`wivi_num::simd`](crate::simd), so results are identical on every
-/// dispatch level. When the input is Hermitian in bits (the correlation
-/// path always is), the column half of each rotation is not recomputed
-/// but *mirrored* from the freshly rotated rows: for `k ∉ {p,q}` the
-/// scalar column update `akp·c − (e⁻·akq)·s` is the exact conjugate of
-/// the row update `apk·c − (e⁺·aqk)·s` — conjugation distributes
-/// bitwise over IEEE multiply/add/subtract — so writing
-/// `conj(m[(p,k)])` reproduces the textbook loop's bits while keeping
-/// all arithmetic on contiguous rows. Inputs that are only
-/// approximately Hermitian take the direct strided-column path instead.
+/// dispatch level. `m` must be Hermitian to the bit off the diagonal,
+/// as [`hermitian_eig_in`]'s working copy is, and each pivot keeps it
+/// so. The column half of each rotation is therefore not recomputed but
+/// *mirrored* from the freshly rotated rows: for `k ∉ {p,q}` the scalar
+/// column update `akp·c − (e⁻·akq)·s` is the exact conjugate of the row
+/// update `apk·c − (e⁺·aqk)·s` — conjugation distributes bitwise over
+/// IEEE multiply/add/subtract — so writing `conj(m[(p,k)])` reproduces
+/// the textbook loop's bits while keeping all arithmetic on contiguous
+/// rows. `crates/num/tests/jacobi_oracle.rs` pins that claim against
+/// the textbook loop.
 fn jacobi_diagonalize(m: &mut CMatrix, ut: &mut CMatrix, scale: f64) {
     let n = m.rows();
 
     // Absolute threshold under which an off-diagonal entry counts as zero.
     let tol = 1e-14 * scale;
-    let mirror = bit_hermitian_off_diagonal(m);
 
     // Probe counts aggregate in locals and flush once per solve — the
     // pivot body is ~100 ns, far too hot for per-call counting.
@@ -276,32 +269,25 @@ fn jacobi_diagonalize(m: &mut CMatrix, ut: &mut CMatrix, scale: f64) {
                 // A ← A·V   (columns p and q):
                 //   m[(k,p)] = akp·c − (e⁻·akq)·s
                 //   m[(k,q)] = (e⁺·akp)·s + akq·c
-                if mirror {
-                    // Only the 2×2 pivot block needs the column update
-                    // computed directly (the row update below reads it);
-                    // every other column entry is mirrored from the
-                    // freshly rotated rows.
-                    let app = m[(p, p)];
-                    let apq2 = m[(p, q)];
-                    let aqp = m[(q, p)];
-                    let aqq = m[(q, q)];
-                    m[(p, p)] = app.scale(c) - (e_neg * apq2).scale(s);
-                    m[(p, q)] = (e_pos * app).scale(s) + apq2.scale(c);
-                    m[(q, p)] = aqp.scale(c) - (e_neg * aqq).scale(s);
-                    m[(q, q)] = (e_pos * aqp).scale(s) + aqq.scale(c);
-                    // A ← V^H·A rows plus the conjugate column images
-                    // outside the pivot block, fused into one pass
-                    // (bitwise equal to the direct column update — see
-                    // the function docs).
-                    simd::rotate_rows_mirror(m.as_mut_slice(), n, p, q, c, s, e_pos);
-                } else {
-                    simd::givens_rotate_cols(m.as_mut_slice(), n, p, q, c, s, e_neg);
-                    // A ← V^H·A  (rows p and q):
-                    //   m[(p,k)] = apk·c − (e⁺·aqk)·s
-                    //   m[(q,k)] = (e⁻·apk)·s + aqk·c
-                    let (row_p, row_q) = m.row_pair_mut(p, q);
-                    simd::givens_rotate(row_p, row_q, c, s, e_pos);
-                }
+                // Only the 2×2 pivot block needs the column update
+                // computed directly (the row update below reads it);
+                // every other column entry is mirrored from the freshly
+                // rotated rows.
+                let app = m[(p, p)];
+                let apq2 = m[(p, q)];
+                let aqp = m[(q, p)];
+                let aqq = m[(q, q)];
+                m[(p, p)] = app.scale(c) - (e_neg * apq2).scale(s);
+                m[(p, q)] = (e_pos * app).scale(s) + apq2.scale(c);
+                m[(q, p)] = aqp.scale(c) - (e_neg * aqq).scale(s);
+                m[(q, q)] = (e_pos * aqp).scale(s) + aqq.scale(c);
+                // A ← V^H·A  (rows p and q):
+                //   m[(p,k)] = apk·c − (e⁺·aqk)·s
+                //   m[(q,k)] = (e⁻·apk)·s + aqk·c
+                // fused with the conjugate column images outside the
+                // pivot block (bitwise equal to the direct column update
+                // — see the function docs).
+                simd::rotate_rows_mirror(m.as_mut_slice(), n, p, q, c, s, e_pos);
                 // Clamp the now-annihilated pair and enforce real diagonal,
                 // preventing rounding drift from accumulating over sweeps.
                 m[(p, q)] = Complex64::ZERO;

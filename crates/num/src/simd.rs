@@ -112,10 +112,11 @@ pub fn avx2_supported() -> bool {
 /// y[k] ← (ē·x[k])·s + y[k]·c      (ē = conj(e), x[k] the original value)
 /// ```
 ///
-/// This is both the row update (`A ← V^H·A`, `e = e^{+iφ}`) and — via
-/// [`givens_rotate_cols`] on strided columns — the column updates
-/// (`A ← A·V`, `U ← U·V`, `e = e^{−iφ}`) of the Jacobi sweep. Bitwise
-/// pinned to [`givens_rotate_scalar`].
+/// This is the Jacobi sweep's row update (`A ← V^H·A`, `e = e^{+iφ}`) and
+/// its eigenvector update (`U ← U·V` on the rows of the transposed
+/// accumulator, `e = e^{−iφ}`); the column update `A ← A·V` is mirrored
+/// from the rotated rows by [`rotate_rows_mirror`]. Bitwise pinned to
+/// [`givens_rotate_scalar`].
 ///
 /// # Panics
 /// Panics if the slices differ in length.
@@ -148,58 +149,6 @@ pub fn givens_rotate_scalar(
     }
 }
 
-/// [`givens_rotate`] over the two strided columns `p` and `q` of a
-/// row-major `rows × stride` buffer: rotates the element pairs
-/// `(data[k·stride + p], data[k·stride + q])` for `k = 0..rows`.
-/// Bitwise pinned to the scalar reference.
-///
-/// # Panics
-/// Panics if the buffer is not `rows·stride` long or a column index is
-/// out of range.
-pub fn givens_rotate_cols(
-    data: &mut [Complex64],
-    stride: usize,
-    p: usize,
-    q: usize,
-    c: f64,
-    s: f64,
-    e: Complex64,
-) {
-    assert!(
-        stride > 0 && data.len().is_multiple_of(stride),
-        "ragged buffer"
-    );
-    assert!(p < stride && q < stride && p != q, "bad column pair");
-    #[cfg(target_arch = "x86_64")]
-    if level() == SimdLevel::Avx2 {
-        // SAFETY: level() reports AVX2 only after runtime CPU detection
-        // confirmed it.
-        return unsafe { avx2::givens_rotate_cols(data, stride, p, q, c, s, e) };
-    }
-    givens_rotate_cols_scalar(data, stride, p, q, c, s, e);
-}
-
-/// Scalar reference for [`givens_rotate_cols`].
-pub fn givens_rotate_cols_scalar(
-    data: &mut [Complex64],
-    stride: usize,
-    p: usize,
-    q: usize,
-    c: f64,
-    s: f64,
-    e: Complex64,
-) {
-    let ec = e.conj();
-    let rows = data.len() / stride;
-    for k in 0..rows {
-        let base = k * stride;
-        let x0 = data[base + p];
-        let y0 = data[base + q];
-        data[base + p] = x0.scale(c) - (e * y0).scale(s);
-        data[base + q] = (ec * x0).scale(s) + y0.scale(c);
-    }
-}
-
 /// Hermitian mirror of one rotated row pair of a square row-major
 /// matrix: writes `data[k·stride + p] = conj(data[p·stride + k])` and
 /// `data[k·stride + q] = conj(data[q·stride + k])` for every `k`
@@ -211,7 +160,7 @@ pub fn givens_rotate_cols_scalar(
 /// # Panics
 /// Panics unless the buffer is square (`stride × stride`) and
 /// `p != q` are in range.
-pub fn conj_mirror_cols(data: &mut [Complex64], stride: usize, p: usize, q: usize) {
+fn conj_mirror_cols(data: &mut [Complex64], stride: usize, p: usize, q: usize) {
     assert!(
         stride > 0 && data.len() == stride * stride,
         "mirror requires a square buffer"
@@ -240,9 +189,9 @@ pub fn conj_mirror_cols(data: &mut [Complex64], stride: usize, p: usize, q: usiz
 
 /// Fused Jacobi pivot update for a bit-Hermitian square matrix: applies
 /// the row rotation [`givens_rotate`] to rows `p` and `q` (`e` is the
-/// row-update phase `e^{+iφ}`), then mirrors the rotated rows into
-/// columns `p` and `q` as in [`conj_mirror_cols`] — one pass, one
-/// dispatch per pivot.
+/// row-update phase `e^{+iφ}`), then writes each rotated row's conjugate
+/// into columns `p` and `q` of every other row — one pass, one dispatch
+/// per pivot.
 ///
 /// The mirror **skips** `k ∈ {p, q}`: mirroring `k = p` mid-pass would
 /// overwrite `data[p·stride + q]` (= `conj` of the rotated `row_q[p]`)
@@ -505,56 +454,6 @@ mod avx2 {
     // the argument slices: the vector body covers whole pairs of
     // complexes and the odd tail is handled separately.
     #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn givens_rotate_cols(
-        data: &mut [Complex64],
-        stride: usize,
-        p: usize,
-        q: usize,
-        c: f64,
-        s: f64,
-        e: Complex64,
-    ) {
-        let rows = data.len() / stride;
-        let cv = _mm256_set1_pd(c);
-        let sv = _mm256_set1_pd(s);
-        let ev = broadcast(e);
-        let ecv = broadcast(e.conj());
-        let base = data.as_mut_ptr() as *mut f64;
-        let mut k = 0;
-        // Two rows per iteration: gather the strided (k, k+1) column
-        // elements into full ymm registers, rotate, scatter back.
-        while k + 2 <= rows {
-            let p0 = base.add(2 * (k * stride + p));
-            let p1 = base.add(2 * ((k + 1) * stride + p));
-            let q0 = base.add(2 * (k * stride + q));
-            let q1 = base.add(2 * ((k + 1) * stride + q));
-            let xv = _mm256_set_m128d(_mm_loadu_pd(p1), _mm_loadu_pd(p0));
-            let yv = _mm256_set_m128d(_mm_loadu_pd(q1), _mm_loadu_pd(q0));
-            let m = cmul(yv, ev);
-            let w = cmul(xv, ecv);
-            let xn = _mm256_sub_pd(_mm256_mul_pd(xv, cv), _mm256_mul_pd(m, sv));
-            let yn = _mm256_add_pd(_mm256_mul_pd(w, sv), _mm256_mul_pd(yv, cv));
-            _mm_storeu_pd(p0, _mm256_castpd256_pd128(xn));
-            _mm_storeu_pd(p1, _mm256_extractf128_pd(xn, 1));
-            _mm_storeu_pd(q0, _mm256_castpd256_pd128(yn));
-            _mm_storeu_pd(q1, _mm256_extractf128_pd(yn, 1));
-            k += 2;
-        }
-        if k < rows {
-            let b = k * stride;
-            let ec = e.conj();
-            let x0 = data[b + p];
-            let y0 = data[b + q];
-            data[b + p] = x0.scale(c) - (e * y0).scale(s);
-            data[b + q] = (ec * x0).scale(s) + y0.scale(c);
-        }
-    }
-
-    // SAFETY: callable only with AVX2 present — the level() dispatch
-    // proves that at runtime. Every pointer offset below stays inside
-    // the argument slices: the vector body covers whole pairs of
-    // complexes and the odd tail is handled separately.
-    #[target_feature(enable = "avx2")]
     pub(super) unsafe fn rotate_rows_mirror(
         data: &mut [Complex64],
         stride: usize,
@@ -808,24 +707,6 @@ mod tests {
                 let fs = focus_accumulate_scalar(&x, &y, &w);
                 let fv = focus_accumulate(&x, &y, &w);
                 assert_bits(&fs, &fv, "focus");
-            }
-        }
-    }
-
-    #[test]
-    fn strided_column_rotation_matches_scalar_bitwise() {
-        let _guard = forced_guard();
-        for forced in available_levels() {
-            set_forced(Some(forced));
-            for (rows, stride) in [(1usize, 4usize), (2, 4), (5, 7), (50, 50), (8, 3)] {
-                let (data, _) = vecs(rows * stride, 31 * rows as u64 + stride as u64);
-                let (p, q) = (0, stride - 1);
-                let e = Complex64::cis(-1.3);
-                let mut ds = data.clone();
-                givens_rotate_cols_scalar(&mut ds, stride, p, q, 0.6, 0.8, e);
-                let mut dv = data.clone();
-                givens_rotate_cols(&mut dv, stride, p, q, 0.6, 0.8, e);
-                assert_bits(&ds, &dv, "strided rotation");
             }
         }
     }

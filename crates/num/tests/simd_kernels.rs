@@ -231,9 +231,8 @@ fn whole_eigensolver_is_bitwise_identical_at_every_level() {
             Complex64::new(rng.gen_range(-10.0, 10.0), rng.gen_range(-10.0, 10.0))
         });
         // (A + A^H)/2 is bit-Hermitian: both (i,j) and (j,i) fold the
-        // same two values through one commuting add, so the mirror
-        // fast path engages exactly as it does on real correlation
-        // matrices.
+        // same two values through one commuting add, as in the
+        // correlation matrices the pipeline builds.
         let mut h = &a + &a.hermitian();
         h.scale_mut(0.5);
 

@@ -19,8 +19,8 @@
 //!
 //! Two request-scoped layers ride on top (DESIGN.md §15):
 //!
-//! * [`trace`] — seeded 64-bit trace ids and the [`TraceContext`] that
-//!   links a session's client-side and server-side spans under one id;
+//! * [`trace`] — seeded 64-bit trace ids ([`TraceIdGen`]) that link a
+//!   session's client-side and server-side spans under one id;
 //!   [`span_traced`] is the recording end, and [`capture_incident`]/
 //!   [`incidents`] the bounded flight-recorder dump an SLO breach
 //!   triggers.
@@ -51,7 +51,7 @@ pub use spans::{
     capture_incident, clear_incidents, drain, event, incidents, overwritten, snapshot_spans, span,
     span_traced, span_with, Incident, Span, SpanRecord,
 };
-pub use trace::{fmt_trace, TraceContext, TraceIdGen, UNTRACED};
+pub use trace::{fmt_trace, TraceIdGen, UNTRACED};
 pub use window::{WindowedCounter, WindowedHistogram, WINDOW_10S_NS, WINDOW_60S_NS};
 pub use wivi_num::probe::{enabled, set_enabled, thread_slot};
 

@@ -261,9 +261,9 @@ pub fn span_with(name: &'static str, arg: u64) -> Span {
     span_traced(name, arg, 0)
 }
 
-/// Opens a span carrying both `arg` and a request `trace` id — the
-/// recording end of [`crate::trace::TraceContext`]. Pass trace `0`
-/// (untraced) to get exactly [`span_with`].
+/// Opens a span carrying both `arg` and a request `trace` id (from a
+/// [`crate::TraceIdGen`]) — the recording end of request tracing. Pass
+/// trace `0` (untraced) to get exactly [`span_with`].
 #[inline]
 pub fn span_traced(name: &'static str, arg: u64, trace: u64) -> Span {
     if !enabled() {

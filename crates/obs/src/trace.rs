@@ -1,19 +1,19 @@
-//! Request-scoped trace identity: seeded 64-bit trace ids and the
-//! [`TraceContext`] that carries one across layer boundaries.
+//! Request-scoped trace identity: seeded 64-bit trace ids.
 //!
 //! Semantics (DESIGN.md §15):
 //!
 //! * A trace id is a nonzero `u64`; `0` means *untraced* and is what
-//!   every span records when no context is in scope. Ids come from
+//!   every span records when no id is in scope. Ids come from
 //!   [`TraceIdGen`], a splitmix64 stream seeded by the caller — no
 //!   wall-clock, no global state, so a session opened with the same
 //!   seed gets the same trace id on every run and traced payloads stay
 //!   reproducible.
-//! * A [`TraceContext`] is just the id plus convenience constructors;
-//!   it crosses the wire as an optional field in OPEN frames (wire v2)
-//!   and rides `SessionSpec` through admission and shard placement so
-//!   the client-side open RTT span and the server-side
-//!   open/step/drain spans all carry the same id.
+//! * The id is a plain `u64` everywhere: it crosses the wire as an
+//!   optional field in OPEN frames (wire v2) and rides `SessionSpec`
+//!   through admission and shard placement, and
+//!   [`span_traced`](crate::span_traced) records it, so the client-side
+//!   open RTT span and the server-side open/step/drain spans all carry
+//!   the same id.
 //!
 //! The generator is the same splitmix64 the test fixtures use for
 //! deterministic sample data: full-period over `u64`, two rounds of
@@ -61,54 +61,6 @@ impl TraceIdGen {
     }
 }
 
-/// A trace id in transit: the value threaded from client open, through
-/// the OPEN frame, admission, and shard placement, into the session's
-/// spans.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-pub struct TraceContext {
-    id: u64,
-}
-
-impl TraceContext {
-    /// A context carrying `id` (pass [`UNTRACED`] for none).
-    pub fn new(id: u64) -> Self {
-        Self { id }
-    }
-
-    /// The absent context: spans record trace 0.
-    pub fn none() -> Self {
-        Self { id: UNTRACED }
-    }
-
-    /// Derives the context a fresh generator seeded with `seed` would
-    /// produce for its `n`-th id (0-based) — the deterministic
-    /// client-side rule: session *n* of a client seeded *s* always gets
-    /// the same trace id.
-    pub fn from_seed(seed: u64, n: u64) -> Self {
-        let mut g = TraceIdGen::new(seed);
-        let mut id = g.next_id();
-        for _ in 0..n {
-            id = g.next_id();
-        }
-        Self { id }
-    }
-
-    /// The raw id (0 when untraced).
-    pub fn id(&self) -> u64 {
-        self.id
-    }
-
-    /// Whether a real id is present.
-    pub fn is_traced(&self) -> bool {
-        self.id != UNTRACED
-    }
-
-    /// Opens a span carrying this context's id.
-    pub fn span(&self, name: &'static str, arg: u64) -> crate::spans::Span {
-        crate::spans::span_traced(name, arg, self.id)
-    }
-}
-
 /// Renders a trace id the way `/tracez` and log lines print it:
 /// 16 lowercase hex digits, `-` for untraced.
 pub fn fmt_trace(id: u64) -> String {
@@ -141,19 +93,7 @@ mod tests {
     }
 
     #[test]
-    fn from_seed_matches_generator_order() {
-        let mut g = TraceIdGen::new(7);
-        for n in 0..5u64 {
-            let id = g.next_id();
-            assert_eq!(TraceContext::from_seed(7, n).id(), id);
-        }
-    }
-
-    #[test]
-    fn context_and_formatting() {
-        assert!(!TraceContext::none().is_traced());
-        assert_eq!(TraceContext::none().id(), UNTRACED);
-        assert!(TraceContext::new(9).is_traced());
+    fn fmt_trace_prints_hex_or_a_dash() {
         assert_eq!(fmt_trace(UNTRACED), "-");
         assert_eq!(fmt_trace(0xdead_beef), "00000000deadbeef");
         assert_eq!(fmt_trace(u64::MAX).len(), 16);

@@ -240,34 +240,9 @@ pub(crate) struct ActiveSession {
     /// Request trace id carried into every lifecycle span (0 =
     /// untraced).
     pub(crate) trace: u64,
-    /// Hop-budget accounting: batch windows that stayed under the SLO
-    /// budget, windows that went over, and the worst window seen.
-    /// Updated by the shard after each step.
-    pub(crate) slo: SessionSlo,
-}
-
-/// Per-session hop-budget tallies against the serving SLO (the paper's
-/// 400 ms end-to-end window budget by default).
-#[derive(Clone, Copy, Debug, Default)]
-pub(crate) struct SessionSlo {
-    pub(crate) under: u64,
-    pub(crate) over: u64,
-    pub(crate) worst_ns: u64,
-}
-
-impl SessionSlo {
-    /// Tallies one batch window of `d_ns` against `budget_ns`; returns
-    /// `true` when this window breached the budget.
-    pub(crate) fn note(&mut self, d_ns: u64, budget_ns: u64) -> bool {
-        self.worst_ns = self.worst_ns.max(d_ns);
-        if d_ns > budget_ns {
-            self.over += 1;
-            true
-        } else {
-            self.under += 1;
-            false
-        }
-    }
+    /// Set by the shard at the session's first batch window over the
+    /// SLO hop budget, so the breach is counted and captured once.
+    pub(crate) breached: bool,
 }
 
 impl ActiveSession {
@@ -307,7 +282,7 @@ impl ActiveSession {
             stream: Duration::ZERO,
             closing: false,
             trace,
-            slo: SessionSlo::default(),
+            breached: false,
         }
     }
 

@@ -322,9 +322,10 @@ impl SloMetrics {
         // SloSummary docs), breached or not; atomic max so concurrent
         // shards cannot lose a larger value.
         self.worst.set_max(d_ns as f64);
-        if s.slo.note(d_ns, self.budget_ns) {
+        if d_ns > self.budget_ns {
             self.windows_over.counter().inc();
-            if s.slo.over == 1 {
+            if !s.breached {
+                s.breached = true;
                 self.breached_sessions.inc();
                 wivi_obs::capture_incident("slo.hop_budget", s.id, s.trace, d_ns);
             }

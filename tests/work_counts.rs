@@ -316,9 +316,9 @@ fn sessions_allocate_their_engine_at_open_and_nothing_per_idle_step() {
     assert_eq!(idle, [0; 4], "steps that complete no window allocated");
     assert_eq!(count.columns() + image.columns(), 0);
     dev.observe_batch_into(24, &mut batch);
-    // One window: the spectrum row and the eigenvalue list.
+    // One window: the spectrum row.
     let (n, ()) = allocations(|| count.step(&batch));
-    assert_eq!(n, 2, "a one-window CountSession step allocated {n} times");
+    assert_eq!(n, 1, "a one-window CountSession step allocated {n} times");
     assert_eq!(count.columns(), 1);
     drop((first, count, track, gesture, image));
 }
