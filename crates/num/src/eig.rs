@@ -217,15 +217,18 @@ pub fn hermitian_eig(a: &CMatrix) -> HermitianEig {
 /// Every update funnels through the bitwise-pinned kernels in
 /// [`wivi_num::simd`](crate::simd), so results are identical on every
 /// dispatch level. `m` must be Hermitian to the bit off the diagonal,
-/// as [`hermitian_eig_in`]'s working copy is, and each pivot keeps it
+/// as [`hermitian_eig_in`]'s working copy is, and the mirror keeps it
 /// so. The column half of each rotation is therefore not recomputed but
 /// *mirrored* from the freshly rotated rows: for `k ∉ {p,q}` the scalar
 /// column update `akp·c − (e⁻·akq)·s` is the exact conjugate of the row
 /// update `apk·c − (e⁺·aqk)·s` — conjugation distributes bitwise over
 /// IEEE multiply/add/subtract — so writing `conj(m[(p,k)])` reproduces
 /// the textbook loop's bits while keeping all arithmetic on contiguous
-/// rows. `crates/num/tests/jacobi_oracle.rs` pins that claim against
-/// the textbook loop.
+/// rows. `crates/num/tests/simd_kernels.rs` pins this on complex
+/// correlation matrices. Where an entry cancels to an exact zero the two
+/// loops can disagree on its sign, so on real-valued inputs the
+/// eigenvectors' rounding-level imaginary parts can differ in sign from
+/// the textbook loop's.
 fn jacobi_diagonalize(m: &mut CMatrix, ut: &mut CMatrix, scale: f64) {
     let n = m.rows();
 

@@ -11,6 +11,18 @@
 //! fused rotate-and-mirror, and the whole eigensolver end to end. The
 //! focus sums are also pinned to the two-table formula they replaced.
 //!
+//! The eigensolver never computes the column half of a rotation outside
+//! the 2×2 pivot block: it writes the conjugates of the freshly rotated
+//! rows there, which reproduces the direct column update only while the
+//! working matrix is Hermitian to the bit. A scalar textbook Jacobi
+//! (column rotation, then row rotation, with the solver's angle, stop
+//! rule, clamps and descending sort) keeps that direct update as the
+//! reference, and the solver must match it on correlation matrices
+//! accumulated the way the pipeline accumulates them. The solver reads
+//! one triangle: a change below the diagonal within the Hermitian
+//! tolerance must change no output bit. These 50 × 50 solves live here,
+//! not among the `--lib` unit tests, which the Miri job runs.
+//!
 //! Forcing a SIMD level mutates process-global state, so every test
 //! serializes on one mutex and restores auto-detection on drop.
 
@@ -18,7 +30,7 @@ use std::sync::{Mutex, MutexGuard, OnceLock};
 
 use wivi_num::rng::Rng64;
 use wivi_num::simd::{self, SimdLevel};
-use wivi_num::{hermitian_eig, CMatrix, Complex64};
+use wivi_num::{hermitian_eig, CMatrix, Complex64, HermitianEig};
 
 /// Serializes tests that force a global SIMD level.
 fn force_lock() -> MutexGuard<'static, ()> {
@@ -256,6 +268,172 @@ fn whole_eigensolver_is_bitwise_identical_at_every_level() {
                 reference.vectors.as_slice(),
                 &format!("eigenvectors at {} (n={n})", level.name()),
             );
+        }
+    }
+}
+
+/// `Σ k·v·v^H` over `count` random vectors of magnitude ~`scale`, with
+/// `k = 1/count`: the correlation matrices `hermitian_eig` serves, built
+/// through the same `add_outer` step.
+fn correlation(n: usize, count: usize, scale: f64, seed: u64) -> CMatrix {
+    let mut rng = Rng64::seed_from_u64(seed);
+    let mut r = CMatrix::zeros(n, n);
+    for _ in 0..count {
+        let v: Vec<Complex64> = (0..n)
+            .map(|_| {
+                Complex64::new(
+                    scale * rng.gen_range(-1.0, 1.0),
+                    scale * rng.gen_range(-1.0, 1.0),
+                )
+            })
+            .collect();
+        r.add_outer(&v, 1.0 / count as f64);
+    }
+    r
+}
+
+/// `A ← A·V` on columns `p` and `q`, every row:
+/// `a[k][p] = akp·c − (e⁻·akq)·s`, `a[k][q] = (e⁺·akp)·s + akq·c`.
+fn rotate_cols(a: &mut CMatrix, p: usize, q: usize, c: f64, s: f64, e_neg: Complex64) {
+    let e_pos = e_neg.conj();
+    for k in 0..a.rows() {
+        let (akp, akq) = (a[(k, p)], a[(k, q)]);
+        a[(k, p)] = akp.scale(c) - (e_neg * akq).scale(s);
+        a[(k, q)] = (e_pos * akp).scale(s) + akq.scale(c);
+    }
+}
+
+/// The textbook cyclic Jacobi the solver must reproduce: the solver's
+/// stop rule (`MAX_SWEEPS` = 64, off-diagonal norm against
+/// `1e-14·(1 + ‖A‖_F)·n`), pivot skip, angle, clamps and stable
+/// descending sort, with the column half of every rotation computed
+/// directly and `U` kept untransposed.
+fn textbook_eig(a: &CMatrix) -> HermitianEig {
+    let n = a.rows();
+    let tol = 1e-14 * (1.0 + a.frobenius_norm());
+    let mut m = a.clone();
+    let mut u = CMatrix::identity(n);
+    for _sweep in 0..64 {
+        if m.off_diagonal_energy().sqrt() <= tol * n as f64 {
+            break;
+        }
+        for p in 0..n {
+            for q in (p + 1)..n {
+                let apq = m[(p, q)];
+                let r = apq.abs();
+                if r <= tol {
+                    continue;
+                }
+                let (alpha, beta) = (m[(p, p)].re, m[(q, q)].re);
+                let tau = (beta - alpha) / (2.0 * r);
+                let t = if tau >= 0.0 {
+                    1.0 / (tau + (1.0 + tau * tau).sqrt())
+                } else {
+                    -1.0 / (-tau + (1.0 + tau * tau).sqrt())
+                };
+                let c = 1.0 / (1.0 + t * t).sqrt();
+                let s = t * c;
+                let e_pos = Complex64::cis(apq.arg());
+                let e_neg = e_pos.conj();
+
+                rotate_cols(&mut m, p, q, c, s, e_neg);
+                // A ← V^H·A on rows p and q, every column.
+                for k in 0..n {
+                    let (apk, aqk) = (m[(p, k)], m[(q, k)]);
+                    m[(p, k)] = apk.scale(c) - (e_pos * aqk).scale(s);
+                    m[(q, k)] = (e_neg * apk).scale(s) + aqk.scale(c);
+                }
+                m[(p, q)] = Complex64::ZERO;
+                m[(q, p)] = Complex64::ZERO;
+                m[(p, p)] = Complex64::from_re(m[(p, p)].re);
+                m[(q, q)] = Complex64::from_re(m[(q, q)].re);
+                rotate_cols(&mut u, p, q, c, s, e_neg);
+            }
+        }
+    }
+    let lambdas: Vec<f64> = (0..n).map(|i| m[(i, i)].re).collect();
+    let mut order: Vec<usize> = (0..n).collect();
+    order.sort_by(|&i, &j| lambdas[j].partial_cmp(&lambdas[i]).unwrap());
+    HermitianEig {
+        values: order.iter().map(|&i| lambdas[i]).collect(),
+        vectors: CMatrix::from_fn(n, n, |r, c| u[(r, order[c])]),
+    }
+}
+
+fn assert_same_eig(got: &HermitianEig, want: &HermitianEig, what: &str) {
+    for (i, (g, w)) in got.values.iter().zip(&want.values).enumerate() {
+        assert_eq!(
+            g.to_bits(),
+            w.to_bits(),
+            "{what}: eigenvalue {i}: {g} vs {w}"
+        );
+    }
+    assert_bits_eq(
+        got.vectors.as_slice(),
+        want.vectors.as_slice(),
+        &format!("{what}: eigenvectors"),
+    );
+}
+
+/// Sizes around the pipeline's w′ = 50, each with fewer and with more
+/// outer products than its dimension, at unit and small magnitude.
+fn cases() -> Vec<(usize, usize, f64)> {
+    let mut out = Vec::new();
+    for n in [5usize, 13, 20, 50] {
+        for count in [1, n / 2, n - 1, n + 1, 3 * n] {
+            for scale in [1.0, 1e-4] {
+                out.push((n, count, scale));
+            }
+        }
+    }
+    out
+}
+
+#[test]
+fn solver_equals_the_textbook_loop_bitwise_at_every_level() {
+    let _l = force_lock();
+    for (i, (n, count, scale)) in cases().into_iter().enumerate() {
+        let a = correlation(n, count, scale, 0x7AC0 + i as u64);
+        let want = textbook_eig(&a);
+        for &level in &available_levels() {
+            let _g = force(level);
+            let got = hermitian_eig(&a);
+            assert_same_eig(
+                &got,
+                &want,
+                &format!("{} n={n} count={count} scale={scale:e}", level.name()),
+            );
+        }
+    }
+}
+
+#[test]
+fn an_ulp_below_the_diagonal_changes_no_bit() {
+    let _l = force_lock();
+    for n in [5usize, 13, 50] {
+        let a = correlation(n, n + 1, 1.0, 0x0E1F + n as u64);
+        let reference = hermitian_eig(&a);
+        // One strictly lower entry at a time, its real or its imaginary
+        // part one ulp up: still Hermitian within tolerance, but not to
+        // the bit.
+        for (r, c, imag) in [(n - 1, 0, false), (1, 0, true), (n - 1, n - 2, false)] {
+            let mut b = a.clone();
+            let z = b[(r, c)];
+            let bump = |x: f64| f64::from_bits(x.to_bits() + 1);
+            b[(r, c)] = if imag {
+                Complex64::new(z.re, bump(z.im))
+            } else {
+                Complex64::new(bump(z.re), z.im)
+            };
+            assert!(b != a, "the perturbation must change the input");
+            for &level in &available_levels() {
+                let _g = force(level);
+                assert_same_eig(
+                    &hermitian_eig(&b),
+                    &reference,
+                    &format!("{} n={n} entry ({r},{c}) imag={imag}", level.name()),
+                );
+            }
         }
     }
 }
