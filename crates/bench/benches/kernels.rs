@@ -9,7 +9,9 @@
 //! payoff stays measured, and the engine rows split what the first
 //! engine per configuration pays (the cold table build) from what every
 //! later one pays (a warm `new`: scratch only). `observe_batch_into_64`
-//! times the simulator: one 64-sample batch of a calibrated device.
+//! times the simulator: one 64-sample batch of a calibrated device, and
+//! `imaging_window_fixes_warm` one imaging window through the CLEAN
+//! loop.
 
 use std::hint::black_box;
 use std::time::Instant;
@@ -28,6 +30,7 @@ use wivi_image::engine::ImagingTables;
 use wivi_image::{ImageConfig, ImagingEngine};
 use wivi_num::eig::{hermitian_eig_in, EigWorkspace};
 use wivi_num::{fft, hermitian_eig, Complex64, FftPlan};
+use wivi_rf::{Point, Vec2};
 
 /// Times `f` over batches and reports the median per-iteration time.
 fn bench(name: &str, iters_per_batch: usize, mut f: impl FnMut()) {
@@ -170,6 +173,33 @@ fn main() {
     let _resident = ImagingEngine::new(img);
     bench("imaging_engine_new_warm", 200, || {
         black_box(ImagingEngine::new(img));
+    });
+
+    // One imaging window at the paper configuration through a warm
+    // engine's CLEAN loop (a focus pass, CFAR and mirror resolution per
+    // fix): two subjects pacing opposite ways, centred on the window,
+    // which take three passes.
+    let wt = Complex64::new(-0.9, 0.3);
+    let half_t = (img.window as f64 - 1.0) / 2.0 * img.sample_period_s;
+    let pacer = |x: f64, y: f64, vx: f64, amplitude: f64| {
+        let start = Point::new(x - vx * half_t, y);
+        ImagingEngine::synthetic_subject_trace(
+            &img,
+            img.window,
+            start,
+            Vec2::new(vx, 0.0),
+            amplitude,
+            wt,
+        )
+    };
+    let two: Vec<Complex64> = pacer(1.55, 2.45, 1.0, 1.0)
+        .iter()
+        .zip(pacer(-2.05, 3.95, -1.0, 0.6))
+        .map(|(a, b)| *a + b)
+        .collect();
+    let mut imager = ImagingEngine::new(img);
+    bench("imaging_window_fixes_warm", 20, || {
+        black_box(imager.process_window_fixes(&two, wt).len());
     });
 
     let bf = IsarConfig {

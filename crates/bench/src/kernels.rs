@@ -4,7 +4,8 @@
 //! Each kernel is timed at every dispatch level the running CPU supports
 //! (scalar reference, AVX2), on the buffer sizes the pipeline actually
 //! uses: length-50 Jacobi rows, the 50×50 correlation matrix, the
-//! 181-angle MUSIC grid, the 625-sample imaging aperture. The levels are
+//! 181-angle MUSIC grid, and one imaging focus pass over the paper
+//! configuration's 448-cell × 625-sample steering table. The levels are
 //! forced through [`wivi_num::simd::set_forced`], so one process measures
 //! all paths. `cargo bench -p wivi-bench` prints the resulting per-level
 //! table.
@@ -13,14 +14,13 @@ use std::hint::black_box;
 use std::time::Instant;
 
 use wivi_core::isar::IsarConfig;
+use wivi_image::ImageConfig;
 use wivi_num::eig::{hermitian_eig_in, EigWorkspace};
 use wivi_num::rng::Rng64;
 use wivi_num::{simd, CMatrix, Complex64};
 
 /// Side of the Jacobi working matrix (the MUSIC subarray dimension).
 pub const EIG_N: usize = 50;
-/// Imaging aperture length (focus correlation window).
-pub const APERTURE: usize = 625;
 
 /// ns/op of one kernel at every level measured, in measurement order
 /// (scalar first).
@@ -104,9 +104,10 @@ pub fn run_kernels_bench(quick: bool) -> KernelsReport {
     // Shared inputs, realistic sizes.
     let row_a = cvec(EIG_N, &mut rng);
     let row_b = cvec(EIG_N, &mut rng);
-    let ap_a = cvec(APERTURE, &mut rng);
-    let ap_b = cvec(APERTURE, &mut rng);
-    let ap_c = cvec(APERTURE, &mut rng);
+    let image = ImageConfig::wivi_default();
+    let (cells, aperture) = (image.grid.len(), image.window);
+    let window = cvec(aperture, &mut rng);
+    let steering = cvec(cells * aperture, &mut rng);
     let n_angles = IsarConfig::wivi_default().n_angles;
     let grid_a = cvec(n_angles, &mut rng);
     let grid_b = cvec(n_angles, &mut rng);
@@ -172,16 +173,13 @@ pub fn run_kernels_bench(quick: bool) -> KernelsReport {
         }
     });
 
-    // The imaging focus correlation (4 accumulators over the aperture;
-    // the TX-2 row is the mirror cell's row read backwards).
-    bench(&format!("focus_accumulate_{APERTURE}"), 100_000, &mut {
-        let (h, t1, m) = (ap_a.clone(), ap_b.clone(), ap_c.clone());
+    // One imaging focus pass: both walking directions' sums for every
+    // row of a steering table the paper configuration's shape.
+    bench(&format!("focus_rows_{cells}x{aperture}"), 400, &mut {
+        let mut sums = vec![[Complex64::ZERO; 2]; cells];
+        let (h, table) = (window.clone(), steering.clone());
         move || {
-            black_box(simd::focus_accumulate(
-                black_box(&h),
-                black_box(&t1),
-                black_box(&m),
-            ));
+            simd::focus_rows(black_box(&h), black_box(&table), black_box(&mut sums));
         }
     });
 

@@ -195,6 +195,9 @@ impl MusicEngine {
     /// Panics on an invalid configuration (see [`MusicConfig::validate`]).
     pub fn new(cfg: MusicConfig) -> Self {
         cfg.validate();
+        // Resolve the process's one-time SIMD detection here, so no
+        // window pays its `WIVI_NO_SIMD` read (which allocates).
+        simd::level();
         let tables = MUSIC_TABLES.get_or_build(&cfg, MusicTables::build);
         let n_angles = tables.thetas.len();
         Self {

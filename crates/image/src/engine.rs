@@ -38,6 +38,19 @@
 //! zero-Doppler cells on the boresight line, exactly as it floods θ = 0
 //! in the spectrogram.
 //!
+//! # Two sums per row
+//!
+//! `⟨h, q(p)⟩` takes four sums per cell: TX 1's and TX 2's rows, each
+//! walked forward and reversed. A focus pass computes only two per
+//! steering-table row, in one [`simd::focus_rows`] call over TX 1's
+//! table: `F = Σ_k h[k]·t[k]` and `R = Σ_k h[n−1−k]·t[k]`. Because a
+//! cell's TX-2 row is its mirror cell's TX-1 row reversed (below), the
+//! cell `c` with mirror `m` has `[a1f, a2f, a1r, a2r] = [F(c), R(m),
+//! R(c), F(m)]`: half the multiplies of four sums per cell, and each
+//! row read once per pass. The TX-1 sums add their terms in the order a
+//! four-sum loop does; the TX-2 sums add the same terms in the opposite
+//! order, so they differ from it in the last bits only.
+//!
 //! # Residency contract
 //!
 //! Mirroring [`wivi_core::MusicEngine`], an engine is shared tables
@@ -53,10 +66,12 @@
 //! TX 1's at element `window − 1 − i` of the mirror cell across `x = 0`
 //! ([`ImageConfig::validate`] rejects configurations without that
 //! symmetry).
-//! The scratch — the image buffer, the per-cell directions, the
-//! mean-removal window — is allocated once per engine and reused every
-//! window; window-rate processing allocates nothing beyond the emitted
-//! fix list. Every imaging session owns one engine, whether the device
+//! The scratch — the image buffer, the focus pass's row sums (from
+//! which a cell's walking direction is read back), the mean-removal
+//! window — is allocated once per engine and reused every window:
+//! [`ImagingEngine::process_window`] allocates nothing, and
+//! [`ImagingEngine::process_window_fixes`] only its detection and fix
+//! lists. Every imaging session owns one engine, whether the device
 //! entry points, a benchmark or a serving shard drives it, so all are
 //! bitwise identical by construction: the output depends only on the
 //! configuration, the window contents, and the nulling weight.
@@ -88,7 +103,8 @@ pub struct ImageFix {
 /// steering table and the per-cell cross terms, built once per
 /// configuration per process and shared through a process-wide
 /// [`TableStore`]. TX 2's table is TX 1's mirror image (see the module
-/// docs) and is never stored.
+/// docs) and is never stored; a focus pass reads each row of TX 1's
+/// once.
 pub struct ImagingTables {
     /// TX 1's conjugated steering table, cell-major:
     /// `steer[c·window + i] = e^{+j·(2π/λ)·R₁(p_c, i)}`. TX 2's entry is
@@ -179,6 +195,27 @@ impl ImagingTables {
             &self.steer[m * w..(m + 1) * w],
         )
     }
+
+    /// `‖q(p_c)‖²` under nulling weight `wt`:
+    /// `window·(1 + |wt|²) + 2·Re(wt·Σ s²·conj(s¹))`, floored at
+    /// `1e-12`. The same for both walking directions (the sum only
+    /// reorders).
+    fn model_norm(&self, c: usize, wt: Complex64) -> f64 {
+        (self.window as f64 * (1.0 + wt.norm_sqr()) + 2.0 * (wt * self.cross[c]).re).max(1e-12)
+    }
+}
+
+/// Cell `c`'s correlation power walked forward and reversed, from the
+/// focus pass's row sums: the cell's `[a1f, a2f, a1r, a2r]` is
+/// `[F(c), R(m), R(c), F(m)]` with `m` its mirror cell, because the
+/// cell's TX-2 row is `m`'s TX-1 row reversed.
+fn walk_powers(sums: &[[Complex64; 2]], grid: Grid2d, c: usize, wt_conj: Complex64) -> (f64, f64) {
+    let [f_c, r_c] = sums[c];
+    let [f_m, r_m] = sums[mirror_cell(grid, c)];
+    (
+        (f_c + wt_conj * r_m).norm_sqr(),
+        (r_c + wt_conj * f_m).norm_sqr(),
+    )
 }
 
 /// The process-wide store of [`ImagingTables`], keyed by the full
@@ -186,15 +223,17 @@ impl ImagingTables {
 static IMAGING_TABLES: TableStore<ImageConfig, ImagingTables> = TableStore::new("imaging");
 
 /// The reusable per-window backprojector: shared [`ImagingTables`] plus
-/// the image, direction and centred-window scratch of its own.
+/// the image, row-sum and centred-window scratch of its own.
 pub struct ImagingEngine {
     cfg: ImageConfig,
     grid: Grid2d,
     tables: Arc<ImagingTables>,
     /// The focused image, reused every window.
     image: Vec<f64>,
-    /// Per-cell winning traversal direction (`true` = forward).
-    dirs: Vec<bool>,
+    /// The last focus pass's `[F, R]` per steering-table row (see
+    /// [`simd::focus_rows`]); a cell's walking direction is read back
+    /// from its own and its mirror cell's pair.
+    sums: Vec<[Complex64; 2]>,
     /// Mean-removed window scratch (the CLEAN loop subtracts detected
     /// targets from it in place).
     centered: Vec<Complex64>,
@@ -208,6 +247,9 @@ impl ImagingEngine {
     /// Panics on an invalid configuration.
     pub fn new(cfg: ImageConfig) -> Self {
         cfg.validate();
+        // Resolve the process's one-time SIMD detection here, so no
+        // window pays its `WIVI_NO_SIMD` read (which allocates).
+        simd::level();
         let grid = cfg.grid.grid2d();
         let n_cells = grid.len();
         Self {
@@ -215,7 +257,7 @@ impl ImagingEngine {
             grid,
             tables: IMAGING_TABLES.get_or_build(&cfg, ImagingTables::build),
             image: vec![0.0; n_cells],
-            dirs: vec![true; n_cells],
+            sums: vec![[Complex64::ZERO; 2]; n_cells],
             centered: vec![Complex64::ZERO; cfg.window],
         }
     }
@@ -260,30 +302,23 @@ impl ImagingEngine {
         }
     }
 
-    /// Backprojects the resident (centred) window onto the grid,
-    /// filling the image and per-cell direction buffers, one cell after
-    /// another.
+    /// Backprojects the resident (centred) window onto the grid: one
+    /// [`simd::focus_rows`] pass over TX 1's table, then each cell's
+    /// image value from its own and its mirror cell's row sums.
     fn focus(&mut self, tx_weight: Complex64) {
-        let w = self.cfg.window;
-        let wt = tx_weight;
-        let wt_conj = wt.conj();
-        let wt_sq = wt.norm_sqr();
         let tables: &ImagingTables = &self.tables;
-        // One cell: the dispatched four-accumulator correlation (two TX
-        // paths × two walking directions — the reversed aperture is the
-        // same row backwards; TX 2's row is the mirror cell's TX-1 row
-        // backwards), then the direction pick.
-        for (c, (img, dir)) in self.image.iter_mut().zip(&mut self.dirs).enumerate() {
-            let (t1, m) = tables.rows(c);
-            let [a1f, a2f, a1r, a2r] = simd::focus_accumulate(&self.centered, t1, m);
-            let fwd = (a1f + wt_conj * a2f).norm_sqr();
-            let rev = (a1r + wt_conj * a2r).norm_sqr();
-            // ‖q‖² = w·(1 + |wt|²) + 2·Re(wt·Σ s²conj(s¹)); identical
-            // for both traversal directions (the sum just reorders).
-            let qn = (w as f64 * (1.0 + wt_sq) + 2.0 * (wt * tables.cross[c]).re).max(1e-12);
-            *img = fwd.max(rev) / qn;
-            *dir = fwd >= rev;
+        simd::focus_rows(&self.centered, &tables.steer, &mut self.sums);
+        let wt_conj = tx_weight.conj();
+        for (c, img) in self.image.iter_mut().enumerate() {
+            let (fwd, rev) = walk_powers(&self.sums, self.grid, c, wt_conj);
+            *img = fwd.max(rev) / tables.model_norm(c, tx_weight);
         }
+    }
+
+    /// Whether cell `c` won the last focus pass walking forward.
+    fn walks_forward(&self, c: usize, tx_weight: Complex64) -> bool {
+        let (fwd, rev) = walk_powers(&self.sums, self.grid, c, tx_weight.conj());
+        fwd >= rev
     }
 
     /// The model vector element `q_j` for cell `c` traversed in
@@ -337,7 +372,7 @@ impl ImagingEngine {
         }
         let w = self.cfg.window;
         let wt = tx_weight;
-        let fwd = self.dirs[c];
+        let fwd = self.walks_forward(c, wt);
         // The mirror hypothesis of a target is the mirror cell walked
         // the opposite way (the RX-path phase histories then coincide).
         let mut g12 = Complex64::ZERO;
@@ -350,10 +385,7 @@ impl ImagingEngine {
             r1 += self.centered[j] * q1.conj();
             r2 += self.centered[j] * q2.conj();
         }
-        let qn = |cell: usize| {
-            (w as f64 * (1.0 + wt.norm_sqr()) + 2.0 * (wt * self.tables.cross[cell]).re).max(1e-12)
-        };
-        let (g11, g22) = (qn(c), qn(m));
+        let (g11, g22) = (self.tables.model_norm(c, wt), self.tables.model_norm(m, wt));
         let det = g11 * g22 - g12.norm_sqr();
         if det <= 1e-9 * g11 * g22 {
             return c; // hypotheses indistinguishable (cell near x = 0)
@@ -376,7 +408,7 @@ impl ImagingEngine {
     fn subtract_cell(&mut self, c: usize, tx_weight: Complex64) {
         let w = self.cfg.window;
         let (t1, m) = self.tables.rows(c);
-        let forward = self.dirs[c];
+        let forward = self.walks_forward(c, tx_weight);
         let wt = tx_weight;
         let mut r = Complex64::ZERO;
         for j in 0..w {
@@ -385,12 +417,9 @@ impl ImagingEngine {
             // t2[idx] = m[w − 1 − idx].
             r += self.centered[j] * (t1[idx] + wt.conj() * m[w - 1 - idx]);
         }
-        let qn =
-            (w as f64 * (1.0 + wt.norm_sqr()) + 2.0 * (wt * self.tables.cross[c]).re).max(1e-12);
-        let a = r / qn;
+        let a = r / self.tables.model_norm(c, wt);
         for j in 0..w {
-            let idx = if forward { j } else { w - 1 - j };
-            let q = t1[idx].conj() + wt * m[w - 1 - idx].conj();
+            let q = self.model_at(c, forward, wt, j);
             self.centered[j] -= a * q;
         }
     }
@@ -769,6 +798,77 @@ mod tests {
                     );
                 }
             }
+        }
+    }
+
+    /// The image a per-cell four-sum focus makes: each cell correlated
+    /// against its TX-1 row and its mirror cell's row read backwards
+    /// (its TX-2 row), walked forward and reversed, with every sum in
+    /// ascending element order. It reads the same products as the row
+    /// sums but adds the TX-2 ones in the opposite order.
+    fn four_sum_image(engine: &ImagingEngine, wt: Complex64) -> Vec<f64> {
+        let h = &engine.centered;
+        let n = h.len();
+        (0..engine.grid.len())
+            .map(|c| {
+                let (t1, m) = engine.tables.rows(c);
+                let mut a = [Complex64::ZERO; 4];
+                for i in 0..n {
+                    let (hf, hr, t2) = (h[i], h[n - 1 - i], m[n - 1 - i]);
+                    a[0] += hf * t1[i];
+                    a[1] += hf * t2;
+                    a[2] += hr * t1[i];
+                    a[3] += hr * t2;
+                }
+                let fwd = (a[0] + wt.conj() * a[1]).norm_sqr();
+                let rev = (a[2] + wt.conj() * a[3]).norm_sqr();
+                fwd.max(rev) / engine.tables.model_norm(c, wt)
+            })
+            .collect()
+    }
+
+    #[test]
+    fn row_sum_focus_matches_the_four_sum_focus() {
+        for cfg in [ImageConfig::fast_test(), ImageConfig::wivi_default()] {
+            let mut engine = ImagingEngine::new(cfg);
+            let wt = Complex64::new(-0.9, 0.3);
+            let half_t = (cfg.window as f64 - 1.0) / 2.0 * cfg.sample_period_s;
+            // Two subjects pacing opposite ways on either side of the
+            // boresight, the second weaker and deeper.
+            let pacer = |x: f64, y: f64, vx: f64, amplitude: f64| {
+                ImagingEngine::synthetic_subject_trace(
+                    &cfg,
+                    cfg.window,
+                    Point::new(x - vx * half_t, y),
+                    Vec2::new(vx, 0.0),
+                    amplitude,
+                    wt,
+                )
+            };
+            let window: Vec<Complex64> = pacer(1.55, 2.45, 1.0, 1.0)
+                .iter()
+                .zip(pacer(-2.05, 3.95, -1.0, 0.6))
+                .map(|(a, b)| *a + b)
+                .collect();
+            let image = engine.process_window(&window, wt).to_vec();
+            let want = four_sum_image(&engine, wt);
+            let peak = want.iter().copied().fold(0.0, f64::max);
+            assert!(peak > 0.0);
+            for (c, (got, want)) in image.iter().zip(&want).enumerate() {
+                assert!(
+                    (got - want).abs() <= 1e-10 * peak,
+                    "cell {c}: {got} vs {want} (peak {peak})"
+                );
+            }
+            let cells = |img: &[f64]| -> Vec<(usize, usize)> {
+                ca_cfar_2d(img, engine.grid(), &cfg.cfar)
+                    .iter()
+                    .map(|d| (d.ix, d.iy))
+                    .collect()
+            };
+            let detections = cells(&image);
+            assert!(detections.len() >= 2, "{detections:?}");
+            assert_eq!(detections, cells(&want));
         }
     }
 

@@ -8,8 +8,8 @@
 //! the thread count and of scheduling. Workers pull item indices from
 //! an atomic counter and write into per-slot cells; determinism lives
 //! in the items, not the executor. The library crates do not use it: a
-//! serving shard advances its sessions on its own thread, and the
-//! imaging focus sweep is one loop.
+//! serving shard advances its sessions on its own thread, and an
+//! imaging focus pass is one kernel call on its caller's thread.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;

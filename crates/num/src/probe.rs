@@ -20,8 +20,9 @@
 //!   per-row axpy) are **never** counted per call: their callers
 //!   aggregate locally in registers and flush one [`count_kernel`] per
 //!   natural loop boundary (one per eigensolve, one per FFT run, one
-//!   per correlation update). Per-call counting is reserved for kernels
-//!   long enough to hide a few nanoseconds (`focus_accumulate`).
+//!   per correlation update). The imaging focus pass
+//!   (`simd::focus_rows`) books one count per steering-table row, once
+//!   per pass.
 //!   DESIGN.md §13 records the budget.
 //!
 //! Counts are monotone from process start; consumers diff two
@@ -39,7 +40,8 @@ pub const N_LEVELS: usize = 2;
 /// updates (aggregated per eigensolve), `AxpyRows` correlation rows
 /// (aggregated per outer-product update), `Butterflies` FFT butterfly
 /// pairs (aggregated per transform), `Caxpy` MUSIC projection axpys
-/// (aggregated per window); `Focus` is counted per call.
+/// (aggregated per window), `Focus` imaging cells focused (one per
+/// steering-table row, aggregated per focus pass).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Kernel {
     Caxpy,
@@ -251,7 +253,8 @@ pub struct ProbeSnapshot {
     pub axpy_rows: LevelCounts,
     /// FFT butterfly pairs per level (aggregated per transform).
     pub butterflies: LevelCounts,
-    /// Imaging `focus_accumulate` calls per level.
+    /// Imaging cells focused per level (one per `simd::focus_rows`
+    /// row, aggregated per pass).
     pub focus: LevelCounts,
     /// Jacobi pivot updates per level (aggregated per eigensolve).
     pub rotations: LevelCounts,

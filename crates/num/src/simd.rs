@@ -3,17 +3,18 @@
 //! The whole pipeline funnels into a handful of inner loops — the Jacobi
 //! eigensolver's Givens rotations, the correlation outer-product
 //! accumulation, the MUSIC steering projection, and the imaging focus
-//! sweep. This module vectorizes exactly those (the FFT butterflies stay
-//! scalar in [`crate::fft`]: an AVX2 body measured no faster), with a
-//! dispatch contract the golden-trace suite depends on:
+//! pass ([`focus_rows`]: two sums per steering-table row, eight rows per
+//! AVX2 block). This module vectorizes exactly those (the FFT
+//! butterflies stay scalar in [`crate::fft`]: an AVX2 body measured no
+//! faster), with a dispatch contract the golden-trace suite depends on:
 //!
 //! **Bitwise pinning.** Every kernel in this module produces output
 //! *bit-identical* to its `*_scalar` reference on every input, at every
 //! dispatch level. This is achievable because the kernels vectorize
 //! across *independent outputs* (different matrix entries, different
-//! accumulators, different cells) while keeping each output's arithmetic
-//! sequence — operand order, rounding points, no FMA contraction —
-//! exactly the scalar one. Two IEEE-754 facts carry the proofs: `a·b`
+//! accumulators, different table rows) while keeping each output's
+//! arithmetic sequence — operand order, rounding points, no FMA
+//! contraction — exactly the scalar one. Two IEEE-754 facts carry the proofs: `a·b`
 //! and `b·a` round identically (so complex multiplication commutes
 //! bitwise), and negation is a sign-bit flip (so conjugation via XOR
 //! mask equals the scalar `-im`). The AVX2 paths therefore use explicit
@@ -322,62 +323,56 @@ pub fn accumulate_outer_row_scalar(row: &mut [Complex64], v: &[Complex64], x: Co
 }
 
 // ---------------------------------------------------------------------------
-// Imaging focus accumulation
+// Imaging focus rows
 // ---------------------------------------------------------------------------
 
-/// The per-cell backprojection inner loop: correlates the centred
-/// window `h` against a cell's two TX steering rows, traversed forward
-/// and reversed, returning `[a1f, a2f, a1r, a2r]`. `t1` is the cell's
-/// TX-1 row; the TX-2 row is the mirror cell's TX-1 row `m` read
-/// backwards (the receive antenna sits midway between the transmit
-/// pair, so `t2[i] = m[n−1−i]` bit for bit):
+/// One imaging focus pass: correlates the centred window `h` (length
+/// `n`) with every row `t` of the row-major steering `table`
+/// (`sums.len()` rows of `n` phasors), walked forward and reversed:
 ///
 /// ```text
-/// a1f = Σ_i h[i]·t1[i]          a2f = Σ_i h[i]·m[n−1−i]
-/// a1r = Σ_i h[n−1−i]·t1[i]      a2r = Σ_i h[n−1−i]·m[n−1−i]
+/// sums[r] = [F, R],   F = Σ_k h[k]·t[k],   R = Σ_k h[n−1−k]·t[k]
 /// ```
 ///
-/// Each accumulator's addition sequence is the scalar loop's, so the
-/// result is bitwise pinned to [`focus_accumulate_scalar`].
+/// each summed in ascending `k`. The imaging engine assembles a cell's
+/// four directional sums from its own row's pair and its mirror cell's.
+/// Bitwise pinned to [`focus_rows_scalar`]; the probe counts one
+/// [`Kernel::Focus`](crate::probe::Kernel::Focus) per row.
 ///
 /// # Panics
-/// Panics if the slices differ in length.
-pub fn focus_accumulate(h: &[Complex64], t1: &[Complex64], m: &[Complex64]) -> [Complex64; 4] {
+/// Panics unless `table.len() == sums.len() · h.len()`.
+pub fn focus_rows(h: &[Complex64], table: &[Complex64], sums: &mut [[Complex64; 2]]) {
+    // The AVX2 body's pointer arithmetic relies on this shape.
     assert!(
-        h.len() == t1.len() && h.len() == m.len(),
-        "focus length mismatch"
+        sums.len().checked_mul(h.len()) == Some(table.len()),
+        "focus table shape mismatch"
     );
-    crate::probe::count_kernel(crate::probe::Kernel::Focus, 1);
+    crate::probe::count_kernel(crate::probe::Kernel::Focus, sums.len() as u64);
     #[cfg(target_arch = "x86_64")]
     if level() == SimdLevel::Avx2 {
         // SAFETY: level() reports AVX2 only after runtime CPU detection
         // confirmed it.
-        return unsafe { avx2::focus_accumulate(h, t1, m) };
+        return unsafe { avx2::focus_rows(h, table, sums) };
     }
-    focus_accumulate_scalar(h, t1, m)
+    focus_rows_scalar(h, table, sums);
 }
 
-/// Scalar reference for [`focus_accumulate`].
-pub fn focus_accumulate_scalar(
-    h: &[Complex64],
-    t1: &[Complex64],
-    m: &[Complex64],
-) -> [Complex64; 4] {
+/// Scalar reference for [`focus_rows`].
+///
+/// # Panics
+/// Panics unless `table.len() == sums.len() · h.len()`.
+pub fn focus_rows_scalar(h: &[Complex64], table: &[Complex64], sums: &mut [[Complex64; 2]]) {
     let n = h.len();
-    let mut a1f = Complex64::ZERO;
-    let mut a2f = Complex64::ZERO;
-    let mut a1r = Complex64::ZERO;
-    let mut a2r = Complex64::ZERO;
-    for i in 0..n {
-        let hf = h[i];
-        let hr = h[n - 1 - i];
-        let t2 = m[n - 1 - i];
-        a1f += hf * t1[i];
-        a2f += hf * t2;
-        a1r += hr * t1[i];
-        a2r += hr * t2;
+    assert_eq!(table.len(), sums.len() * n, "focus table shape mismatch");
+    for (i, out) in sums.iter_mut().enumerate() {
+        let row = &table[i * n..(i + 1) * n];
+        let (mut f, mut r) = (Complex64::ZERO, Complex64::ZERO);
+        for ((&hf, &hr), &t) in h.iter().zip(h.iter().rev()).zip(row) {
+            f += hf * t;
+            r += hr * t;
+        }
+        *out = [f, r];
     }
-    [a1f, a2f, a1r, a2r]
 }
 
 // ---------------------------------------------------------------------------
@@ -574,39 +569,52 @@ mod avx2 {
 
     // SAFETY: callable only with AVX2 present — the level() dispatch
     // proves that at runtime. Every pointer offset below stays inside
-    // the argument slices: the vector body covers whole pairs of
-    // complexes and the odd tail is handled separately.
+    // the argument slices: the caller asserted `table.len() ==
+    // sums.len()·n`, the vector body reads rows `r0..r0 + BLOCK` with
+    // `r0 + BLOCK ≤ full ≤ sums.len()` and elements `k, n−1−k < n`,
+    // and the rows past `full` go through the scalar reference.
     #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn focus_accumulate(
+    pub(super) unsafe fn focus_rows(
         h: &[Complex64],
-        t1: &[Complex64],
-        m: &[Complex64],
-    ) -> [Complex64; 4] {
+        table: &[Complex64],
+        sums: &mut [[Complex64; 2]],
+    ) {
+        const BLOCK: usize = 8;
         let n = h.len();
-        // accf = [a1f, a2f], accr = [a1r, a2r]: lane pairing keeps each
-        // accumulator's own (scalar) addition order.
-        let mut accf = _mm256_setzero_pd();
-        let mut accr = _mm256_setzero_pd();
-        let t1p = t1.as_ptr() as *const f64;
-        let mp = m.as_ptr() as *const f64;
-        for i in 0..n {
-            let hf = broadcast(*h.get_unchecked(i));
-            let hr = broadcast(*h.get_unchecked(n - 1 - i));
-            // [t1[i], t2[i]] with t2[i] = m[n−1−i].
-            let tv = _mm256_set_m128d(
-                _mm_loadu_pd(mp.add(2 * (n - 1 - i))),
-                _mm_loadu_pd(t1p.add(2 * i)),
-            );
-            accf = _mm256_add_pd(accf, cmul(tv, hf));
-            accr = _mm256_add_pd(accr, cmul(tv, hr));
+        let hp = h.as_ptr() as *const f64;
+        let tp = table.as_ptr() as *const f64;
+        let sp = sums.as_mut_ptr() as *mut f64;
+        let full = sums.len() / BLOCK * BLOCK;
+        for r0 in (0..full).step_by(BLOCK) {
+            // acc[j] = [F, R] of row r0 + j: one lane per sum, each in
+            // the scalar loop's ascending-k order.
+            let mut acc = [_mm256_setzero_pd(); BLOCK];
+            let rows = tp.add(2 * r0 * n);
+            for k in 0..n {
+                // [h[k], h[n−1−k]] and its re/im swap, shared by the
+                // block's rows.
+                let hv = _mm256_set_m128d(
+                    _mm_loadu_pd(hp.add(2 * (n - 1 - k))),
+                    _mm_loadu_pd(hp.add(2 * k)),
+                );
+                let hs = _mm256_permute_pd(hv, 0b0101);
+                for (j, a) in acc.iter_mut().enumerate() {
+                    // h·t without FMA: [h.re·t.re − h.im·t.im,
+                    // h.im·t.re + h.re·t.im] per lane, the scalar
+                    // product's two roundings (its `im` adds the same
+                    // two products commuted).
+                    let t = rows.add(2 * (j * n + k));
+                    let tr = _mm256_broadcast_sd(&*t);
+                    let ti = _mm256_broadcast_sd(&*t.add(1));
+                    let prod = _mm256_addsub_pd(_mm256_mul_pd(hv, tr), _mm256_mul_pd(hs, ti));
+                    *a = _mm256_add_pd(*a, prod);
+                }
+            }
+            for (j, a) in acc.iter().enumerate() {
+                _mm256_storeu_pd(sp.add(4 * (r0 + j)), *a);
+            }
         }
-        let mut out = [Complex64::ZERO; 4];
-        let op = out.as_mut_ptr() as *mut f64;
-        _mm256_storeu_pd(op, accf);
-        _mm256_storeu_pd(op.add(4), accr);
-        // accf layout: [a1f, a2f]; accr: [a1r, a2r] — already the
-        // documented return order.
-        out
+        super::focus_rows_scalar(h, &table[full * n..], &mut sums[full..]);
     }
 }
 
@@ -703,10 +711,14 @@ mod tests {
                 accumulate_outer_row(&mut rowv, &x, a, 0.25);
                 assert_bits(&rows, &rowv, "outer row");
 
-                let (w, _) = vecs(n, 2000 + n as u64);
-                let fs = focus_accumulate_scalar(&x, &y, &w);
-                let fv = focus_accumulate(&x, &y, &w);
-                assert_bits(&fs, &fv, "focus");
+                // Nine rows: one whole block of the vector body and one
+                // row past it.
+                let (table, _) = vecs(9 * n, 2000 + n as u64);
+                let mut fs = [[Complex64::ZERO; 2]; 9];
+                focus_rows_scalar(&x, &table, &mut fs);
+                let mut fv = [[Complex64::ZERO; 2]; 9];
+                focus_rows(&x, &table, &mut fv);
+                assert_bits(fs.as_flattened(), fv.as_flattened(), "focus");
             }
         }
     }

@@ -7,9 +7,12 @@
 //! sweep. Every dispatched kernel is exercised at every SIMD level the
 //! host supports, across odd lengths, unaligned sub-slices, and
 //! denormal-adjacent magnitudes, and must match its scalar reference
-//! **bitwise**: rotations, caxpy, outer-product rows, focus sums, the
-//! fused rotate-and-mirror, and the whole eigensolver end to end. The
-//! focus sums are also pinned to the two-table formula they replaced.
+//! **bitwise**: rotations, caxpy, outer-product rows, focus row sums,
+//! the fused rotate-and-mirror, and the whole eigensolver end to end.
+//! The focus row sums, assembled into each cell's four directional sums
+//! the way the imaging engine assembles them, are also pinned to the
+//! four-sum two-table loop they replaced: bit for bit where the
+//! summation order is the loop's, within rounding where it is reversed.
 //!
 //! The eigensolver never computes the column half of a rotation outside
 //! the 2×2 pivot block: it writes the conjugates of the freshly rotated
@@ -161,8 +164,8 @@ fn caxpy_and_outer_row_are_bitwise_scalar_at_every_level() {
     });
 }
 
-/// The two-table focus loop the kernel replaced: both TX rows stored,
-/// read forward.
+/// The two-table focus loop the row kernel replaced: both TX rows
+/// stored, read forward, four sums per cell.
 fn two_table_focus(h: &[Complex64], t1: &[Complex64], t2: &[Complex64]) -> [Complex64; 4] {
     let n = h.len();
     let mut acc = [Complex64::ZERO; 4];
@@ -176,27 +179,100 @@ fn two_table_focus(h: &[Complex64], t1: &[Complex64], t2: &[Complex64]) -> [Comp
     acc
 }
 
+/// `Σ_k |a_k|·|b_k|`, the scale of a sum of the products `a_k·b_k`.
+fn abs_mass<'a>(a: impl Iterator<Item = &'a Complex64>, b: &[Complex64]) -> f64 {
+    a.zip(b).map(|(x, y)| x.abs() * y.abs()).sum()
+}
+
 #[test]
 fn focus_is_bitwise_scalar_at_every_level() {
     let _l = force_lock();
+    // Row counts on both sides of the AVX2 body's 8-row block, and the
+    // imaging grid's 448 cells; window lengths with odd and even
+    // mirrors, and the paper's 625-sample aperture.
+    let row_counts: Vec<usize> = (1..=17).chain([448]).collect();
+    for &level in &available_levels() {
+        for n in [1usize, 2, 3, 625] {
+            for &rows in &row_counts {
+                for &scale in SCALES {
+                    for offset in [0usize, 1] {
+                        let mut rng = Rng64::seed_from_u64(
+                            0xF0C5 ^ (n as u64) << 20 ^ (rows as u64) << 8 ^ offset as u64,
+                        );
+                        let h = signal(&mut rng, n + offset, scale);
+                        let table = signal(&mut rng, rows * n + offset, 1.0);
+                        let mut want = vec![[Complex64::ZERO; 2]; rows + offset];
+                        simd::focus_rows_scalar(
+                            &h[offset..],
+                            &table[offset..],
+                            &mut want[offset..],
+                        );
+
+                        let _g = force(level);
+                        let mut got = vec![[Complex64::ZERO; 2]; rows + offset];
+                        simd::focus_rows(&h[offset..], &table[offset..], &mut got[offset..]);
+                        assert_bits_eq(
+                            got.as_flattened(),
+                            want.as_flattened(),
+                            &format!(
+                                "focus_rows {} n={n} rows={rows} scale={scale:e} off={offset}",
+                                level.name()
+                            ),
+                        );
+                    }
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn assembled_focus_rows_match_the_two_table_loop() {
+    let _l = force_lock();
+    // A one-row grid of ten cells, cell c mirroring cell 9 − c: one
+    // whole AVX2 block and two rows past it.
+    const CELLS: usize = 10;
     sweep(|level, len, scale, offset, rng| {
         let h = signal(rng, len + offset, scale);
-        let t1 = signal(rng, len + offset, 1.0);
-        let m = signal(rng, len + offset, 1.0);
-        let focus_s = simd::focus_accumulate_scalar(&h[offset..], &t1[offset..], &m[offset..]);
-        // Reading the mirror row backwards is the two-table formula on
-        // the reversed row, bit for bit.
-        let t2: Vec<Complex64> = m[offset..].iter().rev().copied().collect();
-        let what = format!("{} n={len} scale={scale:e} off={offset}", level.name());
-        assert_bits_eq(
-            &focus_s,
-            &two_table_focus(&h[offset..], &t1[offset..], &t2),
-            &format!("two-table focus {what}"),
-        );
-
+        let table = signal(rng, CELLS * len + offset, 1.0);
+        let (h, table) = (&h[offset..], &table[offset..]);
         let _g = force(level);
-        let focus_v = simd::focus_accumulate(&h[offset..], &t1[offset..], &m[offset..]);
-        assert_bits_eq(&focus_v, &focus_s, &format!("focus_accumulate {what}"));
+        let mut sums = [[Complex64::ZERO; 2]; CELLS];
+        simd::focus_rows(h, table, &mut sums);
+        for c in 0..CELLS {
+            let m = CELLS - 1 - c;
+            let t1 = &table[c * len..(c + 1) * len];
+            // The cell's TX-2 row is its mirror cell's row reversed.
+            let t2: Vec<Complex64> = table[m * len..(m + 1) * len]
+                .iter()
+                .rev()
+                .copied()
+                .collect();
+            let [a1f, a2f, a1r, a2r] = two_table_focus(h, t1, &t2);
+            let what = format!(
+                "{} n={len} scale={scale:e} off={offset} cell={c}",
+                level.name()
+            );
+            // F(c) and R(c) run the loop's own order.
+            assert_bits_eq(&sums[c], &[a1f, a1r], &format!("a1f, a1r {what}"));
+            // R(m) and F(m) add the same products in the opposite order,
+            // so they may differ by rounding: 1e-12 of Σ|h|·|t| over
+            // each sum's terms.
+            for (got, want, tol, name) in [
+                (sums[m][1], a2f, 1e-12 * abs_mass(h.iter(), &t2), "a2f"),
+                (
+                    sums[m][0],
+                    a2r,
+                    1e-12 * abs_mass(h.iter().rev(), &t2),
+                    "a2r",
+                ),
+            ] {
+                assert!(
+                    (got - want).abs() <= tol,
+                    "{name} {what}: {got:?} vs {want:?} (tolerance {tol:e})"
+                );
+            }
+        }
     });
 }
 

@@ -23,7 +23,7 @@ use wivi::core::{
 };
 use wivi::image::engine::ImagingTables;
 use wivi::image::{ImageConfig, ImageSession, ImagingEngine};
-use wivi::num::{simd, Complex64};
+use wivi::num::Complex64;
 use wivi::obs::{Registry, N_BUCKETS};
 use wivi::rf::{Material, Mover, Point, Scene, Vec2, WaypointWalker};
 use wivi::sdr::{MimoFrontend, RadioConfig};
@@ -249,9 +249,6 @@ fn a_second_engine_for_a_built_configuration_allocates_only_its_scratch() {
 fn a_warm_imaging_window_allocates_nothing() {
     let cfg = ImageConfig::fast_test();
     let _obs = ObsOff::new();
-    // The process's one-time SIMD detection allocates when
-    // `WIVI_NO_SIMD` is set; resolve it before counting.
-    simd::level();
     let wt = Complex64::new(0.4, 0.9);
     let window = ImagingEngine::synthetic_subject_trace(
         &cfg,
@@ -269,6 +266,20 @@ fn a_warm_imaging_window_allocates_nothing() {
         assert_eq!(n, 0, "a warm process_window allocated {n} times");
         assert_eq!(cells, engine.grid().len());
     }
+    // The CLEAN loop allocates only its lists. On this window it runs
+    // all four passes, whose CFAR lists hold 11, 11, 9 and 5 detections
+    // (3, 3, 3 and 2 allocations, each list doubling from 4), collects
+    // each pass's candidates (4) and returns the fixes (1), so an equal
+    // count also shows an equal number of focus passes.
+    engine.process_window_fixes(&window, wt);
+    for _ in 0..3 {
+        let (n, fixes) = allocations(|| engine.process_window_fixes(&window, wt).len());
+        assert_eq!(
+            (n, fixes),
+            (11 + 4 + 1, 4),
+            "a warm process_window_fixes allocated {n} times for {fixes} fixes"
+        );
+    }
 }
 
 #[test]
@@ -277,17 +288,16 @@ fn sessions_allocate_their_engine_at_open_and_nothing_per_idle_step() {
     let cfg = *dev.config();
     let image_cfg = ImageConfig::for_wivi(&cfg);
     let _obs = ObsOff::new();
-    // The first sessions build (or find) every table they use, and one
-    // window through the first resolves the process's one-time SIMD
-    // detection (reading `WIVI_NO_SIMD` allocates when it is set).
-    let mut first = (
+    // The first sessions build (or find) every table they use, and
+    // their engines resolve the process's one-time SIMD detection
+    // (reading `WIVI_NO_SIMD` allocates when it is set), so no window
+    // below pays for it.
+    let first = (
         CountSession::new(&cfg),
         GestureSession::new(&cfg),
         ImageSession::for_device(&dev, &image_cfg),
     );
     let mut batch: Vec<Complex64> = Vec::new();
-    dev.observe_batch_into(40, &mut batch);
-    first.0.step(&batch);
 
     // A MUSIC session: the engine's 9 scratch buffers and the window
     // buffer. The angle grid is the tables', shared, not copied.
