@@ -5,10 +5,10 @@
 //! (scalar reference, AVX2), on the buffer sizes the pipeline actually
 //! uses: length-50 Jacobi rows, the 50×50 correlation matrix, the
 //! 181-angle MUSIC grid, and one imaging focus pass over the paper
-//! configuration's 448-cell × 625-sample steering table. The levels are
-//! forced through [`wivi_num::simd::set_forced`], so one process measures
-//! all paths. `cargo bench -p wivi-bench` prints the resulting per-level
-//! table.
+//! configuration's 448-cell × 625-sample single-precision steering
+//! table. The levels are forced through [`wivi_num::simd::set_forced`],
+//! so one process measures all paths. `cargo bench -p wivi-bench`
+//! prints the resulting per-level table.
 
 use std::hint::black_box;
 use std::time::Instant;
@@ -17,7 +17,7 @@ use wivi_core::isar::IsarConfig;
 use wivi_image::ImageConfig;
 use wivi_num::eig::{hermitian_eig_in, EigWorkspace};
 use wivi_num::rng::Rng64;
-use wivi_num::{simd, CMatrix, Complex64};
+use wivi_num::{simd, CMatrix, Complex64, PhasorTable};
 
 /// Side of the Jacobi working matrix (the MUSIC subarray dimension).
 pub const EIG_N: usize = 50;
@@ -107,7 +107,10 @@ pub fn run_kernels_bench(quick: bool) -> KernelsReport {
     let image = ImageConfig::wivi_default();
     let (cells, aperture) = (image.grid.len(), image.window);
     let window = cvec(aperture, &mut rng);
-    let steering = cvec(cells * aperture, &mut rng);
+    let mut steering = PhasorTable::zeros(cells, aperture);
+    for (k, z) in cvec(cells * aperture, &mut rng).into_iter().enumerate() {
+        steering.set(k / aperture, k % aperture, z);
+    }
     let n_angles = IsarConfig::wivi_default().n_angles;
     let grid_a = cvec(n_angles, &mut rng);
     let grid_b = cvec(n_angles, &mut rng);

@@ -24,10 +24,11 @@ use wivi_obs::Counter;
 /// Entries each [`TableStore`] keeps: the number of distinct
 /// configurations whose tables stay built after their last engine is
 /// dropped. At the paper's configuration an imaging table is
-/// 4 487 168 bytes (one 448-cell × 625-sample steering table, TX 1's,
-/// plus the cross terms; TX 2's is its mirror image), so the imaging
-/// store retains at most 17 948 672 bytes (17.1 MiB); a MUSIC table is
-/// 146 248 bytes and a beamforming table 291 048 bytes.
+/// 2 247 168 bytes (one 448-cell × 625-sample steering table, TX 1's,
+/// in single precision, plus the cross terms; TX 2's is its mirror
+/// image), so the imaging store retains at most 8 988 672 bytes
+/// (8.6 MiB); a MUSIC table is 146 248 bytes and a beamforming table
+/// 291 048 bytes.
 pub const TABLE_STORE_CAPACITY: usize = 4;
 
 /// A process-wide, configuration-keyed store of immutable engine

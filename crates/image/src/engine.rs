@@ -51,6 +51,19 @@
 //! four-sum loop does; the TX-2 sums add the same terms in the opposite
 //! order, so they differ from it in the last bits only.
 //!
+//! # Single-precision phasors
+//!
+//! The steering table is a [`PhasorTable`]: each phasor rounded to
+//! `f32`, eight cells to a block. A unit phasor's parts then carry at
+//! most `2⁻²⁵` of error each, under `6e-8` in modulus — about a
+//! nanometre of round-trip path at 2.4 GHz — while the model itself
+//! assumes a subject walking along the wall at exactly the assumed
+//! speed. The focus kernel widens every phasor back to `f64` exactly
+//! and keeps all of its arithmetic in `f64`, and the cross terms of
+//! `‖q‖²` are folded from the rounded phasors, so the norm describes the
+//! model the table stores. At the paper's 448 cells × 625 elements the
+//! table is 2 240 000 bytes, half the `f64` table's 4 480 000.
+//!
 //! # Residency contract
 //!
 //! Mirroring [`wivi_core::MusicEngine`], an engine is shared tables
@@ -59,27 +72,29 @@
 //! the configuration and come from a process-wide [`TableStore`], so a
 //! process builds them once per configuration however many engines it
 //! opens, and a table outlives its last engine while the store holds it
-//! (up to [`wivi_core::TABLE_STORE_CAPACITY`] configurations, 4 487 168
+//! (up to [`wivi_core::TABLE_STORE_CAPACITY`] configurations, 2 247 168
 //! bytes each at the paper's configuration). TX 2's table is not
 //! stored: the receive antenna sits midway between the transmit pair
 //! (§3.1), so TX 2's phasor at element `i` of cell `c` is bit for bit
 //! TX 1's at element `window − 1 − i` of the mirror cell across `x = 0`
 //! ([`ImageConfig::validate`] rejects configurations without that
-//! symmetry).
+//! symmetry); the build checks every one before rounding it.
 //! The scratch — the image buffer, the focus pass's row sums (from
 //! which a cell's walking direction is read back), the mean-removal
-//! window — is allocated once per engine and reused every window:
+//! window, and the CLEAN loop's detection and candidate lists — is
+//! allocated once per engine and reused every window:
 //! [`ImagingEngine::process_window`] allocates nothing, and
-//! [`ImagingEngine::process_window_fixes`] only its detection and fix
-//! lists. Every imaging session owns one engine, whether the device
-//! entry points, a benchmark or a serving shard drives it, so all are
-//! bitwise identical by construction: the output depends only on the
-//! configuration, the window contents, and the nulling weight.
+//! [`ImagingEngine::process_window_fixes`] only the fixes it returns
+//! once its lists have grown to the window's detections. Every imaging
+//! session owns one engine, whether the device entry points, a
+//! benchmark or a serving shard drives it, so all are bitwise identical
+//! by construction: the output depends only on the configuration, the
+//! window contents, and the nulling weight.
 
 use std::sync::Arc;
 
 use wivi_core::TableStore;
-use wivi_num::{ca_cfar_2d, simd, Complex64, Grid2d};
+use wivi_num::{ca_cfar_2d_into, simd, CfarDetection, Complex64, Grid2d, PhasorTable};
 use wivi_rf::Point;
 
 use crate::config::ImageConfig;
@@ -104,15 +119,17 @@ pub struct ImageFix {
 /// configuration per process and shared through a process-wide
 /// [`TableStore`]. TX 2's table is TX 1's mirror image (see the module
 /// docs) and is never stored; a focus pass reads each row of TX 1's
-/// once.
+/// once. The table holds single-precision phasors, 2 240 000 bytes at
+/// the paper's configuration.
 pub struct ImagingTables {
-    /// TX 1's conjugated steering table, cell-major:
-    /// `steer[c·window + i] = e^{+j·(2π/λ)·R₁(p_c, i)}`. TX 2's entry is
-    /// `steer[mirror(c)·window + (window − 1 − i)]`.
-    steer: Vec<Complex64>,
-    /// Per-cell `Σ_i s²_i·conj(s¹_i)` — the cross term of `‖q‖²`.
+    /// TX 1's conjugated steering table, one row per cell: row `c`,
+    /// element `i` is `e^{+j·(2π/λ)·R₁(p_c, i)}` rounded to `f32`. TX
+    /// 2's entry is row `mirror(c)`, element `window − 1 − i`.
+    steer: PhasorTable,
+    /// Per-cell `Σ_i s²_i·conj(s¹_i)` over the stored phasors — the
+    /// cross term of `‖q‖²`.
     cross: Vec<Complex64>,
-    /// The table's layout: cells, and phasors per cell.
+    /// The table's cells, and phasors per cell.
     grid: Grid2d,
     window: usize,
 }
@@ -126,57 +143,66 @@ fn mirror_cell(grid: Grid2d, c: usize) -> usize {
     grid.idx(grid.nx - 1 - ix, iy)
 }
 
+/// `cfg`'s steering phasors in full precision: the conjugated phasor
+/// from `tx` at element `i` of the aperture centred on cell `c`, ready
+/// for `h·t`, is `phasor(tx, c, i)`.
+fn steering_phasors(cfg: &ImageConfig) -> impl Fn(Point, usize, usize) -> Complex64 + '_ {
+    let grid = cfg.grid.grid2d();
+    let k_wave = std::f64::consts::TAU / cfg.wavelength;
+    let half = (cfg.window as f64 - 1.0) / 2.0;
+    let spacing = cfg.element_spacing();
+    move |tx, c, i| {
+        let (ix, iy) = grid.coords(c);
+        let center = cfg.grid.cell_center(ix, iy);
+        let p_i = Point::new(center.x + (i as f64 - half) * spacing, center.y);
+        Complex64::cis(k_wave * (tx.distance(p_i) + p_i.distance(cfg.rx)))
+    }
+}
+
 impl ImagingTables {
     /// Builds the tables for `cfg` (`cells × window` phasors), bypassing
     /// the store — the cold cost the first engine per configuration
     /// pays. Expects a validated configuration.
     ///
-    /// TX 2's phasors are computed only to fold the cross terms, in the
-    /// same order as TX 1's, and never stored.
+    /// Each TX-1 phasor is compared with the TX-2 phasor it stands in
+    /// for before it is rounded; TX 2's phasors are never stored. The
+    /// cross terms are then folded from the stored phasors, in element
+    /// order.
     ///
     /// # Panics
-    /// Panics if a TX-2 phasor differs in any bit from the mirrored TX-1
-    /// entry that stands in for it.
+    /// Panics if a TX-2 phasor differs in any bit from the unrounded,
+    /// mirrored TX-1 phasor that stands in for it.
     pub fn build(cfg: &ImageConfig) -> Self {
         let grid = cfg.grid.grid2d();
-        let n_cells = grid.len();
         let w = cfg.window;
-        let k_wave = std::f64::consts::TAU / cfg.wavelength;
-        let half = (w as f64 - 1.0) / 2.0;
-        let spacing = cfg.element_spacing();
-        // The conjugated steering phasor from `tx` at element `i` of the
-        // aperture centred on cell `c`, ready for `h·t`.
-        let phasor = |tx: Point, c: usize, i: usize| {
-            let (ix, iy) = grid.coords(c);
-            let center = cfg.grid.cell_center(ix, iy);
-            let p_i = Point::new(center.x + (i as f64 - half) * spacing, center.y);
-            Complex64::cis(k_wave * (tx.distance(p_i) + p_i.distance(cfg.rx)))
-        };
-
-        let mut steer = Vec::with_capacity(n_cells * w);
-        for c in 0..n_cells {
-            for i in 0..w {
-                steer.push(phasor(cfg.tx[0], c, i));
-            }
-        }
-        let mut cross = Vec::with_capacity(n_cells);
-        for c in 0..n_cells {
+        let phasor = steering_phasors(cfg);
+        let mut steer = PhasorTable::zeros(grid.len(), w);
+        for c in 0..grid.len() {
             let m = mirror_cell(grid, c);
-            let mut x = Complex64::ZERO;
             for i in 0..w {
-                let s2 = phasor(cfg.tx[1], c, i);
-                let stored = steer[m * w + (w - 1 - i)];
+                let t1 = phasor(cfg.tx[0], c, i);
+                let t2 = phasor(cfg.tx[1], m, w - 1 - i);
                 assert!(
-                    s2.re.to_bits() == stored.re.to_bits()
-                        && s2.im.to_bits() == stored.im.to_bits(),
-                    "TX-2 phasor of cell {c} element {i} is not the mirrored TX-1 entry"
+                    t2.re.to_bits() == t1.re.to_bits() && t2.im.to_bits() == t1.im.to_bits(),
+                    "TX-2 phasor of cell {m} element {} is not the mirrored TX-1 entry",
+                    w - 1 - i
                 );
-                // The model cross term s²_i·conj(s¹_i) = conj(t²)·t¹
-                // in terms of the stored conjugates.
-                x += s2.conj() * steer[c * w + i];
+                steer.set(c, i, t1);
             }
-            cross.push(x);
         }
+        let cross = (0..grid.len())
+            .map(|c| {
+                // The model cross term s²_i·conj(s¹_i) = conj(t²_i)·t¹_i
+                // in terms of the stored conjugates, t² being the
+                // mirror cell's row reversed.
+                let m = mirror_cell(grid, c);
+                steer
+                    .row(m)
+                    .rev()
+                    .zip(steer.row(c))
+                    .fold(Complex64::ZERO, |x, (t2, t1)| x + t2.conj() * t1)
+            })
+            .collect();
         Self {
             steer,
             cross,
@@ -185,15 +211,13 @@ impl ImagingTables {
         }
     }
 
-    /// Cell `c`'s TX-1 steering row and its mirror cell's, which read
-    /// backwards is cell `c`'s TX-2 row.
-    fn rows(&self, c: usize) -> (&[Complex64], &[Complex64]) {
-        let w = self.window;
-        let m = mirror_cell(self.grid, c);
-        (
-            &self.steer[c * w..(c + 1) * w],
-            &self.steer[m * w..(m + 1) * w],
-        )
+    /// Cell `c`'s stored steering rows.
+    fn cell(&self, c: usize) -> CellRows<'_> {
+        CellRows {
+            steer: &self.steer,
+            c,
+            mirror: mirror_cell(self.grid, c),
+        }
     }
 
     /// `‖q(p_c)‖²` under nulling weight `wt`:
@@ -202,6 +226,26 @@ impl ImagingTables {
     /// reorders).
     fn model_norm(&self, c: usize, wt: Complex64) -> f64 {
         (self.window as f64 * (1.0 + wt.norm_sqr()) + 2.0 * (wt * self.cross[c]).re).max(1e-12)
+    }
+}
+
+/// One cell's stored steering rows: TX 1's, and TX 2's, which is the
+/// mirror cell's TX-1 row read backwards.
+#[derive(Clone, Copy)]
+struct CellRows<'a> {
+    steer: &'a PhasorTable,
+    c: usize,
+    mirror: usize,
+}
+
+impl CellRows<'_> {
+    /// The cell's TX-1 and TX-2 phasors at element `i`.
+    fn at(&self, i: usize) -> (Complex64, Complex64) {
+        let last = self.steer.row_len() - 1;
+        (
+            self.steer.get(self.c, i),
+            self.steer.get(self.mirror, last - i),
+        )
     }
 }
 
@@ -223,7 +267,8 @@ fn walk_powers(sums: &[[Complex64; 2]], grid: Grid2d, c: usize, wt_conj: Complex
 static IMAGING_TABLES: TableStore<ImageConfig, ImagingTables> = TableStore::new("imaging");
 
 /// The reusable per-window backprojector: shared [`ImagingTables`] plus
-/// the image, row-sum and centred-window scratch of its own.
+/// the image, row-sum, centred-window and CLEAN-list scratch of its
+/// own.
 pub struct ImagingEngine {
     cfg: ImageConfig,
     grid: Grid2d,
@@ -237,6 +282,11 @@ pub struct ImagingEngine {
     /// Mean-removed window scratch (the CLEAN loop subtracts detected
     /// targets from it in place).
     centered: Vec<Complex64>,
+    /// A CLEAN pass's CFAR detections and candidate fixes, refilled
+    /// every pass; empty, and unallocated, until the first
+    /// [`Self::process_window_fixes`].
+    dets: Vec<CfarDetection>,
+    candidates: Vec<ImageFix>,
 }
 
 impl ImagingEngine {
@@ -259,6 +309,8 @@ impl ImagingEngine {
             image: vec![0.0; n_cells],
             sums: vec![[Complex64::ZERO; 2]; n_cells],
             centered: vec![Complex64::ZERO; cfg.window],
+            dets: Vec::new(),
+            candidates: Vec::new(),
         }
     }
 
@@ -303,8 +355,9 @@ impl ImagingEngine {
     }
 
     /// Backprojects the resident (centred) window onto the grid: one
-    /// [`simd::focus_rows`] pass over TX 1's table, then each cell's
-    /// image value from its own and its mirror cell's row sums.
+    /// [`simd::focus_rows`] pass over TX 1's single-precision table
+    /// (each phasor widened exactly, every sum in `f64`), then each
+    /// cell's image value from its own and its mirror cell's row sums.
     fn focus(&mut self, tx_weight: Complex64) {
         let tables: &ImagingTables = &self.tables;
         simd::focus_rows(&self.centered, &tables.steer, &mut self.sums);
@@ -321,14 +374,14 @@ impl ImagingEngine {
         fwd >= rev
     }
 
-    /// The model vector element `q_j` for cell `c` traversed in
-    /// direction `forward`, given the nulling weight.
+    /// The model vector element `q_j` for the cell of `rows` traversed
+    /// in direction `forward`, given the nulling weight.
     #[inline]
-    fn model_at(&self, c: usize, forward: bool, wt: Complex64, j: usize) -> Complex64 {
+    fn model_at(&self, rows: CellRows, forward: bool, wt: Complex64, j: usize) -> Complex64 {
         let w = self.cfg.window;
         let idx = if forward { j } else { w - 1 - j };
-        let (t1, m) = self.tables.rows(c);
-        t1[idx].conj() + wt * m[w - 1 - idx].conj()
+        let (t1, t2) = rows.at(idx);
+        t1.conj() + wt * t2.conj()
     }
 
     /// Resolves the mirror ambiguity of a candidate at cell `c` by
@@ -375,12 +428,13 @@ impl ImagingEngine {
         let fwd = self.walks_forward(c, wt);
         // The mirror hypothesis of a target is the mirror cell walked
         // the opposite way (the RX-path phase histories then coincide).
+        let (rows_c, rows_m) = (self.tables.cell(c), self.tables.cell(m));
         let mut g12 = Complex64::ZERO;
         let mut r1 = Complex64::ZERO;
         let mut r2 = Complex64::ZERO;
         for j in 0..w {
-            let q1 = self.model_at(c, fwd, wt, j);
-            let q2 = self.model_at(m, !fwd, wt, j);
+            let q1 = self.model_at(rows_c, fwd, wt, j);
+            let q2 = self.model_at(rows_m, !fwd, wt, j);
             g12 += q1.conj() * q2;
             r1 += self.centered[j] * q1.conj();
             r2 += self.centered[j] * q2.conj();
@@ -407,19 +461,19 @@ impl ImagingEngine {
     /// sidelobes.
     fn subtract_cell(&mut self, c: usize, tx_weight: Complex64) {
         let w = self.cfg.window;
-        let (t1, m) = self.tables.rows(c);
+        let rows = self.tables.cell(c);
         let forward = self.walks_forward(c, tx_weight);
         let wt = tx_weight;
         let mut r = Complex64::ZERO;
         for j in 0..w {
             let idx = if forward { j } else { w - 1 - j };
-            // ⟨h, q⟩ with q_j = conj(t1[idx]) + wt·conj(t2[idx]), where
-            // t2[idx] = m[w − 1 − idx].
-            r += self.centered[j] * (t1[idx] + wt.conj() * m[w - 1 - idx]);
+            // ⟨h, q⟩ with q_j = conj(t1[idx]) + wt·conj(t2[idx]).
+            let (t1, t2) = rows.at(idx);
+            r += self.centered[j] * (t1 + wt.conj() * t2);
         }
         let a = r / self.tables.model_norm(c, wt);
         for j in 0..w {
-            let q = self.model_at(c, forward, wt, j);
+            let q = self.model_at(rows, forward, wt, j);
             self.centered[j] -= a * q;
         }
     }
@@ -485,27 +539,28 @@ impl ImagingEngine {
     /// CFAR detections, sub-cell refined, with candidates suppressed
     /// when they fall within the separation radius of an accepted fix,
     /// or mirror an (at least as strong) accepted fix or same-pass
-    /// detection (see [`ImageConfig::mirror_tol_m`]).
-    fn best_candidate(&self, accepted: &[ImageFix]) -> Option<ImageFix> {
+    /// detection (see [`ImageConfig::mirror_tol_m`]). Refills the
+    /// engine's detection and candidate lists.
+    fn best_candidate(&mut self, accepted: &[ImageFix]) -> Option<ImageFix> {
+        let mut dets = std::mem::take(&mut self.dets);
+        let mut fixes = std::mem::take(&mut self.candidates);
         let cfg = &self.cfg;
-        let mut dets = ca_cfar_2d(&self.image, self.grid, &cfg.cfar);
+        ca_cfar_2d_into(&self.image, self.grid, &cfg.cfar, &mut dets);
         // Range-edge guard (see [`ImageConfig::edge_guard_cells`]).
         dets.retain(|d| d.iy >= cfg.edge_guard_cells && d.iy < self.grid.ny - cfg.edge_guard_cells);
-        let fixes: Vec<ImageFix> = dets
-            .iter()
-            .map(|d| {
-                let (off_x, off_y) = self.refine_subcell(d.ix, d.iy);
-                let center = cfg.grid.cell_center(d.ix, d.iy);
-                ImageFix {
-                    x_m: center.x + off_x * cfg.grid.cell_x_m,
-                    y_m: center.y + off_y * cfg.grid.cell_y_m,
-                    power_db: 10.0 * d.power.max(1e-300).log10(),
-                    snr_db: d.snr_db(),
-                    ix: d.ix,
-                    iy: d.iy,
-                }
-            })
-            .collect();
+        fixes.clear();
+        fixes.extend(dets.iter().map(|d| {
+            let (off_x, off_y) = self.refine_subcell(d.ix, d.iy);
+            let center = cfg.grid.cell_center(d.ix, d.iy);
+            ImageFix {
+                x_m: center.x + off_x * cfg.grid.cell_x_m,
+                y_m: center.y + off_y * cfg.grid.cell_y_m,
+                power_db: 10.0 * d.power.max(1e-300).log10(),
+                snr_db: d.snr_db(),
+                ix: d.ix,
+                iy: d.iy,
+            }
+        }));
 
         let flat = |f: &ImageFix| f.iy * self.grid.nx + f.ix;
         let mirror = |a: &ImageFix, b: &ImageFix| {
@@ -513,7 +568,7 @@ impl ImagingEngine {
                 && (a.x_m + b.x_m).abs() <= cfg.mirror_tol_m
                 && (a.y_m - b.y_m).abs() <= cfg.mirror_tol_m
         };
-        fixes
+        let best = fixes
             .iter()
             .filter(|f| {
                 // Not a remnant of an already-subtracted target…
@@ -536,7 +591,10 @@ impl ImagingEngine {
                     .unwrap()
                     .then(flat(a).cmp(&flat(b)))
             })
-            .copied()
+            .copied();
+        self.dets = dets;
+        self.candidates = fixes;
+        best
     }
 
     /// Parabolic sub-cell peak refinement along each axis (in dB, like
@@ -605,6 +663,7 @@ impl ImagingEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use wivi_num::ca_cfar_2d;
     use wivi_rf::Vec2;
 
     fn test_cfg() -> ImageConfig {
@@ -769,62 +828,109 @@ mod tests {
 
     #[test]
     fn tx2_steering_is_the_mirrored_tx1_table_bitwise() {
-        // Re-derive TX 2's phasors the way a two-table build stored them
-        // and compare each with the TX-1 entry the engine reads instead.
+        // Re-derive both transmitters' phasors in full precision: the
+        // table must hold each TX-1 phasor rounded to f32, and the entry
+        // read for TX 2 must be TX 2's phasor rounded the same way.
+        let round = |z: Complex64| (z.re as f32, z.im as f32);
         for cfg in [ImageConfig::wivi_default(), ImageConfig::fast_test()] {
             cfg.validate();
             let tables = ImagingTables::build(&cfg);
+            let phasor = steering_phasors(&cfg);
             let grid = cfg.grid.grid2d();
             let w = cfg.window;
-            assert_eq!(tables.steer.len(), grid.len() * w);
-            let k_wave = std::f64::consts::TAU / cfg.wavelength;
-            let half = (w as f64 - 1.0) / 2.0;
+            assert_eq!(
+                (tables.steer.rows(), tables.steer.row_len()),
+                (grid.len(), w)
+            );
             for c in 0..grid.len() {
-                let (ix, iy) = grid.coords(c);
-                let center = cfg.grid.cell_center(ix, iy);
-                let (_, m) = tables.rows(c);
                 for i in 0..w {
-                    let p_i = Point::new(
-                        center.x + (i as f64 - half) * cfg.element_spacing(),
-                        center.y,
-                    );
-                    let r = cfg.tx[1].distance(p_i) + p_i.distance(cfg.rx);
-                    let t2 = Complex64::cis(k_wave * r);
-                    let got = m[w - 1 - i];
-                    assert_eq!(
-                        (t2.re.to_bits(), t2.im.to_bits()),
-                        (got.re.to_bits(), got.im.to_bits()),
-                        "cell {c} element {i}"
-                    );
+                    let (t1, t2) = tables.cell(c).at(i);
+                    for (tx, got) in [(cfg.tx[0], t1), (cfg.tx[1], t2)] {
+                        let want = round(phasor(tx, c, i));
+                        assert_eq!(
+                            (want.0.to_bits(), want.1.to_bits()),
+                            ((got.re as f32).to_bits(), (got.im as f32).to_bits()),
+                            "cell {c} element {i}"
+                        );
+                    }
                 }
             }
         }
     }
 
-    /// The image a per-cell four-sum focus makes: each cell correlated
-    /// against its TX-1 row and its mirror cell's row read backwards
-    /// (its TX-2 row), walked forward and reversed, with every sum in
-    /// ascending element order. It reads the same products as the row
-    /// sums but adds the TX-2 ones in the opposite order.
-    fn four_sum_image(engine: &ImagingEngine, wt: Complex64) -> Vec<f64> {
+    /// The image a per-cell four-sum focus makes from a table's TX-1 and
+    /// TX-2 phasors (`phasors(c, i)`) and model norms (`norm(c)`): each
+    /// cell correlated against both rows, walked forward and reversed,
+    /// with every sum in ascending element order. Over the stored
+    /// phasors it reads the same products as the row sums but adds the
+    /// TX-2 ones in the opposite order.
+    fn four_sum_image(
+        engine: &ImagingEngine,
+        wt: Complex64,
+        phasors: impl Fn(usize, usize) -> (Complex64, Complex64),
+        norm: impl Fn(usize) -> f64,
+    ) -> Vec<f64> {
         let h = &engine.centered;
         let n = h.len();
         (0..engine.grid.len())
             .map(|c| {
-                let (t1, m) = engine.tables.rows(c);
                 let mut a = [Complex64::ZERO; 4];
                 for i in 0..n {
-                    let (hf, hr, t2) = (h[i], h[n - 1 - i], m[n - 1 - i]);
-                    a[0] += hf * t1[i];
+                    let (hf, hr) = (h[i], h[n - 1 - i]);
+                    let (t1, t2) = phasors(c, i);
+                    a[0] += hf * t1;
                     a[1] += hf * t2;
-                    a[2] += hr * t1[i];
+                    a[2] += hr * t1;
                     a[3] += hr * t2;
                 }
                 let fwd = (a[0] + wt.conj() * a[1]).norm_sqr();
                 let rev = (a[2] + wt.conj() * a[3]).norm_sqr();
-                fwd.max(rev) / engine.tables.model_norm(c, wt)
+                fwd.max(rev) / norm(c)
             })
             .collect()
+    }
+
+    /// Two subjects pacing opposite ways on either side of the
+    /// boresight, the second weaker and deeper, centred on one window.
+    fn two_subject_window(cfg: &ImageConfig, wt: Complex64) -> Vec<Complex64> {
+        let half_t = (cfg.window as f64 - 1.0) / 2.0 * cfg.sample_period_s;
+        let pacer = |x: f64, y: f64, vx: f64, amplitude: f64| {
+            ImagingEngine::synthetic_subject_trace(
+                cfg,
+                cfg.window,
+                Point::new(x - vx * half_t, y),
+                Vec2::new(vx, 0.0),
+                amplitude,
+                wt,
+            )
+        };
+        pacer(1.55, 2.45, 1.0, 1.0)
+            .iter()
+            .zip(pacer(-2.05, 3.95, -1.0, 0.6))
+            .map(|(a, b)| *a + b)
+            .collect()
+    }
+
+    /// Requires every cell of `got` within `tol` of `want`'s peak, and
+    /// the same CFAR detections (at least two) in both images.
+    fn assert_same_image(engine: &ImagingEngine, got: &[f64], want: &[f64], tol: f64) {
+        let peak = want.iter().copied().fold(0.0, f64::max);
+        assert!(peak > 0.0);
+        for (c, (g, w)) in got.iter().zip(want).enumerate() {
+            assert!(
+                (g - w).abs() <= tol * peak,
+                "cell {c}: {g} vs {w} (peak {peak})"
+            );
+        }
+        let cells = |img: &[f64]| -> Vec<(usize, usize)> {
+            ca_cfar_2d(img, engine.grid(), &engine.cfg.cfar)
+                .iter()
+                .map(|d| (d.ix, d.iy))
+                .collect()
+        };
+        let detections = cells(got);
+        assert!(detections.len() >= 2, "{detections:?}");
+        assert_eq!(detections, cells(want));
     }
 
     #[test]
@@ -832,43 +938,48 @@ mod tests {
         for cfg in [ImageConfig::fast_test(), ImageConfig::wivi_default()] {
             let mut engine = ImagingEngine::new(cfg);
             let wt = Complex64::new(-0.9, 0.3);
-            let half_t = (cfg.window as f64 - 1.0) / 2.0 * cfg.sample_period_s;
-            // Two subjects pacing opposite ways on either side of the
-            // boresight, the second weaker and deeper.
-            let pacer = |x: f64, y: f64, vx: f64, amplitude: f64| {
-                ImagingEngine::synthetic_subject_trace(
-                    &cfg,
-                    cfg.window,
-                    Point::new(x - vx * half_t, y),
-                    Vec2::new(vx, 0.0),
-                    amplitude,
-                    wt,
-                )
-            };
-            let window: Vec<Complex64> = pacer(1.55, 2.45, 1.0, 1.0)
-                .iter()
-                .zip(pacer(-2.05, 3.95, -1.0, 0.6))
-                .map(|(a, b)| *a + b)
+            let image = engine
+                .process_window(&two_subject_window(&cfg, wt), wt)
+                .to_vec();
+            let tables = &engine.tables;
+            let want = four_sum_image(
+                &engine,
+                wt,
+                |c, i| tables.cell(c).at(i),
+                |c| tables.model_norm(c, wt),
+            );
+            assert_same_image(&engine, &image, &want, 1e-10);
+        }
+    }
+
+    #[test]
+    fn f32_table_image_matches_the_f64_table_image() {
+        for cfg in [ImageConfig::fast_test(), ImageConfig::wivi_default()] {
+            let mut engine = ImagingEngine::new(cfg);
+            let wt = Complex64::new(-0.9, 0.3);
+            let image = engine
+                .process_window(&two_subject_window(&cfg, wt), wt)
+                .to_vec();
+            // The unrounded model: both transmitters' phasors and the
+            // cross terms in f64.
+            let (grid, w) = (engine.grid(), cfg.window);
+            let phasor = steering_phasors(&cfg);
+            let steer: Vec<Complex64> = (0..grid.len() * w)
+                .map(|k| phasor(cfg.tx[0], k / w, k % w))
                 .collect();
-            let image = engine.process_window(&window, wt).to_vec();
-            let want = four_sum_image(&engine, wt);
-            let peak = want.iter().copied().fold(0.0, f64::max);
-            assert!(peak > 0.0);
-            for (c, (got, want)) in image.iter().zip(&want).enumerate() {
-                assert!(
-                    (got - want).abs() <= 1e-10 * peak,
-                    "cell {c}: {got} vs {want} (peak {peak})"
-                );
-            }
-            let cells = |img: &[f64]| -> Vec<(usize, usize)> {
-                ca_cfar_2d(img, engine.grid(), &cfg.cfar)
-                    .iter()
-                    .map(|d| (d.ix, d.iy))
-                    .collect()
+            let phasors = |c: usize, i: usize| {
+                let m = mirror_cell(grid, c);
+                (steer[c * w + i], steer[m * w + (w - 1 - i)])
             };
-            let detections = cells(&image);
-            assert!(detections.len() >= 2, "{detections:?}");
-            assert_eq!(detections, cells(&want));
+            let norm = |c: usize| {
+                let cross = (0..w).fold(Complex64::ZERO, |x, i| {
+                    let (t1, t2) = phasors(c, i);
+                    x + t2.conj() * t1
+                });
+                (w as f64 * (1.0 + wt.norm_sqr()) + 2.0 * (wt * cross).re).max(1e-12)
+            };
+            let want = four_sum_image(&engine, wt, phasors, norm);
+            assert_same_image(&engine, &image, &want, 1e-6);
         }
     }
 

@@ -11,9 +11,9 @@
 //! * [`ImageConfig`] / [`GridSpec`] — the room grid and the aperture
 //!   geometry (window, hop, assumed speed, device antenna positions).
 //! * [`ImagingEngine`] — the resident backprojector: one per-cell
-//!   round-trip steering table, TX 1's, whose mirror image is TX 2's
-//!   ([`engine::ImagingTables`], built once per configuration per
-//!   process and shared), a reused image buffer,
+//!   round-trip steering table, TX 1's, in single precision, whose
+//!   mirror image is TX 2's ([`engine::ImagingTables`], built once per
+//!   configuration per process and shared), a reused image buffer,
 //!   CA-CFAR detection ([`wivi_num::cfar`]) with sub-cell parabolic
 //!   refinement and mirror-ghost suppression, emitting per-window
 //!   [`ImageFix`]es.

@@ -86,12 +86,30 @@ impl CfarDetection {
 /// Panics if `power.len() != grid.len()` or the configuration is
 /// invalid.
 pub fn ca_cfar_2d(power: &[f64], grid: Grid2d, cfg: &CfarConfig) -> Vec<CfarDetection> {
+    let mut out = Vec::new();
+    ca_cfar_2d_into(power, grid, cfg, &mut out);
+    out
+}
+
+/// [`ca_cfar_2d`] into a caller-owned list: clears `out`, then pushes
+/// the detections in flat-index order, so a list reused across images
+/// allocates only when it outgrows every earlier one.
+///
+/// # Panics
+/// Panics if `power.len() != grid.len()` or the configuration is
+/// invalid.
+pub fn ca_cfar_2d_into(
+    power: &[f64],
+    grid: Grid2d,
+    cfg: &CfarConfig,
+    out: &mut Vec<CfarDetection>,
+) {
     cfg.validate();
     assert_eq!(power.len(), grid.len(), "image shape mismatch");
+    out.clear();
     let reach = (cfg.guard + cfg.train) as isize;
     let guard = cfg.guard as isize;
     let factor = from_db(cfg.threshold_db);
-    let mut out = Vec::new();
     for i in 0..grid.len() {
         let (ix, iy) = grid.coords(i);
         let p = power[i];
@@ -146,7 +164,6 @@ pub fn ca_cfar_2d(power: &[f64], grid: Grid2d, cfg: &CfarConfig) -> Vec<CfarDete
             });
         }
     }
-    out
 }
 
 #[cfg(test)]
@@ -233,6 +250,22 @@ mod tests {
             ..CfarConfig::default()
         };
         assert!(ca_cfar_2d(&img, g, &cfg).is_empty());
+    }
+
+    #[test]
+    fn into_a_reused_list_replaces_its_contents() {
+        let g = Grid2d::new(16, 12);
+        let mut img = flat_image(g, 1.0);
+        img[g.idx(3, 2)] = 50.0;
+        img[g.idx(12, 9)] = 80.0;
+        let mut out = Vec::new();
+        ca_cfar_2d_into(&img, g, &CfarConfig::default(), &mut out);
+        assert_eq!(out, ca_cfar_2d(&img, g, &CfarConfig::default()));
+        // A second image overwrites the list instead of appending to it.
+        img[g.idx(3, 2)] = 1.0;
+        ca_cfar_2d_into(&img, g, &CfarConfig::default(), &mut out);
+        assert_eq!(out.len(), 1);
+        assert_eq!((out[0].ix, out[0].iy), (12, 9));
     }
 
     #[test]

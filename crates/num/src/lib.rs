@@ -28,6 +28,8 @@
 //! * [`simd`] — runtime-dispatched AVX2 kernels for the complex inner
 //!   loops (Givens rotations, axpy, backprojection focus),
 //!   bitwise-pinned to their scalar references (DESIGN.md §12).
+//! * [`phasor_table`] — the single-precision, eight-row-block phasor
+//!   table the imaging focus pass reads.
 //! * [`par`] — the order-preserving, thread-count-invariant parallel
 //!   map the bench runner, imaging sweep, and serving shards share.
 //! * [`probe`] — the `WIVI_OBS` observability switch plus single-writer
@@ -45,13 +47,14 @@ pub mod kalman;
 pub mod matrix;
 pub mod merge;
 pub mod par;
+pub mod phasor_table;
 pub mod probe;
 pub mod rng;
 pub mod simd;
 pub mod stats;
 
 pub use assign::{solve_assignment, Assignment};
-pub use cfar::{ca_cfar_2d, CfarConfig, CfarDetection};
+pub use cfar::{ca_cfar_2d, ca_cfar_2d_into, CfarConfig, CfarDetection};
 pub use complex::Complex64;
 pub use eig::{hermitian_eig, EigWorkspace, HermitianEig};
 pub use fft::FftPlan;
@@ -60,4 +63,5 @@ pub use kalman::Kalman2;
 pub use matrix::CMatrix;
 pub use merge::{merge_streams, TimedStream};
 pub use par::{parallel_map, parallel_map_threads};
+pub use phasor_table::PhasorTable;
 pub use rng::Rng64;

@@ -3,10 +3,11 @@
 //! The whole pipeline funnels into a handful of inner loops — the Jacobi
 //! eigensolver's Givens rotations, the correlation outer-product
 //! accumulation, the MUSIC steering projection, and the imaging focus
-//! pass ([`focus_rows`]: two sums per steering-table row, eight rows per
-//! AVX2 block). This module vectorizes exactly those (the FFT
-//! butterflies stay scalar in [`crate::fft`]: an AVX2 body measured no
-//! faster), with a dispatch contract the golden-trace suite depends on:
+//! pass ([`focus_rows`]: two sums per row of a single-precision
+//! [`PhasorTable`], one eight-row block per AVX2 step). This module
+//! vectorizes exactly those (the FFT butterflies stay scalar in
+//! [`crate::fft`]: an AVX2 body measured no faster), with a dispatch
+//! contract the golden-trace suite depends on:
 //!
 //! **Bitwise pinning.** Every kernel in this module produces output
 //! *bit-identical* to its `*_scalar` reference on every input, at every
@@ -19,7 +20,10 @@
 //! bitwise), and negation is a sign-bit flip (so conjugation via XOR
 //! mask equals the scalar `-im`). The AVX2 paths therefore use explicit
 //! `mul`/`add`/`sub`/`addsub` — never `fma` — and the golden fixtures
-//! pass unchanged whichever level dispatch lands on.
+//! pass unchanged whichever level dispatch lands on. The focus pass
+//! stores its table in `f32`, but widening an `f32` to `f64` is exact,
+//! so `cvtps_pd` there and `f64::from` in the reference hand the same
+//! `f64` phasor to the same arithmetic.
 //!
 //! **Dispatch.** [`level`] detects AVX2 once (`is_x86_feature_detected!`)
 //! and honours two overrides: the `WIVI_NO_SIMD=1` environment variable
@@ -32,7 +36,7 @@
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::OnceLock;
 
-use crate::Complex64;
+use crate::{Complex64, PhasorTable};
 
 /// The instruction set a kernel call will use. Levels are ordered:
 /// forcing a level above what the CPU supports clamps down.
@@ -327,24 +331,29 @@ pub fn accumulate_outer_row_scalar(row: &mut [Complex64], v: &[Complex64], x: Co
 // ---------------------------------------------------------------------------
 
 /// One imaging focus pass: correlates the centred window `h` (length
-/// `n`) with every row `t` of the row-major steering `table`
-/// (`sums.len()` rows of `n` phasors), walked forward and reversed:
+/// `n`) with every row `t` of the steering `table` (`sums.len()` rows
+/// of `n` single-precision phasors, widened exactly to `f64`), walked
+/// forward and reversed:
 ///
 /// ```text
 /// sums[r] = [F, R],   F = Σ_k h[k]·t[k],   R = Σ_k h[n−1−k]·t[k]
 /// ```
 ///
-/// each summed in ascending `k`. The imaging engine assembles a cell's
-/// four directional sums from its own row's pair and its mirror cell's.
-/// Bitwise pinned to [`focus_rows_scalar`]; the probe counts one
-/// [`Kernel::Focus`](crate::probe::Kernel::Focus) per row.
+/// each summed in ascending `k` with the crate's no-FMA complex
+/// product. The imaging engine assembles a cell's four directional sums
+/// from its own row's pair and its mirror cell's. The AVX2 body runs
+/// one [`PhasorTable`] block of eight rows at a time, four rows to a
+/// register, and computes padding rows it never stores. Bitwise pinned
+/// to [`focus_rows_scalar`]; the probe counts one
+/// [`Kernel::Focus`](crate::probe::Kernel::Focus) per row, padding
+/// excluded.
 ///
 /// # Panics
-/// Panics unless `table.len() == sums.len() · h.len()`.
-pub fn focus_rows(h: &[Complex64], table: &[Complex64], sums: &mut [[Complex64; 2]]) {
-    // The AVX2 body's pointer arithmetic relies on this shape.
+/// Panics unless the table has `sums.len()` rows of `h.len()` phasors.
+pub fn focus_rows(h: &[Complex64], table: &PhasorTable, sums: &mut [[Complex64; 2]]) {
+    // The AVX2 body's block walk relies on this shape.
     assert!(
-        sums.len().checked_mul(h.len()) == Some(table.len()),
+        table.rows() == sums.len() && table.row_len() == h.len(),
         "focus table shape mismatch"
     );
     crate::probe::count_kernel(crate::probe::Kernel::Focus, sums.len() as u64);
@@ -357,17 +366,18 @@ pub fn focus_rows(h: &[Complex64], table: &[Complex64], sums: &mut [[Complex64; 
     focus_rows_scalar(h, table, sums);
 }
 
-/// Scalar reference for [`focus_rows`].
+/// Scalar reference for [`focus_rows`]: one row at a time.
 ///
 /// # Panics
-/// Panics unless `table.len() == sums.len() · h.len()`.
-pub fn focus_rows_scalar(h: &[Complex64], table: &[Complex64], sums: &mut [[Complex64; 2]]) {
-    let n = h.len();
-    assert_eq!(table.len(), sums.len() * n, "focus table shape mismatch");
+/// Panics unless the table has `sums.len()` rows of `h.len()` phasors.
+pub fn focus_rows_scalar(h: &[Complex64], table: &PhasorTable, sums: &mut [[Complex64; 2]]) {
+    assert!(
+        table.rows() == sums.len() && table.row_len() == h.len(),
+        "focus table shape mismatch"
+    );
     for (i, out) in sums.iter_mut().enumerate() {
-        let row = &table[i * n..(i + 1) * n];
         let (mut f, mut r) = (Complex64::ZERO, Complex64::ZERO);
-        for ((&hf, &hr), &t) in h.iter().zip(h.iter().rev()).zip(row) {
+        for ((&hf, &hr), t) in h.iter().zip(h.iter().rev()).zip(table.row(i)) {
             f += hf * t;
             r += hr * t;
         }
@@ -381,7 +391,7 @@ pub fn focus_rows_scalar(h: &[Complex64], table: &[Complex64], sums: &mut [[Comp
 
 #[cfg(target_arch = "x86_64")]
 mod avx2 {
-    use super::Complex64;
+    use super::{Complex64, PhasorTable};
     use std::arch::x86_64::*;
 
     /// `[w.re, w.im, w.re, w.im]` — one complex broadcast to both slots.
@@ -568,53 +578,53 @@ mod avx2 {
     }
 
     // SAFETY: callable only with AVX2 present — the level() dispatch
-    // proves that at runtime. Every pointer offset below stays inside
-    // the argument slices: the caller asserted `table.len() ==
-    // sums.len()·n`, the vector body reads rows `r0..r0 + BLOCK` with
-    // `r0 + BLOCK ≤ full ≤ sums.len()` and elements `k, n−1−k < n`,
-    // and the rows past `full` go through the scalar reference.
+    // proves that at runtime. The pointer reads are the four-lane
+    // halves `[0, 4)` and `[4, 8)` of a block element's eight-lane `re`
+    // and `im` arrays, and the pointer writes fill whole local
+    // `[f64; 4]` arrays.
     #[target_feature(enable = "avx2")]
     pub(super) unsafe fn focus_rows(
         h: &[Complex64],
-        table: &[Complex64],
+        table: &PhasorTable,
         sums: &mut [[Complex64; 2]],
     ) {
-        const BLOCK: usize = 8;
-        let n = h.len();
-        let hp = h.as_ptr() as *const f64;
-        let tp = table.as_ptr() as *const f64;
-        let sp = sums.as_mut_ptr() as *mut f64;
-        let full = sums.len() / BLOCK * BLOCK;
-        for r0 in (0..full).step_by(BLOCK) {
-            // acc[j] = [F, R] of row r0 + j: one lane per sum, each in
-            // the scalar loop's ascending-k order.
-            let mut acc = [_mm256_setzero_pd(); BLOCK];
-            let rows = tp.add(2 * r0 * n);
-            for k in 0..n {
-                // [h[k], h[n−1−k]] and its re/im swap, shared by the
-                // block's rows.
-                let hv = _mm256_set_m128d(
-                    _mm_loadu_pd(hp.add(2 * (n - 1 - k))),
-                    _mm_loadu_pd(hp.add(2 * k)),
-                );
-                let hs = _mm256_permute_pd(hv, 0b0101);
-                for (j, a) in acc.iter_mut().enumerate() {
-                    // h·t without FMA: [h.re·t.re − h.im·t.im,
-                    // h.im·t.re + h.re·t.im] per lane, the scalar
-                    // product's two roundings (its `im` adds the same
-                    // two products commuted).
-                    let t = rows.add(2 * (j * n + k));
-                    let tr = _mm256_broadcast_sd(&*t);
-                    let ti = _mm256_broadcast_sd(&*t.add(1));
-                    let prod = _mm256_addsub_pd(_mm256_mul_pd(hv, tr), _mm256_mul_pd(hs, ti));
-                    *a = _mm256_add_pd(*a, prod);
+        for (block, out) in table.blocks().zip(sums.chunks_mut(PhasorTable::BLOCK_ROWS)) {
+            // [F.re, F.im, R.re, R.im] of the block's rows, rows 0–3 in
+            // half 0 and rows 4–7 in half 1, each lane the scalar loop's
+            // ascending-k sum.
+            let mut acc = [[_mm256_setzero_pd(); 4]; 2];
+            for ((hf, hr), e) in h.iter().zip(h.iter().rev()).zip(block) {
+                let hfr = _mm256_set1_pd(hf.re);
+                let hfi = _mm256_set1_pd(hf.im);
+                let hrr = _mm256_set1_pd(hr.re);
+                let hri = _mm256_set1_pd(hr.im);
+                for (half, a) in acc.iter_mut().enumerate() {
+                    let tr = _mm256_cvtps_pd(_mm_loadu_ps(e.re.as_ptr().add(4 * half)));
+                    let ti = _mm256_cvtps_pd(_mm_loadu_ps(e.im.as_ptr().add(4 * half)));
+                    // h·t without FMA, the scalar product's roundings:
+                    // re = h.re·t.re − h.im·t.im, im = h.re·t.im + h.im·t.re.
+                    let f_re = _mm256_sub_pd(_mm256_mul_pd(hfr, tr), _mm256_mul_pd(hfi, ti));
+                    let f_im = _mm256_add_pd(_mm256_mul_pd(hfr, ti), _mm256_mul_pd(hfi, tr));
+                    let r_re = _mm256_sub_pd(_mm256_mul_pd(hrr, tr), _mm256_mul_pd(hri, ti));
+                    let r_im = _mm256_add_pd(_mm256_mul_pd(hrr, ti), _mm256_mul_pd(hri, tr));
+                    a[0] = _mm256_add_pd(a[0], f_re);
+                    a[1] = _mm256_add_pd(a[1], f_im);
+                    a[2] = _mm256_add_pd(a[2], r_re);
+                    a[3] = _mm256_add_pd(a[3], r_im);
                 }
             }
-            for (j, a) in acc.iter().enumerate() {
-                _mm256_storeu_pd(sp.add(4 * (r0 + j)), *a);
+            // Padding rows have no slot in `out`.
+            let mut lanes = [[[0.0f64; 4]; 4]; 2];
+            for (l, a) in lanes.iter_mut().zip(&acc) {
+                for (dst, v) in l.iter_mut().zip(a) {
+                    _mm256_storeu_pd(dst.as_mut_ptr(), *v);
+                }
+            }
+            for (j, o) in out.iter_mut().enumerate() {
+                let [f_re, f_im, r_re, r_im] = lanes[j / 4].map(|v| v[j % 4]);
+                *o = [Complex64::new(f_re, f_im), Complex64::new(r_re, r_im)];
             }
         }
-        super::focus_rows_scalar(h, &table[full * n..], &mut sums[full..]);
     }
 }
 
@@ -712,8 +722,12 @@ mod tests {
                 assert_bits(&rows, &rowv, "outer row");
 
                 // Nine rows: one whole block of the vector body and one
-                // row past it.
-                let (table, _) = vecs(9 * n, 2000 + n as u64);
+                // row of a padded block.
+                let (rows, _) = vecs(9 * n, 2000 + n as u64);
+                let mut table = PhasorTable::zeros(9, n);
+                for (i, &z) in rows.iter().enumerate() {
+                    table.set(i / n, i % n, z);
+                }
                 let mut fs = [[Complex64::ZERO; 2]; 9];
                 focus_rows_scalar(&x, &table, &mut fs);
                 let mut fv = [[Complex64::ZERO; 2]; 9];

@@ -9,10 +9,12 @@
 //! denormal-adjacent magnitudes, and must match its scalar reference
 //! **bitwise**: rotations, caxpy, outer-product rows, focus row sums,
 //! the fused rotate-and-mirror, and the whole eigensolver end to end.
-//! The focus row sums, assembled into each cell's four directional sums
-//! the way the imaging engine assembles them, are also pinned to the
-//! four-sum two-table loop they replaced: bit for bit where the
-//! summation order is the loop's, within rounding where it is reversed.
+//! The focus row sums over a single-precision block table are also
+//! pinned to the row-major `f64` loop they replaced, run over the same
+//! phasors widened back to `f64`, and, assembled into each cell's four
+//! directional sums the way the imaging engine assembles them, to the
+//! four-sum two-table loop before it: bit for bit where the summation
+//! order is the loop's, within rounding where it is reversed.
 //!
 //! The eigensolver never computes the column half of a rotation outside
 //! the 2×2 pivot block: it writes the conjugates of the freshly rotated
@@ -33,7 +35,7 @@ use std::sync::{Mutex, MutexGuard, OnceLock};
 
 use wivi_num::rng::Rng64;
 use wivi_num::simd::{self, SimdLevel};
-use wivi_num::{hermitian_eig, CMatrix, Complex64, HermitianEig};
+use wivi_num::{hermitian_eig, CMatrix, Complex64, HermitianEig, PhasorTable};
 
 /// Serializes tests that force a global SIMD level.
 fn force_lock() -> MutexGuard<'static, ()> {
@@ -179,6 +181,34 @@ fn two_table_focus(h: &[Complex64], t1: &[Complex64], t2: &[Complex64]) -> [Comp
     acc
 }
 
+/// The row-major focus loop the block table replaced, over an `f64`
+/// table of `sums.len()` rows of `h.len()` phasors: `[F, R]` per row,
+/// each in ascending `k`.
+fn row_major_focus(h: &[Complex64], table: &[Complex64], sums: &mut [[Complex64; 2]]) {
+    let n = h.len();
+    for (i, out) in sums.iter_mut().enumerate() {
+        let row = &table[i * n..(i + 1) * n];
+        let (mut f, mut r) = (Complex64::ZERO, Complex64::ZERO);
+        for ((&hf, &hr), &t) in h.iter().zip(h.iter().rev()).zip(row) {
+            f += hf * t;
+            r += hr * t;
+        }
+        *out = [f, r];
+    }
+}
+
+/// A `rows × n` phasor table of `values` (row-major, each rounded to
+/// `f32`), and the table's phasors widened back to a row-major `f64`
+/// table.
+fn phasor_table(values: &[Complex64], rows: usize, n: usize) -> (PhasorTable, Vec<Complex64>) {
+    let mut table = PhasorTable::zeros(rows, n);
+    for (i, &z) in values.iter().enumerate() {
+        table.set(i / n, i % n, z);
+    }
+    let widened = (0..rows).flat_map(|r| table.row(r)).collect();
+    (table, widened)
+}
+
 /// `Σ_k |a_k|·|b_k|`, the scale of a sum of the products `a_k·b_k`.
 fn abs_mass<'a>(a: impl Iterator<Item = &'a Complex64>, b: &[Complex64]) -> f64 {
     a.zip(b).map(|(x, y)| x.abs() * y.abs()).sum()
@@ -187,10 +217,12 @@ fn abs_mass<'a>(a: impl Iterator<Item = &'a Complex64>, b: &[Complex64]) -> f64 
 #[test]
 fn focus_is_bitwise_scalar_at_every_level() {
     let _l = force_lock();
-    // Row counts on both sides of the AVX2 body's 8-row block, and the
-    // imaging grid's 448 cells; window lengths with odd and even
-    // mirrors, and the paper's 625-sample aperture.
-    let row_counts: Vec<usize> = (1..=17).chain([448]).collect();
+    // Row counts on both sides of the 8-row block, padded ones
+    // included, and around the imaging grid's 448 cells; window lengths
+    // with odd and even mirrors, and the paper's 625-sample aperture.
+    // The dispatched kernel must equal the scalar reference, and both
+    // the row-major loop over the widened phasors, bit for bit.
+    let row_counts: Vec<usize> = (1..=17).chain([447, 448, 449, 456]).collect();
     for &level in &available_levels() {
         for n in [1usize, 2, 3, 625] {
             for &rows in &row_counts {
@@ -200,24 +232,29 @@ fn focus_is_bitwise_scalar_at_every_level() {
                             0xF0C5 ^ (n as u64) << 20 ^ (rows as u64) << 8 ^ offset as u64,
                         );
                         let h = signal(&mut rng, n + offset, scale);
-                        let table = signal(&mut rng, rows * n + offset, 1.0);
+                        let (table, widened) =
+                            phasor_table(&signal(&mut rng, rows * n, 1.0), rows, n);
                         let mut want = vec![[Complex64::ZERO; 2]; rows + offset];
-                        simd::focus_rows_scalar(
-                            &h[offset..],
-                            &table[offset..],
-                            &mut want[offset..],
-                        );
+                        row_major_focus(&h[offset..], &widened, &mut want[offset..]);
+                        let mut scalar = vec![[Complex64::ZERO; 2]; rows + offset];
+                        simd::focus_rows_scalar(&h[offset..], &table, &mut scalar[offset..]);
 
                         let _g = force(level);
                         let mut got = vec![[Complex64::ZERO; 2]; rows + offset];
-                        simd::focus_rows(&h[offset..], &table[offset..], &mut got[offset..]);
+                        simd::focus_rows(&h[offset..], &table, &mut got[offset..]);
+                        let what = format!(
+                            "{} n={n} rows={rows} scale={scale:e} off={offset}",
+                            level.name()
+                        );
+                        assert_bits_eq(
+                            scalar.as_flattened(),
+                            want.as_flattened(),
+                            &format!("focus_rows_scalar {what}"),
+                        );
                         assert_bits_eq(
                             got.as_flattened(),
                             want.as_flattened(),
-                            &format!(
-                                "focus_rows {} n={n} rows={rows} scale={scale:e} off={offset}",
-                                level.name()
-                            ),
+                            &format!("focus_rows {what}"),
                         );
                     }
                 }
@@ -230,20 +267,20 @@ fn focus_is_bitwise_scalar_at_every_level() {
 fn assembled_focus_rows_match_the_two_table_loop() {
     let _l = force_lock();
     // A one-row grid of ten cells, cell c mirroring cell 9 − c: one
-    // whole AVX2 block and two rows past it.
+    // whole block and two rows of a padded one.
     const CELLS: usize = 10;
     sweep(|level, len, scale, offset, rng| {
         let h = signal(rng, len + offset, scale);
-        let table = signal(rng, CELLS * len + offset, 1.0);
-        let (h, table) = (&h[offset..], &table[offset..]);
+        let (table, widened) = phasor_table(&signal(rng, CELLS * len, 1.0), CELLS, len);
+        let h = &h[offset..];
         let _g = force(level);
         let mut sums = [[Complex64::ZERO; 2]; CELLS];
-        simd::focus_rows(h, table, &mut sums);
+        simd::focus_rows(h, &table, &mut sums);
         for c in 0..CELLS {
             let m = CELLS - 1 - c;
-            let t1 = &table[c * len..(c + 1) * len];
+            let t1 = &widened[c * len..(c + 1) * len];
             // The cell's TX-2 row is its mirror cell's row reversed.
-            let t2: Vec<Complex64> = table[m * len..(m + 1) * len]
+            let t2: Vec<Complex64> = widened[m * len..(m + 1) * len]
                 .iter()
                 .rev()
                 .copied()

@@ -29,6 +29,7 @@
 //!         GET /tracez  ──▶ recent traces (flight-recorder spans
 //!                          grouped by trace id) + incident buffer,
 //!                          JSON
+//!         a head past 8 KiB with no blank line ──▶ 431, then close
 //! shards ──▶ CompletionQueue ──▶ reactor routes each finished
 //!   session to its owning connection; when a FINISHed connection's
 //!   sessions have all completed, the reactor replays the engine's
@@ -45,7 +46,7 @@
 
 use std::collections::HashMap;
 use std::io::{ErrorKind, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -54,7 +55,8 @@ use std::time::{Duration, Instant};
 use wivi_core::WiViConfig;
 use wivi_num::hash::{fnv1a, fnv1a_more};
 use wivi_obs::{
-    fmt_trace, Incident, SpanRecord, TraceIdGen, WindowedCounter, WINDOW_10S_NS, WINDOW_60S_NS,
+    fmt_trace, Counter, Incident, SpanRecord, TraceIdGen, WindowedCounter, WINDOW_10S_NS,
+    WINDOW_60S_NS,
 };
 use wivi_rf::SceneHandle;
 
@@ -188,6 +190,15 @@ const IDLE_PARK_MAX: Duration = Duration::from_micros(500);
 /// Bytes one socket read takes, into a buffer reused across reads.
 const READ_CHUNK: usize = 16 * 1024;
 
+/// The most an HTTP request head may buffer before its blank line: a
+/// connection past it is read no further and answered 431. The
+/// `/healthz`, `/metrics` and `/tracez` heads are about 100 B.
+const HTTP_HEAD_CAP: usize = 8 * 1024;
+
+/// The answer to a head past [`HTTP_HEAD_CAP`].
+const HEAD_TOO_LARGE: &str =
+    "HTTP/1.1 431 Request Header Fields Too Large\r\nContent-Length: 0\r\nConnection: close\r\n\r\n";
+
 /// Per-connection protocol position.
 enum ConnState {
     /// Waiting for the 4 sniff bytes: `WIVI` magic or an HTTP method.
@@ -285,6 +296,9 @@ struct Reactor {
     /// Scratch every socket read fills, allocated once so that no
     /// turn zeroes a fresh buffer per connection.
     read_buf: Box<[u8]>,
+    /// HTTP heads refused for passing [`HTTP_HEAD_CAP`]
+    /// (`serve.http.head_too_large`).
+    heads_too_large: Counter,
 }
 
 impl Reactor {
@@ -294,6 +308,7 @@ impl Reactor {
         // Same get-or-create name the admission gate records into, so
         // the window wraps the live counter, not a copy.
         let shed_window = WindowedCounter::new(engine.registry().counter("serve.admission.shed"));
+        let heads_too_large = engine.registry().counter("serve.http.head_too_large");
         Reactor {
             listener,
             stop,
@@ -308,6 +323,7 @@ impl Reactor {
             accepted: 0,
             shed_window,
             read_buf: vec![0; READ_CHUNK].into_boxed_slice(),
+            heads_too_large,
         }
     }
 
@@ -401,6 +417,13 @@ impl Reactor {
                     Ok(n) => {
                         conn.rbuf.extend_from_slice(&self.read_buf[..n]);
                         any = true;
+                        // A head not yet answered stops at the cap;
+                        // process() refuses it.
+                        if conn.rbuf.len() > HTTP_HEAD_CAP
+                            && matches!(conn.state, ConnState::Sniff | ConnState::Http)
+                        {
+                            break;
+                        }
                     }
                     Err(e) if e.kind() == ErrorKind::WouldBlock => break,
                     Err(e) if e.kind() == ErrorKind::Interrupted => continue,
@@ -441,7 +464,14 @@ impl Reactor {
                     // the last read.
                     let from = conn.head_scanned.saturating_sub(3);
                     let Some(end) = find_blank_line(&conn.rbuf, from) else {
-                        conn.head_scanned = conn.rbuf.len();
+                        if conn.rbuf.len() > HTTP_HEAD_CAP {
+                            conn.rbuf = Vec::new();
+                            conn.wbuf.extend_from_slice(HEAD_TOO_LARGE.as_bytes());
+                            conn.state = ConnState::Draining;
+                            self.heads_too_large.inc();
+                        } else {
+                            conn.head_scanned = conn.rbuf.len();
+                        }
                         return;
                     };
                     let head = String::from_utf8_lossy(&conn.rbuf[..end]).into_owned();
@@ -655,7 +685,14 @@ impl Reactor {
                 None => false,
             };
             if done {
-                self.conns[slot] = None;
+                if let Some(c) = self.conns[slot].take().filter(|c| !c.closed) {
+                    // FIN before close: bytes the peer sent that were
+                    // never read (a refused head's tail) turn the close
+                    // into a reset, and the FIN ahead of it lets the
+                    // peer read the answer and then a clean end of
+                    // stream.
+                    let _ = c.stream.shutdown(Shutdown::Write);
+                }
                 self.owner.retain(|_, s| *s != slot);
             }
         }

@@ -8,7 +8,8 @@
 //! ARE the contract. Alongside it: overload shedding under a
 //! deliberately undersized queue (errors, not panics or stalls), wire
 //! admission errors with stable codes, the `/metrics` endpoint on the
-//! same port, and the 8-session smoke the CI leg runs.
+//! same port, the cap on an HTTP request head, and the 8-session smoke
+//! the CI leg runs.
 
 mod common;
 
@@ -362,6 +363,45 @@ fn healthz_answers_a_head_written_one_byte_at_a_time() {
     assert!(response.contains("\"shards\""), "shard list: {response}");
     assert!(response.ends_with('}'), "truncated body: {response}");
 
+    server.shutdown().expect("shutdown");
+}
+
+/// A request head with no end stops being read at the reactor's 8 KiB
+/// cap: the client gets a 431 and then the end of the stream, the
+/// refusal is counted, and the next connection is served as usual.
+#[test]
+fn an_oversized_http_head_gets_431_and_the_server_keeps_serving() {
+    let server =
+        WireServer::start(WireServerConfig::new(ServeConfig::with_shards(1))).expect("bind");
+    let mut sock = std::net::TcpStream::connect(server.addr()).expect("connect");
+    // A hang fails the test instead of stalling the suite.
+    sock.set_read_timeout(Some(std::time::Duration::from_secs(30)))
+        .unwrap();
+    // 64 KiB of header lines and no blank line.
+    let mut head = b"GET /healthz HTTP/1.1\r\n".to_vec();
+    while head.len() < 64 * 1024 {
+        head.extend_from_slice(b"X-Filler: 0123456789abcdef\r\n");
+    }
+    head.truncate(64 * 1024);
+    // The server stops reading at the cap and may close before the last
+    // bytes are written, so a failed write is expected, not an error.
+    let _ = sock.write_all(&head);
+    let mut reply = Vec::new();
+    sock.read_to_end(&mut reply)
+        .expect("the answer, then the end of the stream");
+    let reply = String::from_utf8(reply).expect("an HTTP answer");
+    assert_eq!(
+        reply,
+        "HTTP/1.1 431 Request Header Fields Too Large\r\nContent-Length: 0\r\nConnection: close\r\n\r\n"
+    );
+
+    let metrics = http_get(server.addr(), "/metrics");
+    assert!(
+        metrics.contains("\nwivi_serve_http_head_too_large 1\n"),
+        "the refusal must be counted once: {metrics}"
+    );
+    let health = http_get(server.addr(), "/healthz");
+    assert!(health.starts_with("HTTP/1.1 200 OK"), "got: {health}");
     server.shutdown().expect("shutdown");
 }
 

@@ -218,12 +218,18 @@ fn a_histogram_allocates_a_bucket_stripe_per_recording_thread() {
 #[test]
 fn an_imaging_table_build_allocates_one_steering_table() {
     let _obs = ObsOff::new();
-    // TX 1's steering table (448 cells × 625 phasors) and the 448 cross
-    // terms, 16 B each; TX 2's table is TX 1's mirror image and is never
-    // allocated, not even while the cross terms are folded.
+    // TX 1's steering table, 448 cells × 625 phasors of 2 × 4 B (56
+    // whole eight-cell blocks), and the 448 cross terms of 16 B; TX 2's
+    // table is TX 1's mirror image and is never allocated, and no f64
+    // copy of the table is made, not even while the phasors are checked
+    // and the cross terms folded.
     let (n, bytes, _tables) = heap_use(|| ImagingTables::build(&ImageConfig::fast_test()));
     assert_eq!(n, 2, "ImagingTables::build allocated {n} times");
-    assert_eq!(bytes, 4_487_168, "ImagingTables::build requested {bytes} B");
+    assert_eq!(
+        bytes,
+        448 * 625 * 8 + 448 * 16,
+        "ImagingTables::build requested {bytes} B"
+    );
 }
 
 #[test]
@@ -234,8 +240,8 @@ fn a_second_engine_for_a_built_configuration_allocates_only_its_scratch() {
     // The first engines build (or find) the tables.
     let first = (ImagingEngine::new(image_cfg), MusicEngine::new(music_cfg));
 
-    // Imaging scratch: the image, the per-cell directions and the
-    // centred window.
+    // Imaging scratch: the image, the per-cell row sums and the
+    // centred window; the CLEAN lists start empty.
     let (n, image) = allocations(|| ImagingEngine::new(image_cfg));
     assert_eq!(n, 1 + 1 + 1, "ImagingEngine::new allocated {n} times");
     // MUSIC scratch: the correlation matrix (1), the eigen workspace
@@ -266,17 +272,15 @@ fn a_warm_imaging_window_allocates_nothing() {
         assert_eq!(n, 0, "a warm process_window allocated {n} times");
         assert_eq!(cells, engine.grid().len());
     }
-    // The CLEAN loop allocates only its lists. On this window it runs
-    // all four passes, whose CFAR lists hold 11, 11, 9 and 5 detections
-    // (3, 3, 3 and 2 allocations, each list doubling from 4), collects
-    // each pass's candidates (4) and returns the fixes (1), so an equal
-    // count also shows an equal number of focus passes.
+    // The CLEAN loop refills the engine's detection and candidate lists
+    // every pass; once the first window has grown them, a window
+    // allocates only the fixes it returns.
     engine.process_window_fixes(&window, wt);
     for _ in 0..3 {
         let (n, fixes) = allocations(|| engine.process_window_fixes(&window, wt).len());
         assert_eq!(
             (n, fixes),
-            (11 + 4 + 1, 4),
+            (1, 4),
             "a warm process_window_fixes allocated {n} times for {fixes} fixes"
         );
     }
