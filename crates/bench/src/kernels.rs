@@ -180,9 +180,11 @@ pub fn run_kernels_bench(quick: bool) -> KernelsReport {
     // row of a steering table the paper configuration's shape.
     bench(&format!("focus_rows_{cells}x{aperture}"), 400, &mut {
         let mut sums = vec![[Complex64::ZERO; 2]; cells];
+        let mut pairs = vec![[0.0; 4]; aperture];
         let (h, table) = (window.clone(), steering.clone());
         move || {
-            simd::focus_rows(black_box(&h), black_box(&table), black_box(&mut sums));
+            simd::focus_pairs(black_box(&h), &mut pairs);
+            simd::focus_rows(&pairs, black_box(&table), black_box(&mut sums));
         }
     });
 

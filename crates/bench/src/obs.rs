@@ -149,7 +149,11 @@ fn time_ns<F: FnMut(u64)>(mut f: F, reps: u64) -> f64 {
 /// Throughput-derived per-thread ns/iter with `threads` threads
 /// hammering `f` concurrently: `wall_ns × min(threads, cores) /
 /// total_events`, best of a few trials. Each trial lines the threads up
-/// on a barrier and times the whole phase by wall clock. Dividing wall
+/// on a ready barrier, reads the clock, and only then releases them
+/// through a second barrier, so the timed phase covers all of their
+/// work even when the timing thread is descheduled between the
+/// barriers (reading the clock after a single barrier could miss work
+/// that finished before it ran, and report near-zero costs). Dividing wall
 /// time by *total* events and multiplying back by the host's effective
 /// parallelism reports CPU cost per event: on a one-core host the
 /// threads time-share (wall = threads × reps × t, effective = 1) and
@@ -170,22 +174,23 @@ fn time_ns_threaded<F: Fn(u64) + Sync>(f: F, threads: usize, reps: u64) -> f64 {
     let trials = 4;
     let mut best = f64::MAX;
     for _ in 0..trials {
-        let barrier = Barrier::new(threads + 1);
+        let (ready, go) = (Barrier::new(threads + 1), Barrier::new(threads + 1));
         let wall_ns = std::thread::scope(|scope| {
             let handles: Vec<_> = (0..threads)
                 .map(|_| {
-                    let f = &f;
-                    let barrier = &barrier;
+                    let (f, ready, go) = (&f, &ready, &go);
                     scope.spawn(move || {
-                        barrier.wait();
+                        ready.wait();
+                        go.wait();
                         for j in 0..reps {
                             f(j);
                         }
                     })
                 })
                 .collect();
-            barrier.wait();
+            ready.wait();
             let t0 = Instant::now();
+            go.wait();
             for h in handles {
                 h.join().unwrap();
             }

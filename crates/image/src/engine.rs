@@ -51,18 +51,25 @@
 //! four-sum loop does; the TX-2 sums add the same terms in the opposite
 //! order, so they differ from it in the last bits only.
 //!
-//! # Single-precision phasors
+//! # Single precision
 //!
 //! The steering table is a [`PhasorTable`]: each phasor rounded to
 //! `f32`, eight cells to a block. A unit phasor's parts then carry at
 //! most `2⁻²⁵` of error each, under `6e-8` in modulus — about a
 //! nanometre of round-trip path at 2.4 GHz — while the model itself
 //! assumes a subject walking along the wall at exactly the assumed
-//! speed. The focus kernel widens every phasor back to `f64` exactly
-//! and keeps all of its arithmetic in `f64`, and the cross terms of
-//! `‖q‖²` are folded from the rounded phasors, so the norm describes the
-//! model the table stores. At the paper's 448 cells × 625 elements the
-//! table is 2 240 000 bytes, half the `f64` table's 4 480 000.
+//! speed. At the paper's 448 cells × 625 elements the table is
+//! 2 240 000 bytes, half the `f64` table's 4 480 000.
+//!
+//! The focus pass computes in single precision as well: each pass
+//! rounds the centred window once to `f32` ([`simd::focus_pairs`]),
+//! multiplies it with the stored phasors in `f32`, and carries each
+//! row's sums in `f64` over runs of `f32` partial sums, so every sum is
+//! within `FOCUS_ERROR·Σ_k |h_k|·|t_k|` of the exact one
+//! ([`simd::FOCUS_ERROR`] is about `1.6e-6`). Everything after the row
+//! sums stays `f64`: a cell's image value, the CLEAN subtraction,
+//! mirror resolution, and `‖q‖²`, whose cross terms are folded from the
+//! rounded phasors so the norm describes the model the table stores.
 //!
 //! # Residency contract
 //!
@@ -81,8 +88,9 @@
 //! symmetry); the build checks every one before rounding it.
 //! The scratch — the image buffer, the focus pass's row sums (from
 //! which a cell's walking direction is read back), the mean-removal
-//! window, and the CLEAN loop's detection and candidate lists — is
-//! allocated once per engine and reused every window:
+//! window and its `f32` rounding, and the CLEAN loop's detection and
+//! candidate lists — is allocated once per engine and reused every
+//! window:
 //! [`ImagingEngine::process_window`] allocates nothing, and
 //! [`ImagingEngine::process_window_fixes`] only the fixes it returns
 //! once its lists have grown to the window's detections. Every imaging
@@ -119,8 +127,9 @@ pub struct ImageFix {
 /// configuration per process and shared through a process-wide
 /// [`TableStore`]. TX 2's table is TX 1's mirror image (see the module
 /// docs) and is never stored; a focus pass reads each row of TX 1's
-/// once. The table holds single-precision phasors, 2 240 000 bytes at
-/// the paper's configuration.
+/// once and multiplies its phasors in single precision, as stored. The
+/// table holds single-precision phasors, 2 240 000 bytes at the paper's
+/// configuration; the cross terms are `f64`.
 pub struct ImagingTables {
     /// TX 1's conjugated steering table, one row per cell: row `c`,
     /// element `i` is `e^{+j·(2π/λ)·R₁(p_c, i)}` rounded to `f32`. TX
@@ -282,6 +291,9 @@ pub struct ImagingEngine {
     /// Mean-removed window scratch (the CLEAN loop subtracts detected
     /// targets from it in place).
     centered: Vec<Complex64>,
+    /// `centered` rounded to `f32` for the focus kernel, refilled every
+    /// pass (see [`simd::focus_pairs`]).
+    pairs: Vec<[f32; 4]>,
     /// A CLEAN pass's CFAR detections and candidate fixes, refilled
     /// every pass; empty, and unallocated, until the first
     /// [`Self::process_window_fixes`].
@@ -309,6 +321,7 @@ impl ImagingEngine {
             image: vec![0.0; n_cells],
             sums: vec![[Complex64::ZERO; 2]; n_cells],
             centered: vec![Complex64::ZERO; cfg.window],
+            pairs: vec![[0.0; 4]; cfg.window],
             dets: Vec::new(),
             candidates: Vec::new(),
         }
@@ -354,13 +367,16 @@ impl ImagingEngine {
         }
     }
 
-    /// Backprojects the resident (centred) window onto the grid: one
+    /// Backprojects the resident (centred) window onto the grid: rounds
+    /// it to `f32` into the engine's pair buffer, makes one
     /// [`simd::focus_rows`] pass over TX 1's single-precision table
-    /// (each phasor widened exactly, every sum in `f64`), then each
-    /// cell's image value from its own and its mirror cell's row sums.
+    /// (`f32` products, `f32` runs of 16, row sums in `f64`), then
+    /// computes each cell's image value in `f64` from its own and its
+    /// mirror cell's row sums.
     fn focus(&mut self, tx_weight: Complex64) {
         let tables: &ImagingTables = &self.tables;
-        simd::focus_rows(&self.centered, &tables.steer, &mut self.sums);
+        simd::focus_pairs(&self.centered, &mut self.pairs);
+        simd::focus_rows(&self.pairs, &tables.steer, &mut self.sums);
         let wt_conj = tx_weight.conj();
         for (c, img) in self.image.iter_mut().enumerate() {
             let (fwd, rev) = walk_powers(&self.sums, self.grid, c, wt_conj);
@@ -911,15 +927,19 @@ mod tests {
             .collect()
     }
 
-    /// Requires every cell of `got` within `tol` of `want`'s peak, and
+    /// Requires every cell `c` of `got` within `tol(c)` of `want`, and
     /// the same CFAR detections (at least two) in both images.
-    fn assert_same_image(engine: &ImagingEngine, got: &[f64], want: &[f64], tol: f64) {
-        let peak = want.iter().copied().fold(0.0, f64::max);
-        assert!(peak > 0.0);
+    fn assert_same_image(
+        engine: &ImagingEngine,
+        got: &[f64],
+        want: &[f64],
+        tol: impl Fn(usize) -> f64,
+    ) {
         for (c, (g, w)) in got.iter().zip(want).enumerate() {
             assert!(
-                (g - w).abs() <= tol * peak,
-                "cell {c}: {g} vs {w} (peak {peak})"
+                (g - w).abs() <= tol(c),
+                "cell {c}: {g} vs {w} (tolerance {:e})",
+                tol(c)
             );
         }
         let cells = |img: &[f64]| -> Vec<(usize, usize)> {
@@ -933,6 +953,13 @@ mod tests {
         assert_eq!(detections, cells(want));
     }
 
+    /// The largest image value in `img`.
+    fn peak(img: &[f64]) -> f64 {
+        let peak = img.iter().copied().fold(0.0, f64::max);
+        assert!(peak > 0.0);
+        peak
+    }
+
     #[test]
     fn row_sum_focus_matches_the_four_sum_focus() {
         for cfg in [ImageConfig::fast_test(), ImageConfig::wivi_default()] {
@@ -942,13 +969,21 @@ mod tests {
                 .process_window(&two_subject_window(&cfg, wt), wt)
                 .to_vec();
             let tables = &engine.tables;
-            let want = four_sum_image(
-                &engine,
-                wt,
-                |c, i| tables.cell(c).at(i),
-                |c| tables.model_norm(c, wt),
-            );
-            assert_same_image(&engine, &image, &want, 1e-10);
+            let norm = |c| tables.model_norm(c, wt);
+            let want = four_sum_image(&engine, wt, |c, i| tables.cell(c).at(i), norm);
+            // Each of a cell's four sums is within FOCUS_ERROR·Σ|h_k|·|t_k|
+            // of the f64 loop's, and every stored phasor has modulus at
+            // most 1 + 2⁻²⁴ (each part within 2⁻²⁵ of a unit phasor's),
+            // so a walk's sum `A = a1 + w̄·a2` moves by at most
+            // δ = FOCUS_ERROR·(1 + 2⁻²⁴)·Σ|h_k|·(1 + |w|), and its image
+            // value |A|²/‖q‖² by at most δ·(2|A| + δ)/‖q‖².
+            let h_mass: f64 = engine.centered.iter().map(|z| z.abs()).sum();
+            let delta = simd::FOCUS_ERROR * (1.0 + (-24f64).exp2()) * h_mass * (1.0 + wt.abs());
+            let tol = |c: usize| {
+                let a = (image[c].max(want[c]) * norm(c)).sqrt();
+                delta * (2.0 * a + delta) / norm(c)
+            };
+            assert_same_image(&engine, &image, &want, tol);
         }
     }
 
@@ -979,7 +1014,8 @@ mod tests {
                 (w as f64 * (1.0 + wt.norm_sqr()) + 2.0 * (wt * cross).re).max(1e-12)
             };
             let want = four_sum_image(&engine, wt, phasors, norm);
-            assert_same_image(&engine, &image, &want, 1e-6);
+            let tol = 1e-6 * peak(&want);
+            assert_same_image(&engine, &image, &want, |_| tol);
         }
     }
 

@@ -5,17 +5,23 @@
 //! per-cell steering table ([`crate::simd::focus_rows`]). Its entries
 //! are unit phasors, so single precision loses at most `2⁻²⁵` per
 //! component (under `6e-8` in modulus, about a nanometre of path at
-//! 2.4 GHz) and halves the table. The kernel widens each entry back to
-//! `f64` exactly and does all of its arithmetic there.
+//! 2.4 GHz) and halves the table. The focus kernel multiplies the
+//! stored `f32` phasors as they are, in single precision, and carries
+//! its row sums in `f64` (see there for the error bound); [`get`] and
+//! [`row`] widen entries exactly to `f64` for everything else.
 //!
 //! **Layout.** Rows are padded to a multiple of [`PhasorTable::BLOCK_ROWS`]
 //! (eight) and grouped into blocks. A block stores its aperture elements
 //! in order, and each element holds the block's eight real parts and
 //! then its eight imaginary parts (64 B), so one element of eight rows
-//! is two contiguous loads. Padding rows hold zeros; the focus kernel's
-//! AVX2 body sums them with the rest of their block and discards the
-//! result. That body is the only reader of whole blocks: everything
-//! else addresses single entries, or one row, by `(row, element)`.
+//! is one 32-byte load of each. Padding rows hold zeros; the focus
+//! kernel, in both its scalar and its AVX2 form, sums them with the
+//! rest of their block and discards the result. The kernel is the only
+//! reader of whole blocks: everything else addresses single entries, or
+//! one row, by `(row, element)`.
+//!
+//! [`get`]: PhasorTable::get
+//! [`row`]: PhasorTable::row
 
 use crate::Complex64;
 

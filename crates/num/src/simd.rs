@@ -20,10 +20,11 @@
 //! bitwise), and negation is a sign-bit flip (so conjugation via XOR
 //! mask equals the scalar `-im`). The AVX2 paths therefore use explicit
 //! `mul`/`add`/`sub`/`addsub` — never `fma` — and the golden fixtures
-//! pass unchanged whichever level dispatch lands on. The focus pass
-//! stores its table in `f32`, but widening an `f32` to `f64` is exact,
-//! so `cvtps_pd` there and `f64::from` in the reference hand the same
-//! `f64` phasor to the same arithmetic.
+//! pass unchanged whichever level dispatch lands on. The focus pass is
+//! the one kernel that computes in single precision: both of its paths
+//! multiply and add in `f32` in the same order, one table block at a
+//! time, and widen each run's partial sums exactly to `f64` before
+//! adding them (see [`focus_rows`]).
 //!
 //! **Dispatch.** [`level`] detects AVX2 once (`is_x86_feature_detected!`)
 //! and honours two overrides: the `WIVI_NO_SIMD=1` environment variable
@@ -330,30 +331,75 @@ pub fn accumulate_outer_row_scalar(row: &mut [Complex64], v: &[Complex64], x: Co
 // Imaging focus rows
 // ---------------------------------------------------------------------------
 
-/// One imaging focus pass: correlates the centred window `h` (length
-/// `n`) with every row `t` of the steering `table` (`sums.len()` rows
-/// of `n` single-precision phasors, widened exactly to `f64`), walked
-/// forward and reversed:
+/// Window elements per single-precision partial sum in [`focus_rows`].
+const FOCUS_RUN: usize = 16;
+
+/// The bound on [`focus_rows`]' rounding error, relative to the mass
+/// of the products it sums: every returned `F` (and `R`) is within
+/// `FOCUS_ERROR · Σ_k |h_k|·|t_k|` of the exact sum of the unrounded
+/// window's products with the stored phasors.
 ///
-/// ```text
-/// sums[r] = [F, R],   F = Σ_k h[k]·t[k],   R = Σ_k h[n−1−k]·t[k]
-/// ```
-///
-/// each summed in ascending `k` with the crate's no-FMA complex
-/// product. The imaging engine assembles a cell's four directional sums
-/// from its own row's pair and its mirror cell's. The AVX2 body runs
-/// one [`PhasorTable`] block of eight rows at a time, four rows to a
-/// register, and computes padding rows it never stores. Bitwise pinned
-/// to [`focus_rows_scalar`]; the probe counts one
-/// [`Kernel::Focus`](crate::probe::Kernel::Focus) per row, padding
-/// excluded.
+/// The real or imaginary part of a term `h_k·t_k` is rounded at most
+/// three times before it joins its run (the window part to `f32`, its
+/// product with a phasor part, the difference or sum of two such
+/// products) and then by the 15 `f32` additions of a run of 16, so its
+/// error is at most `(3 + 15)·2⁻²⁴` of `|h_k|·|t_k|`. One more `2⁻²⁴`
+/// covers the second-order terms and the `f64` additions of the run
+/// sums, for windows of up to 2²⁸ elements, and a complex error is at
+/// most `√2` times its parts' common bound: `√2·(16 + 3)·2⁻²⁴ ≈ 1.6e-6`.
+/// The bound assumes every nonzero part of the window and of its
+/// products lies in `f32`'s normal range; below it, each rounding can
+/// add up to `2⁻¹⁵⁰` more.
+pub const FOCUS_ERROR: f64 = std::f64::consts::SQRT_2 * (FOCUS_RUN + 3) as f64 / 16_777_216.0;
+
+/// Rounds the centred window `h` to the element pairs [`focus_rows`]
+/// reads: `pairs[k] = [h[k].re, h[k].im, h[n−1−k].re, h[n−1−k].im]`,
+/// each part rounded to the nearest `f32`.
 ///
 /// # Panics
-/// Panics unless the table has `sums.len()` rows of `h.len()` phasors.
-pub fn focus_rows(h: &[Complex64], table: &PhasorTable, sums: &mut [[Complex64; 2]]) {
+/// Panics if `pairs` and `h` differ in length.
+pub fn focus_pairs(h: &[Complex64], pairs: &mut [[f32; 4]]) {
+    assert_eq!(h.len(), pairs.len(), "focus window length mismatch");
+    for ((p, f), r) in pairs.iter_mut().zip(h).zip(h.iter().rev()) {
+        *p = [f.re as f32, f.im as f32, r.re as f32, r.im as f32];
+    }
+}
+
+/// One imaging focus pass: correlates the centred window, rounded to
+/// `f32` by [`focus_pairs`] (`ĥ`, length `n`), with every row `t` of
+/// the single-precision steering `table` (`sums.len()` rows of `n`
+/// phasors), walked forward and reversed:
+///
+/// ```text
+/// sums[r] = [F, R],   F = Σ_k ĥ[k]·t[k],   R = Σ_k ĥ[n−1−k]·t[k]
+/// ```
+///
+/// Each product is the crate's no-FMA complex product computed in
+/// `f32` (`re = ĥ.re·t.re − ĥ.im·t.im`, `im = ĥ.re·t.im + ĥ.im·t.re`).
+/// A row's products are added in ascending `k`, in `f32`, over runs of
+/// 16 elements starting from zero; each run's sum is widened exactly to
+/// `f64` and added to the row's `f64` sum, also in ascending order. A
+/// sum is within [`FOCUS_ERROR`]` · Σ_k |h_k|·|t_k|` of the exact one,
+/// provided the window's parts and their products with the table are
+/// zero or in `f32`'s normal range, from `2⁻¹²⁶` (about `1.2e-38`) to
+/// `f32::MAX` (about `3.4e38`) with room for a run's sum of 16
+/// products; imaging windows sit many decades inside it, and a part
+/// beyond `f32::MAX` becomes infinite. The imaging engine assembles a
+/// cell's four directional sums from its own row's pair and its mirror
+/// cell's. The AVX2 body runs one [`PhasorTable`] block of eight rows
+/// at a time, one row per lane, and computes padding rows it never
+/// stores; the scalar reference walks the same blocks with eight lane
+/// sums per element. Bitwise pinned to [`focus_rows_scalar`]; the probe
+/// counts one [`Kernel::Focus`](crate::probe::Kernel::Focus) per row,
+/// padding excluded.
+///
+/// # Panics
+/// Panics unless the table has `sums.len()` rows of `pairs.len()`
+/// phasors.
+pub fn focus_rows(pairs: &[[f32; 4]], table: &PhasorTable, sums: &mut [[Complex64; 2]]) {
     // The AVX2 body's block walk relies on this shape.
     assert!(
-        table.rows() == sums.len() && table.row_len() == h.len(),
+        table.rows() == sums.len() && table.row_len() == pairs.len(),
         "focus table shape mismatch"
     );
     crate::probe::count_kernel(crate::probe::Kernel::Focus, sums.len() as u64);
@@ -361,27 +407,47 @@ pub fn focus_rows(h: &[Complex64], table: &PhasorTable, sums: &mut [[Complex64; 
     if level() == SimdLevel::Avx2 {
         // SAFETY: level() reports AVX2 only after runtime CPU detection
         // confirmed it.
-        return unsafe { avx2::focus_rows(h, table, sums) };
+        return unsafe { avx2::focus_rows(pairs, table, sums) };
     }
-    focus_rows_scalar(h, table, sums);
+    focus_rows_scalar(pairs, table, sums);
 }
 
-/// Scalar reference for [`focus_rows`]: one row at a time.
+/// Scalar reference for [`focus_rows`]: one block at a time, each
+/// element read once into its eight rows' run sums.
 ///
 /// # Panics
-/// Panics unless the table has `sums.len()` rows of `h.len()` phasors.
-pub fn focus_rows_scalar(h: &[Complex64], table: &PhasorTable, sums: &mut [[Complex64; 2]]) {
+/// Panics unless the table has `sums.len()` rows of `pairs.len()`
+/// phasors.
+pub fn focus_rows_scalar(pairs: &[[f32; 4]], table: &PhasorTable, sums: &mut [[Complex64; 2]]) {
     assert!(
-        table.rows() == sums.len() && table.row_len() == h.len(),
+        table.rows() == sums.len() && table.row_len() == pairs.len(),
         "focus table shape mismatch"
     );
-    for (i, out) in sums.iter_mut().enumerate() {
-        let (mut f, mut r) = (Complex64::ZERO, Complex64::ZERO);
-        for ((&hf, &hr), t) in h.iter().zip(h.iter().rev()).zip(table.row(i)) {
-            f += hf * t;
-            r += hr * t;
+    const LANES: usize = PhasorTable::BLOCK_ROWS;
+    for (block, out) in table.blocks().zip(sums.chunks_mut(LANES)) {
+        // [F.re, F.im, R.re, R.im], one lane per row of the block.
+        let mut acc = [[0.0f64; LANES]; 4];
+        for (run, hs) in block.chunks(FOCUS_RUN).zip(pairs.chunks(FOCUS_RUN)) {
+            let mut part = [[0.0f32; LANES]; 4];
+            for (e, &[hfr, hfi, hrr, hri]) in run.iter().zip(hs) {
+                for (l, (&tr, &ti)) in e.re.iter().zip(&e.im).enumerate() {
+                    part[0][l] += hfr * tr - hfi * ti;
+                    part[1][l] += hfr * ti + hfi * tr;
+                    part[2][l] += hrr * tr - hri * ti;
+                    part[3][l] += hrr * ti + hri * tr;
+                }
+            }
+            for (a, p) in acc.iter_mut().zip(&part) {
+                for (x, &y) in a.iter_mut().zip(p) {
+                    *x += f64::from(y);
+                }
+            }
         }
-        *out = [f, r];
+        // Padding rows have no slot in `out`.
+        for (j, o) in out.iter_mut().enumerate() {
+            let [f_re, f_im, r_re, r_im] = acc.map(|a| a[j]);
+            *o = [Complex64::new(f_re, f_im), Complex64::new(r_re, r_im)];
+        }
     }
 }
 
@@ -391,7 +457,7 @@ pub fn focus_rows_scalar(h: &[Complex64], table: &PhasorTable, sums: &mut [[Comp
 
 #[cfg(target_arch = "x86_64")]
 mod avx2 {
-    use super::{Complex64, PhasorTable};
+    use super::{Complex64, PhasorTable, FOCUS_RUN};
     use std::arch::x86_64::*;
 
     /// `[w.re, w.im, w.re, w.im]` — one complex broadcast to both slots.
@@ -578,39 +644,43 @@ mod avx2 {
     }
 
     // SAFETY: callable only with AVX2 present — the level() dispatch
-    // proves that at runtime. The pointer reads are the four-lane
-    // halves `[0, 4)` and `[4, 8)` of a block element's eight-lane `re`
-    // and `im` arrays, and the pointer writes fill whole local
-    // `[f64; 4]` arrays.
+    // proves that at runtime. The pointer reads are a block element's
+    // eight-lane `re` and `im` arrays, and the pointer writes fill whole
+    // local `[f64; 4]` arrays.
     #[target_feature(enable = "avx2")]
     pub(super) unsafe fn focus_rows(
-        h: &[Complex64],
+        pairs: &[[f32; 4]],
         table: &PhasorTable,
         sums: &mut [[Complex64; 2]],
     ) {
         for (block, out) in table.blocks().zip(sums.chunks_mut(PhasorTable::BLOCK_ROWS)) {
-            // [F.re, F.im, R.re, R.im] of the block's rows, rows 0–3 in
-            // half 0 and rows 4–7 in half 1, each lane the scalar loop's
-            // ascending-k sum.
+            // [F.re, F.im, R.re, R.im] of the block's rows in f64, rows
+            // 0–3 in half 0 and rows 4–7 in half 1.
             let mut acc = [[_mm256_setzero_pd(); 4]; 2];
-            for ((hf, hr), e) in h.iter().zip(h.iter().rev()).zip(block) {
-                let hfr = _mm256_set1_pd(hf.re);
-                let hfi = _mm256_set1_pd(hf.im);
-                let hrr = _mm256_set1_pd(hr.re);
-                let hri = _mm256_set1_pd(hr.im);
-                for (half, a) in acc.iter_mut().enumerate() {
-                    let tr = _mm256_cvtps_pd(_mm_loadu_ps(e.re.as_ptr().add(4 * half)));
-                    let ti = _mm256_cvtps_pd(_mm_loadu_ps(e.im.as_ptr().add(4 * half)));
+            for (run, hs) in block.chunks(FOCUS_RUN).zip(pairs.chunks(FOCUS_RUN)) {
+                // The run's f32 sums, one row per lane.
+                let mut part = [_mm256_setzero_ps(); 4];
+                for (e, h) in run.iter().zip(hs) {
+                    let tr = _mm256_loadu_ps(e.re.as_ptr());
+                    let ti = _mm256_loadu_ps(e.im.as_ptr());
+                    let (hfr, hfi) = (_mm256_set1_ps(h[0]), _mm256_set1_ps(h[1]));
+                    let (hrr, hri) = (_mm256_set1_ps(h[2]), _mm256_set1_ps(h[3]));
                     // h·t without FMA, the scalar product's roundings:
                     // re = h.re·t.re − h.im·t.im, im = h.re·t.im + h.im·t.re.
-                    let f_re = _mm256_sub_pd(_mm256_mul_pd(hfr, tr), _mm256_mul_pd(hfi, ti));
-                    let f_im = _mm256_add_pd(_mm256_mul_pd(hfr, ti), _mm256_mul_pd(hfi, tr));
-                    let r_re = _mm256_sub_pd(_mm256_mul_pd(hrr, tr), _mm256_mul_pd(hri, ti));
-                    let r_im = _mm256_add_pd(_mm256_mul_pd(hrr, ti), _mm256_mul_pd(hri, tr));
-                    a[0] = _mm256_add_pd(a[0], f_re);
-                    a[1] = _mm256_add_pd(a[1], f_im);
-                    a[2] = _mm256_add_pd(a[2], r_re);
-                    a[3] = _mm256_add_pd(a[3], r_im);
+                    let f_re = _mm256_sub_ps(_mm256_mul_ps(hfr, tr), _mm256_mul_ps(hfi, ti));
+                    let f_im = _mm256_add_ps(_mm256_mul_ps(hfr, ti), _mm256_mul_ps(hfi, tr));
+                    let r_re = _mm256_sub_ps(_mm256_mul_ps(hrr, tr), _mm256_mul_ps(hri, ti));
+                    let r_im = _mm256_add_ps(_mm256_mul_ps(hrr, ti), _mm256_mul_ps(hri, tr));
+                    part[0] = _mm256_add_ps(part[0], f_re);
+                    part[1] = _mm256_add_ps(part[1], f_im);
+                    part[2] = _mm256_add_ps(part[2], r_re);
+                    part[3] = _mm256_add_ps(part[3], r_im);
+                }
+                for (q, p) in part.into_iter().enumerate() {
+                    let lo = _mm256_cvtps_pd(_mm256_castps256_ps128(p));
+                    let hi = _mm256_cvtps_pd(_mm256_extractf128_ps(p, 1));
+                    acc[0][q] = _mm256_add_pd(acc[0][q], lo);
+                    acc[1][q] = _mm256_add_pd(acc[1][q], hi);
                 }
             }
             // Padding rows have no slot in `out`.
@@ -728,10 +798,12 @@ mod tests {
                 for (i, &z) in rows.iter().enumerate() {
                     table.set(i / n, i % n, z);
                 }
+                let mut pairs = vec![[0.0f32; 4]; n];
+                focus_pairs(&x, &mut pairs);
                 let mut fs = [[Complex64::ZERO; 2]; 9];
-                focus_rows_scalar(&x, &table, &mut fs);
+                focus_rows_scalar(&pairs, &table, &mut fs);
                 let mut fv = [[Complex64::ZERO; 2]; 9];
-                focus_rows(&x, &table, &mut fv);
+                focus_rows(&pairs, &table, &mut fv);
                 assert_bits(fs.as_flattened(), fv.as_flattened(), "focus");
             }
         }

@@ -9,12 +9,17 @@
 //! denormal-adjacent magnitudes, and must match its scalar reference
 //! **bitwise**: rotations, caxpy, outer-product rows, focus row sums,
 //! the fused rotate-and-mirror, and the whole eigensolver end to end.
-//! The focus row sums over a single-precision block table are also
-//! pinned to the row-major `f64` loop they replaced, run over the same
-//! phasors widened back to `f64`, and, assembled into each cell's four
-//! directional sums the way the imaging engine assembles them, to the
-//! four-sum two-table loop before it: bit for bit where the summation
-//! order is the loop's, within rounding where it is reversed.
+//!
+//! The focus row sums are computed in single precision, so they have
+//! two more oracles. A row-major loop written here from the kernel's
+//! contract alone (the window rounded to `f32`, `f32` products, `f32`
+//! runs of 16, `f64` run sums) must equal the scalar reference bit for
+//! bit. The row-major `f64` loop the kernel replaced, run over the same
+//! phasors widened back to `f64`, is the precision oracle: every sum
+//! must lie within `c·2⁻²⁴·Σ_k |h_k|·|t_k|` of it, `c` derived below
+//! from the run length. So must each cell's four directional sums,
+//! assembled the way the imaging engine assembles them, against the
+//! four-sum two-table `f64` loop before it.
 //!
 //! The eigensolver never computes the column half of a rotation outside
 //! the 2×2 pivot block: it writes the conjugates of the freshly rotated
@@ -100,10 +105,10 @@ fn assert_bits_eq(a: &[Complex64], b: &[Complex64], what: &str) {
 /// Runs `op` once per (level, length, scale, alignment-offset) case,
 /// handing it a fresh deterministic RNG so SIMD and scalar see the same
 /// inputs.
-fn sweep(mut op: impl FnMut(SimdLevel, usize, f64, usize, &mut Rng64)) {
+fn sweep(scales: &[f64], mut op: impl FnMut(SimdLevel, usize, f64, usize, &mut Rng64)) {
     for &level in &available_levels() {
         for &len in LENGTHS {
-            for &scale in SCALES {
+            for &scale in scales {
                 // Offset 1 breaks 32- and 64-byte vector alignment
                 // (Complex64 keeps 16-byte alignment).
                 for offset in [0usize, 1] {
@@ -120,7 +125,7 @@ fn sweep(mut op: impl FnMut(SimdLevel, usize, f64, usize, &mut Rng64)) {
 #[test]
 fn givens_rotate_is_bitwise_scalar_at_every_level() {
     let _l = force_lock();
-    sweep(|level, len, scale, offset, rng| {
+    sweep(SCALES, |level, len, scale, offset, rng| {
         let x0 = signal(rng, len + offset, scale);
         let y0 = signal(rng, len + offset, scale);
         let (c, s) = (rng.gen_range(-1.0, 1.0), rng.gen_range(-1.0, 1.0));
@@ -144,7 +149,7 @@ fn givens_rotate_is_bitwise_scalar_at_every_level() {
 #[test]
 fn caxpy_and_outer_row_are_bitwise_scalar_at_every_level() {
     let _l = force_lock();
-    sweep(|level, len, scale, offset, rng| {
+    sweep(SCALES, |level, len, scale, offset, rng| {
         let acc0 = signal(rng, len + offset, scale);
         let x = signal(rng, len + offset, scale);
         let a = Complex64::new(rng.gen_range(-2.0, 2.0), rng.gen_range(-2.0, 2.0));
@@ -166,8 +171,35 @@ fn caxpy_and_outer_row_are_bitwise_scalar_at_every_level() {
     });
 }
 
+/// Window magnitudes for the focus kernel's bitwise pins: unit scale;
+/// parts near `f32`'s smallest normal, so that products underflow into
+/// its subnormals; and parts that round to zero in `f32`. Every level
+/// must round, underflow and flush exactly as the scalar reference does
+/// (Rust never enables FTZ/DAZ).
+const FOCUS_BIT_SCALES: &[f64] = &[1.0, 1e-39, 1e-300];
+
+/// Window magnitudes for the focus kernel's error bound, which assumes
+/// the window and its products lie in `f32`'s normal range: unit scale,
+/// and a small one still well inside that range.
+const FOCUS_BOUND_SCALES: &[f64] = &[1.0, 1e-30];
+
+/// Elements per `f32` run in the focus kernel's contract.
+const RUN: usize = 16;
+
+/// The focus error bound's constant, `|ΔS| ≤ c·2⁻²⁴·Σ_k |h_k|·|t_k|`
+/// for every sum `S` against the exact (or the `f64`-loop) value. Each
+/// part of a term `h_k·t_k` is rounded at most three times before it
+/// joins its run (the window part to `f32`, its product with a phasor
+/// part, the difference or sum of the two products), and then by the
+/// run's `RUN − 1` additions: `RUN + 2` roundings of at most `2⁻²⁴`
+/// of `|h_k|·|t_k|` each. One more `2⁻²⁴` bounds the second-order terms,
+/// the `f64` additions of the run sums and the `f64` loop's own error
+/// (about `n·2⁻⁵³`), for `n` up to 2²⁸. A complex error is at most `√2`
+/// times its parts' common bound.
+const FOCUS_C: f64 = std::f64::consts::SQRT_2 * (RUN + 3) as f64;
+
 /// The two-table focus loop the row kernel replaced: both TX rows
-/// stored, read forward, four sums per cell.
+/// stored, read forward, four sums per cell, all in `f64`.
 fn two_table_focus(h: &[Complex64], t1: &[Complex64], t2: &[Complex64]) -> [Complex64; 4] {
     let n = h.len();
     let mut acc = [Complex64::ZERO; 4];
@@ -181,9 +213,9 @@ fn two_table_focus(h: &[Complex64], t1: &[Complex64], t2: &[Complex64]) -> [Comp
     acc
 }
 
-/// The row-major focus loop the block table replaced, over an `f64`
-/// table of `sums.len()` rows of `h.len()` phasors: `[F, R]` per row,
-/// each in ascending `k`.
+/// The row-major `f64` focus loop the single-precision kernel replaced,
+/// over an `f64` table of `sums.len()` rows of `h.len()` phasors:
+/// `[F, R]` per row, each in ascending `k`.
 fn row_major_focus(h: &[Complex64], table: &[Complex64], sums: &mut [[Complex64; 2]]) {
     let n = h.len();
     for (i, out) in sums.iter_mut().enumerate() {
@@ -194,6 +226,37 @@ fn row_major_focus(h: &[Complex64], table: &[Complex64], sums: &mut [[Complex64;
             r += hr * t;
         }
         *out = [f, r];
+    }
+}
+
+/// The focus kernel's contract as a row-major loop, independent of the
+/// block layout: the window rounded to `f32`, and per row, in ascending
+/// `k`, the `f32` no-FMA products added in `f32` over runs of `RUN`
+/// elements, each run's sum widened and added in `f64`.
+fn f32_run_focus(h: &[Complex64], table: &[Complex64], sums: &mut [[Complex64; 2]]) {
+    let n = h.len();
+    let round = |z: Complex64| (z.re as f32, z.im as f32);
+    let h32: Vec<(f32, f32)> = h.iter().map(|&z| round(z)).collect();
+    for (i, out) in sums.iter_mut().enumerate() {
+        let mut acc = [0.0f64; 4];
+        for start in (0..n).step_by(RUN) {
+            let mut run = [0.0f32; 4];
+            for k in start..(start + RUN).min(n) {
+                let ((fr, fi), (rr, ri)) = (h32[k], h32[n - 1 - k]);
+                let (tr, ti) = round(table[i * n + k]);
+                run[0] += fr * tr - fi * ti;
+                run[1] += fr * ti + fi * tr;
+                run[2] += rr * tr - ri * ti;
+                run[3] += rr * ti + ri * tr;
+            }
+            for (a, r) in acc.iter_mut().zip(run) {
+                *a += f64::from(r);
+            }
+        }
+        *out = [
+            Complex64::new(acc[0], acc[1]),
+            Complex64::new(acc[2], acc[3]),
+        ];
     }
 }
 
@@ -209,9 +272,31 @@ fn phasor_table(values: &[Complex64], rows: usize, n: usize) -> (PhasorTable, Ve
     (table, widened)
 }
 
+/// The focus kernel's `[F, R]` for every row of `table`, at the forced
+/// `level`, through the public rounding step.
+fn focus(level: SimdLevel, h: &[Complex64], table: &PhasorTable) -> Vec<[Complex64; 2]> {
+    let mut pairs = vec![[0.0f32; 4]; h.len()];
+    simd::focus_pairs(h, &mut pairs);
+    let mut sums = vec![[Complex64::ZERO; 2]; table.rows()];
+    let _g = force(level);
+    simd::focus_rows(&pairs, table, &mut sums);
+    sums
+}
+
 /// `Σ_k |a_k|·|b_k|`, the scale of a sum of the products `a_k·b_k`.
 fn abs_mass<'a>(a: impl Iterator<Item = &'a Complex64>, b: &[Complex64]) -> f64 {
     a.zip(b).map(|(x, y)| x.abs() * y.abs()).sum()
+}
+
+/// Requires `got` within the focus error bound of `want`, the sum of
+/// products with mass `mass`.
+fn assert_focus_bound(got: Complex64, want: Complex64, mass: f64, what: &str) {
+    let tol = FOCUS_C * (-24f64).exp2() * mass;
+    assert!(
+        (got - want).abs() <= tol,
+        "{what}: {got:?} vs {want:?}: |Δ| {:e} over the bound {tol:e}",
+        (got - want).abs()
+    );
 }
 
 #[test]
@@ -219,43 +304,93 @@ fn focus_is_bitwise_scalar_at_every_level() {
     let _l = force_lock();
     // Row counts on both sides of the 8-row block, padded ones
     // included, and around the imaging grid's 448 cells; window lengths
-    // with odd and even mirrors, and the paper's 625-sample aperture.
-    // The dispatched kernel must equal the scalar reference, and both
-    // the row-major loop over the widened phasors, bit for bit.
+    // with odd and even mirrors, on both sides of one and two 16-element
+    // runs, and the paper's 625-sample aperture. The scalar reference
+    // must equal the row-major f32-run loop, and the kernel at every
+    // level the scalar reference, bit for bit.
     let row_counts: Vec<usize> = (1..=17).chain([447, 448, 449, 456]).collect();
-    for &level in &available_levels() {
-        for n in [1usize, 2, 3, 625] {
-            for &rows in &row_counts {
-                for &scale in SCALES {
-                    for offset in [0usize, 1] {
-                        let mut rng = Rng64::seed_from_u64(
-                            0xF0C5 ^ (n as u64) << 20 ^ (rows as u64) << 8 ^ offset as u64,
-                        );
-                        let h = signal(&mut rng, n + offset, scale);
-                        let (table, widened) =
-                            phasor_table(&signal(&mut rng, rows * n, 1.0), rows, n);
-                        let mut want = vec![[Complex64::ZERO; 2]; rows + offset];
-                        row_major_focus(&h[offset..], &widened, &mut want[offset..]);
-                        let mut scalar = vec![[Complex64::ZERO; 2]; rows + offset];
-                        simd::focus_rows_scalar(&h[offset..], &table, &mut scalar[offset..]);
-
-                        let _g = force(level);
+    for n in [1usize, 2, 3, 15, 16, 17, 32, 33, 625] {
+        for &rows in &row_counts {
+            for &scale in FOCUS_BIT_SCALES {
+                for offset in [0usize, 1] {
+                    let mut rng = Rng64::seed_from_u64(
+                        0xF0C5 ^ (n as u64) << 20 ^ (rows as u64) << 8 ^ offset as u64,
+                    );
+                    let h = signal(&mut rng, n + offset, scale);
+                    let h = &h[offset..];
+                    let (table, widened) = phasor_table(&signal(&mut rng, rows * n, 1.0), rows, n);
+                    let mut want = vec![[Complex64::ZERO; 2]; rows + offset];
+                    f32_run_focus(h, &widened, &mut want[offset..]);
+                    let mut pairs = vec![[0.0f32; 4]; n + offset];
+                    simd::focus_pairs(h, &mut pairs[offset..]);
+                    let mut scalar = vec![[Complex64::ZERO; 2]; rows + offset];
+                    simd::focus_rows_scalar(&pairs[offset..], &table, &mut scalar[offset..]);
+                    let what = format!("n={n} rows={rows} scale={scale:e} off={offset}");
+                    assert_bits_eq(
+                        scalar.as_flattened(),
+                        want.as_flattened(),
+                        &format!("focus_rows_scalar {what}"),
+                    );
+                    for &level in &available_levels() {
                         let mut got = vec![[Complex64::ZERO; 2]; rows + offset];
-                        simd::focus_rows(&h[offset..], &table, &mut got[offset..]);
-                        let what = format!(
-                            "{} n={n} rows={rows} scale={scale:e} off={offset}",
-                            level.name()
-                        );
-                        assert_bits_eq(
-                            scalar.as_flattened(),
-                            want.as_flattened(),
-                            &format!("focus_rows_scalar {what}"),
-                        );
+                        let _g = force(level);
+                        simd::focus_rows(&pairs[offset..], &table, &mut got[offset..]);
                         assert_bits_eq(
                             got.as_flattened(),
-                            want.as_flattened(),
-                            &format!("focus_rows {what}"),
+                            scalar.as_flattened(),
+                            &format!("focus_rows {} {what}", level.name()),
                         );
+                    }
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn focus_stays_within_its_bound_of_the_f64_loop() {
+    let _l = force_lock();
+    // The kernel publishes the bound derived here.
+    assert_eq!(simd::FOCUS_ERROR, FOCUS_C * (-24f64).exp2());
+    // Random windows at both magnitude scales, and a window that
+    // cancels against row 0 of a unit-phasor table (alternating signs
+    // over that row's conjugates, jittered by 1e-3), where
+    // |F| ≪ Σ|h|·|t| and the bound is all mass.
+    const ROWS: usize = 9;
+    for &len in LENGTHS {
+        for &scale in FOCUS_BOUND_SCALES {
+            for cancel in [false, true] {
+                let mut rng = Rng64::seed_from_u64(0xB0D ^ (len as u64) << 8 ^ cancel as u64);
+                let mut values = signal(&mut rng, ROWS * len, 1.0);
+                let mut h = signal(&mut rng, len, scale);
+                if cancel {
+                    for z in &mut values {
+                        *z = z.scale(1.0 / z.abs());
+                    }
+                    for (k, z) in h.iter_mut().enumerate() {
+                        let sign = if k % 2 == 0 { 1.0 } else { -1.0 };
+                        let jitter = 1.0 + 1e-3 * (z.re / (10.0 * scale));
+                        *z = values[k].conj().scale(sign * jitter * scale);
+                    }
+                }
+                let (table, widened) = phasor_table(&values, ROWS, len);
+                let mut want = vec![[Complex64::ZERO; 2]; ROWS];
+                row_major_focus(&h, &widened, &mut want);
+                for &level in &available_levels() {
+                    let got = focus(level, &h, &table);
+                    for r in 0..ROWS {
+                        let row = &widened[r * len..(r + 1) * len];
+                        let what = format!(
+                            "{} n={len} scale={scale:e} cancel={cancel} row={r}",
+                            level.name()
+                        );
+                        let f_mass = abs_mass(h.iter(), row);
+                        if cancel && r == 0 && len >= 50 {
+                            assert!(want[0][0].abs() < 1e-2 * f_mass, "{what}: no cancellation");
+                        }
+                        assert_focus_bound(got[r][0], want[r][0], f_mass, &format!("F {what}"));
+                        let r_mass = abs_mass(h.iter().rev(), row);
+                        assert_focus_bound(got[r][1], want[r][1], r_mass, &format!("R {what}"));
                     }
                 }
             }
@@ -269,13 +404,11 @@ fn assembled_focus_rows_match_the_two_table_loop() {
     // A one-row grid of ten cells, cell c mirroring cell 9 − c: one
     // whole block and two rows of a padded one.
     const CELLS: usize = 10;
-    sweep(|level, len, scale, offset, rng| {
+    sweep(FOCUS_BOUND_SCALES, |level, len, scale, offset, rng| {
         let h = signal(rng, len + offset, scale);
         let (table, widened) = phasor_table(&signal(rng, CELLS * len, 1.0), CELLS, len);
         let h = &h[offset..];
-        let _g = force(level);
-        let mut sums = [[Complex64::ZERO; 2]; CELLS];
-        simd::focus_rows(h, &table, &mut sums);
+        let sums = focus(level, h, &table);
         for c in 0..CELLS {
             let m = CELLS - 1 - c;
             let t1 = &widened[c * len..(c + 1) * len];
@@ -290,24 +423,15 @@ fn assembled_focus_rows_match_the_two_table_loop() {
                 "{} n={len} scale={scale:e} off={offset} cell={c}",
                 level.name()
             );
-            // F(c) and R(c) run the loop's own order.
-            assert_bits_eq(&sums[c], &[a1f, a1r], &format!("a1f, a1r {what}"));
-            // R(m) and F(m) add the same products in the opposite order,
-            // so they may differ by rounding: 1e-12 of Σ|h|·|t| over
-            // each sum's terms.
-            for (got, want, tol, name) in [
-                (sums[m][1], a2f, 1e-12 * abs_mass(h.iter(), &t2), "a2f"),
-                (
-                    sums[m][0],
-                    a2r,
-                    1e-12 * abs_mass(h.iter().rev(), &t2),
-                    "a2r",
-                ),
+            // F(c) and R(c) add the loop's products in its own order;
+            // R(m) and F(m) add the same products in the opposite order.
+            for (got, want, mass, name) in [
+                (sums[c][0], a1f, abs_mass(h.iter(), t1), "a1f"),
+                (sums[c][1], a1r, abs_mass(h.iter().rev(), t1), "a1r"),
+                (sums[m][1], a2f, abs_mass(h.iter(), &t2), "a2f"),
+                (sums[m][0], a2r, abs_mass(h.iter().rev(), &t2), "a2r"),
             ] {
-                assert!(
-                    (got - want).abs() <= tol,
-                    "{name} {what}: {got:?} vs {want:?} (tolerance {tol:e})"
-                );
+                assert_focus_bound(got, want, mass, &format!("{name} {what}"));
             }
         }
     });

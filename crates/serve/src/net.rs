@@ -30,6 +30,8 @@
 //!                          grouped by trace id) + incident buffer,
 //!                          JSON
 //!         a head past 8 KiB with no blank line ──▶ 431, then close
+//!   a client frame declared past 64 KiB ──▶ ERROR frame_too_large,
+//!                                            BYE, then close
 //! shards ──▶ CompletionQueue ──▶ reactor routes each finished
 //!   session to its owning connection; when a FINISHed connection's
 //!   sessions have all completed, the reactor replays the engine's
@@ -195,6 +197,13 @@ const READ_CHUNK: usize = 16 * 1024;
 /// `/healthz`, `/metrics` and `/tracez` heads are about 100 B.
 const HTTP_HEAD_CAP: usize = 8 * 1024;
 
+/// The longest frame a client may send (its `len`, the bytes after the
+/// length field): a connection that declares a longer one gets a
+/// `frame_too_large` ERROR and is closed. A client's largest frame is
+/// an OPEN, which carries three short names. Server frames are bounded
+/// by [`wire::MAX_FRAME_LEN`] alone.
+const CLIENT_FRAME_CAP: usize = 64 * 1024;
+
 /// The answer to a head past [`HTTP_HEAD_CAP`].
 const HEAD_TOO_LARGE: &str =
     "HTTP/1.1 431 Request Header Fields Too Large\r\nContent-Length: 0\r\nConnection: close\r\n\r\n";
@@ -244,6 +253,18 @@ impl Conn {
             pending: 0,
             done: Vec::new(),
             closed: false,
+        }
+    }
+
+    /// Whether the connection holds all the unparsed input it may
+    /// buffer, so that reading stops for this turn: an HTTP head past
+    /// [`HTTP_HEAD_CAP`] (which `process` refuses), or one whole client
+    /// frame of the largest size, length field included (`process`
+    /// parses what it holds, and the next turn reads on).
+    fn read_full(&self) -> bool {
+        match self.state {
+            ConnState::Sniff | ConnState::Http => self.rbuf.len() > HTTP_HEAD_CAP,
+            _ => self.rbuf.len() >= 4 + CLIENT_FRAME_CAP,
         }
     }
 
@@ -299,6 +320,9 @@ struct Reactor {
     /// HTTP heads refused for passing [`HTTP_HEAD_CAP`]
     /// (`serve.http.head_too_large`).
     heads_too_large: Counter,
+    /// Client frames refused for declaring a length past
+    /// [`CLIENT_FRAME_CAP`] (`serve.wire.frame_too_large`).
+    frames_too_large: Counter,
 }
 
 impl Reactor {
@@ -309,6 +333,7 @@ impl Reactor {
         // the window wraps the live counter, not a copy.
         let shed_window = WindowedCounter::new(engine.registry().counter("serve.admission.shed"));
         let heads_too_large = engine.registry().counter("serve.http.head_too_large");
+        let frames_too_large = engine.registry().counter("serve.wire.frame_too_large");
         Reactor {
             listener,
             stop,
@@ -324,6 +349,7 @@ impl Reactor {
             shed_window,
             read_buf: vec![0; READ_CHUNK].into_boxed_slice(),
             heads_too_large,
+            frames_too_large,
         }
     }
 
@@ -408,7 +434,7 @@ impl Reactor {
             if conn.closed || matches!(conn.state, ConnState::Draining) {
                 continue;
             }
-            loop {
+            while !conn.read_full() {
                 match conn.stream.read(&mut self.read_buf) {
                     Ok(0) => {
                         conn.closed = true;
@@ -417,13 +443,6 @@ impl Reactor {
                     Ok(n) => {
                         conn.rbuf.extend_from_slice(&self.read_buf[..n]);
                         any = true;
-                        // A head not yet answered stops at the cap;
-                        // process() refuses it.
-                        if conn.rbuf.len() > HTTP_HEAD_CAP
-                            && matches!(conn.state, ConnState::Sniff | ConnState::Http)
-                        {
-                            break;
-                        }
                     }
                     Err(e) if e.kind() == ErrorKind::WouldBlock => break,
                     Err(e) if e.kind() == ErrorKind::Interrupted => continue,
@@ -483,6 +502,16 @@ impl Reactor {
                 }
                 ConnState::Draining | ConnState::Finished => return,
                 ConnState::AwaitHello | ConnState::Active { .. } => {
+                    let declared = conn.rbuf.first_chunk::<4>().map(|b| u32::from_le_bytes(*b));
+                    if let Some(len) = declared.filter(|&n| n as usize > CLIENT_FRAME_CAP) {
+                        conn.rbuf = Vec::new();
+                        conn.fail(
+                            "frame_too_large",
+                            format!("frame of {len} B exceeds the {CLIENT_FRAME_CAP} B cap"),
+                        );
+                        self.frames_too_large.inc();
+                        return;
+                    }
                     let frame = match wire::split_frame(&conn.rbuf) {
                         Ok(Some((frame, used))) => {
                             conn.rbuf.drain(..used);

@@ -8,8 +8,8 @@
 //! ARE the contract. Alongside it: overload shedding under a
 //! deliberately undersized queue (errors, not panics or stalls), wire
 //! admission errors with stable codes, the `/metrics` endpoint on the
-//! same port, the cap on an HTTP request head, and the 8-session smoke
-//! the CI leg runs.
+//! same port, the caps on an HTTP request head and on a client frame,
+//! and the 8-session smoke the CI leg runs.
 
 mod common;
 
@@ -403,6 +403,125 @@ fn an_oversized_http_head_gets_431_and_the_server_keeps_serving() {
     let health = http_get(server.addr(), "/healthz");
     assert!(health.starts_with("HTTP/1.1 200 OK"), "got: {health}");
     server.shutdown().expect("shutdown");
+}
+
+/// A count session of the `room` scene under the `fast` config.
+fn short_count(id: u64) -> OpenRequest {
+    OpenRequest {
+        id,
+        seed: 60 + id,
+        duration_s: 0.25,
+        start_s: 0.0,
+        mode: "count".into(),
+        scene: "room".into(),
+        config: "fast".into(),
+        trace: None,
+    }
+}
+
+/// A client frame declared past the reactor's 64 KiB cap is refused
+/// before its body is buffered: the client gets a `frame_too_large`
+/// ERROR, a BYE and then the end of the stream, the refusal is counted,
+/// and the next connection is served as usual.
+#[test]
+fn a_frame_past_the_client_cap_gets_frame_too_large_and_the_server_keeps_serving() {
+    let mut cfg = WireServerConfig::new(ServeConfig::with_shards(1));
+    cfg.scenes.push(("room".into(), simple_scene().into()));
+    cfg.configs.push(("fast".into(), WiViConfig::fast_test()));
+    let server = WireServer::start(cfg).expect("bind");
+    let mut sock = std::net::TcpStream::connect(server.addr()).expect("connect");
+    // A hang fails the test instead of stalling the suite.
+    sock.set_read_timeout(Some(std::time::Duration::from_secs(30)))
+        .unwrap();
+    // The magic, then the header of a 1 MiB frame (version 2, HELLO),
+    // before any HELLO is accepted.
+    let mut bytes = b"WIVI".to_vec();
+    bytes.extend_from_slice(&(1u32 << 20).to_le_bytes());
+    bytes.extend_from_slice(&[2, 1]);
+    sock.write_all(&bytes).unwrap();
+    let mut reply = Vec::new();
+    sock.read_to_end(&mut reply)
+        .expect("the answer, then the end of the stream");
+    let (error, used) = split_frame(&reply).unwrap().expect("an ERROR frame");
+    match error {
+        Frame::Error { code, id, .. } => assert_eq!((code.as_str(), id), ("frame_too_large", 0)),
+        other => panic!("expected ERROR, got {other:?}"),
+    }
+    let (bye, rest) = split_frame(&reply[used..]).unwrap().expect("a BYE frame");
+    assert_eq!(bye, Frame::Bye);
+    assert_eq!(used + rest, reply.len(), "nothing after BYE");
+
+    let metrics = http_get(server.addr(), "/metrics");
+    assert!(
+        metrics.contains("\nwivi_serve_wire_frame_too_large 1\n"),
+        "the refusal must be counted once: {metrics}"
+    );
+    let mut client = WireClient::connect(server.addr(), "next").expect("connect");
+    client.open(short_count(1)).expect("admit");
+    let served = client.finish().expect("drain");
+    assert_eq!(served.outputs.len(), 1);
+    server.shutdown().expect("shutdown");
+}
+
+/// Valid frames pipelined past the client frame cap in total are read
+/// a cap's worth per reactor turn and all served: a HELLO, twelve
+/// OPENs of over 8 KiB each (the scene's name is 8 KiB long) and a
+/// FINISH in one write get a HELLO_OK, every OPEN_OK and every OUTPUT.
+#[test]
+fn a_pipelined_burst_past_the_frame_cap_is_served_in_full() {
+    const OPENS: u64 = 12;
+    let scene = "s".repeat(8 * 1024);
+    let mut cfg = WireServerConfig::new(ServeConfig::with_shards(1));
+    cfg.scenes.push((scene.clone(), simple_scene().into()));
+    cfg.configs.push(("fast".into(), WiViConfig::fast_test()));
+    let server = WireServer::start(cfg).expect("bind");
+
+    let mut burst = b"WIVI".to_vec();
+    burst.extend(
+        Frame::Hello {
+            token: "burst".into(),
+        }
+        .encode(),
+    );
+    for id in 0..OPENS {
+        let open = OpenRequest {
+            scene: scene.clone(),
+            ..short_count(id)
+        };
+        burst.extend(Frame::Open(open).encode());
+    }
+    burst.extend(Frame::Finish.encode());
+    // More than a cap's worth plus one 16 KiB read.
+    assert!(burst.len() > 96 * 1024, "{} B", burst.len());
+    let mut sock = std::net::TcpStream::connect(server.addr()).expect("connect");
+    sock.set_read_timeout(Some(std::time::Duration::from_secs(60)))
+        .unwrap();
+    sock.write_all(&burst).unwrap();
+    let mut reply = Vec::new();
+    sock.read_to_end(&mut reply)
+        .expect("every answer, then the end of the stream");
+    let mut frames = Vec::new();
+    let mut at = 0;
+    while let Some((frame, used)) = split_frame(&reply[at..]).unwrap() {
+        frames.push(frame);
+        at += used;
+    }
+    assert_eq!(at, reply.len(), "a partial frame at the end");
+    assert_eq!(frames.first(), Some(&Frame::HelloOk));
+    assert_eq!(frames.last(), Some(&Frame::Bye));
+    let ids = |pick: fn(&Frame) -> Option<u64>| frames.iter().filter_map(pick).collect::<Vec<_>>();
+    let opened = ids(|f| match f {
+        Frame::OpenOk { id, .. } => Some(*id),
+        _ => None,
+    });
+    let served = ids(|f| match f {
+        Frame::Output(o) => Some(o.id),
+        _ => None,
+    });
+    let every: Vec<u64> = (0..OPENS).collect();
+    assert_eq!((opened, served), (every.clone(), every));
+    let report = server.shutdown().expect("shutdown");
+    assert_eq!(report.admitted, OPENS);
 }
 
 /// The tentpole acceptance: with observability ON, a loopback session

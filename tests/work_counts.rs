@@ -240,10 +240,11 @@ fn a_second_engine_for_a_built_configuration_allocates_only_its_scratch() {
     // The first engines build (or find) the tables.
     let first = (ImagingEngine::new(image_cfg), MusicEngine::new(music_cfg));
 
-    // Imaging scratch: the image, the per-cell row sums and the
-    // centred window; the CLEAN lists start empty.
+    // Imaging scratch: the image, the per-cell row sums, the centred
+    // window and its f32 rounding for the focus kernel (a buffer of its
+    // own, so no pass allocates one); the CLEAN lists start empty.
     let (n, image) = allocations(|| ImagingEngine::new(image_cfg));
-    assert_eq!(n, 1 + 1 + 1, "ImagingEngine::new allocated {n} times");
+    assert_eq!(n, 1 + 1 + 1 + 1, "ImagingEngine::new allocated {n} times");
     // MUSIC scratch: the correlation matrix (1), the eigen workspace
     // (3 matrices, 3 vectors) and the two per-angle accumulators (2).
     let (n, music) = allocations(|| MusicEngine::new(music_cfg));
@@ -312,10 +313,10 @@ fn sessions_allocate_their_engine_at_open_and_nothing_per_idle_step() {
     // The beamformer has no scratch: the window buffer.
     let (n, mut gesture) = allocations(|| GestureSession::new(&cfg));
     assert_eq!(n, 1, "GestureSession::new allocated {n} times");
-    // Imaging: the engine's 3 scratch buffers, the window buffer and
+    // Imaging: the engine's 4 scratch buffers, the window buffer and
     // the boxed position tracker.
     let (n, mut image) = allocations(|| ImageSession::for_device(&dev, &image_cfg));
-    assert_eq!(n, 3 + 1 + 1, "ImageSession::for_device allocated {n} times");
+    assert_eq!(n, 4 + 1 + 1, "ImageSession::for_device allocated {n} times");
 
     // fast_test MUSIC windows are 40 samples with an 8-sample hop (the
     // imaging window is longer): a 16-sample batch completes no window
