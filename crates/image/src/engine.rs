@@ -979,9 +979,15 @@ mod tests {
             // value |A|²/‖q‖² by at most δ·(2|A| + δ)/‖q‖².
             let h_mass: f64 = engine.centered.iter().map(|z| z.abs()).sum();
             let delta = simd::FOCUS_ERROR * (1.0 + (-24f64).exp2()) * h_mass * (1.0 + wt.abs());
+            // That bound is a worst case, 4.6e-6 of the peak at the peak
+            // cell. The image strays 2.2e-8 of the peak on this window, so
+            // every cell must also lie within a fixed 5e-8 of the peak:
+            // runs of 32 elements read 6.5e-8 here, whole-row f32 sums
+            // 6.0e-7.
+            let ceiling = 5e-8 * peak(&want);
             let tol = |c: usize| {
                 let a = (image[c].max(want[c]) * norm(c)).sqrt();
-                delta * (2.0 * a + delta) / norm(c)
+                (delta * (2.0 * a + delta) / norm(c)).min(ceiling)
             };
             assert_same_image(&engine, &image, &want, tol);
         }
