@@ -407,7 +407,7 @@ mod tests {
     #[test]
     fn score_counts_detections_and_excludes_the_boresight_strip() {
         use wivi_image::{GridSpec, ImageFix};
-        let grid = ImageConfig::fast_test().grid;
+        let grid = ImageConfig::wivi_default().grid;
         let fix = |x: f64, y: f64| ImageFix {
             x_m: x,
             y_m: y,

@@ -43,7 +43,7 @@ fn main() {
 
     let mut dev = WiViDevice::new(scene, WiViConfig::fast_test(), seed);
     dev.calibrate();
-    let mut cfg = ImageConfig::fast_test();
+    let mut cfg = ImageConfig::wivi_default();
     if let Ok(d) = std::env::var("D") {
         cfg.cfar.threshold_db = d.parse().unwrap();
     }

@@ -187,11 +187,6 @@ impl ImageConfig {
         Self::for_wivi(&WiViConfig::paper_default())
     }
 
-    /// A reduced configuration for fast unit tests.
-    pub fn fast_test() -> Self {
-        Self::for_wivi(&WiViConfig::fast_test())
-    }
-
     /// Emulated element spacing along the aperture, metres (`v·T`; the
     /// round trip is handled by the exact two-leg path lengths, not a
     /// spacing factor as in the far-field [`wivi_core::IsarConfig`]).
@@ -293,7 +288,7 @@ mod tests {
 
     #[test]
     fn window_center_matches_isar_convention() {
-        let img = ImageConfig::fast_test();
+        let img = ImageConfig::wivi_default();
         let t = img.window_center_s(100);
         assert!((t - (100.0 + img.window as f64 / 2.0) * img.sample_period_s).abs() < 1e-15);
     }
@@ -301,7 +296,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "too small")]
     fn validate_rejects_tiny_window() {
-        let mut img = ImageConfig::fast_test();
+        let mut img = ImageConfig::wivi_default();
         img.window = 4;
         img.validate();
     }
@@ -309,7 +304,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "imaging RX must sit on x = 0")]
     fn validate_rejects_an_off_axis_rx() {
-        let mut img = ImageConfig::fast_test();
+        let mut img = ImageConfig::wivi_default();
         img.rx.x = 0.05;
         img.validate();
     }
@@ -317,7 +312,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "imaging TX pair must mirror across x = 0")]
     fn validate_rejects_an_unmirrored_tx_pair() {
-        let mut img = ImageConfig::fast_test();
+        let mut img = ImageConfig::wivi_default();
         img.tx[1].x += 0.01;
         img.validate();
     }
@@ -325,7 +320,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "imaging grid cell centres must mirror exactly")]
     fn validate_rejects_a_shifted_grid() {
-        let mut img = ImageConfig::fast_test();
+        let mut img = ImageConfig::wivi_default();
         img.grid.x0 += 0.01;
         img.validate();
     }

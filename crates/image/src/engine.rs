@@ -683,7 +683,7 @@ mod tests {
     use wivi_rf::Vec2;
 
     fn test_cfg() -> ImageConfig {
-        ImageConfig::fast_test()
+        ImageConfig::wivi_default()
     }
 
     fn peak_cell(engine: &ImagingEngine) -> (usize, usize) {
@@ -848,27 +848,26 @@ mod tests {
         // table must hold each TX-1 phasor rounded to f32, and the entry
         // read for TX 2 must be TX 2's phasor rounded the same way.
         let round = |z: Complex64| (z.re as f32, z.im as f32);
-        for cfg in [ImageConfig::wivi_default(), ImageConfig::fast_test()] {
-            cfg.validate();
-            let tables = ImagingTables::build(&cfg);
-            let phasor = steering_phasors(&cfg);
-            let grid = cfg.grid.grid2d();
-            let w = cfg.window;
-            assert_eq!(
-                (tables.steer.rows(), tables.steer.row_len()),
-                (grid.len(), w)
-            );
-            for c in 0..grid.len() {
-                for i in 0..w {
-                    let (t1, t2) = tables.cell(c).at(i);
-                    for (tx, got) in [(cfg.tx[0], t1), (cfg.tx[1], t2)] {
-                        let want = round(phasor(tx, c, i));
-                        assert_eq!(
-                            (want.0.to_bits(), want.1.to_bits()),
-                            ((got.re as f32).to_bits(), (got.im as f32).to_bits()),
-                            "cell {c} element {i}"
-                        );
-                    }
+        let cfg = ImageConfig::wivi_default();
+        cfg.validate();
+        let tables = ImagingTables::build(&cfg);
+        let phasor = steering_phasors(&cfg);
+        let grid = cfg.grid.grid2d();
+        let w = cfg.window;
+        assert_eq!(
+            (tables.steer.rows(), tables.steer.row_len()),
+            (grid.len(), w)
+        );
+        for c in 0..grid.len() {
+            for i in 0..w {
+                let (t1, t2) = tables.cell(c).at(i);
+                for (tx, got) in [(cfg.tx[0], t1), (cfg.tx[1], t2)] {
+                    let want = round(phasor(tx, c, i));
+                    assert_eq!(
+                        (want.0.to_bits(), want.1.to_bits()),
+                        ((got.re as f32).to_bits(), (got.im as f32).to_bits()),
+                        "cell {c} element {i}"
+                    );
                 }
             }
         }
@@ -962,67 +961,65 @@ mod tests {
 
     #[test]
     fn row_sum_focus_matches_the_four_sum_focus() {
-        for cfg in [ImageConfig::fast_test(), ImageConfig::wivi_default()] {
-            let mut engine = ImagingEngine::new(cfg);
-            let wt = Complex64::new(-0.9, 0.3);
-            let image = engine
-                .process_window(&two_subject_window(&cfg, wt), wt)
-                .to_vec();
-            let tables = &engine.tables;
-            let norm = |c| tables.model_norm(c, wt);
-            let want = four_sum_image(&engine, wt, |c, i| tables.cell(c).at(i), norm);
-            // Each of a cell's four sums is within FOCUS_ERROR·Σ|h_k|·|t_k|
-            // of the f64 loop's, and every stored phasor has modulus at
-            // most 1 + 2⁻²⁴ (each part within 2⁻²⁵ of a unit phasor's),
-            // so a walk's sum `A = a1 + w̄·a2` moves by at most
-            // δ = FOCUS_ERROR·(1 + 2⁻²⁴)·Σ|h_k|·(1 + |w|), and its image
-            // value |A|²/‖q‖² by at most δ·(2|A| + δ)/‖q‖².
-            let h_mass: f64 = engine.centered.iter().map(|z| z.abs()).sum();
-            let delta = simd::FOCUS_ERROR * (1.0 + (-24f64).exp2()) * h_mass * (1.0 + wt.abs());
-            // That bound is a worst case, 4.6e-6 of the peak at the peak
-            // cell. The image strays 2.2e-8 of the peak on this window, so
-            // every cell must also lie within a fixed 5e-8 of the peak:
-            // runs of 32 elements read 6.5e-8 here, whole-row f32 sums
-            // 6.0e-7.
-            let ceiling = 5e-8 * peak(&want);
-            let tol = |c: usize| {
-                let a = (image[c].max(want[c]) * norm(c)).sqrt();
-                (delta * (2.0 * a + delta) / norm(c)).min(ceiling)
-            };
-            assert_same_image(&engine, &image, &want, tol);
-        }
+        let cfg = ImageConfig::wivi_default();
+        let mut engine = ImagingEngine::new(cfg);
+        let wt = Complex64::new(-0.9, 0.3);
+        let image = engine
+            .process_window(&two_subject_window(&cfg, wt), wt)
+            .to_vec();
+        let tables = &engine.tables;
+        let norm = |c| tables.model_norm(c, wt);
+        let want = four_sum_image(&engine, wt, |c, i| tables.cell(c).at(i), norm);
+        // Each of a cell's four sums is within FOCUS_ERROR·Σ|h_k|·|t_k|
+        // of the f64 loop's, and every stored phasor has modulus at
+        // most 1 + 2⁻²⁴ (each part within 2⁻²⁵ of a unit phasor's),
+        // so a walk's sum `A = a1 + w̄·a2` moves by at most
+        // δ = FOCUS_ERROR·(1 + 2⁻²⁴)·Σ|h_k|·(1 + |w|), and its image
+        // value |A|²/‖q‖² by at most δ·(2|A| + δ)/‖q‖².
+        let h_mass: f64 = engine.centered.iter().map(|z| z.abs()).sum();
+        let delta = simd::FOCUS_ERROR * (1.0 + (-24f64).exp2()) * h_mass * (1.0 + wt.abs());
+        // That bound is a worst case, 4.6e-6 of the peak at the peak
+        // cell. The image strays 2.2e-8 of the peak on this window, so
+        // every cell must also lie within a fixed 5e-8 of the peak:
+        // runs of 32 elements read 6.5e-8 here, whole-row f32 sums
+        // 6.0e-7.
+        let ceiling = 5e-8 * peak(&want);
+        let tol = |c: usize| {
+            let a = (image[c].max(want[c]) * norm(c)).sqrt();
+            (delta * (2.0 * a + delta) / norm(c)).min(ceiling)
+        };
+        assert_same_image(&engine, &image, &want, tol);
     }
 
     #[test]
     fn f32_table_image_matches_the_f64_table_image() {
-        for cfg in [ImageConfig::fast_test(), ImageConfig::wivi_default()] {
-            let mut engine = ImagingEngine::new(cfg);
-            let wt = Complex64::new(-0.9, 0.3);
-            let image = engine
-                .process_window(&two_subject_window(&cfg, wt), wt)
-                .to_vec();
-            // The unrounded model: both transmitters' phasors and the
-            // cross terms in f64.
-            let (grid, w) = (engine.grid(), cfg.window);
-            let phasor = steering_phasors(&cfg);
-            let steer: Vec<Complex64> = (0..grid.len() * w)
-                .map(|k| phasor(cfg.tx[0], k / w, k % w))
-                .collect();
-            let phasors = |c: usize, i: usize| {
-                let m = mirror_cell(grid, c);
-                (steer[c * w + i], steer[m * w + (w - 1 - i)])
-            };
-            let norm = |c: usize| {
-                let cross = (0..w).fold(Complex64::ZERO, |x, i| {
-                    let (t1, t2) = phasors(c, i);
-                    x + t2.conj() * t1
-                });
-                (w as f64 * (1.0 + wt.norm_sqr()) + 2.0 * (wt * cross).re).max(1e-12)
-            };
-            let want = four_sum_image(&engine, wt, phasors, norm);
-            let tol = 1e-6 * peak(&want);
-            assert_same_image(&engine, &image, &want, |_| tol);
-        }
+        let cfg = ImageConfig::wivi_default();
+        let mut engine = ImagingEngine::new(cfg);
+        let wt = Complex64::new(-0.9, 0.3);
+        let image = engine
+            .process_window(&two_subject_window(&cfg, wt), wt)
+            .to_vec();
+        // The unrounded model: both transmitters' phasors and the
+        // cross terms in f64.
+        let (grid, w) = (engine.grid(), cfg.window);
+        let phasor = steering_phasors(&cfg);
+        let steer: Vec<Complex64> = (0..grid.len() * w)
+            .map(|k| phasor(cfg.tx[0], k / w, k % w))
+            .collect();
+        let phasors = |c: usize, i: usize| {
+            let m = mirror_cell(grid, c);
+            (steer[c * w + i], steer[m * w + (w - 1 - i)])
+        };
+        let norm = |c: usize| {
+            let cross = (0..w).fold(Complex64::ZERO, |x, i| {
+                let (t1, t2) = phasors(c, i);
+                x + t2.conj() * t1
+            });
+            (w as f64 * (1.0 + wt.norm_sqr()) + 2.0 * (wt * cross).re).max(1e-12)
+        };
+        let want = four_sum_image(&engine, wt, phasors, norm);
+        let tol = 1e-6 * peak(&want);
+        assert_same_image(&engine, &image, &want, |_| tol);
     }
 
     #[test]

@@ -205,7 +205,7 @@ mod tests {
 
     #[test]
     fn stage_is_batch_shape_invariant() {
-        let cfg = ImageConfig::fast_test();
+        let cfg = ImageConfig::wivi_default();
         let wt = Complex64::new(-0.8, 0.4);
         let trace = pacer_trace(&cfg, cfg.window + 3 * cfg.hop, wt);
 
@@ -228,7 +228,7 @@ mod tests {
 
     #[test]
     fn frames_appear_incrementally() {
-        let cfg = ImageConfig::fast_test();
+        let cfg = ImageConfig::wivi_default();
         let wt = Complex64::ONE;
         let trace = pacer_trace(&cfg, cfg.window + cfg.hop, wt);
         let mut stage = ImageSession::new(cfg, wt);
@@ -243,7 +243,7 @@ mod tests {
     fn credible_fixes_drop_exactly_the_ghost_tracks_observations() {
         use crate::track2d::{PositionTracker, PositionTrackerConfig};
 
-        let cfg = ImageConfig::fast_test();
+        let cfg = ImageConfig::wivi_default();
         let tcfg = PositionTrackerConfig::for_image(&cfg);
         let mut tracker = PositionTracker::new(tcfg);
         let mk = |x: f64, y: f64| ImageFix {

@@ -400,7 +400,7 @@ mod tests {
     use wivi_track::TrackStatus;
 
     fn cfg() -> PositionTrackerConfig {
-        PositionTrackerConfig::for_image(&ImageConfig::fast_test())
+        PositionTrackerConfig::for_image(&ImageConfig::wivi_default())
     }
 
     fn fix(x: f64, y: f64) -> ImageFix {

@@ -613,7 +613,8 @@ fn image_synthetic(cfg: PositionTrackerConfig, frames: Vec<Vec<ImageFix>>) -> Im
     for frame in &frames {
         tracker.push_fixes(frame);
     }
-    let report = ImagingReport::assemble(ImageConfig::fast_test().grid, frames, tracker.finish());
+    let report =
+        ImagingReport::assemble(ImageConfig::wivi_default().grid, frames, tracker.finish());
     assert!(
         report.tracks.iter().any(|t| t.extra.mirror_of.is_some()),
         "no mirror ghost voted"
@@ -663,7 +664,7 @@ fn tracker_reports_trace() -> String {
         ));
     }
 
-    let position_cfg = PositionTrackerConfig::for_image(&ImageConfig::fast_test());
+    let position_cfg = PositionTrackerConfig::for_image(&ImageConfig::wivi_default());
     let frames = synthetic_fixes(
         0x5eed_f1c5,
         400,

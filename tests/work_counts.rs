@@ -223,7 +223,7 @@ fn an_imaging_table_build_allocates_one_steering_table() {
     // table is TX 1's mirror image and is never allocated, and no f64
     // copy of the table is made, not even while the phasors are checked
     // and the cross terms folded.
-    let (n, bytes, _tables) = heap_use(|| ImagingTables::build(&ImageConfig::fast_test()));
+    let (n, bytes, _tables) = heap_use(|| ImagingTables::build(&ImageConfig::wivi_default()));
     assert_eq!(n, 2, "ImagingTables::build allocated {n} times");
     assert_eq!(
         bytes,
@@ -235,7 +235,7 @@ fn an_imaging_table_build_allocates_one_steering_table() {
 #[test]
 fn a_second_engine_for_a_built_configuration_allocates_only_its_scratch() {
     let _obs = ObsOff::new();
-    let image_cfg = ImageConfig::fast_test();
+    let image_cfg = ImageConfig::wivi_default();
     let music_cfg = MusicConfig::fast_test();
     // The first engines build (or find) the tables.
     let first = (ImagingEngine::new(image_cfg), MusicEngine::new(music_cfg));
@@ -254,7 +254,7 @@ fn a_second_engine_for_a_built_configuration_allocates_only_its_scratch() {
 
 #[test]
 fn a_warm_imaging_window_allocates_nothing() {
-    let cfg = ImageConfig::fast_test();
+    let cfg = ImageConfig::wivi_default();
     let _obs = ObsOff::new();
     let wt = Complex64::new(0.4, 0.9);
     let window = ImagingEngine::synthetic_subject_trace(
