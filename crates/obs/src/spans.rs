@@ -335,9 +335,8 @@ pub fn snapshot_spans() -> Vec<SpanRecord> {
 // ---------------------------------------------------------------------
 // Incident buffer: the flight-recorder dump an SLO breach triggers.
 
-/// Default bound on retained incidents (`WIVI_OBS_INCIDENTS`
-/// overrides).
-pub const DEFAULT_INCIDENT_CAPACITY: usize = 32;
+/// Bound on retained incidents.
+pub const INCIDENT_CAPACITY: usize = 32;
 
 /// Spans kept per incident — the *newest* records across all rings at
 /// capture time; older context is cut so a burst of breaches cannot
@@ -363,17 +362,6 @@ pub struct Incident {
     /// The newest ≤ [`INCIDENT_SPAN_CAP`] spans at capture time,
     /// completion-time ordered.
     pub spans: Vec<SpanRecord>,
-}
-
-fn incident_capacity() -> usize {
-    static CAP: OnceLock<usize> = OnceLock::new();
-    *CAP.get_or_init(|| {
-        std::env::var("WIVI_OBS_INCIDENTS")
-            .ok()
-            .and_then(|v| v.trim().parse::<usize>().ok())
-            .filter(|&n| n > 0)
-            .unwrap_or(DEFAULT_INCIDENT_CAPACITY)
-    })
 }
 
 fn incidents_store() -> &'static Mutex<std::collections::VecDeque<Incident>> {
@@ -408,7 +396,7 @@ pub fn capture_incident(reason: &'static str, arg: u64, trace: u64, worst_ns: u6
         spans,
     };
     let mut store = incidents_store().lock().expect("incident buffer poisoned");
-    if store.len() >= incident_capacity() {
+    if store.len() >= INCIDENT_CAPACITY {
         store.pop_front();
     }
     store.push_back(incident);
@@ -550,15 +538,12 @@ mod tests {
         assert!(drain().iter().any(|r| r.name == "slow.step"));
 
         // The buffer is bounded drop-oldest.
-        for i in 0..2 * DEFAULT_INCIDENT_CAPACITY as u64 {
+        for i in 0..2 * INCIDENT_CAPACITY as u64 {
             capture_incident("flood", i, 0, 0);
         }
         let inc = incidents();
-        assert!(inc.len() <= DEFAULT_INCIDENT_CAPACITY);
-        assert_eq!(
-            inc.last().unwrap().arg,
-            2 * DEFAULT_INCIDENT_CAPACITY as u64 - 1
-        );
+        assert_eq!(inc.len(), INCIDENT_CAPACITY);
+        assert_eq!(inc.last().unwrap().arg, 2 * INCIDENT_CAPACITY as u64 - 1);
         for w in inc.windows(2) {
             assert!(w[0].seq < w[1].seq, "incidents stay ordered");
         }
