@@ -24,10 +24,10 @@
 //!   [`span_traced`] is the recording end, and [`capture_incident`]/
 //!   [`incidents`] the bounded flight-recorder dump an SLO breach
 //!   triggers.
-//! * [`window`] — [`WindowedHistogram`]/[`WindowedCounter`]: rolling
-//!   10 s/60 s views built from cumulative-snapshot diffs
-//!   ([`HistogramSnapshot::diff`]), merge-invariant like the
-//!   cumulative histograms they wrap.
+//! * [`window`] — [`TickRing`]: cumulative states a second apart,
+//!   owned and ticked by the loop that reads them, so a rolling
+//!   10 s/60 s view is one diff ([`HistogramSnapshot::diff`]),
+//!   merge-invariant like the cumulative histograms it diffs.
 //!
 //! Everything is gated by the process-wide `WIVI_OBS` switch living in
 //! [`wivi_num::probe`] (re-exported here as [`enabled`]/
@@ -52,7 +52,7 @@ pub use spans::{
     span_traced, span_with, Incident, Span, SpanRecord,
 };
 pub use trace::{fmt_trace, TraceIdGen, UNTRACED};
-pub use window::{WindowedCounter, WindowedHistogram, WINDOW_10S_NS, WINDOW_60S_NS};
+pub use window::{TickRing, WINDOW_10S_NS, WINDOW_60S_NS};
 pub use wivi_num::probe::{enabled, set_enabled, thread_slot};
 
 /// Serializes tests that flip the process-wide [`set_enabled`] switch

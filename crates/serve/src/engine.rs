@@ -195,16 +195,15 @@ pub fn shard_of(id: SessionId, n_shards: usize) -> usize {
     (wivi_num::hash::fnv1a(&id.to_le_bytes()) % n_shards as u64) as usize
 }
 
-/// Finished sessions, delivered live. Shards push a clone of each
-/// [`SessionOutput`] here the moment the session finalizes — hundreds
-/// of batch rounds before `finish()` would surface it — so a serving
-/// front can stream results back to clients while the engine keeps
-/// running. The clone deep-copies the payload, because `ModeOutput`
-/// holds it inline. Cloning the queue handle shares the same underlying
-/// queue, and its waker: the wire reactor registers its thread, and
-/// every push unparks it.
+/// Finished sessions, delivered live. Each engine owns one, and its
+/// shards move every [`SessionOutput`] here the moment the session
+/// finalizes, keeping none, so a serving front can stream results back
+/// to clients while the engine keeps running; [`ServeEngine::finish`]
+/// takes what is left. Cloning the queue handle shares the same
+/// underlying queue, and its waker: the wire reactor registers its
+/// thread, and every push unparks it.
 #[derive(Clone, Default)]
-pub struct CompletionQueue(Arc<Completions>);
+pub(crate) struct CompletionQueue(Arc<Completions>);
 
 #[derive(Default)]
 struct Completions {
@@ -215,11 +214,6 @@ struct Completions {
 }
 
 impl CompletionQueue {
-    /// An empty queue.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
     /// Registers the calling thread as the one every push unparks. The
     /// first registration sticks. A push that lands while the thread is
     /// running leaves the park token set, so its next park returns at
@@ -241,30 +235,17 @@ impl CompletionQueue {
         }
     }
 
-    /// Takes everything completed since the last drain, in completion
-    /// order (per shard; cross-shard interleave is scheduling). Never
-    /// blocks.
-    pub fn drain(&self) -> Vec<SessionOutput> {
-        self.0
-            .queue
-            .lock()
-            .expect("completion queue poisoned")
-            .drain(..)
-            .collect()
-    }
-
-    /// Completed-but-undrained outputs right now.
-    pub fn len(&self) -> usize {
-        self.0
-            .queue
-            .lock()
-            .expect("completion queue poisoned")
-            .len()
-    }
-
-    /// `true` if nothing is waiting.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
+    /// Moves everything completed since the last drain onto the end of
+    /// `out`, in completion order (per shard; cross-shard interleave is
+    /// scheduling). Never blocks on a shard.
+    pub(crate) fn drain_into(&self, out: &mut Vec<SessionOutput>) {
+        out.extend(
+            self.0
+                .queue
+                .lock()
+                .expect("completion queue poisoned")
+                .drain(..),
+        );
     }
 }
 
@@ -272,7 +253,9 @@ impl CompletionQueue {
 pub struct ServeEngine {
     cfg: ServeConfig,
     channels: Vec<Arc<ShardChannel>>,
-    workers: Vec<std::thread::JoinHandle<Vec<SessionOutput>>>,
+    workers: Vec<std::thread::JoinHandle<()>>,
+    /// Where the shards move every finished session.
+    completions: CompletionQueue,
     /// This engine's private metrics registry: shard workers record
     /// into it live, [`Self::finish`] snapshots it into the report.
     registry: Registry,
@@ -291,21 +274,6 @@ impl ServeEngine {
     /// # Panics
     /// Panics on an invalid configuration.
     pub fn start(cfg: ServeConfig) -> Self {
-        Self::start_inner(cfg, None)
-    }
-
-    /// [`Self::start`], plus a live [`CompletionQueue`] the shards push
-    /// every finished session into — what the network front drains to
-    /// stream outputs back without waiting for [`Self::finish`].
-    ///
-    /// # Panics
-    /// Panics on an invalid configuration.
-    pub fn start_with_completions(cfg: ServeConfig) -> (Self, CompletionQueue) {
-        let q = CompletionQueue::new();
-        (Self::start_inner(cfg, Some(q.clone())), q)
-    }
-
-    fn start_inner(cfg: ServeConfig, completions: Option<CompletionQueue>) -> Self {
         cfg.validate();
         let registry = Registry::new();
         let channels: Vec<Arc<ShardChannel>> = (0..cfg.n_shards)
@@ -316,6 +284,7 @@ impl ServeEngine {
         let metrics: Vec<ShardMetrics> = (0..cfg.n_shards)
             .map(|i| ShardMetrics::register(&registry, i, slo.clone(), session.clone()))
             .collect();
+        let completions = CompletionQueue::default();
         let workers = channels
             .iter()
             .enumerate()
@@ -334,6 +303,7 @@ impl ServeEngine {
             cfg,
             channels,
             workers,
+            completions,
             registry,
             metrics,
             slo,
@@ -379,23 +349,19 @@ impl ServeEngine {
         self.slo.summary()
     }
 
-    /// Rolling `(windows, windows_over)` SLO counts over the trailing
-    /// `window_ns` — the burn-rate-right-now readout behind
-    /// `/healthz`.
-    pub fn slo_rolling(&self, window_ns: u64) -> (u64, u64) {
-        self.slo.rolling(window_ns)
+    /// The engine's telemetry read live: one row per shard, in shard
+    /// order, plus the SLO summary.
+    pub(crate) fn snapshot(&self) -> ServeSnapshot {
+        ServeSnapshot {
+            shards: self.metrics.iter().map(ShardMetrics::snapshot).collect(),
+            slo: self.slo.summary(),
+        }
     }
 
-    /// All shards' rolling batch-latency views over the trailing
-    /// `window_ns`, merged into one snapshot. Snapshot diff commutes
-    /// with merge, so this equals the rolling view of one engine-wide
-    /// histogram — partitioning across shards cannot change it.
-    pub fn rolling_batch_latency(&self, window_ns: u64) -> HistogramSnapshot {
-        let mut merged = HistogramSnapshot::empty();
-        for m in &self.metrics {
-            merged.merge(&m.rolling_batch(window_ns));
-        }
-        merged
+    /// The queue every finished session lands in, for a front that
+    /// drains it live.
+    pub(crate) fn completions(&self) -> &CompletionQueue {
+        &self.completions
     }
 
     /// Opens a session, blocking while its shard's queue is full — the
@@ -465,19 +431,20 @@ impl ServeEngine {
     /// # Panics
     /// Panics if a shard worker panicked.
     pub fn finish(self) -> ServeReport {
+        self.finish_with(Vec::new())
+    }
+
+    /// [`Self::finish`] for a front that drained outputs from
+    /// [`Self::completions`] live: `outputs`, the ones it drained, are
+    /// reported with what is left in the queue, each session once.
+    pub(crate) fn finish_with(mut self, mut outputs: Vec<SessionOutput>) -> ServeReport {
         for chan in &self.channels {
             chan.shutdown();
         }
-        // Extend the first shard's vector with the others' outputs
-        // rather than copy every shard's into a fresh one.
-        let mut joined = self
-            .workers
-            .into_iter()
-            .map(|w| w.join().expect("shard worker panicked"));
-        let mut outputs: Vec<SessionOutput> = joined.next().unwrap_or_default();
-        for shard_outputs in joined {
-            outputs.extend(shard_outputs);
+        for w in self.workers.drain(..) {
+            w.join().expect("shard worker panicked");
         }
+        self.completions.drain_into(&mut outputs);
         // `check_unique` refuses an id already opened, so ids are unique
         // and an unstable sort gives the stable sort's order without its
         // scratch buffer (up to the size of the whole output array, taken
@@ -486,11 +453,8 @@ impl ServeEngine {
         outputs.sort_unstable_by_key(|o| o.id);
         let events = merge_session_events(&outputs);
         // Shards have exited, so the registry is quiescent: the
-        // snapshot rows are final (and already in shard order).
-        let snapshot = ServeSnapshot {
-            shards: self.metrics.iter().map(|m| m.snapshot()).collect(),
-            slo: self.slo.summary(),
-        };
+        // snapshot rows are final.
+        let snapshot = self.snapshot();
         ServeReport {
             outputs,
             events,
@@ -508,9 +472,11 @@ impl ServeEngine {
 /// `pub(crate)`: the wire server replays this exact merge over each
 /// connection's own outputs, so a connection's EVENT stream is the same
 /// deterministic function of its session set as the in-process report's.
-pub(crate) fn merge_session_events(outputs: &[SessionOutput]) -> Vec<ServeEvent> {
+pub(crate) fn merge_session_events<'a>(
+    outputs: impl IntoIterator<Item = &'a SessionOutput>,
+) -> Vec<ServeEvent> {
     let streams: Vec<TimedStream<ServeEvent>> = outputs
-        .iter()
+        .into_iter()
         .filter(|o| !o.result.events().is_empty())
         .map(|o| {
             let mut items: Vec<ServeEvent> = o
@@ -645,28 +611,31 @@ mod tests {
         assert!(report.output(9999).is_none());
     }
 
+    /// Outputs drained live and handed back to `finish_with` are
+    /// reported once each, beside the ones still queued at the finish.
     #[test]
     fn completion_queue_sees_every_session_before_finish() {
-        let (mut engine, completions) =
-            ServeEngine::start_with_completions(ServeConfig::with_shards(2));
-        for id in 0..4u64 {
+        let mut engine = ServeEngine::start(ServeConfig::with_shards(2));
+        for id in 0..2u64 {
             engine.open(tiny_spec(id)).unwrap();
         }
         // Zero-duration sessions finalize on their first round; poll the
         // live queue without finishing the engine.
         let mut live = Vec::new();
         let t0 = Instant::now();
-        while live.len() < 4 && t0.elapsed().as_secs() < 30 {
-            live.extend(completions.drain());
+        while live.len() < 2 && t0.elapsed().as_secs() < 30 {
+            engine.completions().drain_into(&mut live);
             std::thread::sleep(std::time::Duration::from_millis(2));
         }
-        assert_eq!(live.len(), 4, "completions not delivered live");
-        let report = engine.finish();
-        assert_eq!(report.outputs.len(), 4);
-        assert!(completions.is_empty(), "nothing new after the last drain");
         let mut ids: Vec<u64> = live.iter().map(|o| o.id).collect();
         ids.sort_unstable();
-        assert_eq!(ids, vec![0, 1, 2, 3]);
+        assert_eq!(ids, [0, 1], "completions not delivered live");
+        for id in 2..4u64 {
+            engine.open(tiny_spec(id)).unwrap();
+        }
+        let report = engine.finish_with(live);
+        let ids: Vec<u64> = report.outputs.iter().map(|o| o.id).collect();
+        assert_eq!(ids, [0, 1, 2, 3], "each session reported once");
     }
 
     /// A push unparks the registered waker: a thread parked with a 30 s
@@ -674,7 +643,7 @@ mod tests {
     /// unpark it would sleep the full 30 s.
     #[test]
     fn completion_wakes_a_parked_waker() {
-        let q = CompletionQueue::new();
+        let q = CompletionQueue::default();
         let (registered, ready) = std::sync::mpsc::channel();
         let waiter = {
             let q = q.clone();
@@ -683,14 +652,16 @@ mod tests {
                 registered.send(()).expect("test thread alive");
                 let t0 = Instant::now();
                 let deadline = t0 + std::time::Duration::from_secs(30);
-                while q.is_empty() {
+                let mut seen = Vec::new();
+                loop {
+                    q.drain_into(&mut seen);
                     let now = Instant::now();
-                    if now >= deadline {
+                    if !seen.is_empty() || now >= deadline {
                         break;
                     }
                     std::thread::park_timeout(deadline - now);
                 }
-                (q.len(), t0.elapsed())
+                (seen.len(), t0.elapsed())
             })
         };
         ready.recv().expect("waiter registered");

@@ -85,7 +85,7 @@ pub mod wire;
 
 pub use admission::{Admission, AdmissionConfig, AdmitError, TokenSpec};
 pub use engine::{
-    shard_of, CompletionQueue, ServeConfig, ServeEngine, ServeEvent, ServeReport, ServeSnapshot,
+    shard_of, ServeConfig, ServeEngine, ServeEvent, ServeReport, ServeSnapshot,
     DEFAULT_SLO_BUDGET_NS,
 };
 pub use error::ServeError;

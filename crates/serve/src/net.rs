@@ -23,7 +23,7 @@
 //!   WIVI: frames ──▶ HELLO→auth, OPEN→admission→shard queue,
 //!                    CLOSE, FINISH
 //!   HTTP: GET /metrics ──▶ Prometheus text from the engine registry,
-//!                          plus rolling 10 s/60 s p50/p99 gauges
+//!                          plus rolling 10 s/60 s gauges
 //!         GET /healthz ──▶ shard liveness + queue depths + shed rate
 //!                          + SLO burn rate, JSON
 //!         GET /tracez  ──▶ recent traces (flight-recorder spans
@@ -32,12 +32,17 @@
 //!         a head past 8 KiB with no blank line ──▶ 431, then close
 //!   a client frame declared past 64 KiB ──▶ ERROR frame_too_large,
 //!                                            BYE, then close
-//! shards ──▶ CompletionQueue ──▶ reactor routes each finished
-//!   session to its owning connection; when a FINISHed connection's
-//!   sessions have all completed, the reactor replays the engine's
-//!   event merge over that connection's outputs and writes
-//!   EVENT* OUTPUT* BYE
+//! shards ──▶ completion queue ──▶ reactor keeps each finished
+//!   session in its one output list and routes its index to the owning
+//!   connection; when a FINISHed connection's sessions have all
+//!   completed, the reactor replays the engine's event merge over that
+//!   connection's outputs and writes EVENT* OUTPUT* BYE
 //! ```
+//!
+//! The reactor also owns the rolling windows: every turn ticks one
+//! [`TickRing`] with the totals the rolling `/metrics` and `/healthz`
+//! lines diff, so the shards' batch steps tick nothing and an idle
+//! server's windows age out.
 //!
 //! The wire path adds *no* computation of its own: outputs are encoded
 //! with [`wire::encode_session_output`] and events with
@@ -56,16 +61,15 @@ use std::time::{Duration, Instant};
 
 use wivi_core::WiViConfig;
 use wivi_num::hash::{fnv1a, fnv1a_more};
+use wivi_obs::spans::clock_ns;
 use wivi_obs::{
-    fmt_trace, Counter, Incident, SpanRecord, TraceIdGen, WindowedCounter, WINDOW_10S_NS,
-    WINDOW_60S_NS,
+    fmt_trace, Counter, HistogramSnapshot, Incident, SpanRecord, TickRing, TraceIdGen,
+    WINDOW_10S_NS, WINDOW_60S_NS,
 };
 use wivi_rf::SceneHandle;
 
 use crate::admission::{Admission, AdmissionConfig};
-use crate::engine::{
-    merge_session_events, CompletionQueue, ServeConfig, ServeEngine, ServeEvent, ServeReport,
-};
+use crate::engine::{merge_session_events, ServeConfig, ServeEngine, ServeEvent, ServeReport};
 use crate::mode::Mode;
 use crate::session::{SessionId, SessionOutput, SessionSpec};
 use crate::wire::{self, Frame, OpenRequest, WireError, WireOutput, MAGIC};
@@ -236,8 +240,8 @@ struct Conn {
     wpos: usize,
     /// Sessions admitted on this connection, still running.
     pending: usize,
-    /// Finished sessions routed back from the completion queue.
-    done: Vec<SessionOutput>,
+    /// Its finished sessions: indices into the reactor's output list.
+    done: Vec<usize>,
     closed: bool,
 }
 
@@ -298,11 +302,53 @@ impl Conn {
     }
 }
 
+/// The cumulative values the rolling `/metrics` and `/healthz` lines
+/// diff, read together so that every rolling value spans one interval.
+#[derive(Clone)]
+struct Totals {
+    /// All shards' batch latency, merged.
+    batch_latency_ns: HistogramSnapshot,
+    /// `serve.slo.windows`.
+    slo_windows: u64,
+    /// `serve.slo.windows_over`.
+    slo_windows_over: u64,
+    /// `serve.admission.shed`.
+    shed: u64,
+}
+
+impl Totals {
+    fn read(engine: &ServeEngine, shed: &Counter) -> Self {
+        let snap = engine.snapshot();
+        Self {
+            batch_latency_ns: snap.batch_latency_ns(),
+            slo_windows: snap.slo.windows,
+            slo_windows_over: snap.slo.windows_over,
+            shed: shed.value(),
+        }
+    }
+
+    /// What accrued since `base`, an earlier reading; everything when
+    /// there is none.
+    fn since(&self, base: Option<&Self>) -> Self {
+        let Some(base) = base else {
+            return self.clone();
+        };
+        Self {
+            batch_latency_ns: self.batch_latency_ns.diff(&base.batch_latency_ns),
+            slo_windows: self.slo_windows.saturating_sub(base.slo_windows),
+            slo_windows_over: self.slo_windows_over.saturating_sub(base.slo_windows_over),
+            shed: self.shed.saturating_sub(base.shed),
+        }
+    }
+}
+
 struct Reactor {
     listener: TcpListener,
     stop: Arc<AtomicBool>,
     engine: ServeEngine,
-    completions: CompletionQueue,
+    /// Every output drained from the engine, in drain order; handed
+    /// back to the engine at shutdown so the final report holds them.
+    outputs: Vec<SessionOutput>,
     admission: Admission,
     scenes: Vec<(String, SceneHandle)>,
     configs: Vec<(String, WiViConfig)>,
@@ -311,9 +357,11 @@ struct Reactor {
     /// session id → slot in `conns`, for completion routing.
     owner: HashMap<SessionId, usize>,
     accepted: usize,
-    /// Rolling view over the admission shed counter — the `/healthz`
-    /// shed rate. Ticked once per reactor iteration.
-    shed_window: WindowedCounter,
+    /// The admission gate's shed counter (`serve.admission.shed`).
+    shed: Counter,
+    /// [`Totals`] once a second, ticked every turn: the baselines of the
+    /// rolling lines.
+    ticks: TickRing<Totals>,
     /// Scratch every socket read fills, allocated once so that no
     /// turn zeroes a fresh buffer per connection.
     read_buf: Box<[u8]>,
@@ -327,18 +375,18 @@ struct Reactor {
 
 impl Reactor {
     fn new(cfg: WireServerConfig, listener: TcpListener, stop: Arc<AtomicBool>) -> Self {
-        let (engine, completions) = ServeEngine::start_with_completions(cfg.serve);
+        let engine = ServeEngine::start(cfg.serve);
         let admission = Admission::new(cfg.admission, engine.registry());
         // Same get-or-create name the admission gate records into, so
-        // the window wraps the live counter, not a copy.
-        let shed_window = WindowedCounter::new(engine.registry().counter("serve.admission.shed"));
+        // this is the live counter, not a copy.
+        let shed = engine.registry().counter("serve.admission.shed");
         let heads_too_large = engine.registry().counter("serve.http.head_too_large");
         let frames_too_large = engine.registry().counter("serve.wire.frame_too_large");
         Reactor {
             listener,
             stop,
             engine,
-            completions,
+            outputs: Vec::new(),
             admission,
             scenes: cfg.scenes,
             configs: cfg.configs,
@@ -346,7 +394,8 @@ impl Reactor {
             conns: Vec::new(),
             owner: HashMap::new(),
             accepted: 0,
-            shed_window,
+            shed,
+            ticks: TickRing::default(),
             read_buf: vec![0; READ_CHUNK].into_boxed_slice(),
             heads_too_large,
             frames_too_large,
@@ -354,7 +403,7 @@ impl Reactor {
     }
 
     fn run(mut self) -> std::io::Result<WireServerReport> {
-        self.completions.register_waker();
+        self.engine.completions().register_waker();
         let mut stopping: Option<Instant> = None;
         let mut idle_park = IDLE_PARK_MIN;
         loop {
@@ -372,7 +421,8 @@ impl Reactor {
             self.flush_finished();
             progressed |= self.pump_writes();
             self.reap();
-            self.shed_window.maybe_tick();
+            self.ticks
+                .tick(clock_ns(), || Totals::read(&self.engine, &self.shed));
             if let Some(t0) = stopping {
                 let drained = self.conns.iter().all(Option::is_none);
                 if drained || t0.elapsed() > self.grace {
@@ -393,7 +443,7 @@ impl Reactor {
         let snap = self.engine.registry().snapshot(false);
         let admitted = snap.counter("serve.admission.admitted").unwrap_or(0);
         let shed = snap.counter("serve.admission.shed").unwrap_or(0);
-        let report = self.engine.finish();
+        let report = self.engine.finish_with(self.outputs);
         Ok(WireServerReport {
             report,
             connections: self.accepted,
@@ -627,22 +677,23 @@ impl Reactor {
         }
     }
 
-    /// Drains the completion queue and hands each finished session to
-    /// the connection that opened it.
+    /// Drains the completion queue onto the output list and hands each
+    /// finished session's index to the connection that opened it.
     fn route_completions(&mut self) -> bool {
-        let finished = self.completions.drain();
-        let any = !finished.is_empty();
-        for out in finished {
-            self.admission.session_done(out.id);
-            let Some(slot) = self.owner.remove(&out.id) else {
+        let from = self.outputs.len();
+        self.engine.completions().drain_into(&mut self.outputs);
+        for i in from..self.outputs.len() {
+            let id = self.outputs[i].id;
+            self.admission.session_done(id);
+            let Some(slot) = self.owner.remove(&id) else {
                 continue; // session opened in-process or conn long gone
             };
             if let Some(conn) = self.conns[slot].as_mut() {
                 conn.pending = conn.pending.saturating_sub(1);
-                conn.done.push(out);
+                conn.done.push(i);
             }
         }
-        any
+        self.outputs.len() > from
     }
 
     /// For each FINISHed connection whose sessions have all completed:
@@ -655,11 +706,12 @@ impl Reactor {
                 continue;
             }
             let mut done = std::mem::take(&mut conn.done);
-            done.sort_by_key(|o| o.id);
-            for e in &merge_session_events(&done) {
+            done.sort_by_key(|&i| self.outputs[i].id);
+            let done = done.iter().map(|&i| &self.outputs[i]);
+            for e in &merge_session_events(done.clone()) {
                 conn.queue_raw(wire::tag::EVENT, &wire::encode_serve_event(e));
             }
-            for out in &done {
+            for out in done {
                 conn.queue_raw(wire::tag::OUTPUT, &wire::encode_session_output(out));
             }
             conn.queue_frame(&Frame::Bye);
@@ -745,32 +797,32 @@ impl Reactor {
         }
     }
 
+    /// The [`Totals`] accrued over each trailing window in `windows_ns`,
+    /// from one reading: now minus the ring's baseline, or since start
+    /// while the server is younger than the window.
+    fn rolling<const N: usize>(&self, windows_ns: [u64; N]) -> [Totals; N] {
+        let now_ns = clock_ns();
+        let current = Totals::read(&self.engine, &self.shed);
+        windows_ns.map(|w| current.since(self.ticks.baseline(w, now_ns)))
+    }
+
     /// Appends the rolling 10 s/60 s views as gauges, so `/metrics`
     /// carries "latency now" next to the cumulative series. Gauges, not
     /// histograms: a rolling quantile is a point-in-time readout.
     fn append_rolling(&self, snap: &mut wivi_obs::Snapshot) {
-        for (label, window) in [("10s", WINDOW_10S_NS), ("60s", WINDOW_60S_NS)] {
-            let roll = self.engine.rolling_batch_latency(window);
-            let g = &mut snap.gauges;
-            g.push((
-                format!("serve.batch_latency_ns.p50.{label}"),
-                roll.quantile(50.0),
-            ));
-            g.push((
-                format!("serve.batch_latency_ns.p99.{label}"),
-                roll.quantile(99.0),
-            ));
-            g.push((
-                format!("serve.batch_latency_ns.count.{label}"),
-                roll.count as f64,
-            ));
-            let (windows, over) = self.engine.slo_rolling(window);
-            g.push((format!("serve.slo.windows.{label}"), windows as f64));
-            g.push((format!("serve.slo.windows_over.{label}"), over as f64));
-            g.push((
-                format!("serve.admission.shed.{label}"),
-                self.shed_window.rolling(window) as f64,
-            ));
+        let rolls = self.rolling([WINDOW_10S_NS, WINDOW_60S_NS]);
+        for (label, roll) in ["10s", "60s"].into_iter().zip(rolls) {
+            let batch = &roll.batch_latency_ns;
+            for (name, value) in [
+                ("batch_latency_ns.p50", batch.quantile(50.0)),
+                ("batch_latency_ns.p99", batch.quantile(99.0)),
+                ("batch_latency_ns.count", batch.count as f64),
+                ("slo.windows", roll.slo_windows as f64),
+                ("slo.windows_over", roll.slo_windows_over as f64),
+                ("admission.shed", roll.shed as f64),
+            ] {
+                snap.gauges.push((format!("serve.{name}.{label}"), value));
+            }
         }
         snap.gauges.sort_by(|a, b| a.0.cmp(&b.0));
     }
@@ -797,7 +849,7 @@ impl Reactor {
         let admitted = snap.counter("serve.admission.admitted").unwrap_or(0);
         let shed = snap.counter("serve.admission.shed").unwrap_or(0);
         let slo = self.engine.slo_summary();
-        let (roll_windows, roll_over) = self.engine.slo_rolling(WINDOW_60S_NS);
+        let [roll] = self.rolling([WINDOW_60S_NS]);
         let body = format!(
             concat!(
                 r#"{{"status":"{status}","shards":[{shards}],"#,
@@ -814,15 +866,15 @@ impl Reactor {
             conns = self.accepted,
             admitted = admitted,
             shed = shed,
-            shed_rate = self.shed_window.rate_per_sec(WINDOW_60S_NS),
+            shed_rate = roll.shed as f64 * 1e9 / WINDOW_60S_NS as f64,
             budget = slo.budget_ns,
             windows = slo.windows,
             over = slo.windows_over,
             burn = slo.burn_rate(),
-            burn60 = if roll_windows == 0 {
+            burn60 = if roll.slo_windows == 0 {
                 0.0
             } else {
-                roll_over as f64 / roll_windows as f64
+                roll.slo_windows_over as f64 / roll.slo_windows as f64
             },
             worst = slo.worst_ns,
             breached = slo.breached_sessions,

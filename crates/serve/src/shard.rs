@@ -22,12 +22,11 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 use wivi_num::Complex64;
-use wivi_obs::{
-    Counter, Gauge, Histogram, HistogramSnapshot, Registry, WindowedCounter, WindowedHistogram,
-};
+use wivi_obs::{Counter, Gauge, Histogram, HistogramSnapshot, Registry};
 
+use crate::engine::CompletionQueue;
 use crate::mode::Mode;
-use crate::session::{ActiveSession, SessionId, SessionOutput, SessionSpec};
+use crate::session::{ActiveSession, SessionId, SessionSpec};
 
 /// A command routed to a shard.
 pub(crate) enum Command {
@@ -177,11 +176,7 @@ pub(crate) struct ShardMetrics {
     /// each live session owns one engine.
     engines: Gauge,
     /// Per-batch processing wall-clock, nanoseconds.
-    batch_latency_ns: Histogram,
-    /// Rolling view over `batch_latency_ns` (~1 s ticks): what the
-    /// `/metrics` rolling p50/p99 lines read. `Arc`: the window's tick
-    /// ring is shared between the shard and the engine.
-    batch_window: Arc<WindowedHistogram>,
+    pub(crate) batch_latency_ns: Histogram,
     /// Engine-wide SLO accounting the shard tallies into after every
     /// batch step.
     pub(crate) slo: SloMetrics,
@@ -198,15 +193,13 @@ impl ShardMetrics {
         session: SessionMetrics,
     ) -> Self {
         let name = |metric: &str| format!("serve.shard{shard}.{metric}");
-        let batch_latency_ns = reg.histogram(&name("batch_latency_ns"));
         Self {
             shard,
             sessions: reg.counter(&name("sessions")),
             busy_ns: reg.counter(&name("busy_ns")),
             alive_ns: reg.counter(&name("alive_ns")),
             engines: reg.gauge(&name("engines")),
-            batch_window: Arc::new(WindowedHistogram::new(batch_latency_ns.clone())),
-            batch_latency_ns,
+            batch_latency_ns: reg.histogram(&name("batch_latency_ns")),
             slo,
             session,
         }
@@ -217,12 +210,6 @@ impl ShardMetrics {
         self.busy_ns
             .add(u64::try_from(d.as_nanos()).unwrap_or(u64::MAX));
         self.batch_latency_ns.record_duration(d);
-        self.batch_window.maybe_tick();
-    }
-
-    /// The rolling batch-latency view over the trailing `window_ns`.
-    pub(crate) fn rolling_batch(&self, window_ns: u64) -> HistogramSnapshot {
-        self.batch_window.rolling(window_ns)
     }
 
     /// The shard's current telemetry as one owned row.
@@ -283,17 +270,15 @@ impl ShardSnapshot {
 /// window is tallied under/over, and a session's *first* breach dumps
 /// the span flight recorder into the bounded incident buffer
 /// ([`wivi_obs::capture_incident`]). Registered once per engine under
-/// `serve.slo.*`; cloned into every shard's [`ShardMetrics`] so the
-/// `Arc`-backed rolling windows share one tick ring.
+/// `serve.slo.*` and cloned into every shard's [`ShardMetrics`].
 #[derive(Clone)]
 pub(crate) struct SloMetrics {
     /// The hop budget one batch window is held to, nanoseconds.
     pub(crate) budget_ns: u64,
-    /// All batch windows measured (`serve.slo.windows`), with a rolling
-    /// view for burn-rate-over-the-last-minute readouts.
-    windows: Arc<WindowedCounter>,
+    /// All batch windows measured (`serve.slo.windows`).
+    windows: Counter,
     /// Windows over budget (`serve.slo.windows_over`).
-    windows_over: Arc<WindowedCounter>,
+    windows_over: Counter,
     /// Sessions that breached at least once
     /// (`serve.slo.breached_sessions`).
     breached_sessions: Counter,
@@ -306,8 +291,8 @@ impl SloMetrics {
     pub(crate) fn register(reg: &Registry, budget_ns: u64) -> Self {
         Self {
             budget_ns,
-            windows: Arc::new(WindowedCounter::new(reg.counter("serve.slo.windows"))),
-            windows_over: Arc::new(WindowedCounter::new(reg.counter("serve.slo.windows_over"))),
+            windows: reg.counter("serve.slo.windows"),
+            windows_over: reg.counter("serve.slo.windows_over"),
             breached_sessions: reg.counter("serve.slo.breached_sessions"),
             worst: reg.gauge("serve.slo.worst_ns"),
         }
@@ -317,30 +302,19 @@ impl SloMetrics {
     /// session's first breach, bumps the breach counter and captures a
     /// flight-recorder incident carrying the session's trace id.
     fn note_step(&self, s: &mut ActiveSession, d_ns: u64) {
-        self.windows.counter().inc();
+        self.windows.inc();
         // Worst window over ALL measured windows (matching the
         // SloSummary docs), breached or not; atomic max so concurrent
         // shards cannot lose a larger value.
         self.worst.set_max(d_ns as f64);
         if d_ns > self.budget_ns {
-            self.windows_over.counter().inc();
+            self.windows_over.inc();
             if !s.breached {
                 s.breached = true;
                 self.breached_sessions.inc();
                 wivi_obs::capture_incident("slo.hop_budget", s.id, s.trace, d_ns);
             }
         }
-        self.windows.maybe_tick();
-        self.windows_over.maybe_tick();
-    }
-
-    /// Rolling `(windows, windows_over)` counts over the trailing
-    /// `window_ns`.
-    pub(crate) fn rolling(&self, window_ns: u64) -> (u64, u64) {
-        (
-            self.windows.rolling(window_ns),
-            self.windows_over.rolling(window_ns),
-        )
     }
 
     /// The cumulative aggregate, as surfaced in
@@ -348,8 +322,8 @@ impl SloMetrics {
     pub(crate) fn summary(&self) -> SloSummary {
         SloSummary {
             budget_ns: self.budget_ns,
-            windows: self.windows.counter().value(),
-            windows_over: self.windows_over.counter().value(),
+            windows: self.windows.value(),
+            windows_over: self.windows_over.value(),
             breached_sessions: self.breached_sessions.value(),
             worst_ns: self.worst.value() as u64,
         }
@@ -459,19 +433,19 @@ fn step(
 }
 
 /// The shard thread body: rounds of (drain commands → advance each live
-/// session one batch, in id order → drain finished sessions), until
-/// shutdown and empty.
+/// session one batch, in id order → move finished sessions' outputs
+/// into `completions`), until shutdown and empty. The shard keeps no
+/// output.
 pub(crate) fn run_shard(
     shard_idx: usize,
-    chan: std::sync::Arc<ShardChannel>,
+    chan: Arc<ShardChannel>,
     batch_len: usize,
     metrics: ShardMetrics,
-    completions: Option<crate::engine::CompletionQueue>,
-) -> Vec<SessionOutput> {
+    completions: CompletionQueue,
+) {
     let started = Instant::now();
     let mut scratch: Vec<Complex64> = Vec::with_capacity(batch_len);
     let mut active: Vec<ActiveSession> = Vec::new();
-    let mut outputs: Vec<SessionOutput> = Vec::new();
     // Reused across rounds by the finished-session partition pass, so
     // draining allocates only while the live set is still growing.
     let mut keep: Vec<ActiveSession> = Vec::new();
@@ -516,12 +490,8 @@ pub(crate) fn run_shard(
         if active.iter().any(ActiveSession::done_streaming) {
             for s in active.drain(..) {
                 if s.done_streaming() {
-                    let out = s.finalize(shard_idx, &metrics.session);
+                    completions.push(s.finalize(shard_idx, &metrics.session));
                     metrics.sessions.inc();
-                    if let Some(q) = &completions {
-                        q.push(out.clone());
-                    }
-                    outputs.push(out);
                 } else {
                     keep.push(s);
                 }
@@ -533,7 +503,6 @@ pub(crate) fn run_shard(
     metrics
         .alive_ns
         .add(u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX));
-    outputs
 }
 
 #[cfg(test)]
