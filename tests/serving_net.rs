@@ -9,7 +9,8 @@
 //! deliberately undersized queue (errors, not panics or stalls), wire
 //! admission errors with stable codes, the `/metrics` endpoint on the
 //! same port, the caps on an HTTP request head and on a client frame,
-//! and the 8-session smoke the CI leg runs.
+//! the SLO breach path with the rolling lines, and the 8-session smoke
+//! the CI leg runs.
 
 mod common;
 
@@ -524,6 +525,10 @@ fn a_pipelined_burst_past_the_frame_cap_is_served_in_full() {
     assert_eq!(report.admitted, OPENS);
 }
 
+/// Serializes the tests that flip the process-wide observability
+/// switch.
+static OBS_SWITCH: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
 /// The tentpole acceptance: with observability ON, a loopback session
 /// carries ONE trace id from the client's open RTT through the
 /// server-side open/step/drain spans, `/tracez` returns it, rolling
@@ -532,6 +537,7 @@ fn a_pipelined_burst_past_the_frame_cap_is_served_in_full() {
 /// neutrality is the contract, traced or not).
 #[test]
 fn traced_session_links_client_and_server_and_stays_bitwise() {
+    let _switch = OBS_SWITCH.lock().unwrap_or_else(|p| p.into_inner());
     wivi::obs::set_enabled(Some(true));
 
     let mut cfg = WireServerConfig::new(ServeConfig::with_shards(1));
@@ -607,6 +613,78 @@ fn traced_session_links_client_and_server_and_stays_bitwise() {
     );
     assert!(metrics.contains("wivi_serve_batch_latency_ns_p99_60s"));
     assert!(metrics.contains("wivi_serve_slo_windows_10s"));
+
+    server.shutdown().expect("shutdown");
+    wivi::obs::set_enabled(None);
+    let _ = wivi::obs::drain();
+}
+
+/// The value of the `/metrics` line `name`.
+fn metric(metrics: &str, name: &str) -> f64 {
+    let prefix = format!("\n{name} ");
+    let at = metrics
+        .find(&prefix)
+        .unwrap_or_else(|| panic!("no {name} in: {metrics}"));
+    let rest = &metrics[at + prefix.len()..];
+    rest[..rest.find('\n').unwrap_or(rest.len())]
+        .parse()
+        .unwrap_or_else(|e| panic!("{name}: {e}"))
+}
+
+/// A 1 ns SLO budget puts every batch window over it: each session
+/// breaches once and leaves an incident under its trace id, both burn
+/// rates read 1, and the rolling lines of a server younger than 10 s
+/// count every window the cumulative `serve.slo.windows` counts.
+#[test]
+fn a_breached_budget_is_counted_in_healthz_the_rolling_lines_and_tracez() {
+    let _switch = OBS_SWITCH.lock().unwrap_or_else(|p| p.into_inner());
+    wivi::obs::set_enabled(Some(true));
+
+    let n = 3u64;
+    let mut cfg = WireServerConfig::new(ServeConfig {
+        slo_budget_ns: 1,
+        ..ServeConfig::with_shards(2)
+    });
+    cfg.scenes.push(("room".into(), simple_scene().into()));
+    cfg.configs.push(("fast".into(), WiViConfig::fast_test()));
+    let server = WireServer::start(cfg).expect("bind");
+    let mut client = WireClient::connect(server.addr(), "breacher").expect("connect");
+    let mut traces = Vec::new();
+    for id in 0..n {
+        client.open(short_count(id)).expect("admit");
+        traces.push(client.last_trace());
+    }
+    assert_eq!(client.finish().expect("drain").outputs.len(), n as usize);
+
+    let health = http_get(server.addr(), "/healthz");
+    for field in [
+        format!("\"breached_sessions\":{n}"),
+        "\"burn_rate\":1.000000".to_owned(),
+        "\"burn_rate_60s\":1.000000".to_owned(),
+    ] {
+        assert!(health.contains(&field), "missing {field} in: {health}");
+    }
+
+    let metrics = http_get(server.addr(), "/metrics");
+    let windows = metric(&metrics, "wivi_serve_slo_windows");
+    assert!(windows >= n as f64, "{windows} windows for {n} sessions");
+    for name in [
+        "wivi_serve_slo_windows_10s",
+        "wivi_serve_slo_windows_over_10s",
+        "wivi_serve_batch_latency_ns_count_10s",
+    ] {
+        assert_eq!(metric(&metrics, name), windows, "{name}");
+    }
+
+    let tracez = http_get(server.addr(), "/tracez");
+    let incidents = &tracez[tracez.find("\"incidents\"").expect("incident list")..];
+    for t in &traces {
+        let trace = format!("\"trace\":\"{}\"", wivi::obs::fmt_trace(*t));
+        assert!(
+            incidents.contains(&trace),
+            "no incident {trace} in: {tracez}"
+        );
+    }
 
     server.shutdown().expect("shutdown");
     wivi::obs::set_enabled(None);
